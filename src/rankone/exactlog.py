@@ -41,6 +41,7 @@ from .balls import (
     interval_sign,
     max_precision,
 )
+from .errors import UndecidedError
 from .numberfield import (
     IntPoly,
     factor_monic_int,
@@ -104,7 +105,7 @@ def _inverse_partner(poly: IntPoly, index: int) -> int:
             return _canonical_index(poly, hits[0])
         prec *= 2
         if prec > max_precision():
-            raise RuntimeError("inverse-pair matching exceeded the precision cap")
+            raise UndecidedError("matching a root to the root at its reciprocal")
 
 
 class ExactLog:

@@ -1,14 +1,20 @@
 """Exact linear algebra over the rationals, plus a ball-matrix determinant.
 
 Matrices are lists of lists of Fractions (row major).  Everything here is
-dense and small (dimensions bounded by the number-field degree, ten or so),
-so plain Gaussian elimination over Fraction is exact and fast enough; the
-characteristic polynomial uses the Faddeev-LeVerrier recurrence, which stays
-in exact arithmetic and needs no pivoting at all.
+dense and small (dimensions bounded by the number-field degree, ten or
+so).  The determinant clears each row's denominators and then runs Bareiss's
+fraction-free elimination on Python ints, so no Fraction is formed until
+the final quotient; it is the one determinant behind both number-field
+norms and the determinant oracle.  Inverse and rank use plain Gaussian
+elimination over Fraction.  The characteristic polynomial uses the
+Faddeev-LeVerrier recurrence, which stays in exact arithmetic and needs no
+pivoting at all, and so gives a determinant-free second route to
+det(I - A) = charpoly(1).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional
 
@@ -55,31 +61,43 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant by Bareiss elimination over Python ints.
+
+    Row i is scaled by the lcm s_i of its denominators, so the scaled matrix
+    is integral and det(a) = det(scaled) / prod(s_i).  Bareiss's step
+    m[r][c] <- (m[r][c] * m[k][k] - m[r][k] * m[k][c]) / prev, with prev the
+    previous pivot, divides exactly by Sylvester's identity; the division is
+    checked, and a remainder raises ArithmeticError rather than returning a
+    wrong determinant.  Row swaps find a nonzero pivot and flip the sign.
+    """
     n = len(a)
-    m = [row[:] for row in a]
+    scale = 1
+    m = []
+    for row in a:
+        den = math.lcm(*(x.denominator for x in row))
+        scale *= den
+        m.append([x.numerator * (den // x.denominator) for x in row])
     sign = 1
-    acc = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        p = m[col][col]
-        acc *= p
-        inv = 1 / p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return acc * sign
+        rowk = m[k]
+        p = rowk[k]
+        for r in range(k + 1, n):
+            rowr = m[r]
+            f = rowr[k]
+            for c in range(k + 1, n):
+                q, rem = divmod(rowr[c] * p - f * rowk[c], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss elimination step left a remainder")
+                rowr[c] = q
+        prev = p
+    return Fraction(sign * m[n - 1][n - 1], scale) if n else Fraction(1)
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -150,8 +168,13 @@ def charpoly(a: Matrix) -> List[Fraction]:
     return [x if x is not None else Fraction(0) for x in coeffs]
 
 
-def ball_det(rows: List[List[RealBall]], prec: int) -> RealBall:
-    """Enclosure of the determinant of a small matrix of RealBalls."""
+def ball_det(rows: List[List[RealBall]], prec: int) -> Optional[RealBall]:
+    """Enclosure of the determinant of a small matrix of RealBalls.
+
+    Gaussian elimination with pivots that exclude zero.  When some column
+    has no such pivot the determinant is not certified and the result is
+    None: the caller learns nothing about it, not even that it may be zero.
+    """
     n = len(rows)
     m = [row[:] for row in rows]
     sign = 1
@@ -167,8 +190,7 @@ def ball_det(rows: List[List[RealBall]], prec: int) -> RealBall:
                     best = mag
                     pivot = r
         if pivot is None:
-            # no invertible pivot: determinant enclosure must allow zero
-            return RealBall.zero().hull(_naive_ball_det(m, col, prec), prec)
+            return None
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
@@ -181,41 +203,3 @@ def ball_det(rows: List[List[RealBall]], prec: int) -> RealBall:
     if sign < 0:
         acc = acc.neg()
     return acc
-
-
-def _naive_ball_det(m: List[List[RealBall]], start: int, prec: int) -> RealBall:
-    """Cofactor expansion over the remaining block; exponential but tiny."""
-    size = len(m) - start
-    if size == 0:
-        return RealBall.one()
-    if size == 1:
-        return m[start][start]
-    total = RealBall.zero()
-    for j in range(start, len(m)):
-        entry = m[start][j]
-        sub = [
-            [m[r][c] for c in range(start, len(m)) if c != j]
-            for r in range(start + 1, len(m))
-        ]
-        minor = _ball_det_dense(sub, prec)
-        term = entry.mul(minor, prec)
-        if (j - start) % 2:
-            term = term.neg()
-        total = total.add(term, prec)
-    return total
-
-
-def _ball_det_dense(rows: List[List[RealBall]], prec: int) -> RealBall:
-    n = len(rows)
-    if n == 0:
-        return RealBall.one()
-    if n == 1:
-        return rows[0][0]
-    total = RealBall.zero()
-    for j in range(n):
-        sub = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = rows[0][j].mul(_ball_det_dense(sub, prec), prec)
-        if j % 2:
-            term = term.neg()
-        total = total.add(term, prec)
-    return total

@@ -37,6 +37,7 @@ import mpmath
 from mpmath import libmp
 
 from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
+from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
 
 IntPoly = Tuple[int, ...]  # ascending, monic
@@ -233,29 +234,54 @@ def el_sub(x: Element, y: Element) -> Element:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _reduce_mod_min_poly(spec: NumberFieldSpec, coeffs: List[Fraction]) -> Element:
-    m = spec.degree
-    f = spec.min_poly
+def _reduce_in_place(f: IntPoly, coeffs: list) -> None:
+    """Reduce coeffs modulo the monic f, top degree first; the low deg(f)
+    entries then hold the remainder.  Integer input stays integer."""
+    m = len(f) - 1
     for k in range(len(coeffs) - 1, m - 1, -1):
         c = coeffs[k]
         if c:
-            coeffs[k] = Fraction(0)
             for i in range(m):
                 coeffs[k - m + i] -= c * f[i]
+
+
+def _reduce_mod_min_poly(spec: NumberFieldSpec, coeffs: List[Fraction]) -> Element:
+    m = spec.degree
+    _reduce_in_place(spec.min_poly, coeffs)
     coeffs = coeffs[:m]
     coeffs += [Fraction(0)] * (m - len(coeffs))
     return tuple(coeffs)
 
 
+def _int_coords(x: Element) -> Tuple[List[int], int]:
+    """(v, d) with x = v / d, v an integer vector and d the lcm of x's denominators."""
+    den = math.lcm(*(c.denominator for c in x))
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
 def el_mul(spec: NumberFieldSpec, x: Element, y: Element) -> Element:
+    """x * y in Q[x]/(min_poly), computed on integers.
+
+    Each factor is written as an integer coordinate vector over its common
+    denominator; the integer product polynomial is reduced modulo the monic
+    integer min_poly, which needs no division, and divided by the product
+    of the two denominators once at the end.  The result is the same
+    canonical tuple of Fractions that Fraction arithmetic would give.
+    """
     m = spec.degree
-    out = [Fraction(0)] * (2 * m - 1)
-    for i, a in enumerate(x):
+    xs, dx = _int_coords(x)
+    ys, dy = _int_coords(y)
+    out = [0] * (2 * m - 1)
+    for i, a in enumerate(xs):
         if a:
-            for j, b in enumerate(y):
+            for j, b in enumerate(ys):
                 if b:
                     out[i + j] += a * b
-    return _reduce_mod_min_poly(spec, out)
+    _reduce_in_place(spec.min_poly, out)
+    den = dx * dy
+    if den == 1:
+        return tuple(Fraction(c) for c in out[:m])
+    return tuple(Fraction(c, den) for c in out[:m])
 
 
 def el_inv(spec: NumberFieldSpec, x: Element) -> Element:
@@ -387,7 +413,7 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
         if result is not None:
             return result
         work *= 2
-    raise RuntimeError(f"root isolation did not converge below {_HARD_PREC_CAP} bits")
+    raise UndecidedError(f"root isolation did not converge below {_HARD_PREC_CAP} bits")
 
 
 def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
@@ -574,7 +600,7 @@ def _find_irreducible_factor(poly: IntPoly) -> IntPoly:
         if not indecisive_below:
             return poly
         prec *= 2
-    raise RuntimeError("factorization by root clustering did not converge")
+    raise UndecidedError(f"factorization by root clustering did not converge below {_HARD_PREC_CAP} bits")
 
 
 def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):

@@ -9,9 +9,19 @@ arithmetic in every supported class:
 - function_field: a power of p read off from place orders of h - 1,
 - number_field_units: |Norm(h - 1)| as one exact determinant.
 
-det_oracle recomputes number-field counts by a second route (integer
-matrix powers of the multiplication matrices, then one determinant) so the
-two implementations can be checked against each other.
+Work that does not depend on the lattice point is done once per component
+and cached on it: marked places, S-primes, the size estimate, and every
+generator power g_i^e a number-field component forms.  A box of lattice
+points then costs one power per generator and row or column, plus one
+integer element product and one integer determinant per point.
+
+det_oracle recomputes number-field counts by a second route, so the two
+implementations can be checked against each other.  It builds each
+generator's multiplication matrix from the companion matrix of min_poly,
+multiplies matrix powers, and takes one determinant of the product minus
+the identity.  The only code the two routes share is linalg.det: count
+forms h with numberfield's el_pow/el_mul and the per-instance power memo,
+and the oracle uses none of these.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import numberfield as nf
 from .errors import ResourceCapError, UnsupportedOperationError
 from .fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
-from .linalg import det, identity, mat_mul, mat_pow, mat_sub
+from .linalg import Matrix, det, identity, mat_mul, mat_pow, mat_sub
 from .rationals import prime_to_s_part
 from .system import (
     FunctionFieldComponent,
@@ -78,33 +88,12 @@ class PeriodicCount:
 INFINITE = PeriodicCount(None)
 
 
-def _component_height(comp) -> int:
-    """Rough bits-per-unit-exponent estimate used by the resource cap."""
-    if isinstance(comp, SIntegerComponent):
-        return max(
-            r.numerator.bit_length() + r.denominator.bit_length() for r in comp.generators
-        )
-    if isinstance(comp, FunctionFieldComponent):
-        bits = max(1, comp.p.bit_length())
-        return max(
-            (g.num.degree + g.den.degree + 1) * bits for g in comp.generators
-        )
-    deg = comp.field.degree
-    coeff_bits = 1
-    for g in comp.generators:
-        for c in g:
-            coeff_bits = max(
-                coeff_bits, c.numerator.bit_length() + c.denominator.bit_length()
-            )
-    return deg * deg * coeff_bits
-
-
 def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: int) -> None:
     weight = sum(abs(e) for e in exponents)
     for comp, _ in sys.components:
-        if weight * _component_height(comp) > bit_budget:
+        if weight * comp.bit_height > bit_budget:
             raise ResourceCapError(
-                f"estimated size {weight * _component_height(comp)} bits exceeds the {bit_budget}-bit budget"
+                f"estimated size {weight * comp.bit_height} bits exceeds the {bit_budget}-bit budget"
             )
 
 
@@ -113,7 +102,7 @@ def _s_integer_count(comp: SIntegerComponent, exponents: Sequence[int]) -> Optio
     if h == 1:
         return None
     diff = abs(h.numerator - h.denominator)
-    return prime_to_s_part(diff, comp.s_primes())
+    return prime_to_s_part(diff, comp.s_primes)
 
 
 def _function_field_count(comp: FunctionFieldComponent, exponents: Sequence[int]) -> Optional[int]:
@@ -122,24 +111,26 @@ def _function_field_count(comp: FunctionFieldComponent, exponents: Sequence[int]
         return None
     g = h.sub(FpRationalFunction.one(comp.p))
     exponent = 0
-    for pi in comp.finite_places():
+    for pi in comp.finite_places:
         exponent -= fp_ord_at(g, pi) * pi.degree
-    if comp.infinite_place_needed():
+    if comp.infinite_place_needed:
         exponent -= fp_ord_infinity(g)
     # h - 1 has poles only at marked places, so the unmarked part of the
     # product formula forces a nonnegative exponent
-    assert exponent >= 0, "negative count exponent violates the product formula"
+    if exponent < 0:
+        raise ArithmeticError("negative count exponent violates the product formula")
     return comp.p ** exponent
 
 
 def _number_field_count(comp: NumberFieldUnitsComponent, exponents: Sequence[int]) -> Optional[int]:
     h = comp.power_product(exponents)
-    if h == nf.el_one(comp.field):
+    one = nf.el_one(comp.field)
+    if h == one:
         return None
-    delta = nf.el_sub(h, nf.el_one(comp.field))
-    value = nf.norm(comp.field, delta)
-    assert value.denominator == 1, "norm of an algebraic integer must be an integer"
-    return abs(int(value))
+    value = nf.norm(comp.field, nf.el_sub(h, one))
+    if value.denominator != 1:
+        raise ArithmeticError("norm of an algebraic integer must be an integer")
+    return abs(value.numerator)
 
 
 def count(
@@ -261,12 +252,32 @@ def det_oracle(
         product = identity(deg)
         for g, e in zip(comp.generators, exponents):
             if e:
-                m = nf.mult_matrix(comp.field, g)
+                m = _companion_multiplication_matrix(comp.field.min_poly, g)
                 product = mat_mul(product, mat_pow(m, e))
         delta = mat_sub(product, identity(deg))
         value = det(delta)
-        assert value.denominator == 1, "determinant of an integral matrix must be an integer"
+        if value.denominator != 1:
+            raise ArithmeticError("determinant of an integral matrix must be an integer")
         if value == 0:
             return INFINITE
-        total *= abs(int(value)) ** mult
+        total *= abs(value.numerator) ** mult
     return PeriodicCount(total)
+
+
+def _companion_multiplication_matrix(min_poly: Sequence[int], g: Sequence[Fraction]) -> Matrix:
+    """Matrix of y -> g*y on the power basis, as sum_i g_i C^i.
+
+    C is the companion matrix of min_poly, the matrix of multiplication by
+    the defining root; built from linalg alone, independently of el_mul.
+    """
+    m = len(min_poly) - 1
+    companion = [[Fraction(int(i == j + 1)) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        companion[i][m - 1] = Fraction(-min_poly[i])
+    out = [[Fraction(0)] * m for _ in range(m)]
+    power = identity(m)
+    for c in g:
+        if c:
+            out = [[x + c * y for x, y in zip(ro, rp)] for ro, rp in zip(out, power)]
+        power = mat_mul(companion, power)
+    return out

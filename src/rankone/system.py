@@ -26,7 +26,9 @@ infinite place last.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -183,11 +185,19 @@ class SIntegerComponent:
     def d(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
     def s_primes(self) -> Tuple[int, ...]:
         primes = set()
         for r in self.generators:
             primes.update(factor_fraction(r))
         return tuple(sorted(primes))
+
+    @functools.cached_property
+    def bit_height(self) -> int:
+        """Rough bits-per-unit-exponent estimate used by the count size budget."""
+        return max(
+            r.numerator.bit_length() + r.denominator.bit_length() for r in self.generators
+        )
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
         arch = Character(
@@ -199,7 +209,7 @@ class SIntegerComponent:
             values=("rational", self.generators),
         )
         nonarch = []
-        for p in self.s_primes():
+        for p in self.s_primes:
             log_p = ExactLog.from_rational(Fraction(p))
             vec = []
             for r in self.generators:
@@ -226,7 +236,7 @@ class SIntegerComponent:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
         # ergodicity is exactly full rank of the prime exponent matrix.
-        primes = self.s_primes()
+        primes = self.s_primes
         rows = []
         for r in self.generators:
             fac = factor_fraction(r)
@@ -273,7 +283,9 @@ class NumberFieldUnitsComponent:
                 raise DescriptorError(gpath, "generator is not a unit of the ring of integers")
             gens.append(g)
         self.generators: Tuple[nf.Element, ...] = tuple(gens)
+        self._path = path
         self._identities = None
+        self._powers: Dict[Tuple[int, int], nf.Element] = {}
 
     @property
     def d(self) -> int:
@@ -294,7 +306,8 @@ class NumberFieldUnitsComponent:
                 int_cp.append(int(c))
             factors = nf.factor_monic_int(tuple(int_cp))
             if len(factors) != 1:
-                raise RuntimeError("characteristic polynomial of a field element must be a prime power")
+                # over a field every characteristic polynomial is a prime power
+                raise DescriptorError(f"{self._path}.min_poly", "min_poly must be irreducible")
             min_poly = next(iter(factors))
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
@@ -345,12 +358,31 @@ class NumberFieldUnitsComponent:
             )
         return arch, []
 
+    @functools.cached_property
+    def bit_height(self) -> int:
+        """Rough bits-per-unit-exponent estimate used by the count size budget."""
+        coeff_bits = 1
+        for g in self.generators:
+            for c in g:
+                coeff_bits = max(
+                    coeff_bits, c.numerator.bit_length() + c.denominator.bit_length()
+                )
+        return self.field.degree ** 2 * coeff_bits
+
     def power_product(self, exponents: Sequence[int]) -> nf.Element:
-        out = nf.el_one(self.field)
-        for g, e in zip(self.generators, exponents):
+        """prod_i g_i^(e_i); each g_i^e is computed once and kept on the instance.
+
+        Over a box of lattice points only one power per generator and box
+        row or column is ever formed, so the memo stays small.
+        """
+        out = None
+        for i, (g, e) in enumerate(zip(self.generators, exponents)):
             if e:
-                out = nf.el_mul(self.field, out, nf.el_pow(self.field, g, e))
-        return out
+                power = self._powers.get((i, e))
+                if power is None:
+                    power = self._powers[(i, e)] = nf.el_pow(self.field, g, e)
+                out = power if out is None else nf.el_mul(self.field, out, power)
+        return nf.el_one(self.field) if out is None else out
 
     def ergodicity(self) -> Tuple[str, List[str]]:
         # Full real rank of the embedding log matrix certifies that no
@@ -385,8 +417,6 @@ class NumberFieldUnitsComponent:
 
 def _ball_rank_at_least(rows: List[List[RealBall]], target: int, prec: int) -> bool:
     """True when some target x target minor is certified nonzero."""
-    import itertools
-
     n = len(rows)
     cols = len(rows[0]) if rows else 0
     if n < target or cols < target:
@@ -395,7 +425,7 @@ def _ball_rank_at_least(rows: List[List[RealBall]], target: int, prec: int) -> b
         for csel in itertools.combinations(range(cols), target):
             sub = [[rows[i][j] for j in csel] for i in rsel]
             det = ball_det(sub, prec)
-            if not det.contains_zero():
+            if det is not None and not det.contains_zero():
                 return True
     return False
 
@@ -429,6 +459,7 @@ class FunctionFieldComponent:
     def d(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
     def finite_places(self) -> Tuple[FpPoly, ...]:
         places = set()
         for g in self.generators:
@@ -440,14 +471,21 @@ class FunctionFieldComponent:
         marked.sort(key=lambda pi: (pi.degree, tuple(pi.coeffs)))
         return tuple(marked)
 
+    @functools.cached_property
     def infinite_place_needed(self) -> bool:
         return any(fp_ord_infinity(g) != 0 for g in self.generators)
+
+    @functools.cached_property
+    def bit_height(self) -> int:
+        """Rough bits-per-unit-exponent estimate used by the count size budget."""
+        bits = max(1, self.p.bit_length())
+        return max((g.num.degree + g.den.degree + 1) * bits for g in self.generators)
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
         log_p = ExactLog.from_rational(Fraction(self.p))
         nonarch = []
         checksum = [0] * self.d
-        for pi in self.finite_places():
+        for pi in self.finite_places:
             deg = pi.degree
             vec = []
             for i, g in enumerate(self.generators):
@@ -463,7 +501,7 @@ class FunctionFieldComponent:
                     multiplicity,
                 )
             )
-        if self.infinite_place_needed():
+        if self.infinite_place_needed:
             vec = []
             for i, g in enumerate(self.generators):
                 o = fp_ord_infinity(g)
@@ -494,7 +532,7 @@ class FunctionFieldComponent:
         # kernel vector of the order matrix makes the product a constant in
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
         # matrix rank decides exactly.
-        places = self.finite_places()
+        places = self.finite_places
         rows = []
         for g in self.generators:
             row = [Fraction(fp_ord_at(g, pi) * pi.degree) for pi in places]

@@ -229,3 +229,25 @@ def test_module_exit_code_propagates():
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
+
+
+REDUCIBLE_FIELD = {
+    "d": 1,
+    "components": [
+        {"class": "number_field_units", "min_poly": [-1, 0, 1], "generators": [["0", "1"]]}
+    ],
+}
+
+
+@pytest.mark.parametrize("command", [["zeta", "--n", "1"], ["portrait"]])
+def test_reducible_min_poly_is_validation_error(tmp_path, command):
+    # x^2 - 1 parses (x is a unit of norm -1) but defines no field
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(REDUCIBLE_FIELD))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankone", command[0], str(path), *command[1:]],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "components[0].min_poly: min_poly must be irreducible" in proc.stderr

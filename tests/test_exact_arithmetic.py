@@ -1,0 +1,208 @@
+"""Integer kernels against the Fraction code they replaced, and ball_det soundness."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from rankone import numberfield as nf
+from rankone.balls import RealBall, ball_to_fraction_bounds
+from rankone.errors import UndecidedError
+from rankone.linalg import ball_det, det
+from rankone.system import _ball_rank_at_least
+
+
+# --- reference implementations: Fraction Gaussian elimination and Fraction
+# polynomial multiplication, as the library computed them before it moved
+# to integers --------------------------------------------------------------
+
+def reference_det(a):
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    acc = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            sign = -sign
+        p = m[col][col]
+        acc *= p
+        inv = 1 / p
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return acc * sign
+
+
+def reference_el_mul(spec, x, y):
+    m = spec.degree
+    f = spec.min_poly
+    out = [Fraction(0)] * (2 * m - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i + j] += a * b
+    for k in range(len(out) - 1, m - 1, -1):
+        c = out[k]
+        if c:
+            out[k] = Fraction(0)
+            for i in range(m):
+                out[k - m + i] -= c * f[i]
+    out = out[:m]
+    out += [Fraction(0)] * (m - len(out))
+    return tuple(out)
+
+
+DENOMINATORS = (1, 1, 1, 2, 3, 4, 6, 7, 9, 10)
+
+
+def random_rational(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(-12, 12), rng.choice(DENOMINATORS))
+
+
+def random_matrix(rng, n):
+    a = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+    shape = rng.randrange(4)
+    if n >= 2 and shape == 1:
+        # zero leading pivot: elimination must swap rows
+        a[0][0] = Fraction(0)
+    elif n >= 2 and shape == 2:
+        # singular: one row a rational combination of two others
+        i, j = rng.sample(range(n), 2)
+        k = rng.randrange(n)
+        c = Fraction(rng.randint(-3, 3), rng.choice(DENOMINATORS))
+        a[k] = [x + c * y for x, y in zip(a[i], a[j])]
+    elif n >= 1 and shape == 3:
+        a[rng.randrange(n)] = [Fraction(0)] * n
+    return a
+
+
+def test_det_matches_fraction_reference_sizes_0_to_6():
+    rng = random.Random(20260602)
+    singular = 0
+    for trial in range(1400):
+        n = trial % 7
+        a = random_matrix(rng, n)
+        expected = reference_det(a)
+        assert det(a) == expected, a
+        singular += expected == 0
+    assert singular > 200  # the singular shapes were really exercised
+
+
+def test_det_edge_cases():
+    assert det([]) == 1
+    assert det([[Fraction(-3, 4)]]) == Fraction(-3, 4)
+    assert det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    assert det([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(5)]]) == 0
+    big = [[Fraction(10 ** 30 + i * j, 1 + i + j) for j in range(5)] for i in range(5)]
+    assert det(big) == reference_det(big)
+
+
+FIELDS = [
+    nf.NumberFieldSpec(f)
+    for f in (
+        (-5, 1),
+        (-2, 0, 1),
+        (-1, 1, 0, 1),
+        (1, 0, -10, 0, 1),              # sqrt2sqrt3
+        (3, 0, 0, 0, 0, 1),
+        (1, -2, -5, -3, -5, -2, 1),     # dk-sextic
+    )
+]
+
+
+def random_element(rng, spec):
+    return tuple(random_rational(rng) for _ in range(spec.degree))
+
+
+def test_el_mul_matches_fraction_reference():
+    rng = random.Random(77)
+    for spec in FIELDS:
+        for _ in range(250):
+            x = random_element(rng, spec)
+            y = random_element(rng, spec)
+            got = nf.el_mul(spec, x, y)
+            assert got == reference_el_mul(spec, x, y)
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_norm_matches_fraction_reference():
+    rng = random.Random(5)
+    for spec in FIELDS:
+        for _ in range(40):
+            x = random_element(rng, spec)
+            assert nf.norm(spec, x) == reference_det(nf.mult_matrix(spec, x))
+
+
+# --- ball_det ---------------------------------------------------------------
+
+def ball(mid, rad=0):
+    return RealBall(
+        RealBall.from_fraction(Fraction(mid), 53).mid,
+        RealBall.from_fraction(Fraction(rad), 53).mid,
+    )
+
+
+def test_ball_det_never_excludes_the_true_range():
+    # entries 4 and [-0.5, 1.5]: the determinant ranges over [-2, 6]
+    rows = [[ball(4), ball(0)], [ball(0), ball(Fraction(1, 2), 1)]]
+    result = ball_det(rows, 64)
+    if result is not None:
+        lo, hi = ball_to_fraction_bounds(result)
+        assert lo <= -2 and hi >= 6
+
+
+def test_ball_det_encloses_a_certified_determinant():
+    rows = [[ball(2), ball(1)], [ball(1), ball(3)]]
+    lo, hi = ball_to_fraction_bounds(ball_det(rows, 64))
+    assert lo <= 5 <= hi
+    assert _ball_rank_at_least(rows, 2, 64)
+
+
+def test_uncertified_minor_does_not_count_toward_rank():
+    rows = [[ball(0, 1), ball(0, 1)], [ball(0, 1), ball(0, 1)]]
+    assert ball_det(rows, 64) is None
+    assert not _ball_rank_at_least(rows, 2, 64)
+    assert _ball_rank_at_least(rows + [[ball(1), ball(0)]], 1, 64)
+
+
+# --- precision-cap failures are typed ---------------------------------------
+
+def test_root_isolation_cap_is_undecided(monkeypatch):
+    monkeypatch.setattr(nf, "_try_isolate", lambda *args: None)
+    monkeypatch.setattr(nf, "_HARD_PREC_CAP", 256)
+    with pytest.raises(UndecidedError):
+        nf._isolate_cached.__wrapped__((-3, 0, 1), 64)
+
+
+def test_factorization_cap_is_undecided(monkeypatch):
+    monkeypatch.setattr(nf, "_candidate_from_units", lambda *args: (None, False))
+    monkeypatch.setattr(nf, "_HARD_PREC_CAP", 256)
+    with pytest.raises(UndecidedError):
+        nf._find_irreducible_factor((1, 0, -10, 0, 1))
+
+
+def test_reciprocal_matching_cap_is_undecided(monkeypatch):
+    from rankone import exactlog
+
+    far = nf.isolate_roots((-2, 0, 1), 64)
+
+    def misplaced(poly, prec):
+        return far  # +-sqrt(2): no box meets the reciprocal of another
+
+    monkeypatch.setattr(exactlog, "isolate_roots", misplaced)
+    monkeypatch.setattr(exactlog, "max_precision", lambda: 256)
+    with pytest.raises(UndecidedError):
+        exactlog._inverse_partner.__wrapped__((1, -10, 1), 0)

@@ -1,12 +1,16 @@
 """Periodic point counts: golden grids, closed forms, invariants, oracle."""
 
 import pathlib
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import propsuites
 from rankone import INFINITE, count, count_sequence, det_oracle, grid, load_fixture
+from rankone import numberfield as nf
 from rankone.errors import ResourceCapError, UnsupportedOperationError
+from rankone.linalg import charpoly
 from rankone.system import parse_descriptor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -138,3 +142,41 @@ def test_grid_rejects_empty_range():
 def test_count_invariants_sample():
     for name in ("times2times3", "ledrappier", "sqrt2sqrt3"):
         assert propsuites.count_invariants(load_fixture(name), trials=25, seed=11) > 0
+
+
+@st.composite
+def small_boxes(draw):
+    ranges = []
+    for _ in range(2):
+        lo = draw(st.integers(-4, 4))
+        ranges.append((lo, draw(st.integers(lo, min(lo + 2, 4)))))
+    return ranges
+
+
+@settings(max_examples=25, deadline=5000, database=None)
+@given(
+    name=st.sampled_from(("sqrt2sqrt3", "dk-sextic")),
+    ranges=small_boxes(),
+    j=st.integers(1, 3),
+    order=st.randoms(use_true_random=False),
+)
+@example(name="sqrt2sqrt3", ranges=[(-1, 1), (-1, 1)], j=2, order=random.Random(0))
+@example(name="dk-sextic", ranges=[(0, 1), (-1, 0)], j=3, order=random.Random(1))
+def test_number_field_grid_three_routes(name, ranges, j, order):
+    """grid agrees with count on a fresh descriptor queried in another
+    order (so the power memo does not depend on call order), with the
+    determinant oracle, and with |charpoly_h(1)|, which needs no det."""
+    system = load_fixture(name)
+    result = grid(system, ranges, j)
+    fresh = load_fixture(name)
+    points = list(result.points())
+    order.shuffle(points)
+    for point in points:
+        expected = result.entries[point]
+        assert count(fresh, point, j) == expected, point
+        assert det_oracle(system, point, j) == expected, point
+        (comp, mult), = system.components
+        h = comp.power_product([j * c for c in point])
+        norm = abs(nf.norm(comp.field, nf.el_sub(h, nf.el_one(comp.field))))
+        assert norm == abs(sum(charpoly(nf.mult_matrix(comp.field, h))))
+        assert norm ** mult == (expected.value if expected.is_finite else 0), point

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import numberfield as nf
-from .errors import ResourceCapError, UnsupportedOperationError
+from .errors import DescriptorError, ResourceCapError, UnsupportedOperationError
 from .fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
 from .linalg import Matrix, det, identity, mat_mul, mat_pow, mat_sub
 from .rationals import prime_to_s_part
@@ -130,6 +130,9 @@ def _number_field_count(comp: NumberFieldUnitsComponent, exponents: Sequence[int
     value = nf.norm(comp.field, nf.el_sub(h, one))
     if value.denominator != 1:
         raise ArithmeticError("norm of an algebraic integer must be an integer")
+    if value == 0:
+        # in a field h - 1 != 0 has nonzero norm, so min_poly is reducible
+        raise DescriptorError(f"{comp.path}.min_poly", "min_poly must be irreducible")
     return abs(value.numerator)
 
 

@@ -283,7 +283,7 @@ class NumberFieldUnitsComponent:
                 raise DescriptorError(gpath, "generator is not a unit of the ring of integers")
             gens.append(g)
         self.generators: Tuple[nf.Element, ...] = tuple(gens)
-        self._path = path
+        self.path = path
         self._identities = None
         self._powers: Dict[Tuple[int, int], nf.Element] = {}
 
@@ -307,7 +307,7 @@ class NumberFieldUnitsComponent:
             factors = nf.factor_monic_int(tuple(int_cp))
             if len(factors) != 1:
                 # over a field every characteristic polynomial is a prime power
-                raise DescriptorError(f"{self._path}.min_poly", "min_poly must be irreducible")
+                raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
             min_poly = next(iter(factors))
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
@@ -454,6 +454,7 @@ class FunctionFieldComponent:
                 raise DescriptorError(gpath, "generator must be nonzero")
             gens.append(g)
         self.generators: Tuple[FpRationalFunction, ...] = tuple(gens)
+        self._powers: Dict[Tuple[int, int], FpRationalFunction] = {}
 
     @property
     def d(self) -> int:
@@ -521,11 +522,15 @@ class FunctionFieldComponent:
         return [], nonarch
 
     def power_product(self, exponents: Sequence[int]) -> FpRationalFunction:
-        out = FpRationalFunction.one(self.p)
-        for g, e in zip(self.generators, exponents):
+        """prod_i g_i^(e_i); each g_i^e is computed once and kept on the instance."""
+        out = None
+        for i, (g, e) in enumerate(zip(self.generators, exponents)):
             if e:
-                out = out.mul(g.pow(e))
-        return out
+                power = self._powers.get((i, e))
+                if power is None:
+                    power = self._powers[(i, e)] = g.pow(e)
+                out = power if out is None else out.mul(power)
+        return FpRationalFunction.one(self.p) if out is None else out
 
     def ergodicity(self) -> str:
         # prod g_i^{k_i} = 1 forces zero order at every place; conversely a

@@ -109,25 +109,44 @@ def _arch_factors(sys: SystemDescriptor, n: Sequence[int]) -> List[_ArchFactor]:
 
 
 class _Branch:
-    """One multiset subset of the archimedean characters: a candidate value."""
+    """One multiset subset of the archimedean characters: a candidate value.
 
-    __slots__ = ("exact", "parts", "multiplicity", "label")
+    The branches of one inverse_roots call share one dict of embedded power
+    factors, keyed by (part, precision), and each branch keeps its own ball
+    per precision.  So every value is computed once per precision, by the
+    same arithmetic as an uncached recompute.
+    """
 
-    def __init__(self, exact: Fraction, parts, multiplicity: int, label):
+    __slots__ = ("exact", "parts", "multiplicity", "label", "_factors", "_balls")
+
+    def __init__(self, exact: Fraction, parts, multiplicity: int, label, factors: dict):
         self.exact = exact
         self.parts = tuple(parts)      # ((min_poly, emb_index, element, power), ...)
         self.multiplicity = multiplicity
         self.label = label             # per-V-character copy counts
+        self._factors = factors        # (part, prec) -> ComplexBall
+        self._balls: Dict[int, ComplexBall] = {}
+
+    def _factor(self, part, prec: int) -> ComplexBall:
+        value = self._factors.get((part, prec))
+        if value is None:
+            min_poly, emb_index, element, power = part
+            emb = nf.isolate_roots(min_poly, prec)[emb_index]
+            value = nf.embed(element, emb, prec).pow_int(power, prec)
+            self._factors[(part, prec)] = value
+        return value
 
     def ball(self, prec: int) -> ComplexBall:
-        out = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
-        for min_poly, emb_index, element, power in self.parts:
-            emb = nf.isolate_roots(min_poly, prec)[emb_index]
-            out = out.mul(nf.embed(element, emb, prec).pow_int(power, prec), prec)
+        out = self._balls.get(prec)
+        if out is None:
+            out = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
+            for part in self.parts:
+                out = out.mul(self._factor(part, prec), prec)
+            self._balls[prec] = out
         return out
 
     def negated(self) -> "_Branch":
-        return _Branch(-self.exact, self.parts, self.multiplicity, self.label)
+        return _Branch(-self.exact, self.parts, self.multiplicity, self.label, self._factors)
 
     def label_text(self) -> str:
         inside = []
@@ -142,6 +161,7 @@ class _Branch:
 def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
     g = _growth_factor(sys, n)
     factors = _arch_factors(sys, n)
+    embedded: dict = {}
     branches = []
     for counts in itertools.product(*(range(f.multiplicity + 1) for f in factors)):
         exact = g
@@ -156,7 +176,7 @@ def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
             else:
                 min_poly, emb_index, element = f.part
                 parts.append((min_poly, emb_index, element, k))
-        branches.append(_Branch(exact, parts, mult, counts))
+        branches.append(_Branch(exact, parts, mult, counts, embedded))
     return branches
 
 
@@ -167,19 +187,20 @@ def _hull(a: ComplexBall, b: ComplexBall, prec: int) -> ComplexBall:
 class ZetaCandidate:
     """A cluster of numerically identical branch values."""
 
-    __slots__ = ("exact", "members", "multiplicity", "coefficient")
+    __slots__ = ("exact", "members", "multiplicity", "coefficient", "_balls")
 
     def __init__(self, exact: Optional[Fraction], members: List[_Branch]):
         self.exact = exact
         self.members = members
         self.multiplicity = sum(b.multiplicity for b in members)
         self.coefficient: Optional[int] = None
+        self._balls: Dict[int, ComplexBall] = {}
 
     @staticmethod
     def exact_rational(value, multiplicity: int = 1) -> "ZetaCandidate":
         """Hand-built exact candidate (for direct fit_exponents use)."""
         v = Fraction(value)
-        return ZetaCandidate(v, [_Branch(v, (), multiplicity, ())])
+        return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), {})])
 
     def is_exact(self) -> bool:
         return self.exact is not None
@@ -193,11 +214,15 @@ class ZetaCandidate:
         return out
 
     def ball(self, prec: int) -> ComplexBall:
-        if self.exact is not None:
-            return ComplexBall.from_fractions(self.exact, Fraction(0), prec)
-        ball = self.members[0].ball(prec)
-        for b in self.members[1:]:
-            ball = _hull(ball, b.ball(prec), prec)
+        ball = self._balls.get(prec)
+        if ball is None:
+            if self.exact is not None:
+                ball = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
+            else:
+                ball = self.members[0].ball(prec)
+                for b in self.members[1:]:
+                    ball = _hull(ball, b.ball(prec), prec)
+            self._balls[prec] = ball
         return ball
 
     def magnitude_upper(self, prec: int) -> float:
@@ -327,20 +352,24 @@ def _fit_once(
         mrow: List[float] = []
         if slot.is_exact():
             c = slot.primary.exact * mu
+            v = Fraction(1)
             for j in range(1, J + 1):
-                v = c ** j
+                v *= c
                 row.append(v)
                 mrow.append(abs(v).__float__() if abs(v) < Fraction(10) ** 300 else float("inf"))
         else:
             cball = slot.primary.ball(prec)
             if mu < 0:
                 cball = cball.neg()
+            power = cball
             for j in range(1, J + 1):
-                power = cball.pow_int(j, prec)
+                if j > 1:
+                    power = power.mul(cball, prec)
+                term = power
                 if slot.partner is not None:
-                    power = power.add(power.conj(), prec)
-                row.append(power)
-                mrow.append(power.abs(prec).float_bounds()[1])
+                    term = power.add(power.conj(), prec)
+                row.append(term)
+                mrow.append(term.abs(prec).float_bounds()[1])
         unit.append(row)
         mags.append(mrow)
 
@@ -580,21 +609,25 @@ def verify_generating_identity(
     values = _count_values(F)
     J = min(j_check if j_check is not None else len(values), len(values))
     prec = zf.precision
+    fitted = [c for c in zf.candidates if c.coefficient]
+    bases = [c.exact if c.exact is not None else c.ball(prec) for c in fitted]
+    powers = list(bases)  # c^j, advanced by one multiplication per period
     failures = []
     max_deviation = 0.0
     for j in range(1, J + 1):
+        if j > 1:
+            powers = [
+                p * b if isinstance(b, Fraction) else p.mul(b, prec)
+                for p, b in zip(powers, bases)
+            ]
         target = Fraction(values[j - 1])
         exact_sum = Fraction(0)
         ball_sum: Optional[ComplexBall] = None
-        for c in zf.candidates:
-            if not c.coefficient:
-                continue
+        for c, power in zip(fitted, powers):
             if c.exact is not None:
-                exact_sum += c.coefficient * c.exact ** j
+                exact_sum += c.coefficient * power
             else:
-                term = c.ball(prec).pow_int(j, prec).mul_real(
-                    RealBall.from_int(c.coefficient), prec
-                )
+                term = power.mul_real(RealBall.from_int(c.coefficient), prec)
                 ball_sum = term if ball_sum is None else ball_sum.add(term, prec)
         if ball_sum is None:
             deviation = abs((target + exact_sum).__float__())

@@ -99,6 +99,24 @@ def test_zeta_forced_inconsistency_exits_undecided(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("zeta_dk-sextic_1_1_force.json", ["zeta", "dk-sextic", "--n", "1,1", "--force"]),
+        ("zeta_sqrt2sqrt3_-1_2.json", ["zeta", "sqrt2sqrt3", "--n", "-1,2"]),
+        ("zeta_times2times3times5_1_1_1.json", ["zeta", "times2times3times5", "--n", "1,1,1"]),
+        ("zeta_ledrappier_1_1.json", ["zeta", "ledrappier", "--n", "1,1"]),
+        ("analyze_dk-sextic.json", ["analyze", "dk-sextic"]),
+    ],
+)
+def test_zeta_and_analyze_stdout_match_golden(capsys, golden, argv):
+    # every printed interval endpoint is pinned, so a change to the ball
+    # arithmetic behind a fit shows up as a byte difference
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 # --- portrait and omega ------------------------------------------------------
 
 def test_portrait_json_ledrappier(capsys):
@@ -239,7 +257,9 @@ REDUCIBLE_FIELD = {
 }
 
 
-@pytest.mark.parametrize("command", [["zeta", "--n", "1"], ["portrait"]])
+@pytest.mark.parametrize(
+    "command", [["zeta", "--n", "1"], ["portrait"], ["periodic", "--range=0..2"]]
+)
 def test_reducible_min_poly_is_validation_error(tmp_path, command):
     # x^2 - 1 parses (x is a unit of norm -1) but defines no field
     path = tmp_path / "reducible.json"

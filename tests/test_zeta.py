@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankone import numberfield as nf
 from rankone import (
     ZetaCandidate,
     ZetaFactorization,
@@ -17,7 +18,8 @@ from rankone.errors import (
     FitInconsistencyError,
     UnsupportedOperationError,
 )
-from rankone.zeta import fit_exponents
+from rankone.balls import ComplexBall
+from rankone.zeta import _branches, _cluster_branches, fit_exponents
 
 
 def coeff_by_value(zf):
@@ -159,3 +161,61 @@ def test_zeta_json_shape():
     exact = {f["c"]["value"]: f["lambda"] for f in doc["factors"]}
     assert exact == {"1": 1, "6": -1}
     assert all(f["c"]["type"] == "rational" for f in doc["branches"])
+
+
+# --- per-call ball caches --------------------------------------------------------
+
+def _bits(ball):
+    return (ball.re.mid, ball.re.rad, ball.im.mid, ball.im.rad)
+
+
+def _uncached_branch_ball(branch, prec):
+    out = ComplexBall.from_fractions(branch.exact, Fraction(0), prec)
+    for min_poly, emb_index, element, power in branch.parts:
+        emb = nf.isolate_roots(min_poly, prec)[emb_index]
+        out = out.mul(nf.embed(element, emb, prec).pow_int(power, prec), prec)
+    return out
+
+
+def _uncached_candidate_ball(candidate, prec):
+    ball = _uncached_branch_ball(candidate.members[0], prec)
+    for b in candidate.members[1:]:
+        other = _uncached_branch_ball(b, prec)
+        ball = ComplexBall(ball.re.hull(other.re, prec), ball.im.hull(other.im, prec))
+    return ball
+
+
+def _quartic_branches_and_merged_cluster():
+    branches = _branches(load_fixture("sqrt2sqrt3"), (1, 1))
+    clusters = _cluster_branches(branches, 64)
+    merged = next(c for c in clusters if len(c.members) > 1 and not c.is_exact())
+    return branches, merged
+
+
+def test_cached_balls_equal_uncached_recompute_per_precision():
+    branches, merged = _quartic_branches_and_merged_cluster()
+    for prec in (64, 128, 64):
+        for b in branches:
+            assert _bits(b.ball(prec)) == _bits(_uncached_branch_ball(b, prec))
+        assert _bits(merged.ball(prec)) == _bits(_uncached_candidate_ball(merged, prec))
+    assert _bits(branches[-1].ball(128)) != _bits(branches[-1].ball(64))
+    assert _bits(merged.ball(128)) != _bits(merged.ball(64))
+
+
+def test_negated_balls_are_negations():
+    branches, merged = _quartic_branches_and_merged_cluster()
+    for prec in (64, 128):
+        for b in branches:
+            b.ball(prec)  # fill the original's cache before negating
+            assert _bits(b.negated().ball(prec)) == _bits(b.ball(prec).neg())
+        merged.ball(prec)
+        assert _bits(merged.negated().ball(prec)) == _bits(merged.ball(prec).neg())
+
+
+def test_repeated_fits_on_one_system_match_fresh_loads():
+    directions = ((1, 1), (-1, 2))
+    sys_ = load_fixture("sqrt2sqrt3")
+    first = [inverse_roots(sys_, n).to_json() for n in directions]
+    again = [inverse_roots(sys_, n).to_json() for n in directions]
+    fresh = [inverse_roots(load_fixture("sqrt2sqrt3"), n).to_json() for n in directions]
+    assert first == again == fresh

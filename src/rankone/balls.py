@@ -342,16 +342,8 @@ class ComplexBall:
         self.im = im
 
     @staticmethod
-    def from_real(re: RealBall) -> "ComplexBall":
-        return ComplexBall(re, RealBall.zero())
-
-    @staticmethod
     def from_fractions(re, im, prec: int) -> "ComplexBall":
         return ComplexBall(RealBall.from_fraction(re, prec), RealBall.from_fraction(im, prec))
-
-    @staticmethod
-    def from_complex(z: complex) -> "ComplexBall":
-        return ComplexBall(RealBall.from_float(z.real), RealBall.from_float(z.imag))
 
     def add(self, other: "ComplexBall", prec: int) -> "ComplexBall":
         return ComplexBall(self.re.add(other.re, prec), self.im.add(other.im, prec))
@@ -419,15 +411,6 @@ class ComplexBall:
 
     def box_disjoint(self, other: "ComplexBall") -> bool:
         return (not self.re.overlaps(other.re)) or (not self.im.overlaps(other.im))
-
-    def contains_box(self, other: "ComplexBall") -> bool:
-        lo_a, hi_a = self.re._bounds()
-        lo_b, hi_b = other.re._bounds()
-        if mpf_cmp(lo_a, lo_b) > 0 or mpf_cmp(hi_a, hi_b) < 0:
-            return False
-        lo_a, hi_a = self.im._bounds()
-        lo_b, hi_b = other.im._bounds()
-        return mpf_cmp(lo_a, lo_b) <= 0 and mpf_cmp(hi_a, hi_b) >= 0
 
     def mid_complex(self) -> complex:
         return complex(self.re.mid_float(), self.im.mid_float())

@@ -155,25 +155,14 @@ def _cmd_zeta(args) -> int:
     return EXIT_OK
 
 
-def _portrait_directions(system: SystemDescriptor, samples: Optional[int]):
-    if samples is None:
-        # structural by default for d >= 3; curves are cheap on the circle
-        samples = 720 if system.d == 2 else 0
-    if samples <= 0:
-        return None
-    if system.d == 2:
-        return sd.circle_directions(samples)
-    if system.d == 3:
-        return sd.sphere_directions(samples)
-    return None
-
-
 def _cmd_portrait(args) -> int:
     system = _load_descriptor(args.descriptor)
-    if args.format == "svg":
-        directions = _portrait_directions(system, args.samples or 0)
-    else:
-        directions = _portrait_directions(system, args.samples)
+    samples = args.samples
+    if args.format == "svg" or system.d != 2:
+        # curves are cheap on the circle; SVG and d >= 3 stay structural
+        # unless --samples asks for them
+        samples = samples or 0
+    directions = sd.default_directions(system, samples)
     portrait = sd.build_portrait(
         system, directions, convention=args.convention, prec=args.precision_bits
     )
@@ -190,15 +179,9 @@ def _cmd_portrait(args) -> int:
 
 def _cmd_omega(args) -> int:
     system = _load_descriptor(args.descriptor)
-    samples = args.samples
-    if samples is None:
-        samples = 720 if system.d == 2 else 180
-    if system.d == 2:
-        directions = sd.circle_directions(samples)
-    elif system.d == 3:
-        directions = sd.sphere_directions(samples)
-    else:
+    if system.d not in (2, 3):
         raise UnsupportedOperationError("omega sampling is available for d = 2 and d = 3 only")
+    directions = sd.default_directions(system, args.samples)
     rows = sd.omega_samples(system, directions, args.convention, args.precision_bits)
     if args.format == "csv":
         d = system.d
@@ -388,18 +371,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
     args = _parser().parse_args(_join_dash_values(argv))
-    if args.max_precision_bits is not None:
-        os.environ[MAX_PRECISION_ENV] = str(args.max_precision_bits)
-    if args.precision_bits is not None:
-        os.environ[DEFAULT_PRECISION_ENV] = str(args.precision_bits)
-    else:
+    cap = args.max_precision_bits if args.max_precision_bits is not None else max_precision()
+    flags = {MAX_PRECISION_ENV: args.max_precision_bits, DEFAULT_PRECISION_ENV: args.precision_bits}
+    if args.precision_bits is None:
         args.precision_bits = default_precision()
-    if args.precision_bits > max_precision():
+    if args.precision_bits > cap:
         print(
-            f"error: --precision-bits {args.precision_bits} exceeds the cap {max_precision()}",
+            f"error: --precision-bits {args.precision_bits} exceeds the cap {cap}",
             file=_sys.stderr,
         )
         return EXIT_VALIDATION
+    # the library reads both settings from the environment; the flags hold
+    # for this invocation only
+    saved = {name: os.environ.get(name) for name in flags}
+    for name, value in flags.items():
+        if value is not None:
+            os.environ[name] = str(value)
     try:
         return args.func(args)
     except DescriptorError as exc:
@@ -420,6 +407,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 if __name__ == "__main__":

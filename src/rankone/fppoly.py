@@ -70,9 +70,6 @@ class FpPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FpPoly) and self.p == other.p and self.coeffs == other.coeffs
 
@@ -440,10 +437,6 @@ class FpRationalFunction:
                 raise ZeroDivisionError("negative power of zero")
             return FpRationalFunction(self.den.pow(-n), self.num.pow(-n))
         return FpRationalFunction(self.num.pow(n), self.den.pow(n))
-
-    def leading_constant(self) -> int:
-        """Leading coefficient of the numerator (denominator is monic)."""
-        return self.num.leading()
 
 
 # --- parser -----------------------------------------------------------------

@@ -144,9 +144,11 @@ def squarefree_part_int(f: Sequence[int]) -> IntPoly:
     fr = [Fraction(c) for c in f]
     g = poly_gcd(fr, poly_derivative(fr))
     sf, rem = poly_divmod(fr, g)
-    assert not rem
+    if rem:
+        raise ArithmeticError("squarefree part does not divide the polynomial")
     # monic divisors of a monic integer polynomial are integral
-    assert all(c.denominator == 1 for c in sf)
+    if any(c.denominator != 1 for c in sf):
+        raise ArithmeticError("monic squarefree part must have integer coefficients")
     return tuple(int(c) for c in sf)
 
 
@@ -218,16 +220,8 @@ def el_from_coeffs(spec: NumberFieldSpec, coeffs: Sequence) -> Element:
     return tuple(vals)
 
 
-def el_zero(spec: NumberFieldSpec) -> Element:
-    return tuple([Fraction(0)] * spec.degree)
-
-
 def el_one(spec: NumberFieldSpec) -> Element:
     return el_from_coeffs(spec, [1])
-
-
-def el_add(x: Element, y: Element) -> Element:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def el_sub(x: Element, y: Element) -> Element:
@@ -549,7 +543,8 @@ def factor_monic_int(poly: Sequence[int]) -> Dict[IntPoly, int]:
             rem = q
             mult += 1
         out[fac] = mult
-    assert poly_degree(rem) == 0
+    if poly_degree(rem) != 0:
+        raise ArithmeticError("irreducible factors do not account for the whole polynomial")
     return dict(sorted(out.items()))
 
 
@@ -560,7 +555,8 @@ def _factor_squarefree_monic(poly: IntPoly) -> List[IntPoly]:
     if found == poly:
         return [poly]
     quotient, rem = poly_divmod([Fraction(c) for c in poly], [Fraction(c) for c in found])
-    assert not rem
+    if rem:
+        raise ArithmeticError("proposed factor does not divide the polynomial")
     qtuple = tuple(int(c) for c in quotient)
     return sorted([found] + _factor_squarefree_monic(qtuple))
 

@@ -3,11 +3,11 @@
 For each component the group element h = prod_i g_i^{j n_i} is formed
 exactly; the count is infinite when h = 1 and otherwise equals the product
 of |h - 1|_w over the component's marked places, which collapses to integer
-arithmetic in every supported class:
-
-- s_integer: the prime-to-S part of |numerator(h) - denominator(h)|,
-- function_field: a power of p read off from place orders of h - 1,
-- number_field_units: |Norm(h - 1)| as one exact determinant.
+arithmetic in every supported class.  Each component class computes its
+factor in its own ``count_factor`` (system.py): the prime-to-S part of
+|numerator(h) - denominator(h)| for s_integer, a power of p read off from
+place orders of h - 1 for function_field, and |Norm(h - 1)| as one exact
+determinant for number_field_units.
 
 Work that does not depend on the lattice point is done once per component
 and cached on it: marked places, S-primes, the size estimate, and every
@@ -30,17 +30,9 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import numberfield as nf
-from .errors import DescriptorError, ResourceCapError, UnsupportedOperationError
-from .fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
+from .errors import ResourceCapError, UnsupportedOperationError
 from .linalg import Matrix, det, identity, mat_mul, mat_pow, mat_sub
-from .rationals import prime_to_s_part
-from .system import (
-    FunctionFieldComponent,
-    NumberFieldUnitsComponent,
-    SIntegerComponent,
-    SystemDescriptor,
-)
+from .system import SystemDescriptor
 
 DEFAULT_BIT_BUDGET = 10 ** 6
 
@@ -97,45 +89,6 @@ def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: i
             )
 
 
-def _s_integer_count(comp: SIntegerComponent, exponents: Sequence[int]) -> Optional[int]:
-    h = comp.power_product(exponents)
-    if h == 1:
-        return None
-    diff = abs(h.numerator - h.denominator)
-    return prime_to_s_part(diff, comp.s_primes)
-
-
-def _function_field_count(comp: FunctionFieldComponent, exponents: Sequence[int]) -> Optional[int]:
-    h = comp.power_product(exponents)
-    if h.is_one():
-        return None
-    g = h.sub(FpRationalFunction.one(comp.p))
-    exponent = 0
-    for pi in comp.finite_places:
-        exponent -= fp_ord_at(g, pi) * pi.degree
-    if comp.infinite_place_needed:
-        exponent -= fp_ord_infinity(g)
-    # h - 1 has poles only at marked places, so the unmarked part of the
-    # product formula forces a nonnegative exponent
-    if exponent < 0:
-        raise ArithmeticError("negative count exponent violates the product formula")
-    return comp.p ** exponent
-
-
-def _number_field_count(comp: NumberFieldUnitsComponent, exponents: Sequence[int]) -> Optional[int]:
-    h = comp.power_product(exponents)
-    one = nf.el_one(comp.field)
-    if h == one:
-        return None
-    value = nf.norm(comp.field, nf.el_sub(h, one))
-    if value.denominator != 1:
-        raise ArithmeticError("norm of an algebraic integer must be an integer")
-    if value == 0:
-        # in a field h - 1 != 0 has nonzero norm, so min_poly is reducible
-        raise DescriptorError(f"{comp.path}.min_poly", "min_poly must be irreducible")
-    return abs(value.numerator)
-
-
 def count(
     sys: SystemDescriptor,
     n: Sequence[int],
@@ -151,12 +104,7 @@ def count(
     _check_budget(sys, exponents, bit_budget)
     total = 1
     for comp, mult in sys.components:
-        if isinstance(comp, SIntegerComponent):
-            value = _s_integer_count(comp, exponents)
-        elif isinstance(comp, FunctionFieldComponent):
-            value = _function_field_count(comp, exponents)
-        else:
-            value = _number_field_count(comp, exponents)
+        value = comp.count_factor(exponents)
         if value is None:
             return INFINITE
         total *= value ** mult
@@ -239,7 +187,7 @@ def det_oracle(
     exact determinant.  Zero determinant reports the infinite count.
     """
     for comp, _ in sys.components:
-        if not isinstance(comp, NumberFieldUnitsComponent):
+        if comp.kind != "number_field_units":
             raise UnsupportedOperationError(
                 "det_oracle requires every component to be number_field_units"
             )

@@ -315,6 +315,9 @@ def sphere_directions(samples: int) -> List[Tuple[float, float, float]]:
 
 
 def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
+    """The direction grid for sys: samples points on the circle for d = 2
+    (default 720), a samples x samples sphere grid for d = 3 (default 180),
+    and no directions for samples <= 0 or any other d."""
     if sys.d == 2:
         return circle_directions(samples if samples is not None else 720)
     if sys.d == 3:

@@ -17,6 +17,12 @@ Three component classes are supported:
 - ``function_field``: d nonzero rational functions over F_p acting in
   positive characteristic.
 
+Each class answers the same questions about h = prod_i g_i^(e_i), so no
+consumer tests the class: ``count_factor`` is the component's factor of the
+periodic count (None when h = 1), ``arch_factors`` is (exact value, part to
+embed) for h at each archimedean character in ``characters()`` order, and
+``ergodicity`` is (status, notes).
+
 The archimedean characters of a component go into the V list, the
 nonarchimedean ones into W.  Orderings are deterministic: components in
 descriptor order, embeddings in certified root order, finite primes
@@ -35,7 +41,7 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import numberfield as nf
-from .balls import ComplexBall, RealBall, default_precision, max_precision
+from .balls import RealBall, default_precision, max_precision
 from .errors import DescriptorError, UndecidedError
 from .exactlog import ExactLog, log_dot, vector_is_zero
 from .fppoly import (
@@ -46,7 +52,7 @@ from .fppoly import (
     parse_rational_function,
 )
 from .linalg import ball_det, rank
-from .rationals import factor_fraction, is_prime
+from .rationals import factor_fraction, is_prime, prime_to_s_part
 
 ARCHIMEDEAN = "archimedean"
 NONARCHIMEDEAN = "nonarchimedean"
@@ -83,18 +89,10 @@ class Character:
     """One absolute value of the coefficient data, as exact log sizes.
 
     log_vector[i] is the exact logarithm of the size of the i-th commuting
-    generator under this absolute value.  Archimedean characters also know
-    the underlying complex values; nonarchimedean ones only carry sizes.
+    generator under this absolute value.
     """
 
-    __slots__ = (
-        "kind",
-        "log_vector",
-        "source",
-        "component_index",
-        "multiplicity",
-        "_values",
-    )
+    __slots__ = ("kind", "log_vector", "source", "component_index", "multiplicity")
 
     def __init__(
         self,
@@ -103,18 +101,12 @@ class Character:
         source: dict,
         component_index: int,
         multiplicity: int,
-        values=None,
     ):
         self.kind = kind
         self.log_vector = tuple(log_vector)
         self.source = source
         self.component_index = component_index
         self.multiplicity = multiplicity
-        self._values = values
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.kind == ARCHIMEDEAN
 
     def log_linear_form(self, v: Sequence) -> ExactLog:
         """Exact value of sum_i v_i * log size(generator_i), v rational."""
@@ -126,25 +118,6 @@ class Character:
     def chi_star(self, v: Sequence, prec: int) -> RealBall:
         """Size of the character on the group element v, as exp of the log form."""
         return self.log_linear_form(v).evaluate(prec).exp(prec)
-
-    def complex_values(self, prec: int) -> Tuple[ComplexBall, ...]:
-        """The d complex generator values (archimedean characters only)."""
-        if self._values is None:
-            raise ValueError("nonarchimedean characters have no complex values")
-        tag = self._values[0]
-        if tag == "rational":
-            return tuple(
-                ComplexBall.from_fractions(r, Fraction(0), prec) for r in self._values[1]
-            )
-        min_poly, emb_index, gens = self._values[1], self._values[2], self._values[3]
-        emb = nf.isolate_roots(min_poly, prec)[emb_index]
-        return tuple(nf.embed(g, emb, prec) for g in gens)
-
-    def rational_values(self) -> Optional[Tuple[Fraction, ...]]:
-        """Exact generator values when the character is rational, else None."""
-        if self._values is not None and self._values[0] == "rational":
-            return tuple(self._values[1])
-        return None
 
     def describe(self) -> dict:
         return {
@@ -206,7 +179,6 @@ class SIntegerComponent:
             {"place": "archimedean"},
             component_index,
             multiplicity,
-            values=("rational", self.generators),
         )
         nonarch = []
         for p in self.s_primes:
@@ -232,7 +204,19 @@ class SIntegerComponent:
             out *= r ** e
         return out
 
-    def ergodicity(self) -> str:
+    def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
+        """Prime-to-S part of |numerator(h) - denominator(h)|; None when h = 1."""
+        h = self.power_product(exponents)
+        if h == 1:
+            return None
+        diff = abs(h.numerator - h.denominator)
+        return prime_to_s_part(diff, self.s_primes)
+
+    def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[Fraction, None]]:
+        """The value of h at the one archimedean character: h itself, exactly."""
+        return [(self.power_product(exponents), None)]
+
+    def ergodicity(self) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
         # ergodicity is exactly full rank of the prime exponent matrix.
@@ -242,8 +226,8 @@ class SIntegerComponent:
             fac = factor_fraction(r)
             rows.append([Fraction(fac.get(p, 0)) for p in primes])
         if not primes:
-            return NON_ERGODIC if self.generators else ERGODIC
-        return ERGODIC if rank(rows) == self.d else NON_ERGODIC
+            return (NON_ERGODIC if self.generators else ERGODIC), []
+        return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []
 
     def canonical(self, multiplicity: int) -> dict:
         return {
@@ -284,18 +268,16 @@ class NumberFieldUnitsComponent:
             gens.append(g)
         self.generators: Tuple[nf.Element, ...] = tuple(gens)
         self.path = path
-        self._identities = None
         self._powers: Dict[Tuple[int, int], nf.Element] = {}
 
     @property
     def d(self) -> int:
         return len(self.generators)
 
+    @functools.cached_property
     def _root_identities(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Per generator: its integer minimal polynomial and, per embedding
         of the field, the index of its value among that polynomial's roots."""
-        if self._identities is not None:
-            return self._identities
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -330,11 +312,10 @@ class NumberFieldUnitsComponent:
                 prec *= 2
                 if prec > max_precision():
                     raise UndecidedError("matching a generator value to a root of its minimal polynomial")
-        self._identities = out
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
-        identities = self._root_identities()
+        identities = self._root_identities
         embeddings = nf.isolate_roots(self.field.min_poly, default_precision())
         arch = []
         for k, emb in enumerate(embeddings):
@@ -353,7 +334,6 @@ class NumberFieldUnitsComponent:
                     },
                     component_index,
                     multiplicity,
-                    values=("embedding", self.field.min_poly, k, self.generators),
                 )
             )
         return arch, []
@@ -383,6 +363,25 @@ class NumberFieldUnitsComponent:
                     power = self._powers[(i, e)] = nf.el_pow(self.field, g, e)
                 out = power if out is None else nf.el_mul(self.field, out, power)
         return nf.el_one(self.field) if out is None else out
+
+    def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
+        """|Norm(h - 1)| as one exact determinant; None when h = 1."""
+        h = self.power_product(exponents)
+        one = nf.el_one(self.field)
+        if h == one:
+            return None
+        value = nf.norm(self.field, nf.el_sub(h, one))
+        if value.denominator != 1:
+            raise ArithmeticError("norm of an algebraic integer must be an integer")
+        if value == 0:
+            # in a field h - 1 != 0 has nonzero norm, so min_poly is reducible
+            raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
+        return abs(value.numerator)
+
+    def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[None, tuple]]:
+        """Per embedding k, the part (min_poly, k, h) that embeds h there."""
+        h = self.power_product(exponents)
+        return [(None, (self.field.min_poly, k, h)) for k in range(self.field.degree)]
 
     def ergodicity(self) -> Tuple[str, List[str]]:
         # Full real rank of the embedding log matrix certifies that no
@@ -518,7 +517,8 @@ class FunctionFieldComponent:
                 )
             )
         # product formula: total degree-weighted order vanishes per generator
-        assert all(c == 0 for c in checksum), "place orders violate the product formula"
+        if any(checksum):
+            raise ArithmeticError("place orders violate the product formula")
         return [], nonarch
 
     def power_product(self, exponents: Sequence[int]) -> FpRationalFunction:
@@ -532,7 +532,29 @@ class FunctionFieldComponent:
                 out = power if out is None else out.mul(power)
         return FpRationalFunction.one(self.p) if out is None else out
 
-    def ergodicity(self) -> str:
+    def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
+        """p to the degree-weighted pole order of h - 1 at the marked places;
+        None when h = 1."""
+        h = self.power_product(exponents)
+        if h.is_one():
+            return None
+        g = h.sub(FpRationalFunction.one(self.p))
+        exponent = 0
+        for pi in self.finite_places:
+            exponent -= fp_ord_at(g, pi) * pi.degree
+        if self.infinite_place_needed:
+            exponent -= fp_ord_infinity(g)
+        # h - 1 has poles only at marked places, so the unmarked part of the
+        # product formula forces a nonnegative exponent
+        if exponent < 0:
+            raise ArithmeticError("negative count exponent violates the product formula")
+        return self.p ** exponent
+
+    def arch_factors(self, exponents: Sequence[int]) -> List[tuple]:
+        """No archimedean characters in positive characteristic."""
+        return []
+
+    def ergodicity(self) -> Tuple[str, List[str]]:
         # prod g_i^{k_i} = 1 forces zero order at every place; conversely a
         # kernel vector of the order matrix makes the product a constant in
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
@@ -543,7 +565,7 @@ class FunctionFieldComponent:
             row = [Fraction(fp_ord_at(g, pi) * pi.degree) for pi in places]
             row.append(Fraction(fp_ord_infinity(g)))
             rows.append(row)
-        return ERGODIC if rank(rows) == self.d else NON_ERGODIC
+        return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []
 
     def canonical(self, multiplicity: int) -> dict:
         return {
@@ -606,12 +628,8 @@ class SystemDescriptor:
         statuses = []
         warnings: List[str] = []
         for index, (comp, _) in enumerate(self.components):
-            result = comp.ergodicity()
-            if isinstance(result, tuple):
-                status, notes = result
-                warnings.extend(f"components[{index}]: {note}" for note in notes)
-            else:
-                status = result
+            status, notes = comp.ergodicity()
+            warnings.extend(f"components[{index}]: {note}" for note in notes)
             statuses.append(status)
         if any(s == NON_ERGODIC for s in statuses):
             return NON_ERGODIC, warnings

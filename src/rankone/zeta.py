@@ -32,7 +32,7 @@ from .errors import (
 )
 from .exactlog import ExactLog
 from .periodic import PeriodicCount, count_sequence
-from .system import SIntegerComponent, SystemDescriptor, zero_test
+from .system import SystemDescriptor, zero_test
 
 FIT_NODE_CAP = 1 << 20
 
@@ -77,35 +77,16 @@ def _growth_factor(sys: SystemDescriptor, n: Sequence[int]) -> Fraction:
     return g
 
 
-class _ArchFactor:
-    """One archimedean character's value chi(-n), exact or embedded."""
-
-    __slots__ = ("exact", "part", "multiplicity")
-
-    def __init__(self, exact, part, multiplicity):
-        self.exact = exact            # Fraction, or None
-        self.part = part              # (min_poly, emb_index, element), or None
-        self.multiplicity = multiplicity
-
-
-def _arch_factors(sys: SystemDescriptor, n: Sequence[int]) -> List[_ArchFactor]:
-    arch, _ = sys.characters()
+def _arch_factors(sys: SystemDescriptor, n: Sequence[int]) -> List[tuple]:
+    """(exact, part, multiplicity) of chi(-n) per archimedean character, in
+    characters() order: exact is a Fraction or None, part is
+    (min_poly, emb_index, element) or None."""
     minus_n = [-int(c) for c in n]
-    factors = []
-    element_cache: Dict[int, object] = {}
-    for chi in arch:
-        comp, _ = sys.components[chi.component_index]
-        if isinstance(comp, SIntegerComponent):
-            factors.append(_ArchFactor(comp.power_product(minus_n), None, chi.multiplicity))
-        else:
-            if chi.component_index not in element_cache:
-                element_cache[chi.component_index] = comp.power_product(minus_n)
-            h = element_cache[chi.component_index]
-            emb_index = chi.source["embedding_index"]
-            factors.append(
-                _ArchFactor(None, (comp.field.min_poly, emb_index, h), chi.multiplicity)
-            )
-    return factors
+    return [
+        (exact, part, mult)
+        for comp, mult in sys.components
+        for exact, part in comp.arch_factors(minus_n)
+    ]
 
 
 class _Branch:
@@ -163,19 +144,18 @@ def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
     factors = _arch_factors(sys, n)
     embedded: dict = {}
     branches = []
-    for counts in itertools.product(*(range(f.multiplicity + 1) for f in factors)):
+    for counts in itertools.product(*(range(f_mult + 1) for _, _, f_mult in factors)):
         exact = g
         parts = []
         mult = 1
-        for f, k in zip(factors, counts):
-            mult *= math.comb(f.multiplicity, k)
+        for (f_exact, f_part, f_mult), k in zip(factors, counts):
+            mult *= math.comb(f_mult, k)
             if k == 0:
                 continue
-            if f.exact is not None:
-                exact *= f.exact ** k
+            if f_exact is not None:
+                exact *= f_exact ** k
             else:
-                min_poly, emb_index, element = f.part
-                parts.append((min_poly, emb_index, element, k))
+                parts.append(f_part + (k,))
         branches.append(_Branch(exact, parts, mult, counts, embedded))
     return branches
 
@@ -508,10 +488,6 @@ class ZetaFactorization:
     @property
     def factors(self) -> List[ZetaCandidate]:
         return [c for c in self.candidates if c.coefficient]
-
-    def inverse_root_values(self) -> List[Tuple[ZetaCandidate, int]]:
-        """(candidate, multiplicity) over the full branch multiset."""
-        return [(c, c.multiplicity) for c in self.candidates]
 
     def exact_values(self) -> Optional[List[Fraction]]:
         """The branch value multiset when fully rational, else None."""

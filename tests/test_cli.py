@@ -1,6 +1,10 @@
 """Command line behavior: formats, exit codes, determinism, entry points."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -173,6 +177,43 @@ def test_omega_json_convention_flag(capsys):
     assert len(doc["samples"]) == 8
 
 
+LINE_DESCRIPTOR = {"d": 1, "components": [{"class": "s_integer", "generators": ["2"]}]}
+
+# the default direction grid of each command, pinned by sha256 of stdout,
+# stderr and the exit code; "LINE" stands for a d = 1 descriptor file
+DIRECTION_DEFAULT_CASES = {
+    "portrait_times2times3": ["portrait", "times2times3"],
+    "portrait_times2times3times5": ["portrait", "times2times3times5"],
+    "portrait_ledrappier_svg": ["portrait", "ledrappier", "--format", "svg"],
+    "portrait_times2times3_samples0": ["portrait", "times2times3", "--samples", "0"],
+    "omega_times2times3": ["omega", "times2times3"],
+    "omega_times2times3_samples0": ["omega", "times2times3", "--samples", "0"],
+    "omega_line": ["omega", "LINE"],
+}
+
+
+def direction_default_digests(line_path: str) -> dict:
+    """{case: {stdout, stderr, exit}} for DIRECTION_DEFAULT_CASES, in process."""
+    out = {}
+    for case, argv in DIRECTION_DEFAULT_CASES.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([line_path if a == "LINE" else a for a in argv])
+        out[case] = {
+            "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(stderr.getvalue().encode()).hexdigest(),
+            "exit": code,
+        }
+    return out
+
+
+def test_direction_defaults_match_golden(tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(LINE_DESCRIPTOR))
+    golden = json.loads((GOLDEN / "direction_defaults.json").read_text())
+    assert direction_default_digests(str(path)) == golden
+
+
 # --- analyze --------------------------------------------------------------------
 
 def test_analyze_times2times3(capsys):
@@ -222,6 +263,26 @@ def test_precision_flag_above_cap_rejected(monkeypatch, capsys):
     )
     assert code == 1
     assert "exceeds the cap" in err
+
+
+def test_precision_flags_hold_for_one_call_only(monkeypatch, capsys):
+    monkeypatch.delenv("RANKONE_PRECISION_BITS", raising=False)
+    monkeypatch.setenv("RANKONE_MAX_PRECISION_BITS", "4096")
+    plain = run(capsys, "zeta", "times2times3", "--n", "1,1")
+    assert plain[0] == 0
+    code, out, err = run(
+        capsys, "zeta", "times2times3", "--n", "1,1", "--precision-bits", "8192"
+    )
+    assert code == 1 and "exceeds the cap 4096" in err
+    assert run(capsys, "zeta", "times2times3", "--n", "1,1") == plain
+    code, out, err = run(
+        capsys, "zeta", "times2times3", "--n", "1,1",
+        "--precision-bits", "8192", "--max-precision-bits", "16384",
+    )
+    assert code == 0
+    assert "RANKONE_PRECISION_BITS" not in os.environ
+    assert os.environ["RANKONE_MAX_PRECISION_BITS"] == "4096"
+    assert run(capsys, "zeta", "times2times3", "--n", "1,1") == plain
 
 
 def test_invalid_descriptor_file(tmp_path, capsys):

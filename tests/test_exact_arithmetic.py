@@ -206,3 +206,29 @@ def test_reciprocal_matching_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(exactlog, "max_precision", lambda: 256)
     with pytest.raises(UndecidedError):
         exactlog._inverse_partner.__wrapped__((1, -10, 1), 0)
+
+
+# --- factorization invariants raise, so they hold under python -O -------------
+
+def test_squarefree_part_must_divide(monkeypatch):
+    monkeypatch.setattr(nf, "poly_gcd", lambda f, g: [Fraction(1), Fraction(1)])
+    with pytest.raises(ArithmeticError, match="divide"):
+        nf.squarefree_part_int((-2, 0, 1))  # x + 1 does not divide x^2 - 2
+
+
+def test_squarefree_part_must_be_integral(monkeypatch):
+    monkeypatch.setattr(nf, "poly_gcd", lambda f, g: [Fraction(2)])
+    with pytest.raises(ArithmeticError, match="integer"):
+        nf.squarefree_part_int((-2, 0, 1))
+
+
+def test_factors_must_exhaust_the_polynomial(monkeypatch):
+    monkeypatch.setattr(nf, "_factor_squarefree_monic", lambda poly: [])
+    with pytest.raises(ArithmeticError, match="account"):
+        nf.factor_monic_int((-2, 0, 1))
+
+
+def test_proposed_factor_must_divide(monkeypatch):
+    monkeypatch.setattr(nf, "_find_irreducible_factor", lambda poly: (1, 1))
+    with pytest.raises(ArithmeticError, match="divide"):
+        nf.factor_monic_int((-2, 0, 1))

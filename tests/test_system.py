@@ -1,10 +1,14 @@
 """Descriptor validation, character expansion, ergodicity, canonical hashing."""
 
+import ast
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import rankone
+from rankone import system
 from rankone.errors import DescriptorError
 from rankone.exactlog import vector_is_zero
 from rankone.system import (
@@ -215,3 +219,66 @@ def test_dependent_function_field_is_non_ergodic():
     sys_ = parse_descriptor(desc([comp]))
     status, _ = sys_.ergodicity()
     assert status == "non-ergodic"
+
+
+# --- one component protocol -------------------------------------------------------
+
+COMPONENT_CLASS_NAMES = {
+    "SIntegerComponent", "NumberFieldUnitsComponent", "FunctionFieldComponent", "Component",
+}
+
+
+def _names(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_component_class_test_outside_system():
+    # consumers call the protocol; only system.py may name a component class
+    package = pathlib.Path(rankone.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "system.py"]
+    paths.append(pathlib.Path(__file__).parent / "propsuites.py")
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")
+                and len(node.args) == 2
+                and _names(node.args[1]) & COMPONENT_CLASS_NAMES
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_component_ergodicity_is_status_and_notes():
+    for name in fixture_names():
+        for comp, _ in load_fixture(name).components:
+            result = comp.ergodicity()
+            assert isinstance(result, tuple) and len(result) == 2, (name, result)
+            assert isinstance(result[0], str) and isinstance(result[1], list), (name, result)
+
+
+def test_arch_factors_follow_the_archimedean_characters():
+    for name in fixture_names():
+        sys_ = load_fixture(name)
+        arch, _ = sys_.characters()
+        exponents = [1] * sys_.d
+        per_component = [len(comp.arch_factors(exponents)) for comp, _ in sys_.components]
+        expected = [
+            sum(1 for chi in arch if chi.component_index == i)
+            for i in range(len(sys_.components))
+        ]
+        assert per_component == expected, name
+
+
+def test_product_formula_violation_raises(monkeypatch):
+    # a wrong order at the infinite place breaks the degree-weighted sum
+    real = system.fp_ord_infinity
+    monkeypatch.setattr(system, "fp_ord_infinity", lambda g: real(g) + 1)
+    with pytest.raises(ArithmeticError, match="product formula"):
+        load_fixture("ledrappier").characters()

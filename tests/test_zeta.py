@@ -1,5 +1,6 @@
 """Zeta factor fits: frozen factorizations, identity checks, failure modes."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from rankone import (
     ZetaCandidate,
     ZetaFactorization,
     count_sequence,
+    directional_entropy,
     inverse_roots,
     is_expansive_element,
     load_fixture,
@@ -18,7 +20,7 @@ from rankone.errors import (
     FitInconsistencyError,
     UnsupportedOperationError,
 )
-from rankone.balls import ComplexBall
+from rankone.balls import ComplexBall, RealBall
 from rankone.zeta import _branches, _cluster_branches, fit_exponents
 
 
@@ -219,3 +221,33 @@ def test_repeated_fits_on_one_system_match_fresh_loads():
     again = [inverse_roots(sys_, n).to_json() for n in directions]
     fresh = [inverse_roots(load_fixture("sqrt2sqrt3"), n).to_json() for n in directions]
     assert first == again == fresh
+
+
+# --- periodic data detects entropy -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("times2times3", (1, 1)),
+        ("times2times3", (2, -1)),
+        ("times2times3", (-1, 2)),
+        ("sqrt2sqrt3", (1, 1)),
+        ("sqrt2sqrt3", (-1, 2)),
+    ],
+)
+def test_entropy_is_log_of_largest_fitted_inverse_root(name, n):
+    # along an expansive direction the counts grow like exp(j h): the
+    # largest inverse root the fit keeps has log |c| = h, a third route to
+    # the entropy next to the character sum and the count growth
+    sys_ = load_fixture(name)
+    zf = inverse_roots(sys_, n)
+    prec = zf.precision
+    sizes = [
+        RealBall.from_fraction(abs(c.exact), prec) if c.exact is not None
+        else c.ball(prec).abs(prec)
+        for c in zf.factors
+    ]
+    log_largest = functools.reduce(lambda a, b: a.max_with(b, prec), sizes).log(prec)
+    assert log_largest.relative_width() < 1e-12
+    assert directional_entropy(sys_, n, prec).overlaps(log_largest)

@@ -24,7 +24,6 @@ promises faithful rounding for them.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -55,16 +54,9 @@ _RPREC = 30
 _UP = "c"  # radii are nonnegative, so ceiling == away from zero
 _DOWN = "f"
 
-DEFAULT_PRECISION_ENV = "RANKONE_PRECISION_BITS"
-MAX_PRECISION_ENV = "RANKONE_MAX_PRECISION_BITS"
-
-
-def default_precision() -> int:
-    return int(os.environ.get(DEFAULT_PRECISION_ENV, "64"))
-
-
-def max_precision() -> int:
-    return int(os.environ.get(MAX_PRECISION_ENV, "4096"))
+# Working precision of interval work, and the cap its escalation stops at.
+DEFAULT_PRECISION = 64
+MAX_PRECISION = 4096
 
 
 def _half_ulp(mid, prec: int):
@@ -428,24 +420,23 @@ ZERO_UNDECIDED = "zero-undecided"
 
 def interval_sign(
     expr: Union[RealBall, Callable[[int], RealBall]],
-    max_prec: int | None = None,
-    start_prec: int | None = None,
+    max_prec: int = MAX_PRECISION,
 ) -> SignResult:
     """Certified sign of a recomputable real expression.
 
     `expr` is either a fixed RealBall or a callable prec -> RealBall that
     re-evaluates the underlying expression from scratch.  The precision is
-    doubled until the ball excludes zero or the cap is reached; an interval
-    still straddling zero at the cap yields 'zero-undecided', never a guess.
+    doubled from min(DEFAULT_PRECISION, max_prec) until the ball excludes
+    zero or the cap is reached; an interval still straddling zero at the cap
+    yields 'zero-undecided', never a guess.
     """
-    cap = max_prec if max_prec is not None else max_precision()
-    prec = start_prec if start_prec is not None else default_precision()
+    prec = min(DEFAULT_PRECISION, max_prec)
     while True:
         ball = expr(prec) if callable(expr) else expr
         if ball.is_positive():
             return POSITIVE
         if ball.is_negative():
             return NEGATIVE
-        if not callable(expr) or prec >= cap:
+        if not callable(expr) or prec >= max_prec:
             return ZERO_UNDECIDED
-        prec = min(2 * prec, cap)
+        prec = min(2 * prec, max_prec)

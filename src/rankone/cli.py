@@ -8,6 +8,10 @@ works too).
 Exit codes: 0 success, 1 validation error, 2 undecided at the precision
 cap, 3 resource cap exceeded.  Output is deterministic: identical flags
 and descriptor produce byte-identical bytes.
+
+Precision and its cap come from the flags, else from RANKONE_PRECISION_BITS
+and RANKONE_MAX_PRECISION_BITS, else from the defaults in balls; main
+resolves them once and passes them to the library as arguments.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import subdynamics as sd
 from . import svg as svgmod
-from .balls import DEFAULT_PRECISION_ENV, MAX_PRECISION_ENV, default_precision, max_precision
+from .balls import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import (
     DescriptorError,
     FitAmbiguityError,
@@ -38,6 +42,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_UNDECIDED = 2
 EXIT_RESOURCE = 3
+
+PRECISION_ENV = "RANKONE_PRECISION_BITS"
+MAX_PRECISION_ENV = "RANKONE_MAX_PRECISION_BITS"
 
 
 def _load_descriptor(arg: str) -> SystemDescriptor:
@@ -130,7 +137,8 @@ def _cmd_zeta(args) -> int:
     system = _load_descriptor(args.descriptor)
     n = _parse_direction(args.n, system.d)
     zf = inverse_roots(
-        system, n, precision=args.precision_bits, force=args.force, j_check=args.jmax
+        system, n, precision=args.precision_bits, force=args.force, j_check=args.jmax,
+        max_prec=args.max_precision_bits,
     )
     def sort_key(c):
         if c.exact is not None:
@@ -164,7 +172,8 @@ def _cmd_portrait(args) -> int:
         samples = samples or 0
     directions = sd.default_directions(system, samples)
     portrait = sd.build_portrait(
-        system, directions, convention=args.convention, prec=args.precision_bits
+        system, directions, convention=args.convention, prec=args.precision_bits,
+        max_prec=args.max_precision_bits,
     )
     for warning in portrait.warnings:
         print(f"warning: {warning}", file=_sys.stderr)
@@ -215,9 +224,9 @@ def _cmd_omega(args) -> int:
     return EXIT_OK
 
 
-def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int) -> dict:
+def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int, max_prec: int) -> dict:
     entry: dict = {"n": list(n)}
-    expansive = is_expansive_element(system, n)
+    expansive = is_expansive_element(system, n, max_prec)
     if expansive is None:
         entry["status"] = "undecided-expansiveness"
         return entry
@@ -226,7 +235,7 @@ def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int)
         entry["status"] = "skipped: not expansive, rationality not guaranteed"
         return entry
     try:
-        zf = inverse_roots(system, n, precision=prec)
+        zf = inverse_roots(system, n, precision=prec, max_prec=max_prec)
     except (UndecidedError, FitInconsistencyError, FitAmbiguityError, ResourceCapError) as exc:
         entry["status"] = f"failed: {exc}"
         return entry
@@ -244,14 +253,14 @@ def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int)
 
 def _cmd_analyze(args) -> int:
     system = _load_descriptor(args.descriptor)
-    prec = args.precision_bits
-    ergodicity, ergodicity_warnings = system.ergodicity()
-    portrait = sd.build_portrait(system, None, convention=args.convention, prec=prec)
+    prec, max_prec = args.precision_bits, args.max_precision_bits
+    ergodicity, ergodicity_warnings = system.ergodicity(max_prec)
+    portrait = sd.build_portrait(system, None, convention=args.convention, prec=prec, max_prec=max_prec)
     directions = [
         tuple(1 if i == k else 0 for i in range(system.d)) for k in range(system.d)
     ]
     directions.append(tuple(1 for _ in range(system.d)))
-    zeta_entries = [_analyze_zeta_entry(system, n, prec) for n in directions]
+    zeta_entries = [_analyze_zeta_entry(system, n, prec, max_prec) for n in directions]
     warnings = list(ergodicity_warnings) + list(portrait.warnings)
     doc = {
         "command": "analyze",
@@ -285,11 +294,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", help="write to this path instead of stdout")
     p.add_argument(
         "--precision-bits", type=int, default=None,
-        help=f"working precision (default: ${DEFAULT_PRECISION_ENV} or 64)",
+        help=f"working precision (default: ${PRECISION_ENV} or {DEFAULT_PRECISION})",
     )
     p.add_argument(
         "--max-precision-bits", type=int, default=None,
-        help=f"escalation cap (default: ${MAX_PRECISION_ENV} or 4096)",
+        help=f"escalation cap (default: ${MAX_PRECISION_ENV} or {MAX_PRECISION})",
     )
     p.add_argument(
         "--convention", choices=list(sd.CONVENTIONS), default=sd.INVERSE_ROOT,
@@ -367,27 +376,32 @@ def _join_dash_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
+def _bits(flag: str, value: Optional[int], env: str, default: int) -> int:
+    """The flag value, else the environment variable, else the default."""
+    if value is None:
+        text = os.environ.get(env)
+        if text is None:
+            return default
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"{env} must be an integer, got {text!r}") from None
+        flag = env
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
     args = _parser().parse_args(_join_dash_values(argv))
-    cap = args.max_precision_bits if args.max_precision_bits is not None else max_precision()
-    flags = {MAX_PRECISION_ENV: args.max_precision_bits, DEFAULT_PRECISION_ENV: args.precision_bits}
-    if args.precision_bits is None:
-        args.precision_bits = default_precision()
-    if args.precision_bits > cap:
-        print(
-            f"error: --precision-bits {args.precision_bits} exceeds the cap {cap}",
-            file=_sys.stderr,
-        )
-        return EXIT_VALIDATION
-    # the library reads both settings from the environment; the flags hold
-    # for this invocation only
-    saved = {name: os.environ.get(name) for name in flags}
-    for name, value in flags.items():
-        if value is not None:
-            os.environ[name] = str(value)
     try:
+        prec = _bits("--precision-bits", args.precision_bits, PRECISION_ENV, DEFAULT_PRECISION)
+        cap = _bits("--max-precision-bits", args.max_precision_bits, MAX_PRECISION_ENV, MAX_PRECISION)
+        if prec > cap:
+            raise ValueError(f"--precision-bits {prec} exceeds the cap {cap}")
+        args.precision_bits, args.max_precision_bits = prec, cap
         return args.func(args)
     except DescriptorError as exc:
         print(f"error: {exc}", file=_sys.stderr)
@@ -407,12 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 if __name__ == "__main__":

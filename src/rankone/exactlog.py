@@ -34,15 +34,17 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .balls import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
     NEGATIVE,
     POSITIVE,
     RealBall,
     ZERO_UNDECIDED,
     interval_sign,
-    max_precision,
 )
 from .errors import UndecidedError
 from .numberfield import (
+    _HARD_PREC_CAP,
     IntPoly,
     factor_monic_int,
     is_palindromic_or_anti,
@@ -69,14 +71,14 @@ def _circle_certified(poly: IntPoly, index: int) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def _canonical_index(poly: IntPoly, index: int) -> int:
-    e = isolate_roots(poly, 64)[index]
+    e = isolate_roots(poly, DEFAULT_PRECISION)[index]
     return min(e.index, e.conj_index)
 
 
 @functools.lru_cache(maxsize=1024)
 def _atom_multiplicity(poly: IntPoly, index: int) -> int:
     """Number of original roots folded into a canonical atom (1 or 2)."""
-    e = isolate_roots(poly, 64)[index]
+    e = isolate_roots(poly, DEFAULT_PRECISION)[index]
     return 1 if e.conj_index == e.index else 2
 
 
@@ -86,10 +88,11 @@ def _inverse_partner(poly: IntPoly, index: int) -> int:
 
     The root multiset of such a polynomial is closed under r -> 1/r, so the
     reciprocal of the box of root #index overlaps exactly one isolating box
-    once the precision suffices; matching is therefore certified.
+    once the precision suffices; matching is therefore certified, and it
+    escalates to the hard cap of root isolation, not to a user cap.
     """
-    prec = 64
-    while True:
+    prec = DEFAULT_PRECISION
+    while prec <= _HARD_PREC_CAP:
         embs = isolate_roots(poly, prec)
         try:
             target = embs[index].box.recip(prec)
@@ -104,8 +107,7 @@ def _inverse_partner(poly: IntPoly, index: int) -> int:
         if len(hits) == 1:
             return _canonical_index(poly, hits[0])
         prec *= 2
-        if prec > max_precision():
-            raise UndecidedError("matching a root to the root at its reciprocal")
+    raise UndecidedError("matching a root to the root at its reciprocal")
 
 
 class ExactLog:
@@ -198,7 +200,7 @@ class ExactLog:
         changed = False
         for poly, atoms in by_poly.items():
             expected = set()
-            for e in isolate_roots(poly, 64):
+            for e in isolate_roots(poly, DEFAULT_PRECISION):
                 canon = min(e.index, e.conj_index)
                 if not _circle_certified(poly, canon):
                     expected.add(("root", poly, canon))
@@ -243,7 +245,7 @@ class ExactLog:
             total = total.add(term.mul(RealBall.from_fraction(c, prec + 8), prec), prec)
         return total
 
-    def sign(self, max_prec: Optional[int] = None) -> str:
+    def sign(self, max_prec: int = MAX_PRECISION) -> str:
         """'positive' | 'negative' | 'zero' | 'zero-undecided'.
 
         'zero' only comes from the exact certificate; the interval route can
@@ -253,7 +255,7 @@ class ExactLog:
             return "zero"
         return interval_sign(self.evaluate, max_prec=max_prec)
 
-    def is_zero(self, max_prec: Optional[int] = None) -> Optional[bool]:
+    def is_zero(self, max_prec: int = MAX_PRECISION) -> Optional[bool]:
         """True/False when certified, None when undecided at the cap."""
         if self.is_trivially_zero():
             return True
@@ -296,7 +298,7 @@ class ExactLog:
 
 
 def _root_abs_log(poly: IntPoly, index: int, prec: int) -> RealBall:
-    work = max(prec, 64)
+    work = max(prec, DEFAULT_PRECISION)
     while True:
         box = isolate_roots(poly, work)[index].box
         mag2 = box.abs2(work)
@@ -318,7 +320,12 @@ def log_dot(n: Sequence[int], w: Sequence[ExactLog]) -> ExactLog:
     return total
 
 
-def vector_is_zero(w: Sequence[ExactLog], max_prec: Optional[int] = None) -> Optional[bool]:
+def _vector_trivially_zero(w: Sequence[ExactLog]) -> bool:
+    """Exact zero test of a whole vector; vector_is_zero is True exactly here."""
+    return all(entry.is_trivially_zero() for entry in w)
+
+
+def vector_is_zero(w: Sequence[ExactLog], max_prec: int = MAX_PRECISION) -> Optional[bool]:
     """True/False/None for a whole vector, undecided if any entry is."""
     verdicts = [entry.is_zero(max_prec) for entry in w]
     if any(v is False for v in verdicts):
@@ -353,7 +360,7 @@ def _coefficient_matrix(vecs: Iterable[Sequence[ExactLog]]):
 
 
 def vectors_parallel(
-    a: Sequence[ExactLog], b: Sequence[ExactLog], max_prec: Optional[int] = None
+    a: Sequence[ExactLog], b: Sequence[ExactLog], max_prec: int = MAX_PRECISION
 ) -> str:
     """'parallel' | 'not-parallel' | 'undecided' for nonzero vectors.
 

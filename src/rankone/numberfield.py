@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import libmp
 
-from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds
 from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
 
@@ -382,7 +382,7 @@ class Embedding:
 _HARD_PREC_CAP = 1 << 20
 
 
-def isolate_roots(poly: Sequence[int], prec: int = 64) -> Tuple[Embedding, ...]:
+def isolate_roots(poly: Sequence[int], prec: int = DEFAULT_PRECISION) -> Tuple[Embedding, ...]:
     """Certified, deterministically ordered embeddings of a squarefree polynomial.
 
     The working precision escalates internally until every box is certified
@@ -401,7 +401,7 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
     if not poly_is_squarefree(poly):
         raise ValueError("root isolation expects a squarefree polynomial")
     n_real = count_real_roots(poly)
-    work = max(prec, 64)
+    work = max(prec, DEFAULT_PRECISION)
     while work <= _HARD_PREC_CAP:
         result = _try_isolate(poly, prec, work, n_real)
         if result is not None:
@@ -644,7 +644,7 @@ def is_palindromic_or_anti(poly: IntPoly) -> bool:
     return poly == rev or poly == tuple(-c for c in rev)
 
 
-def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = 4096) -> bool:
+def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = MAX_PRECISION) -> bool:
     """Certify that a root has absolute value exactly 1.
 
     For a polynomial with (anti)palindromic coefficients the map
@@ -655,7 +655,7 @@ def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = 4096)
     poly = tuple(int(c) for c in poly)
     if poly[0] == 0 or not is_palindromic_or_anti(poly):
         return False
-    prec = 64
+    prec = min(DEFAULT_PRECISION, max_prec)
     while prec <= max_prec:
         roots = isolate_roots(poly, prec)
         b = roots[index].box

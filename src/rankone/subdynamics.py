@@ -30,9 +30,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .balls import RealBall
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .errors import UndecidedError
-from .exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
+from .exactlog import ExactLog, _vector_trivially_zero, log_dot, vector_is_zero, vectors_parallel
 from .system import Character, SystemDescriptor
 
 VARIETY = "variety"
@@ -77,29 +77,29 @@ class LabeledHyperplane:
         self.sources = sources
         self.undecided = undecided
 
-    def form_value(self, v: Sequence, prec: int = 64) -> RealBall:
+    def form_value(self, v: Sequence, prec: int = DEFAULT_PRECISION) -> RealBall:
         """Enclosure of normal . v for a float or rational direction."""
         coeffs = [Fraction(x) for x in v]
         if len(coeffs) != len(self.normal):
             raise ValueError("direction has the wrong dimension")
         return log_dot(coeffs, self.normal).evaluate(prec)
 
-    def contains(self, v: Sequence, prec: int = 64, tol: Optional[float] = None) -> bool:
+    def contains(self, v: Sequence, prec: int = DEFAULT_PRECISION, tol: Optional[float] = None) -> bool:
         """Whether v may lie on the hyperplane, within tol of the form value."""
         if tol is None:
             tol = 2.0 ** -(prec // 2)
         lo, hi = self.form_value(v, prec).float_bounds()
         return not (lo > tol or hi < -tol)
 
-    def parallel_to(self, other: Sequence[ExactLog], max_prec: Optional[int] = None) -> str:
+    def parallel_to(self, other: Sequence[ExactLog], max_prec: int = MAX_PRECISION) -> str:
         """'parallel' | 'not-parallel' | 'undecided' against another normal."""
         normal = other.normal if isinstance(other, LabeledHyperplane) else tuple(other)
         return vectors_parallel(self.normal, normal, max_prec)
 
-    def normal_floats(self, prec: int = 64) -> Tuple[float, ...]:
+    def normal_floats(self, prec: int = DEFAULT_PRECISION) -> Tuple[float, ...]:
         return tuple(entry.evaluate(prec).mid_float() for entry in self.normal)
 
-    def to_json(self, prec: int = 64) -> dict:
+    def to_json(self, prec: int = DEFAULT_PRECISION) -> dict:
         return {
             "label": self.label,
             "normal_float": [_round12(x) for x in self.normal_floats(prec)],
@@ -124,7 +124,7 @@ def _character_ref(set_name: str, index: int, chi: Character) -> dict:
 
 
 def nonexpansive_hyperplanes(
-    sys: SystemDescriptor, max_prec: Optional[int] = None
+    sys: SystemDescriptor, max_prec: int = MAX_PRECISION
 ) -> List[LabeledHyperplane]:
     """One labeled hyperplane per character with nonzero log-vector.
 
@@ -149,21 +149,19 @@ def nonexpansive_hyperplanes(
     return out
 
 
-def degenerate_characters(
-    sys: SystemDescriptor, max_prec: Optional[int] = None
-) -> List[dict]:
+def degenerate_characters(sys: SystemDescriptor) -> List[dict]:
     """Characters with certifiably zero log-vectors (non-expansive everywhere)."""
     V, W = sys.characters()
     out = []
     for set_name, chars in (("V", V), ("W", W)):
         for i, chi in enumerate(chars):
-            if vector_is_zero(chi.log_vector, max_prec) is True:
+            if _vector_trivially_zero(chi.log_vector):
                 out.append(_character_ref(set_name, i, chi))
     return out
 
 
 def nonsmooth_set(
-    sys: SystemDescriptor, max_prec: Optional[int] = None
+    sys: SystemDescriptor, max_prec: int = MAX_PRECISION
 ) -> List[LabeledHyperplane]:
     """Exactly the noetherian hyperplanes: the common prefactor of every
     branch is max(chi*, 1) over nonarchimedean characters, smooth away from
@@ -204,7 +202,7 @@ def _pair_source(eps: Tuple[int, ...]) -> dict:
 
 
 def crossing_set(
-    sys: SystemDescriptor, max_prec: Optional[int] = None
+    sys: SystemDescriptor, max_prec: int = MAX_PRECISION
 ) -> List[LabeledHyperplane]:
     """Hyperplanes where two branch functions cross.
 
@@ -229,13 +227,11 @@ def crossing_set(
     return out
 
 
-def crossing_coincidences(
-    sys: SystemDescriptor, max_prec: Optional[int] = None
-) -> List[dict]:
+def crossing_coincidences(sys: SystemDescriptor) -> List[dict]:
     """Branch pairs whose difference form is certifiably zero everywhere."""
     out = []
     for eps, normal in _signed_combinations(sys):
-        if vector_is_zero(normal, max_prec) is True:
+        if _vector_trivially_zero(normal):
             out.append(_pair_source(eps))
     return out
 
@@ -268,7 +264,7 @@ def branch_subsets(sys: SystemDescriptor) -> List[Tuple[int, ...]]:
 
 
 def f_eval(
-    sys: SystemDescriptor, L: Sequence[int], v: Sequence, prec: int = 64
+    sys: SystemDescriptor, L: Sequence[int], v: Sequence, prec: int = DEFAULT_PRECISION
 ) -> RealBall:
     """One branch value at a unit direction, outward rounded.
 
@@ -329,7 +325,7 @@ def omega_samples(
     sys: SystemDescriptor,
     directions: Sequence[Sequence[float]],
     convention: str = INVERSE_ROOT,
-    prec: int = 64,
+    prec: int = DEFAULT_PRECISION,
 ) -> List[Tuple[Tuple[float, ...], Tuple[int, ...], RealBall]]:
     """All branch values at each direction: (direction, subset, value) rows.
 
@@ -377,7 +373,7 @@ def omega_samples(
 
 
 def directional_entropy_atoms(
-    sys: SystemDescriptor, n: Sequence[int], max_prec: Optional[int] = None
+    sys: SystemDescriptor, n: Sequence[int], max_prec: int = MAX_PRECISION
 ) -> ExactLog:
     """Entropy of the single transformation at integer direction n, exactly.
 
@@ -404,8 +400,8 @@ def directional_entropy_atoms(
 def directional_entropy(
     sys: SystemDescriptor,
     n: Sequence[int],
-    prec: int = 64,
-    max_prec: Optional[int] = None,
+    prec: int = DEFAULT_PRECISION,
+    max_prec: int = MAX_PRECISION,
 ) -> RealBall:
     """Certified enclosure of the entropy along integer direction n."""
     return directional_entropy_atoms(sys, n, max_prec).evaluate(prec)
@@ -487,8 +483,8 @@ def build_portrait(
     sys: SystemDescriptor,
     directions: Optional[Sequence[Sequence[float]]] = None,
     convention: str = INVERSE_ROOT,
-    prec: int = 64,
-    max_prec: Optional[int] = None,
+    prec: int = DEFAULT_PRECISION,
+    max_prec: int = MAX_PRECISION,
 ) -> DirectionPortrait:
     """Assemble hyperplanes, crossings, branch data and optional samples.
 
@@ -498,9 +494,9 @@ def build_portrait(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     hyperplanes = nonexpansive_hyperplanes(sys, max_prec)
-    degenerate = degenerate_characters(sys, max_prec)
+    degenerate = degenerate_characters(sys)
     crossing = crossing_set(sys, max_prec)
-    coincidences = crossing_coincidences(sys, max_prec)
+    coincidences = crossing_coincidences(sys)
     branches = branch_subsets(sys)
     warnings = []
     if degenerate:

@@ -41,9 +41,9 @@ from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import numberfield as nf
-from .balls import RealBall, default_precision, max_precision
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .errors import DescriptorError, UndecidedError
-from .exactlog import ExactLog, log_dot, vector_is_zero
+from .exactlog import ExactLog, _vector_trivially_zero, log_dot
 from .fppoly import (
     FpPoly,
     FpRationalFunction,
@@ -132,16 +132,6 @@ class Character:
         return f"Character({self.kind}, comp {self.component_index}, {self.source})"
 
 
-def zero_test(chi: Character, v: Sequence, max_prec: Optional[int] = None) -> str:
-    """'zero', 'nonzero', or 'undecided' for the log form of chi at v."""
-    verdict = chi.log_linear_form(v).is_zero(max_prec)
-    if verdict is True:
-        return "zero"
-    if verdict is False:
-        return "nonzero"
-    return "undecided"
-
-
 class SIntegerComponent:
     """d nonzero rationals; one archimedean character, one per relevant prime."""
 
@@ -216,7 +206,7 @@ class SIntegerComponent:
         """The value of h at the one archimedean character: h itself, exactly."""
         return [(self.power_product(exponents), None)]
 
-    def ergodicity(self) -> Tuple[str, List[str]]:
+    def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
         # ergodicity is exactly full rank of the prime exponent matrix.
@@ -277,7 +267,10 @@ class NumberFieldUnitsComponent:
     @functools.cached_property
     def _root_identities(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Per generator: its integer minimal polynomial and, per embedding
-        of the field, the index of its value among that polynomial's roots."""
+        of the field, the index of its value among that polynomial's roots.
+
+        Matching is certified and escalates to the hard cap of root
+        isolation, so the cached characters never depend on a user cap."""
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -294,7 +287,7 @@ class NumberFieldUnitsComponent:
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
                 continue
-            prec = default_precision()
+            prec = DEFAULT_PRECISION
             while True:
                 field_roots = nf.isolate_roots(self.field.min_poly, prec)
                 g_roots = nf.isolate_roots(min_poly, prec)
@@ -310,13 +303,13 @@ class NumberFieldUnitsComponent:
                     out.append((min_poly, tuple(indices)))
                     break
                 prec *= 2
-                if prec > max_precision():
+                if prec > nf._HARD_PREC_CAP:
                     raise UndecidedError("matching a generator value to a root of its minimal polynomial")
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
         identities = self._root_identities
-        embeddings = nf.isolate_roots(self.field.min_poly, default_precision())
+        embeddings = nf.isolate_roots(self.field.min_poly)
         arch = []
         for k, emb in enumerate(embeddings):
             vec = [
@@ -383,20 +376,20 @@ class NumberFieldUnitsComponent:
         h = self.power_product(exponents)
         return [(None, (self.field.min_poly, k, h)) for k in range(self.field.degree)]
 
-    def ergodicity(self) -> Tuple[str, List[str]]:
+    def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # Full real rank of the embedding log matrix certifies that no
         # nontrivial power product has all absolute values 1, hence no
         # relation.  Rank defect cannot be certified by intervals, so the
         # failure mode is an honest warning.
         veclists, _ = self.characters(0, 1)
         vectors = [c.log_vector for c in veclists]
-        live = [w for w in vectors if vector_is_zero(w, default_precision()) is not True]
+        live = [w for w in vectors if not _vector_trivially_zero(w)]
         if len(live) < self.d:
             return ERGODICITY_UNDECIDED, [
                 "embedding log matrix has too few certifiably nonzero rows; ergodicity undecided"
             ]
-        prec = default_precision()
-        while prec <= max_precision():
+        prec = min(DEFAULT_PRECISION, max_prec)
+        while prec <= max_prec:
             rows = [[w.evaluate(prec) for w in vec] for vec in live]
             if _ball_rank_at_least(rows, self.d, prec):
                 return ERGODIC, []
@@ -554,7 +547,7 @@ class FunctionFieldComponent:
         """No archimedean characters in positive characteristic."""
         return []
 
-    def ergodicity(self) -> Tuple[str, List[str]]:
+    def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # prod g_i^{k_i} = 1 forces zero order at every place; conversely a
         # kernel vector of the order matrix makes the product a constant in
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
@@ -623,12 +616,12 @@ class SystemDescriptor:
     def descriptor_hash(self) -> str:
         return hashlib.sha256(self.json_text().encode("utf-8")).hexdigest()
 
-    def ergodicity(self) -> Tuple[str, List[str]]:
+    def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         """Overall status plus any warnings from undecided components."""
         statuses = []
         warnings: List[str] = []
         for index, (comp, _) in enumerate(self.components):
-            status, notes = comp.ergodicity()
+            status, notes = comp.ergodicity(max_prec)
             warnings.extend(f"components[{index}]: {note}" for note in notes)
             statuses.append(status)
         if any(s == NON_ERGODIC for s in statuses):

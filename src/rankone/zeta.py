@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import numberfield as nf
-from .balls import ComplexBall, RealBall, default_precision, max_precision
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall
 from .errors import (
     FitAmbiguityError,
     FitInconsistencyError,
@@ -32,23 +32,23 @@ from .errors import (
 )
 from .exactlog import ExactLog
 from .periodic import PeriodicCount, count_sequence
-from .system import SystemDescriptor, zero_test
+from .system import SystemDescriptor
 
 FIT_NODE_CAP = 1 << 20
 
 
 def is_expansive_element(
-    sys: SystemDescriptor, n: Sequence[int], max_prec: Optional[int] = None
+    sys: SystemDescriptor, n: Sequence[int], max_prec: int = MAX_PRECISION
 ) -> Optional[bool]:
     """True/False/None: no character log form vanishes at n / one does / open."""
     if all(int(c) == 0 for c in n):
         raise ValueError("expansiveness of the identity element is undefined; n must be nonzero")
     undecided = False
     for chi in sys.all_characters():
-        verdict = zero_test(chi, n, max_prec)
-        if verdict == "zero":
+        verdict = chi.log_linear_form(n).is_zero(max_prec)
+        if verdict is True:
             return False
-        if verdict == "undecided":
+        if verdict is None:
             undecided = True
     return None if undecided else True
 
@@ -418,7 +418,7 @@ def _fit_once(
 def fit_exponents(
     candidates: List[ZetaCandidate],
     F: Sequence,
-    precision: Optional[int] = None,
+    precision: int = DEFAULT_PRECISION,
 ) -> Tuple[List[int], int]:
     """Integer coefficients and mu with F_j = -sum_c a_c (mu c)^j.
 
@@ -430,8 +430,7 @@ def fit_exponents(
     mu = +1 canonically.
     """
     values = _count_values(F)
-    prec = precision if precision is not None else default_precision()
-    slots = _link_conjugates(candidates, prec)
+    slots = _link_conjugates(candidates, precision)
     if slots is None:
         raise UndecidedError("conjugate pairing of zeta candidates")
     if len(values) < len(slots) + 2:
@@ -440,7 +439,7 @@ def fit_exponents(
         )
     budget = [FIT_NODE_CAP]
     for mu in (1, -1):
-        solutions = _fit_once(slots, values, mu, prec, budget)
+        solutions = _fit_once(slots, values, mu, precision, budget)
         if len(solutions) == 1:
             return _slot_to_candidate_coeffs(candidates, slots, solutions[0]), mu
         if len(solutions) >= 2:
@@ -527,16 +526,18 @@ class ZetaFactorization:
 def inverse_roots(
     sys: SystemDescriptor,
     n: Sequence[int],
-    precision: Optional[int] = None,
+    precision: int = DEFAULT_PRECISION,
     force: bool = False,
     j_check: Optional[int] = None,
+    max_prec: int = MAX_PRECISION,
 ) -> ZetaFactorization:
     """Fit the inverse-root multiset of zeta_n against exact counts.
 
+    Candidate separation starts at precision and doubles up to max_prec.
     Outside the expansive regime rationality is not guaranteed; force=True
     attempts the fit anyway and raises an inconsistency if none exists.
     """
-    expansive = is_expansive_element(sys, n)
+    expansive = is_expansive_element(sys, n, max_prec)
     if expansive is None:
         raise UndecidedError(f"expansiveness of alpha^{tuple(n)}")
     if expansive is False and not force:
@@ -544,7 +545,7 @@ def inverse_roots(
             "direction is not expansive, so a rational zeta function is not guaranteed; "
             "pass force to attempt the fit anyway"
         )
-    prec = precision if precision is not None else default_precision()
+    prec = precision
     branches = _branches(sys, n)
     while True:
         clusters = _cluster_branches(branches, prec)
@@ -574,7 +575,7 @@ def inverse_roots(
                     )
                 return zf
         prec *= 2
-        if prec > max_precision():
+        if prec > max_prec:
             raise UndecidedError("separating zeta candidate values at the precision cap")
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, determinism, entry points."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -192,19 +193,24 @@ DIRECTION_DEFAULT_CASES = {
 }
 
 
+def main_digests(argv) -> dict:
+    """sha256 of stdout and stderr plus the exit code of one in-process call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return {
+        "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+        "stderr": hashlib.sha256(stderr.getvalue().encode()).hexdigest(),
+        "exit": code,
+    }
+
+
 def direction_default_digests(line_path: str) -> dict:
     """{case: {stdout, stderr, exit}} for DIRECTION_DEFAULT_CASES, in process."""
-    out = {}
-    for case, argv in DIRECTION_DEFAULT_CASES.items():
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([line_path if a == "LINE" else a for a in argv])
-        out[case] = {
-            "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(stderr.getvalue().encode()).hexdigest(),
-            "exit": code,
-        }
-    return out
+    return {
+        case: main_digests([line_path if a == "LINE" else a for a in argv])
+        for case, argv in DIRECTION_DEFAULT_CASES.items()
+    }
 
 
 def test_direction_defaults_match_golden(tmp_path):
@@ -283,6 +289,126 @@ def test_precision_flags_hold_for_one_call_only(monkeypatch, capsys):
     assert "RANKONE_PRECISION_BITS" not in os.environ
     assert os.environ["RANKONE_MAX_PRECISION_BITS"] == "4096"
     assert run(capsys, "zeta", "times2times3", "--n", "1,1") == plain
+
+
+PRECISION_ENV_NAMES = ("RANKONE_PRECISION_BITS", "RANKONE_MAX_PRECISION_BITS")
+
+# precision and cap settings, pinned by sha256 of stdout, stderr and the exit
+# code: case -> (environment, argv)
+PRECISION_FLAG_CASES = {
+    "analyze_sqrt2sqrt3_32_32": (
+        {}, ["analyze", "sqrt2sqrt3", "--precision-bits", "32", "--max-precision-bits", "32"]
+    ),
+    "analyze_dk-sextic_32_32": (
+        {}, ["analyze", "dk-sextic", "--precision-bits", "32", "--max-precision-bits", "32"]
+    ),
+    "analyze_times2times3times5_16_16": (
+        {}, ["analyze", "times2times3times5", "--precision-bits", "16", "--max-precision-bits", "16"]
+    ),
+    "analyze_ledrappier_8_8": (
+        {}, ["analyze", "ledrappier", "--precision-bits", "8", "--max-precision-bits", "8"]
+    ),
+    "portrait_dk-sextic_16_16": (
+        {}, ["portrait", "dk-sextic", "--precision-bits", "16", "--max-precision-bits", "16"]
+    ),
+    "zeta_sqrt2sqrt3_1_1_16_16": (
+        {}, ["zeta", "sqrt2sqrt3", "--n", "1,1", "--precision-bits", "16", "--max-precision-bits", "16"]
+    ),
+    "zeta_sqrt2sqrt3_2_-1_16_40": (
+        {}, ["zeta", "sqrt2sqrt3", "--n", "2,-1", "--precision-bits", "16", "--max-precision-bits", "40"]
+    ),
+    "zeta_times2times3_8192": (
+        {}, ["zeta", "times2times3", "--n", "1,1", "--precision-bits", "8192"]
+    ),
+    "zeta_times2times3_8192_16384": (
+        {}, ["zeta", "times2times3", "--n", "1,1", "--precision-bits", "8192",
+             "--max-precision-bits", "16384"]
+    ),
+    "analyze_sqrt2sqrt3_200_300": (
+        {}, ["analyze", "sqrt2sqrt3", "--precision-bits", "200", "--max-precision-bits", "300"]
+    ),
+    "env_precision_96_analyze_times2times3": (
+        {"RANKONE_PRECISION_BITS": "96"}, ["analyze", "times2times3"]
+    ),
+    "env_max_precision_32_zeta_times2times3": (
+        {"RANKONE_MAX_PRECISION_BITS": "32"}, ["zeta", "times2times3", "--n", "1,1"]
+    ),
+}
+
+
+def test_precision_flags_match_golden(monkeypatch):
+    golden = json.loads((GOLDEN / "precision_flags.json").read_text())
+    got = {}
+    for case, (env, argv) in PRECISION_FLAG_CASES.items():
+        with monkeypatch.context() as m:
+            for name in PRECISION_ENV_NAMES:
+                m.delenv(name, raising=False)
+            for name, value in env.items():
+                m.setenv(name, value)
+            got[case] = main_digests(argv)
+    assert got == golden
+
+
+def test_main_leaves_environment_unchanged(monkeypatch, capsys):
+    monkeypatch.setenv("RANKONE_MAX_PRECISION_BITS", "4096")
+    monkeypatch.delenv("RANKONE_PRECISION_BITS", raising=False)
+    before = dict(os.environ)
+    for argv, code in [
+        (["zeta", "times2times3", "--n", "1,1", "--precision-bits", "128",
+          "--max-precision-bits", "256"], 0),
+        (["zeta", "times2times3", "--n", "1,1", "--precision-bits", "8192"], 1),
+        (["periodic", "times2times3", "--range=0..1,0..1", "--precision-bits", "0"], 1),
+    ]:
+        assert run(capsys, *argv)[0] == code
+        assert dict(os.environ) == before
+
+
+def test_only_the_cli_reads_the_environment():
+    package = pathlib.Path(cli.__file__).parent
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                if any(a.name in ("environ", "getenv") for a in node.names):
+                    readers.add(path.name)
+    assert readers == {"cli.py"}
+
+
+def run_module(argv, env=None) -> subprocess.CompletedProcess:
+    """python -m rankone in a fresh process, without inherited precision settings."""
+    environ = {k: v for k, v in os.environ.items() if k not in PRECISION_ENV_NAMES}
+    environ.update(env or {})
+    return subprocess.run(
+        [sys.executable, "-m", "rankone", *argv],
+        capture_output=True, text=True, env=environ, timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zeta", "times2times3", "--n", "1,1", "--precision-bits", "0"],
+         "--precision-bits must be at least 1, got 0"),
+        (["portrait", "times2times3", "--samples", "4", "--precision-bits", "-8"],
+         "--precision-bits must be at least 1, got -8"),
+        (["zeta", "times2times3", "--n", "1,1", "--max-precision-bits", "0"],
+         "--max-precision-bits must be at least 1, got 0"),
+    ],
+)
+def test_nonpositive_precision_rejected(argv, message):
+    proc = run_module(argv)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", PRECISION_ENV_NAMES)
+def test_malformed_precision_variable_rejected(name):
+    proc = run_module(["periodic", "times2times3", "--range=0..1,0..1"], {name: "abc"})
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {name} must be an integer, got 'abc'\n"
 
 
 def test_invalid_descriptor_file(tmp_path, capsys):

@@ -203,7 +203,7 @@ def test_reciprocal_matching_cap_is_undecided(monkeypatch):
         return far  # +-sqrt(2): no box meets the reciprocal of another
 
     monkeypatch.setattr(exactlog, "isolate_roots", misplaced)
-    monkeypatch.setattr(exactlog, "max_precision", lambda: 256)
+    monkeypatch.setattr(exactlog, "_HARD_PREC_CAP", 256)
     with pytest.raises(UndecidedError):
         exactlog._inverse_partner.__wrapped__((1, -10, 1), 0)
 

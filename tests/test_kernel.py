@@ -1,16 +1,12 @@
 """Exact kernel: rational valuations, certified balls, exact log atoms."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from rankone.balls import (
-    ComplexBall,
-    RealBall,
-    default_precision,
-    interval_sign,
-    max_precision,
-)
+from rankone import cli
+from rankone.balls import ComplexBall, RealBall, interval_sign
 from rankone.exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
 from rankone.rationals import (
     factor_fraction,
@@ -130,11 +126,13 @@ def test_interval_sign_honest_undecided_at_cap():
     assert interval_sign(expr, max_prec=128) == "zero-undecided"
 
 
-def test_precision_env_overrides(monkeypatch):
+def test_precision_env_overrides(monkeypatch, capsys):
     monkeypatch.setenv("RANKONE_PRECISION_BITS", "96")
     monkeypatch.setenv("RANKONE_MAX_PRECISION_BITS", "512")
-    assert default_precision() == 96
-    assert max_precision() == 512
+    assert cli.main(["omega", "times2times3", "--samples", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["precision_bits"] == 96
+    assert cli.main(["omega", "times2times3", "--precision-bits", "513"]) == 1
+    assert "exceeds the cap 512" in capsys.readouterr().err
 
 
 # --- exact log combinations ---------------------------------------------------

@@ -16,7 +16,6 @@ from rankone.system import (
     fixture_names,
     load_fixture,
     parse_descriptor,
-    zero_test,
 )
 
 
@@ -188,9 +187,9 @@ def test_zero_test_results():
     sys_ = load_fixture("times2times3")
     V, W = sys_.characters()
     at3 = next(chi for chi in W if chi.log_vector[1].prime_part)
-    assert zero_test(at3, (1, 0)) == "zero"
-    assert zero_test(at3, (0, 1)) == "nonzero"
-    assert zero_test(V[0], (1, 1)) == "nonzero"
+    assert at3.log_linear_form((1, 0)).is_zero() is True
+    assert at3.log_linear_form((0, 1)).is_zero() is False
+    assert V[0].log_linear_form((1, 1)).is_zero() is False
 
 
 def test_describe_shape():

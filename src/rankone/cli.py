@@ -17,11 +17,13 @@ resolves them once and passes them to the library as arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys as _sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import subdynamics as sd
 from . import svg as svgmod
@@ -35,6 +37,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .periodic import grid
+from .subdynamics import _round12
 from .system import SystemDescriptor, fixture_names, load_fixture, parse_descriptor
 from .zeta import inverse_roots, is_expansive_element
 
@@ -88,16 +91,103 @@ def _parse_direction(text: str, d: int) -> Tuple[int, ...]:
         raise DescriptorError("", f"--n components must be integers: {text!r}")
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], output: Optional[str]) -> None:
+    """Write the chunks in order to the output file, else to stdout.
+
+    Callers compute everything that can fail before they call this, so a
+    failed command writes nothing and creates no file.
+    """
     if output:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(chunks)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# --------------------------------------------------------------------------
+# omega rows, written as they are formatted
+#
+# A row is (direction, subset, value) as omega_samples returns it.  The
+# JSON rows are byte for byte what _json_text writes for the row dicts of
+# DirectionPortrait.to_json in a top-level array; each direction's text is
+# rendered once per direction, each branch's once per subset, and only the
+# two value bounds once per row.
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
+
+
+def _json_array(items: Sequence[str], indent: str) -> str:
+    """Rendered items as json.dumps(indent=2) lays out an array at this indent."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _rendered_rows(rows, direction_text, branch_text) -> Iterator[Tuple[str, str, float, float]]:
+    """(direction text, branch text, lo, hi) for each row."""
+    branches = {}
+    last = None
+    for direction, subset, value in rows:
+        if direction is not last:
+            last, dtext = direction, direction_text(direction)
+        btext = branches.get(subset)
+        if btext is None:
+            btext = branches[subset] = branch_text(subset)
+        lo, hi = value.float_bounds()
+        yield dtext, btext, lo, hi
+
+
+def _omega_json_rows(rows) -> Iterator[str]:
+    """Each row's dict as an element of a top-level JSON array, with the
+    separator before it."""
+    def direction_text(direction):
+        coords = _json_array([_json_float(_round12(x)) for x in direction], "      ")
+        return f',\n      "direction": {coords},\n      "value": [\n        '
+
+    def branch_text(subset):
+        return '\n    {\n      "branch": ' + _json_array([str(i) for i in subset], "      ")
+
+    sep = ""
+    for dtext, btext, lo, hi in _rendered_rows(rows, direction_text, branch_text):
+        yield (f"{sep}{btext}{dtext}{_json_float(_round12(lo))},\n"
+               f"        {_json_float(_round12(hi))}\n      ]\n    }}")
+        sep = ","
+
+
+def _json_with_rows(doc: dict, key: str, rows: list) -> Iterable[str]:
+    """The chunks of _json_text(doc) with the rows as the array under key,
+    which doc holds empty."""
+    text = _json_text(doc)
+    if not rows:
+        return [text]
+    # sorted keys, and only top-level keys sit at a two-space indent
+    head, _, tail = text.partition(f'\n  "{key}": []')
+    return itertools.chain([head, f'\n  "{key}": ['], _omega_json_rows(rows), ["\n  ]", tail])
+
+
+def _omega_csv_rows(rows) -> Iterator[str]:
+    def direction_text(direction):
+        return ",".join(f"{x:.12e}" for x in direction) + ","
+
+    def branch_text(subset):
+        return _csv_cell("{" + ",".join(str(i) for i in subset) + "}") + ","
+
+    for dtext, btext, lo, hi in _rendered_rows(rows, direction_text, branch_text):
+        yield f"{dtext}{btext}{lo:.12e},{hi:.12e}\n"
 
 
 def _csv_cell(value: str) -> str:
@@ -119,7 +209,7 @@ def _cmd_periodic(args) -> int:
     ranges = _parse_ranges(args.range, system.d)
     result = grid(system, ranges, args.j)
     if args.format == "csv":
-        _emit(result.to_csv(), args.output)
+        _emit([result.to_csv()], args.output)
     else:
         doc = {
             "command": "periodic",
@@ -129,7 +219,7 @@ def _cmd_periodic(args) -> int:
             "j": args.j,
         }
         doc.update(result.to_json())
-        _emit(_json_text(doc), args.output)
+        _emit([_json_text(doc)], args.output)
     return EXIT_OK
 
 
@@ -159,7 +249,7 @@ def _cmd_zeta(args) -> int:
         "lambda": [c.coefficient for c in factors],
     }
     doc.update(zf.to_json())
-    _emit(_json_text(doc), args.output)
+    _emit([_json_text(doc)], args.output)
     return EXIT_OK
 
 
@@ -171,18 +261,23 @@ def _cmd_portrait(args) -> int:
         # unless --samples asks for them
         samples = samples or 0
     directions = sd.default_directions(system, samples)
+    svg = args.format == "svg"
+    # JSON omega rows are sampled beside the portrait and streamed
     portrait = sd.build_portrait(
-        system, directions, convention=args.convention, prec=args.precision_bits,
-        max_prec=args.max_precision_bits,
+        system, directions if svg else None, convention=args.convention,
+        prec=args.precision_bits, max_prec=args.max_precision_bits,
     )
+    rows = []
+    if directions and not svg:
+        rows = sd.omega_samples(system, directions, args.convention, args.precision_bits)
     for warning in portrait.warnings:
         print(f"warning: {warning}", file=_sys.stderr)
-    if args.format == "svg":
-        _emit(svgmod.portrait_svg(portrait), args.output)
+    if svg:
+        _emit([svgmod.portrait_svg(portrait)], args.output)
     else:
         doc = {"command": "portrait"}
         doc.update(portrait.to_json())
-        _emit(_json_text(doc), args.output)
+        _emit(_json_with_rows(doc, "omega", rows), args.output)
     return EXIT_OK
 
 
@@ -193,17 +288,8 @@ def _cmd_omega(args) -> int:
     directions = sd.default_directions(system, args.samples)
     rows = sd.omega_samples(system, directions, args.convention, args.precision_bits)
     if args.format == "csv":
-        d = system.d
-        header = ",".join(f"v{i + 1}" for i in range(d)) + ",branch,lo,hi"
-        lines = [header]
-        for direction, subset, value in rows:
-            lo, hi = value.float_bounds()
-            branch = "{" + ",".join(str(i) for i in subset) + "}"
-            lines.append(
-                ",".join(f"{x:.12e}" for x in direction)
-                + f",{_csv_cell(branch)},{lo:.12e},{hi:.12e}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+        header = ",".join(f"v{i + 1}" for i in range(system.d)) + ",branch,lo,hi\n"
+        _emit(itertools.chain([header], _omega_csv_rows(rows)), args.output)
     else:
         doc = {
             "command": "omega",
@@ -211,16 +297,9 @@ def _cmd_omega(args) -> int:
             "label": system.label,
             "convention": args.convention,
             "precision_bits": args.precision_bits,
-            "samples": [
-                {
-                    "direction": [float(f"{x:.12e}") for x in direction],
-                    "branch": list(subset),
-                    "value": [float(f"{b:.12e}") for b in value.float_bounds()],
-                }
-                for direction, subset, value in rows
-            ],
+            "samples": [],
         }
-        _emit(_json_text(doc), args.output)
+        _emit(_json_with_rows(doc, "samples", rows), args.output)
     return EXIT_OK
 
 
@@ -281,7 +360,7 @@ def _cmd_analyze(args) -> int:
     }
     for warning in warnings:
         print(f"warning: {warning}", file=_sys.stderr)
-    _emit(_json_text(doc), args.output)
+    _emit([_json_text(doc)], args.output)
     return EXIT_OK
 
 

@@ -113,7 +113,9 @@ class LabeledHyperplane:
 
 
 def _round12(x: float) -> float:
-    # fixed 12-significant-digit rendering keeps emitted JSON byte-stable
+    # fixed 12-significant-digit rendering keeps emitted JSON byte-stable;
+    # the one rounding of every JSON float the portrait and omega commands
+    # print, here and in the CLI's streamed rows
     return float(f"{x:.12e}")
 
 
@@ -253,7 +255,11 @@ def branch_subsets(sys: SystemDescriptor) -> List[Tuple[int, ...]]:
     """All archimedean multisets L, as sorted index tuples with repetition.
 
     The list has prod(multiplicity + 1) entries; with no archimedean
-    characters it is just (empty,) and there is a single branch.
+    characters it is just (empty,) and there is a single branch.  It is
+    prefix-closed and lists each nonempty L after L[:-1], whatever the
+    multiplicities: dropping the last index lowers the last nonzero count,
+    which comes earlier in itertools.product order.  omega_samples builds
+    each branch value from its prefix's on this guarantee.
     """
     V, _ = sys.characters()
     ranges = [range(chi.multiplicity + 1) for chi in V]
@@ -331,6 +337,8 @@ def omega_samples(
 
     inverse-root reports f_L itself; root-location reports the reciprocal.
     Character log-vectors are evaluated once and reused across directions.
+    Each f_L is the product of f_L[:-1] and one archimedean factor, the
+    left fold g * a_L[0] * a_L[1] * ... with one product per branch.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -358,10 +366,10 @@ def omega_samples(
             for x, w in zip(d_balls, logs):
                 form = form.add(x.mul(w, wprec), wprec)
             arch_vals.append(form.neg().exp(prec))
+        products = {}
         for subset in subsets:
-            value = g
-            for i in subset:
-                value = value.mul(arch_vals[i], prec)
+            value = products[subset[:-1]].mul(arch_vals[subset[-1]], prec) if subset else g
+            products[subset] = value
             if convention == ROOT_LOCATION:
                 value = value.recip(prec)
             out.append((direction, subset, value))

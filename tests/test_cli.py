@@ -4,7 +4,9 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -12,7 +14,10 @@ import sys
 
 import pytest
 
-from rankone import cli
+from rankone import build_portrait, cli, load_fixture
+from rankone.balls import RealBall
+from rankone.errors import UndecidedError
+from rankone.subdynamics import _round12, default_directions
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -218,6 +223,186 @@ def test_direction_defaults_match_golden(tmp_path):
     path.write_text(json.dumps(LINE_DESCRIPTOR))
     golden = json.loads((GOLDEN / "direction_defaults.json").read_text())
     assert direction_default_digests(str(path)) == golden
+
+
+# descriptor files of the omega row pins, by the placeholder in their argv:
+# d = 1 and d = 4 portraits keep "omega": [], and DOUBLE has an archimedean
+# character of multiplicity 2, so its branches repeat an index
+OMEGA_DESCRIPTORS = {
+    "LINE": LINE_DESCRIPTOR,
+    "QUAD": {"d": 4, "components": [{"class": "s_integer", "generators": ["2", "3", "5", "7"]}]},
+    "DOUBLE": {"label": "doubled", "d": 2, "components": [
+        {"class": "s_integer", "multiplicity": 2, "generators": ["2", "3"]},
+        {"class": "s_integer", "generators": ["5", "7"]},
+    ]},
+}
+FIXTURES = ("times2times3", "ledrappier", "sqrt2sqrt3", "times2times3times5", "dk-sextic")
+CONVENTIONS = ("inverse-root", "root-location")
+
+
+def _omega_row_cases() -> dict:
+    """case -> argv of portrait JSON and omega JSON/CSV output, pinned by
+    sha256 of stdout, stderr and the exit code."""
+    cases = {}
+    for conv in CONVENTIONS:
+        for fixture in FIXTURES + ("DOUBLE",):
+            # the sextic's 720-direction portrait (46,080 rows) is pinned by
+            # the benchmark digest gate instead
+            for samples in ((), ("--samples", "0"), ("--samples", "24"))[fixture == "dk-sextic":]:
+                name = "_".join(["portrait", fixture, *samples[1:], conv])
+                cases[name] = ["portrait", fixture, "--format", "json", *samples, "--convention", conv]
+        for source, samples in (("sqrt2sqrt3", "24"), ("times2times3times5", "8"), ("DOUBLE", "12")):
+            for fmt in ("json", "csv"):
+                cases[f"omega_{source}_{samples}_{fmt}_{conv}"] = [
+                    "omega", source, "--samples", samples, "--format", fmt, "--convention", conv,
+                ]
+    for source in ("LINE", "QUAD"):
+        for samples in ((), ("--samples", "24")):
+            cases["_".join(["portrait", source, *samples[1:]])] = ["portrait", source, *samples]
+    return cases
+
+
+OMEGA_ROW_CASES = _omega_row_cases()
+
+
+def omega_row_digests(tmp_path) -> dict:
+    """{case: {stdout, stderr, exit}} for OMEGA_ROW_CASES, in process."""
+    paths = {}
+    for name, doc in OMEGA_DESCRIPTORS.items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(json.dumps(doc))
+    return {
+        case: main_digests([str(paths[a]) if a in paths else a for a in argv])
+        for case, argv in OMEGA_ROW_CASES.items()
+    }
+
+
+def test_omega_rows_match_golden(tmp_path):
+    golden = json.loads((GOLDEN / "omega_rows.json").read_text())
+    assert omega_row_digests(tmp_path) == golden
+
+
+class Bounds:
+    """A stand-in for a value ball: fixed float bounds."""
+
+    def __init__(self, lo, hi):
+        self.bounds = (lo, hi)
+
+    def float_bounds(self):
+        return self.bounds
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 1 / 3, -2.5e-7)
+
+
+def synthetic_rows(d: int) -> list:
+    """Rows over special floats, with an empty branch and repeated indices;
+    rows of one direction share its tuple, as omega_samples returns them."""
+    subsets = [(), (0,), (0, 0), (0, 1, 1, 2)]
+    specials = itertools.cycle(SPECIAL_FLOATS)
+    rows = []
+    for _ in range(5):
+        direction = tuple(next(specials) for _ in range(d))
+        for subset in subsets:
+            rows.append((direction, subset, Bounds(next(specials), next(specials))))
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("key", ["omega", "samples"])
+def test_streamed_rows_equal_json_dumps(d, key):
+    rows = synthetic_rows(d)
+    doc = {"command": "x", "label": None, "notes": ["n"], "warnings": [], key: []}
+    streamed = "".join(cli._json_with_rows(doc, key, rows))
+    doc[key] = [
+        {
+            "direction": [_round12(x) for x in direction],
+            "branch": list(subset),
+            "value": [_round12(b) for b in value.float_bounds()],
+        }
+        for direction, subset, value in rows
+    ]
+    assert streamed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for token in ("NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "1e+300", '"branch": []'):
+        assert token in streamed
+    assert "".join(cli._json_with_rows(dict(doc, **{key: []}), key, [])) == cli._json_text(
+        dict(doc, **{key: []})
+    )
+
+
+@pytest.mark.parametrize("fixture, samples", [("dk-sextic", 24), ("times2times3times5", 6)])
+def test_portrait_stdout_equals_library_json(capsys, fixture, samples):
+    code, out, err = run(capsys, "portrait", fixture, "--samples", str(samples))
+    assert code == 0
+    system = load_fixture(fixture)
+    doc = {"command": "portrait"}
+    doc.update(build_portrait(system, default_directions(system, samples)).to_json())
+    assert doc["omega"]
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["portrait", "sqrt2sqrt3", "--samples", "12"],
+        ["omega", "times2times3times5", "--samples", "6", "--format", "csv"],
+    ],
+)
+def test_streamed_output_file_equals_stdout(tmp_path, capsys, argv):
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+
+
+def recip_calls(argv) -> int:
+    """RealBall.recip calls of one successful in-process run."""
+    calls = 0
+    original = RealBall.recip
+
+    def counting(self, prec):
+        nonlocal calls
+        calls += 1
+        return original(self, prec)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(RealBall, "recip", counting)
+        assert main_digests(argv)["exit"] == 0
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["portrait", "times2times3", "--samples", "12"],
+        ["omega", "sqrt2sqrt3", "--samples", "6", "--format", "json"],
+        ["omega", "times2times3times5", "--samples", "4", "--format", "csv"],
+    ],
+)
+def test_failure_while_sampling_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    argv = argv + ["--convention", "root-location"]
+    rows = 12 * 2 if argv[0] == "portrait" else (6 * 16 if argv[1] == "sqrt2sqrt3" else 16 * 2)
+    total = recip_calls(argv)
+    fail_at = total - rows // 2  # halfway through the sampled rows
+    calls = 0
+    original = RealBall.recip
+
+    def failing(self, prec):
+        nonlocal calls
+        calls += 1
+        if calls == fail_at:
+            raise UndecidedError("injected")
+        return original(self, prec)
+
+    monkeypatch.setattr(RealBall, "recip", failing)
+    for output in ([], ["--output", str(tmp_path / "out")]):
+        calls = 0
+        code, out, err = run(capsys, *argv, *output)
+        assert code == 2
+        assert out == ""
+        assert err == "error: undecided at the precision cap: injected\n"
+    assert not (tmp_path / "out").exists()
 
 
 # --- analyze --------------------------------------------------------------------

@@ -21,7 +21,9 @@ from rankone import (
     nonexpansive_hyperplanes,
     nonsmooth_set,
     omega_samples,
+    parse_descriptor,
 )
+from rankone.balls import RealBall
 from rankone.exactlog import ExactLog
 from rankone.subdynamics import ENTROPY_NOTE, default_directions
 
@@ -286,3 +288,62 @@ def test_sextic_portrait_warns_nonexpansive_everywhere():
     portrait = build_portrait(SEXTIC)
     assert any("non-expansive in every direction" in w for w in portrait.warnings)
     assert len(portrait.degenerate) == 2
+
+
+# --- omega sampling by prefix products ----------------------------------------------
+
+DOUBLED = parse_descriptor(json.dumps({"label": "doubled", "d": 2, "components": [
+    {"class": "s_integer", "multiplicity": 2, "generators": ["2", "3"]},
+    {"class": "s_integer", "generators": ["5", "7"]},
+]}).encode())
+
+
+@pytest.mark.parametrize("system", [S23, LED, QUARTIC, T235, SEXTIC, DOUBLED])
+def test_branch_subsets_list_each_prefix_first(system):
+    subsets = branch_subsets(system)
+    position = {subset: k for k, subset in enumerate(subsets)}
+    assert len(position) == len(subsets) and subsets[0] == ()
+    for k, subset in enumerate(subsets[1:], 1):
+        assert position[subset[:-1]] < k
+
+
+def left_fold_samples(sys, directions, convention, prec=64):
+    """omega_samples with each branch folded from g on its own, one product
+    per index, as the library computed it before prefix products."""
+    V, W = sys.characters()
+    wprec = prec + 8
+    v_logs = [[entry.evaluate(wprec) for entry in chi.log_vector] for chi in V]
+    w_logs = [[entry.evaluate(wprec) for entry in chi.log_vector] for chi in W]
+    one = RealBall.one()
+    out = []
+    for direction in directions:
+        d_balls = [RealBall.from_float(x) for x in direction]
+
+        def factor(logs):
+            form = RealBall.zero()
+            for x, w in zip(d_balls, logs):
+                form = form.add(x.mul(w, wprec), wprec)
+            return form.neg().exp(prec)
+
+        g = one
+        for chi, logs in zip(W, w_logs):
+            g = g.mul(factor(logs).max_with(one, prec).pow_int(chi.multiplicity, prec), prec)
+        arch_vals = [factor(logs) for logs in v_logs]
+        for subset in branch_subsets(sys):
+            value = g
+            for i in subset:
+                value = value.mul(arch_vals[i], prec)
+            if convention == "root-location":
+                value = value.recip(prec)
+            out.append((tuple(direction), subset, value))
+    return out
+
+
+@pytest.mark.parametrize("convention", ["inverse-root", "root-location"])
+@pytest.mark.parametrize("system", [S23, LED, QUARTIC, T235, SEXTIC, DOUBLED])
+def test_omega_samples_equal_left_fold(system, convention):
+    directions = default_directions(system, 3)
+    got = omega_samples(system, directions, convention)
+    want = left_fold_samples(system, directions, convention)
+    assert [(v, s) for v, s, _ in got] == [(v, s) for v, s, _ in want]
+    assert [(b.mid, b.rad) for _, _, b in got] == [(b.mid, b.rad) for _, _, b in want]

@@ -246,9 +246,9 @@ def _omega_row_cases() -> dict:
     cases = {}
     for conv in CONVENTIONS:
         for fixture in FIXTURES + ("DOUBLE",):
-            # the sextic's 720-direction portrait (46,080 rows) is pinned by
-            # the benchmark digest gate instead
-            for samples in ((), ("--samples", "0"), ("--samples", "24"))[fixture == "dk-sextic":]:
+            for samples in ((), ("--samples", "0"), ("--samples", "24")):
+                if fixture == "dk-sextic" and not samples:
+                    continue  # 46,080 rows, pinned by the benchmark digest gate
                 name = "_".join(["portrait", fixture, *samples[1:], conv])
                 cases[name] = ["portrait", fixture, "--format", "json", *samples, "--convention", conv]
         for source, samples in (("sqrt2sqrt3", "24"), ("times2times3times5", "8"), ("DOUBLE", "12")):
@@ -312,7 +312,10 @@ def synthetic_rows(d: int) -> list:
 @pytest.mark.parametrize("key", ["omega", "samples"])
 def test_streamed_rows_equal_json_dumps(d, key):
     rows = synthetic_rows(d)
-    doc = {"command": "x", "label": None, "notes": ["n"], "warnings": [], key: []}
+    # as in the commands: "omega" has a key after it, "samples" is the last
+    doc = {"command": "x", "label": None, "notes": ["n"], key: []}
+    if key == "omega":
+        doc["warnings"] = ["w"]
     streamed = "".join(cli._json_with_rows(doc, key, rows))
     doc[key] = [
         {
@@ -325,9 +328,8 @@ def test_streamed_rows_equal_json_dumps(d, key):
     assert streamed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "1e+300", '"branch": []'):
         assert token in streamed
-    assert "".join(cli._json_with_rows(dict(doc, **{key: []}), key, [])) == cli._json_text(
-        dict(doc, **{key: []})
-    )
+    doc[key] = []
+    assert "".join(cli._json_with_rows(doc, key, [])) == cli._json_text(doc)
 
 
 @pytest.mark.parametrize("fixture, samples", [("dk-sextic", 24), ("times2times3times5", 6)])
@@ -356,46 +358,33 @@ def test_streamed_output_file_equals_stdout(tmp_path, capsys, argv):
     assert target.read_bytes() == out.encode()
 
 
-def recip_calls(argv) -> int:
-    """RealBall.recip calls of one successful in-process run."""
-    calls = 0
-    original = RealBall.recip
-
-    def counting(self, prec):
-        nonlocal calls
-        calls += 1
-        return original(self, prec)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(RealBall, "recip", counting)
-        assert main_digests(argv)["exit"] == 0
-    return calls
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "argv, rows",
     [
-        ["portrait", "times2times3", "--samples", "12"],
-        ["omega", "sqrt2sqrt3", "--samples", "6", "--format", "json"],
-        ["omega", "times2times3times5", "--samples", "4", "--format", "csv"],
+        # the sextic portrait warns on success; a failed one prints only the error
+        (["portrait", "dk-sextic", "--samples", "2"], 2 * 64),
+        (["omega", "sqrt2sqrt3", "--samples", "6", "--format", "json"], 6 * 16),
+        (["omega", "times2times3times5", "--samples", "4", "--format", "csv"], 16 * 2),
     ],
 )
-def test_failure_while_sampling_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+def test_failure_while_sampling_writes_nothing(tmp_path, monkeypatch, capsys, argv, rows):
     argv = argv + ["--convention", "root-location"]
-    rows = 12 * 2 if argv[0] == "portrait" else (6 * 16 if argv[1] == "sqrt2sqrt3" else 16 * 2)
-    total = recip_calls(argv)
-    fail_at = total - rows // 2  # halfway through the sampled rows
-    calls = 0
     original = RealBall.recip
+    calls, fail_at = 0, None
 
-    def failing(self, prec):
+    def recip(self, prec):
         nonlocal calls
         calls += 1
         if calls == fail_at:
             raise UndecidedError("injected")
         return original(self, prec)
 
-    monkeypatch.setattr(RealBall, "recip", failing)
+    monkeypatch.setattr(RealBall, "recip", recip)
+    assert main_digests(argv)["exit"] == 0  # fills the caches of the structural part
+    calls = 0
+    assert main_digests(argv)["exit"] == 0
+    # root-location takes one reciprocal per row, after the structural part
+    fail_at = calls - rows // 2
     for output in ([], ["--output", str(tmp_path / "out")]):
         calls = 0
         code, out, err = run(capsys, *argv, *output)

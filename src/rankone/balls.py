@@ -11,8 +11,8 @@ code needs.
 
 Balls carry no precision state.  An expression that produces a ball can be
 re-evaluated at a higher precision, which is how the sign-decision helper
-interval_sign escalates: it accepts a callable prec -> RealBall and doubles
-the precision until the sign is certified or the cap is reached.
+interval_sign escalates: it accepts a callable prec -> RealBall and walks the
+precisions ladder until the sign is certified or the cap is reached.
 
 Raw mpmath floats (sign, mantissa, exponent, bitcount) have unbounded
 exponents, so there is no underflow to absorb rounding errors silently:
@@ -25,7 +25,7 @@ promises faithful rounding for them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from mpmath import libmp
 from mpmath.libmp import (
@@ -36,14 +36,12 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_cmp,
-    mpf_cos,
     mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_shift,
-    mpf_sin,
     mpf_sqrt,
     mpf_sub,
     to_float,
@@ -57,6 +55,25 @@ _DOWN = "f"
 # Working precision of interval work, and the cap its escalation stops at.
 DEFAULT_PRECISION = 64
 MAX_PRECISION = 4096
+# Cap of the steps that always succeed for valid input and so ignore the user
+# cap: root isolation, factorization and root matching.
+HARD_PRECISION = 1 << 20
+
+
+def precisions(start: int, cap: int) -> Iterator[int]:
+    """The escalation ladder: start, 2*start, 4*start, ... below cap, then cap.
+
+    Every loop that raises precision until a decision is certified walks
+    this ladder; it is empty when start > cap.
+    """
+    if start < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {start}")
+    prec = start
+    while prec < cap:
+        yield prec
+        prec *= 2
+    if start <= cap:
+        yield cap
 
 
 def _half_ulp(mid, prec: int):
@@ -233,16 +250,6 @@ class RealBall:
             raise ValueError("sqrt of an interval with negative points")
         return self._monotone(mpf_sqrt, prec)
 
-    def cos(self, prec: int) -> "RealBall":
-        mid = mpf_cos(self.mid, prec, "n")
-        # |cos'| <= 1, plus rounding slack for the faithful evaluation
-        return RealBall(mid, _rad_add(self.rad, _half_ulp(mid, prec - 4)))
-
-    def sin(self, prec: int) -> "RealBall":
-        mid = mpf_sin(self.mid, prec, "n")
-        rad = _rad_add(self.rad, _half_ulp(mid, prec - 4))
-        return RealBall(mid, rad)
-
     # --- predicates and export -----------------------------------------
 
     def contains_zero(self) -> bool:
@@ -418,25 +425,19 @@ POSITIVE = "positive"
 ZERO_UNDECIDED = "zero-undecided"
 
 
-def interval_sign(
-    expr: Union[RealBall, Callable[[int], RealBall]],
-    max_prec: int = MAX_PRECISION,
-) -> SignResult:
+def interval_sign(expr: Callable[[int], RealBall], max_prec: int = MAX_PRECISION) -> SignResult:
     """Certified sign of a recomputable real expression.
 
-    `expr` is either a fixed RealBall or a callable prec -> RealBall that
-    re-evaluates the underlying expression from scratch.  The precision is
-    doubled from min(DEFAULT_PRECISION, max_prec) until the ball excludes
-    zero or the cap is reached; an interval still straddling zero at the cap
-    yields 'zero-undecided', never a guess.
+    `expr` is a callable prec -> RealBall that re-evaluates the underlying
+    expression from scratch.  It is tried at each of
+    precisions(min(DEFAULT_PRECISION, max_prec), max_prec) until the ball
+    excludes zero; an interval still straddling zero at the cap yields
+    'zero-undecided', never a guess.
     """
-    prec = min(DEFAULT_PRECISION, max_prec)
-    while True:
-        ball = expr(prec) if callable(expr) else expr
+    for prec in precisions(min(DEFAULT_PRECISION, max_prec), max_prec):
+        ball = expr(prec)
         if ball.is_positive():
             return POSITIVE
         if ball.is_negative():
             return NEGATIVE
-        if not callable(expr) or prec >= max_prec:
-            return ZERO_UNDECIDED
-        prec = min(2 * prec, max_prec)
+    return ZERO_UNDECIDED

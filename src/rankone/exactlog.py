@@ -33,6 +33,7 @@ import functools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import balls
 from .balls import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
@@ -41,10 +42,10 @@ from .balls import (
     RealBall,
     ZERO_UNDECIDED,
     interval_sign,
+    precisions,
 )
 from .errors import UndecidedError
 from .numberfield import (
-    _HARD_PREC_CAP,
     IntPoly,
     factor_monic_int,
     is_palindromic_or_anti,
@@ -91,13 +92,11 @@ def _inverse_partner(poly: IntPoly, index: int) -> int:
     once the precision suffices; matching is therefore certified, and it
     escalates to the hard cap of root isolation, not to a user cap.
     """
-    prec = DEFAULT_PRECISION
-    while prec <= _HARD_PREC_CAP:
+    for prec in precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
         embs = isolate_roots(poly, prec)
         try:
             target = embs[index].box.recip(prec)
         except ZeroDivisionError:
-            prec *= 2
             continue
         hits = [
             e.index
@@ -106,7 +105,6 @@ def _inverse_partner(poly: IntPoly, index: int) -> int:
         ]
         if len(hits) == 1:
             return _canonical_index(poly, hits[0])
-        prec *= 2
     raise UndecidedError("matching a root to the root at its reciprocal")
 
 
@@ -298,13 +296,12 @@ class ExactLog:
 
 
 def _root_abs_log(poly: IntPoly, index: int, prec: int) -> RealBall:
-    work = max(prec, DEFAULT_PRECISION)
-    while True:
+    for work in precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
         box = isolate_roots(poly, work)[index].box
         mag2 = box.abs2(work)
         if mag2.is_positive():
             return mag2.log(work).mul(RealBall.from_fraction(Fraction(1, 2), work), prec)
-        work *= 2
+    raise UndecidedError("separating a root from zero to take the log of its absolute value")
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath import libmp
 
-from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds
+from . import balls
+from .balls import (
+    DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions,
+)
 from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
 
@@ -379,9 +382,6 @@ class Embedding:
         return f"Embedding({kind} #{self.index} of {list(self.poly)} ~ {self.box.mid_complex():.6g})"
 
 
-_HARD_PREC_CAP = 1 << 20
-
-
 def isolate_roots(poly: Sequence[int], prec: int = DEFAULT_PRECISION) -> Tuple[Embedding, ...]:
     """Certified, deterministically ordered embeddings of a squarefree polynomial.
 
@@ -401,13 +401,11 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
     if not poly_is_squarefree(poly):
         raise ValueError("root isolation expects a squarefree polynomial")
     n_real = count_real_roots(poly)
-    work = max(prec, DEFAULT_PRECISION)
-    while work <= _HARD_PREC_CAP:
+    for work in precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
         result = _try_isolate(poly, prec, work, n_real)
         if result is not None:
             return result
-        work *= 2
-    raise UndecidedError(f"root isolation did not converge below {_HARD_PREC_CAP} bits")
+    raise UndecidedError(f"root isolation did not converge below {balls.HARD_PRECISION} bits")
 
 
 def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
@@ -564,8 +562,7 @@ def _factor_squarefree_monic(poly: IntPoly) -> List[IntPoly]:
 def _find_irreducible_factor(poly: IntPoly) -> IntPoly:
     """An irreducible monic integer factor of a squarefree monic poly (or poly itself)."""
     m = len(poly) - 1
-    prec = 128
-    while prec <= _HARD_PREC_CAP:
+    for prec in precisions(128, balls.HARD_PRECISION):
         roots = isolate_roots(poly, prec)
         units: List[Tuple[int, ...]] = []
         for e in roots:
@@ -595,8 +592,9 @@ def _find_irreducible_factor(poly: IntPoly) -> IntPoly:
                 break
         if not indecisive_below:
             return poly
-        prec *= 2
-    raise UndecidedError(f"factorization by root clustering did not converge below {_HARD_PREC_CAP} bits")
+    raise UndecidedError(
+        f"factorization by root clustering did not converge below {balls.HARD_PRECISION} bits"
+    )
 
 
 def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):
@@ -655,8 +653,7 @@ def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = MAX_P
     poly = tuple(int(c) for c in poly)
     if poly[0] == 0 or not is_palindromic_or_anti(poly):
         return False
-    prec = min(DEFAULT_PRECISION, max_prec)
-    while prec <= max_prec:
+    for prec in precisions(min(DEFAULT_PRECISION, max_prec), max_prec):
         roots = isolate_roots(poly, prec)
         b = roots[index].box
         if not b.contains_zero():
@@ -666,5 +663,4 @@ def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = MAX_P
                 return True
             if len(overlaps) == 1 and overlaps[0] != index:
                 return False  # the reciprocal-conjugate is certifiably a different root
-        prec *= 2
     return False

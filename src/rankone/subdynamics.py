@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
-from .errors import UndecidedError
+from .errors import ResourceCapError, UndecidedError
 from .exactlog import ExactLog, _vector_trivially_zero, log_dot, vector_is_zero, vectors_parallel
 from .system import Character, SystemDescriptor
 
@@ -316,15 +316,27 @@ def sphere_directions(samples: int) -> List[Tuple[float, float, float]]:
     return out
 
 
+# Most omega rows (directions x branches) a grid may give, as every row is held
+# in memory (~0.4 KB): 16x the largest default, 180^2 x 2 on times2times3times5.
+MAX_OMEGA_ROWS = 1 << 20
+
+
 def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     """The direction grid for sys: samples points on the circle for d = 2
     (default 720), a samples x samples sphere grid for d = 3 (default 180),
-    and no directions for samples <= 0 or any other d."""
-    if sys.d == 2:
-        return circle_directions(samples if samples is not None else 720)
-    if sys.d == 3:
-        return sphere_directions(samples if samples is not None else 180)
-    return []
+    and no directions for samples <= 0 or any other d.
+
+    Raises ResourceCapError, before any direction is built, when the grid
+    times len(branch_subsets(sys)) exceeds MAX_OMEGA_ROWS.
+    """
+    if sys.d not in (2, 3):
+        return []
+    if samples is None:
+        samples = 720 if sys.d == 2 else 180
+    count = max(samples, 0) ** (sys.d - 1)
+    if count > MAX_OMEGA_ROWS or (count and count * len(branch_subsets(sys)) > MAX_OMEGA_ROWS):
+        raise ResourceCapError(f"{count} directions exceed the omega row cap of {MAX_OMEGA_ROWS}")
+    return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 
 
 def omega_samples(

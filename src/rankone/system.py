@@ -40,8 +40,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import numberfield as nf
-from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
+from . import balls, numberfield as nf
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall, precisions
 from .errors import DescriptorError, UndecidedError
 from .exactlog import ExactLog, _vector_trivially_zero, log_dot
 from .fppoly import (
@@ -287,8 +287,7 @@ class NumberFieldUnitsComponent:
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
                 continue
-            prec = DEFAULT_PRECISION
-            while True:
+            for prec in precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
                 field_roots = nf.isolate_roots(self.field.min_poly, prec)
                 g_roots = nf.isolate_roots(min_poly, prec)
                 indices = []
@@ -302,9 +301,8 @@ class NumberFieldUnitsComponent:
                 if indices is not None:
                     out.append((min_poly, tuple(indices)))
                     break
-                prec *= 2
-                if prec > nf._HARD_PREC_CAP:
-                    raise UndecidedError("matching a generator value to a root of its minimal polynomial")
+            else:
+                raise UndecidedError("matching a generator value to a root of its minimal polynomial")
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
@@ -388,12 +386,10 @@ class NumberFieldUnitsComponent:
             return ERGODICITY_UNDECIDED, [
                 "embedding log matrix has too few certifiably nonzero rows; ergodicity undecided"
             ]
-        prec = min(DEFAULT_PRECISION, max_prec)
-        while prec <= max_prec:
+        for prec in precisions(min(DEFAULT_PRECISION, max_prec), max_prec):
             rows = [[w.evaluate(prec) for w in vec] for vec in live]
             if _ball_rank_at_least(rows, self.d, prec):
                 return ERGODIC, []
-            prec *= 2
         return ERGODICITY_UNDECIDED, [
             "embedding log matrix rank not certified at the precision cap; ergodicity undecided"
         ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import numberfield as nf
-from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall
+from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, precisions
 from .errors import (
     FitAmbiguityError,
     FitInconsistencyError,
@@ -533,7 +533,7 @@ def inverse_roots(
 ) -> ZetaFactorization:
     """Fit the inverse-root multiset of zeta_n against exact counts.
 
-    Candidate separation starts at precision and doubles up to max_prec.
+    Candidate separation walks precisions(precision, max_prec).
     Outside the expansive regime rationality is not guaranteed; force=True
     attempts the fit anyway and raises an inconsistency if none exists.
     """
@@ -545,9 +545,8 @@ def inverse_roots(
             "direction is not expansive, so a rational zeta function is not guaranteed; "
             "pass force to attempt the fit anyway"
         )
-    prec = precision
     branches = _branches(sys, n)
-    while True:
+    for prec in precisions(precision, max_prec):
         clusters = _cluster_branches(branches, prec)
         if clusters is not None:
             all_exact = all(c.is_exact() for c in clusters)
@@ -574,9 +573,7 @@ def inverse_roots(
                         f"fitted factorization fails re-verification at j={report['failures']}"
                     )
                 return zf
-        prec *= 2
-        if prec > max_prec:
-            raise UndecidedError("separating zeta candidate values at the precision cap")
+    raise UndecidedError("separating zeta candidate values at the precision cap")
 
 
 def verify_generating_identity(

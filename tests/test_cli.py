@@ -11,10 +11,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
-from rankone import build_portrait, cli, load_fixture
+from rankone import build_portrait, cli, load_fixture, subdynamics
 from rankone.balls import RealBall
 from rankone.errors import UndecidedError
 from rankone.subdynamics import _round12, default_directions
@@ -392,6 +393,33 @@ def test_failure_while_sampling_writes_nothing(tmp_path, monkeypatch, capsys, ar
         assert out == ""
         assert err == "error: undecided at the precision cap: injected\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 100,000 directions x 64 branches; 10^10 sphere directions
+        ["omega", "dk-sextic", "--samples", "100000"],
+        ["portrait", "times2times3times5", "--samples", "100000"],
+    ],
+)
+def test_row_cap_exits_before_sampling(tmp_path, capsys, argv):
+    for output in ([], ["--output", str(tmp_path / "out")]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *output)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"exceed the omega row cap of {subdynamics.MAX_OMEGA_ROWS}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_row_cap_counts_directions_times_branches(monkeypatch, capsys):
+    # dk-sextic has 64 branches: 2 directions give 128 rows, 3 give 192
+    monkeypatch.setattr(subdynamics, "MAX_OMEGA_ROWS", 128)
+    assert run(capsys, "omega", "dk-sextic", "--samples", "2")[0] == 0
+    assert run(capsys, "omega", "dk-sextic", "--samples", "3")[0] == 3
 
 
 # --- analyze --------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from rankone import numberfield as nf
-from rankone.balls import RealBall, ball_to_fraction_bounds
+from rankone import balls, numberfield as nf
+from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds
 from rankone.errors import UndecidedError
 from rankone.linalg import ball_det, det
 from rankone.system import _ball_rank_at_least
@@ -182,14 +183,14 @@ def test_uncertified_minor_does_not_count_toward_rank():
 
 def test_root_isolation_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(nf, "_try_isolate", lambda *args: None)
-    monkeypatch.setattr(nf, "_HARD_PREC_CAP", 256)
+    monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
         nf._isolate_cached.__wrapped__((-3, 0, 1), 64)
 
 
 def test_factorization_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(nf, "_candidate_from_units", lambda *args: (None, False))
-    monkeypatch.setattr(nf, "_HARD_PREC_CAP", 256)
+    monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
         nf._find_irreducible_factor((1, 0, -10, 0, 1))
 
@@ -203,9 +204,26 @@ def test_reciprocal_matching_cap_is_undecided(monkeypatch):
         return far  # +-sqrt(2): no box meets the reciprocal of another
 
     monkeypatch.setattr(exactlog, "isolate_roots", misplaced)
-    monkeypatch.setattr(exactlog, "_HARD_PREC_CAP", 256)
+    monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
         exactlog._inverse_partner.__wrapped__((1, -10, 1), 0)
+
+
+def test_root_log_cap_is_undecided(monkeypatch):
+    from rankone import exactlog
+
+    seen = []
+    zero = SimpleNamespace(box=ComplexBall(RealBall.zero(), RealBall.zero()))
+
+    def unresolved(poly, prec):
+        seen.append(prec)
+        return [zero]  # a box that never leaves zero
+
+    monkeypatch.setattr(exactlog, "isolate_roots", unresolved)
+    monkeypatch.setattr(balls, "HARD_PRECISION", 256)
+    with pytest.raises(UndecidedError):
+        exactlog._root_abs_log((-2, 0, 1), 0, 64)
+    assert seen == [64, 128, 256]
 
 
 # --- factorization invariants raise, so they hold under python -O -------------

@@ -1,12 +1,15 @@
 """Exact kernel: rational valuations, certified balls, exact log atoms."""
 
+import ast
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import rankone
 from rankone import cli
-from rankone.balls import ComplexBall, RealBall, interval_sign
+from rankone.balls import ComplexBall, RealBall, interval_sign, precisions
 from rankone.exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
 from rankone.rationals import (
     factor_fraction,
@@ -124,6 +127,72 @@ def test_interval_sign_honest_undecided_at_cap():
         return third.add(third, prec).add(third, prec).sub(RealBall.one(), prec)
 
     assert interval_sign(expr, max_prec=128) == "zero-undecided"
+
+
+@pytest.mark.parametrize(
+    "start, cap, ladder",
+    [
+        (64, 300, [64, 128, 256, 300]),
+        (64, 4096, [64, 128, 256, 512, 1024, 2048, 4096]),
+        (16, 16, [16]),
+        (8192, 4096, []),
+    ],
+)
+def test_precisions_ladder(start, cap, ladder):
+    assert list(precisions(start, cap)) == ladder
+
+
+def test_precisions_rejects_a_start_below_one_bit():
+    # doubling 0 would never reach the cap
+    with pytest.raises(ValueError, match="at least 1 bit"):
+        list(precisions(0, 64))
+
+
+def _doubles_itself(node):
+    """True for `x *= ...` and `x = ... x * ...` on a name x holding a precision."""
+    if isinstance(node, ast.AugAssign):
+        targets, value = [node.target], None
+        if not isinstance(node.op, ast.Mult):
+            return False
+    elif isinstance(node, ast.Assign):
+        targets, value = node.targets, node.value
+    else:
+        return False
+    for t in targets:
+        if not (isinstance(t, ast.Name) and ("prec" in t.id or "work" in t.id)):
+            continue
+        if value is None:
+            return True
+        for sub in ast.walk(value):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult) and any(
+                isinstance(side, ast.Name) and side.id == t.id for side in (sub.left, sub.right)
+            ):
+                return True
+    return False
+
+
+def test_one_precision_ladder():
+    # every escalation loop walks balls.precisions, and only balls defines a
+    # hard precision cap, so one patched name reaches every loop
+    package = pathlib.Path(rankone.__file__).parent
+    doublings, hard_caps = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if _doubles_itself(node):
+                        doublings.add(f"{path.stem}.{func.name}")
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                hard_caps += [
+                    f"{path.stem}.{t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and "HARD" in t.id.upper()
+                ]
+    assert doublings == {"balls.precisions"}
+    assert hard_caps == ["balls.HARD_PRECISION"]
 
 
 def test_precision_env_overrides(monkeypatch, capsys):

@@ -207,6 +207,18 @@ def test_default_directions_dimension():
         assert abs(sum(x * x for x in v) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("d, samples", [(2, 0), (2, -4), (3, 0)])
+def test_empty_grid_builds_no_characters(d, samples):
+    # the row cap multiplies by the branch count only for a nonempty grid
+    class NoCharacters:
+        def characters(self):
+            raise AssertionError("characters built for an empty grid")
+
+    grid = NoCharacters()
+    grid.d = d
+    assert default_directions(grid, samples) == []
+
+
 # --- directional entropy ------------------------------------------------------------
 
 def test_entropy_times2times3():

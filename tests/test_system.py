@@ -206,6 +206,21 @@ def test_fixtures_are_ergodic():
         assert status == "ergodic", name
 
 
+def test_ergodicity_rank_test_tries_the_cap_itself(monkeypatch):
+    seen = []
+
+    def never_certified(rows, target, prec):
+        seen.append(prec)
+        return False
+
+    monkeypatch.setattr(system, "_ball_rank_at_least", never_certified)
+    comp, _ = load_fixture("sqrt2sqrt3").components[0]
+    status, notes = comp.ergodicity(300)
+    assert seen == [64, 128, 256, 300]
+    assert status == system.ERGODICITY_UNDECIDED
+    assert notes == ["embedding log matrix rank not certified at the precision cap; ergodicity undecided"]
+
+
 def test_multiplicatively_dependent_s_integer_is_non_ergodic():
     sys_ = parse_descriptor(desc([dict(S23, generators=["2", "4"])]))
     status, _ = sys_.ergodicity()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankone import numberfield as nf
+from rankone import numberfield as nf, zeta
 from rankone import (
     ZetaCandidate,
     ZetaFactorization,
@@ -18,6 +18,7 @@ from rankone import (
 )
 from rankone.errors import (
     FitInconsistencyError,
+    UndecidedError,
     UnsupportedOperationError,
 )
 from rankone.balls import ComplexBall, RealBall
@@ -251,3 +252,19 @@ def test_entropy_is_log_of_largest_fitted_inverse_root(name, n):
     log_largest = functools.reduce(lambda a, b: a.max_with(b, prec), sizes).log(prec)
     assert log_largest.relative_width() < 1e-12
     assert directional_entropy(sys_, n, prec).overlaps(log_largest)
+
+
+# --- candidate separation walks the precision ladder ------------------------------
+
+@pytest.mark.parametrize("precision, max_prec, ladder", [(16, 40, [16, 32, 40]), (64, 40, [])])
+def test_inverse_roots_separation_ladder(monkeypatch, precision, max_prec, ladder):
+    seen = []
+
+    def never_separated(branches, prec):
+        seen.append(prec)
+        return None
+
+    monkeypatch.setattr(zeta, "_cluster_branches", never_separated)
+    with pytest.raises(UndecidedError, match="separating zeta candidate values"):
+        inverse_roots(load_fixture("sqrt2sqrt3"), (2, -1), precision=precision, max_prec=max_prec)
+    assert seen == ladder

@@ -56,7 +56,7 @@ _DOWN = "f"
 DEFAULT_PRECISION = 64
 MAX_PRECISION = 4096
 # Cap of the steps that always succeed for valid input and so ignore the user
-# cap: root isolation, factorization and root matching.
+# cap: root isolation, factorization, root matching and root logs.
 HARD_PRECISION = 1 << 20
 
 

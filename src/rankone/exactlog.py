@@ -13,10 +13,11 @@ prime-only case whenever the algebra allows it:
     prime atoms at once;
   * conjugate roots have equal absolute values, so conjugate pairs share a
     single atom;
-  * a root certified to lie on the unit circle contributes log 1 = 0 and is
-    dropped;
   * roots of an (anti)palindromic polynomial come in inverse pairs, and
     log|1/r| = -log|r| folds each pair onto one atom with a sign;
+  * the same reciprocal match certifies the unit circle: past degree 1,
+    |r| = 1 exactly when 1/r is r's conjugate, and such a root contributes
+    log 1 = 0 and is dropped;
   * when every remaining root of one irreducible factor appears with the
     same per-root coefficient, the product of the absolute values is the
     absolute constant term, so the whole group collapses to log of an
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import balls
 from .balls import (
@@ -50,7 +51,6 @@ from .numberfield import (
     factor_monic_int,
     is_palindromic_or_anti,
     isolate_roots,
-    unit_circle_certified,
 )
 from .rationals import factor_fraction
 
@@ -58,53 +58,52 @@ from .rationals import factor_fraction
 Atom = Tuple
 
 
+class _RootFacts(NamedTuple):
+    """What normalization needs to know about the roots of one irreducible poly."""
+
+    canon: Tuple[int, ...]               # conjugate-canonical index of each root
+    weight: Tuple[int, ...]              # roots behind each canonical atom: 1 or 2
+    inverse: Optional[Tuple[int, ...]]   # canonical index of 1/r, (anti)palindromic only
+    atoms: FrozenSet[Atom]               # canonical atoms left once circle roots drop
+
+
 @functools.lru_cache(maxsize=256)
-def _is_irreducible(poly: IntPoly) -> bool:
-    return factor_monic_int(poly) == {poly: 1}
+def _root_facts(poly: IntPoly) -> _RootFacts:
+    if factor_monic_int(poly) != {poly: 1}:
+        raise ValueError("root atoms require an irreducible polynomial")
+    embs = isolate_roots(poly, DEFAULT_PRECISION)
+    canon = tuple(min(e.index, e.conj_index) for e in embs)
+    weight = tuple(1 if e.conj_index == e.index else 2 for e in embs)
+    inverse = None
+    if is_palindromic_or_anti(poly):
+        inverse = tuple(canon[k] for k in _reciprocal_match(poly))
+    # past degree 1, |r| = 1 exactly when 1/r is r's conjugate: 1/r = r needs r = +-1
+    atoms = frozenset(("root", poly, c) for c in canon if inverse is None or inverse[c] != c)
+    return _RootFacts(canon, weight, inverse, atoms)
 
 
-@functools.lru_cache(maxsize=1024)
-def _circle_certified(poly: IntPoly, index: int) -> bool:
-    if not is_palindromic_or_anti(poly):
-        return False
-    return unit_circle_certified(poly, index)
-
-
-@functools.lru_cache(maxsize=1024)
-def _canonical_index(poly: IntPoly, index: int) -> int:
-    e = isolate_roots(poly, DEFAULT_PRECISION)[index]
-    return min(e.index, e.conj_index)
-
-
-@functools.lru_cache(maxsize=1024)
-def _atom_multiplicity(poly: IntPoly, index: int) -> int:
-    """Number of original roots folded into a canonical atom (1 or 2)."""
-    e = isolate_roots(poly, DEFAULT_PRECISION)[index]
-    return 1 if e.conj_index == e.index else 2
-
-
-@functools.lru_cache(maxsize=1024)
-def _inverse_partner(poly: IntPoly, index: int) -> int:
-    """Canonical index of the root 1/r, for (anti)palindromic polys.
+def _reciprocal_match(poly: IntPoly) -> List[int]:
+    """Index of the root 1/r for each root r of an (anti)palindromic poly.
 
     The root multiset of such a polynomial is closed under r -> 1/r, so the
-    reciprocal of the box of root #index overlaps exactly one isolating box
-    once the precision suffices; matching is therefore certified, and it
-    escalates to the hard cap of root isolation, not to a user cap.
+    reciprocal of each isolating box overlaps exactly one box once the
+    precision suffices; matching is therefore certified, and it escalates to
+    the hard cap of root isolation, not to a user cap.
     """
     for prec in precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
         embs = isolate_roots(poly, prec)
-        try:
-            target = embs[index].box.recip(prec)
-        except ZeroDivisionError:
-            continue
-        hits = [
-            e.index
-            for e in embs
-            if e.box.re.overlaps(target.re) and e.box.im.overlaps(target.im)
-        ]
-        if len(hits) == 1:
-            return _canonical_index(poly, hits[0])
+        out = []
+        for e in embs:
+            try:
+                target = e.box.recip(prec)
+            except ZeroDivisionError:
+                break
+            hits = [f.index for f in embs if not target.box_disjoint(f.box)]
+            if len(hits) != 1:
+                break
+            out.append(hits[0])
+        else:
+            return out
     raise UndecidedError("matching a root to the root at its reciprocal")
 
 
@@ -139,20 +138,18 @@ class ExactLog:
         coeff = Fraction(coeff)
         if poly == (0, 1):
             raise ValueError("log of the zero root")
-        if not _is_irreducible(poly):
-            raise ValueError("root atoms require an irreducible polynomial")
+        facts = _root_facts(poly)
         if len(poly) == 2:
             return ExactLog.from_rational(-poly[0]).scale(coeff)
-        canon = _canonical_index(poly, index)
-        if _circle_certified(poly, canon):
-            return ExactLog.zero()
-        if is_palindromic_or_anti(poly):
+        canon = facts.canon[index]
+        atom = ("root", poly, canon)
+        if atom not in facts.atoms:
+            return ExactLog.zero()  # r lies on the unit circle
+        if facts.inverse is not None and facts.inverse[canon] < canon:
             # roots come in inverse pairs; fold log|1/r| = -log|r| onto the
             # smaller canonical index so paired atoms cancel exactly
-            inv = _inverse_partner(poly, canon)
-            if inv < canon:
-                return ExactLog({}, {("root", poly, inv): -coeff})
-        return ExactLog({}, {("root", poly, canon): coeff})._reduce_full_groups()
+            return ExactLog({}, {("root", poly, facts.inverse[canon]): -coeff})
+        return ExactLog({}, {atom: coeff})._reduce_full_groups()
 
     # --- algebra --------------------------------------------------------
 
@@ -197,25 +194,13 @@ class ExactLog:
         roots = dict(self.root_part)
         changed = False
         for poly, atoms in by_poly.items():
-            expected = set()
-            for e in isolate_roots(poly, DEFAULT_PRECISION):
-                canon = min(e.index, e.conj_index)
-                if not _circle_certified(poly, canon):
-                    expected.add(("root", poly, canon))
-            if expected != set(atoms):
+            facts = _root_facts(poly)
+            if facts.atoms != set(atoms):
                 continue
-            per_root = None
-            ok = True
-            for atom in atoms:
-                mult = _atom_multiplicity(poly, atom[2])
-                share = roots[atom] / mult
-                if per_root is None:
-                    per_root = share
-                elif per_root != share:
-                    ok = False
-                    break
-            if not ok or per_root is None:
+            shares = {roots[atom] / facts.weight[atom[2]] for atom in atoms}
+            if len(shares) != 1:
                 continue
+            per_root = shares.pop()
             const = abs(poly[0])
             for atom in atoms:
                 del roots[atom]

@@ -21,8 +21,8 @@ The same machinery factors monic integer polynomials: conjugation-closed
 subsets of isolated roots propose factors through interval symmetric
 functions, and exact trial division over Z confirms them.  That is enough to
 see through the multiplicative structure of embedding magnitudes (shared
-minimal polynomials, reciprocal pairs, roots certified to lie on the unit
-circle), which the zero tests elsewhere rely on.
+minimal polynomials, and reciprocal pairs, which also certify the roots on
+the unit circle), which the zero tests elsewhere rely on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from mpmath import libmp
 
 from . import balls
 from .balls import (
-    DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions,
+    DEFAULT_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions,
 )
 from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
@@ -364,9 +364,6 @@ class Embedding:
         self.is_real = is_real
         self.conj_index = conj_index
 
-    def refined(self, prec: int) -> "Embedding":
-        return isolate_roots(self.poly, prec)[self.index]
-
     def __eq__(self, other):
         return (
             isinstance(other, Embedding)
@@ -505,9 +502,11 @@ def _box_sort_key(boxes: List[ComplexBall]):
 
 
 def embed(x: Element, e: Embedding, prec: int) -> ComplexBall:
-    """Evaluate the coordinate vector x at the embedding e as a certified box."""
-    root = e.refined(prec).box
-    return poly_eval_ball([Fraction(c) for c in x], root, prec)
+    """Evaluate the coordinate vector x at the embedding e as a certified box.
+
+    The box of e is used as given, so pass an embedding isolated at prec.
+    """
+    return poly_eval_ball([Fraction(c) for c in x], e.box, prec)
 
 
 # --------------------------------------------------------------------------
@@ -634,33 +633,9 @@ def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):
 
 
 # --------------------------------------------------------------------------
-# unit circle certification
+# reciprocal symmetry
 
 
 def is_palindromic_or_anti(poly: IntPoly) -> bool:
     rev = tuple(reversed(poly))
     return poly == rev or poly == tuple(-c for c in rev)
-
-
-def unit_circle_certified(poly: Sequence[int], index: int, max_prec: int = MAX_PRECISION) -> bool:
-    """Certify that a root has absolute value exactly 1.
-
-    For a polynomial with (anti)palindromic coefficients the map
-    r -> 1/conjugate(r) permutes the roots.  When the enclosure of
-    1/conjugate(box) meets only the root's own box, the permutation fixes
-    that root, which forces r * conjugate(r) = 1.
-    """
-    poly = tuple(int(c) for c in poly)
-    if poly[0] == 0 or not is_palindromic_or_anti(poly):
-        return False
-    for prec in precisions(min(DEFAULT_PRECISION, max_prec), max_prec):
-        roots = isolate_roots(poly, prec)
-        b = roots[index].box
-        if not b.contains_zero():
-            inv = b.conj().recip(prec)
-            overlaps = [j for j in range(len(roots)) if not inv.box_disjoint(roots[j].box)]
-            if overlaps == [index]:
-                return True
-            if len(overlaps) == 1 and overlaps[0] != index:
-                return False  # the reciprocal-conjugate is certifiably a different root
-    return False

@@ -27,6 +27,7 @@ and the oracle uses none of these.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -35,6 +36,8 @@ from .linalg import Matrix, det, identity, mat_mul, mat_pow, mat_sub
 from .system import SystemDescriptor
 
 DEFAULT_BIT_BUDGET = 10 ** 6
+# a grid and its output text are held in memory, about 0.6 KB per lattice point
+MAX_GRID_POINTS = 1 << 20
 
 
 class PeriodicCount:
@@ -162,12 +165,19 @@ def grid(
     j: int = 1,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> PeriodicGrid:
-    """count(sys, n, j) for every n in the closed box given by ranges."""
+    """count(sys, n, j) for every n in the closed box given by ranges.
+
+    Raises ResourceCapError, before any count, when the box holds more than
+    MAX_GRID_POINTS lattice points.
+    """
     if len(ranges) != sys.d:
         raise ValueError(f"expected {sys.d} ranges, got {len(ranges)}")
     for lo, hi in ranges:
         if lo > hi:
             raise ValueError(f"empty range {lo}..{hi}")
+    points = math.prod(hi - lo + 1 for lo, hi in ranges)
+    if points > MAX_GRID_POINTS:
+        raise ResourceCapError(f"{points} lattice points exceed the grid cap of {MAX_GRID_POINTS}")
     entries: Dict[Tuple[int, ...], PeriodicCount] = {}
     result = PeriodicGrid(ranges, entries)
     for point in result.points():

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from rankone import build_portrait, cli, load_fixture, subdynamics
+from rankone import build_portrait, cli, load_fixture, periodic, subdynamics
 from rankone.balls import RealBall
 from rankone.errors import UndecidedError
 from rankone.subdynamics import _round12, default_directions
@@ -420,6 +420,25 @@ def test_row_cap_counts_directions_times_branches(monkeypatch, capsys):
     monkeypatch.setattr(subdynamics, "MAX_OMEGA_ROWS", 128)
     assert run(capsys, "omega", "dk-sextic", "--samples", "2")[0] == 0
     assert run(capsys, "omega", "dk-sextic", "--samples", "3")[0] == 3
+
+
+def test_grid_cap_exits_before_counting(tmp_path, capsys):
+    # 4001^2 points: about 10 GB of entries and CSV text without the cap
+    for output in ([], ["--output", str(tmp_path / "out")]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "periodic", "times2times3", "--range=-2000..2000,-2000..2000", *output)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"16008001 lattice points exceed the grid cap of {periodic.MAX_GRID_POINTS}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_cap_counts_lattice_points(monkeypatch, capsys):
+    monkeypatch.setattr(periodic, "MAX_GRID_POINTS", 6)
+    assert run(capsys, "periodic", "times2times3", "--range=0..1,0..2")[0] == 0
+    assert run(capsys, "periodic", "times2times3", "--range=0..2,0..2")[0] == 3
 
 
 # --- analyze --------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_reciprocal_matching_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(exactlog, "isolate_roots", misplaced)
     monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
-        exactlog._inverse_partner.__wrapped__((1, -10, 1), 0)
+        exactlog._reciprocal_match((1, -10, 1))
 
 
 def test_root_log_cap_is_undecided(monkeypatch):

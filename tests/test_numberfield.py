@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rankone import numberfield as nf
+from rankone.exactlog import ExactLog
 
 
 GOLDEN = nf.NumberFieldSpec((-1, -1, 1))      # x^2 - x - 1
@@ -118,16 +119,42 @@ def test_palindrome_detection():
 
 
 def test_unit_circle_certification():
+    def on_circle(poly, k):
+        return ExactLog.from_root_abs(poly, k).is_trivially_zero()
+
     # x^2 + x + 1: both roots on the circle
-    assert nf.unit_circle_certified((1, 1, 1), 0)
-    assert nf.unit_circle_certified((1, 1, 1), 1)
+    assert on_circle((1, 1, 1), 0)
+    assert on_circle((1, 1, 1), 1)
     # x^2 - 3x + 1: real inverse pair off the circle
-    assert not nf.unit_circle_certified((1, -3, 1), 0)
-    # Lehmer's polynomial: root 0 is real (the Salem root's inverse... the
-    # smallest real root lies off the circle)
+    assert not on_circle((1, -3, 1), 0)
+    assert not on_circle((1, -3, 1), 1)
+    # Lehmer's polynomial: the Salem root and its inverse are real and lie
+    # off the circle; the other eight roots lie on it
     lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
-    on_circle = sum(1 for k in range(10) if nf.unit_circle_certified(lehmer, k))
-    assert on_circle == 8
+    assert sum(1 for k in range(10) if on_circle(lehmer, k)) == 8
+    # a Salem quartic: the complex pair lies on the circle, and the two real
+    # roots fold onto one atom as an inverse pair
+    salem = (1, -1, -1, -1, 1)
+    assert on_circle(salem, 0) and on_circle(salem, 1)
+    r = ExactLog.from_root_abs(salem, 2)
+    assert ExactLog.from_root_abs(salem, 3) == r.neg()
+    assert not r.is_trivially_zero()
+
+
+def test_embed_uses_the_box_it_is_given(monkeypatch):
+    h = nf.el_from_coeffs(QUARTIC, [1, 1])
+    embs = nf.isolate_roots(QUARTIC.min_poly, 64)
+    expected = [nf.poly_eval_ball(list(h), e.box, 64) for e in embs]
+
+    def no_isolation(*args):
+        raise AssertionError("embed isolated the roots again")
+
+    monkeypatch.setattr(nf, "_isolate_cached", no_isolation)
+    for e, ball in zip(embs, expected):
+        got = nf.embed(h, e, 64)
+        assert (got.re.mid, got.re.rad, got.im.mid, got.im.rad) == (
+            ball.re.mid, ball.re.rad, ball.im.mid, ball.im.rad
+        )
 
 
 def test_poly_gcd_and_divmod():

@@ -36,7 +36,7 @@ from .errors import (
     UndecidedError,
     UnsupportedOperationError,
 )
-from .periodic import grid
+from .periodic import DEFAULT_BIT_BUDGET, grid
 from .subdynamics import _round12
 from .system import SystemDescriptor, fixture_names, load_fixture, parse_descriptor
 from .zeta import inverse_roots, is_expansive_element
@@ -112,10 +112,10 @@ def _json_text(obj) -> str:
 # omega rows, written as they are formatted
 #
 # A row is (direction, subset, value) as omega_samples returns it.  The
-# JSON rows are byte for byte what _json_text writes for the row dicts of
-# DirectionPortrait.to_json in a top-level array; each direction's text is
-# rendered once per direction, each branch's once per subset, and only the
-# two value bounds once per row.
+# JSON rows are byte for byte what _json_text writes, in a top-level array,
+# for the dicts {"branch", "direction", "value"} with every float through
+# _round12; each direction's text is rendered once per direction, each
+# branch's once per subset, and only the two value bounds once per row.
 
 
 def _json_float(x: float) -> str:
@@ -255,25 +255,21 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_portrait(args) -> int:
     system = _load_descriptor(args.descriptor)
-    samples = args.samples
-    if args.format == "svg" or system.d != 2:
-        # curves are cheap on the circle; SVG and d >= 3 stay structural
-        # unless --samples asks for them
-        samples = samples or 0
-    directions = sd.default_directions(system, samples)
     svg = args.format == "svg"
-    # JSON omega rows are sampled beside the portrait and streamed
+    # curves are cheap on the circle; SVG and d >= 3 stay structural unless
+    # --samples asks for them, and the d = 3 SVG draws no rows at all
+    samples = args.samples
+    if svg or system.d != 2:
+        samples = samples or 0
+    directions = [] if svg and system.d == 3 else sd.default_directions(system, samples)
     portrait = sd.build_portrait(
-        system, directions if svg else None, convention=args.convention,
-        prec=args.precision_bits, max_prec=args.max_precision_bits,
+        system, args.convention, prec=args.precision_bits, max_prec=args.max_precision_bits,
     )
-    rows = []
-    if directions and not svg:
-        rows = sd.omega_samples(system, directions, args.convention, args.precision_bits)
+    rows = sd.omega_samples(system, directions, args.convention, args.precision_bits) if directions else []
     for warning in portrait.warnings:
         print(f"warning: {warning}", file=_sys.stderr)
     if svg:
-        _emit([svgmod.portrait_svg(portrait)], args.output)
+        _emit([svgmod.portrait_svg(portrait, rows)], args.output)
     else:
         doc = {"command": "portrait"}
         doc.update(portrait.to_json())
@@ -334,7 +330,7 @@ def _cmd_analyze(args) -> int:
     system = _load_descriptor(args.descriptor)
     prec, max_prec = args.precision_bits, args.max_precision_bits
     ergodicity, ergodicity_warnings = system.ergodicity(max_prec)
-    portrait = sd.build_portrait(system, None, convention=args.convention, prec=prec, max_prec=max_prec)
+    portrait = sd.build_portrait(system, args.convention, prec, max_prec)
     directions = [
         tuple(1 if i == k else 0 for i in range(system.d)) for k in range(system.d)
     ]
@@ -474,6 +470,8 @@ def _bits(flag: str, value: Optional[int], env: str, default: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
+    # exact counts print in full up to the bit budget
+    _sys.set_int_max_str_digits(math.ceil(DEFAULT_BIT_BUDGET * math.log10(2)))
     args = _parser().parse_args(_join_dash_values(argv))
     try:
         prec = _bits("--precision-bits", args.precision_bits, PRECISION_ENV, DEFAULT_PRECISION)

@@ -84,12 +84,11 @@ INFINITE = PeriodicCount(None)
 
 
 def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: int) -> None:
+    # the count, prod_c value_c^mult_c, has about sum_c mult_c * weight * bit_height_c bits
     weight = sum(abs(e) for e in exponents)
-    for comp, _ in sys.components:
-        if weight * comp.bit_height > bit_budget:
-            raise ResourceCapError(
-                f"estimated size {weight * comp.bit_height} bits exceeds the {bit_budget}-bit budget"
-            )
+    estimate = sum(mult * weight * comp.bit_height for comp, mult in sys.components)
+    if estimate > bit_budget:
+        raise ResourceCapError(f"estimated size {estimate} bits exceeds the {bit_budget}-bit budget")
 
 
 def count(

@@ -28,7 +28,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .errors import ResourceCapError, UndecidedError
@@ -432,7 +432,8 @@ def directional_entropy(
 
 
 class DirectionPortrait:
-    """The full directional picture of one system, immutably assembled."""
+    """The structural directional picture of one system, immutably assembled;
+    to_json leaves "omega" empty for a writer to fill from omega_samples."""
 
     __slots__ = (
         "system",
@@ -441,36 +442,22 @@ class DirectionPortrait:
         "crossing",
         "coincidences",
         "branches",
-        "omega",
         "convention",
         "precision",
         "warnings",
     )
 
     def __init__(self, system, hyperplanes, degenerate, crossing, coincidences,
-                 branches, omega, convention, precision, warnings):
+                 branches, convention, precision, warnings):
         self.system = system
         self.hyperplanes = tuple(hyperplanes)
         self.degenerate = tuple(degenerate)
         self.crossing = tuple(crossing)
         self.coincidences = tuple(coincidences)
         self.branches = tuple(branches)
-        self.omega = tuple(omega)
         self.convention = convention
         self.precision = precision
         self.warnings = tuple(warnings)
-
-    def variety(self) -> List[LabeledHyperplane]:
-        return [h for h in self.hyperplanes if h.label == VARIETY]
-
-    def noetherian(self) -> List[LabeledHyperplane]:
-        return [h for h in self.hyperplanes if h.label == NOETHERIAN]
-
-    def f_graphs(self) -> List[Tuple[Tuple[int, ...], Callable[[Sequence], RealBall]]]:
-        def make(subset):
-            return lambda v, prec=self.precision: f_eval(self.system, subset, v, prec)
-
-        return [(subset, make(subset)) for subset in self.branches]
 
     def to_json(self) -> dict:
         prec = self.precision
@@ -486,14 +473,7 @@ class DirectionPortrait:
             "coincidences": list(self.coincidences),
             "degenerate": list(self.degenerate),
             "branches": [list(s) for s in self.branches],
-            "omega": [
-                {
-                    "direction": [_round12(x) for x in direction],
-                    "branch": list(subset),
-                    "value": [_round12(b) for b in value.float_bounds()],
-                }
-                for direction, subset, value in self.omega
-            ],
+            "omega": [],
             "warnings": list(self.warnings),
             "notes": [ENTROPY_NOTE],
         }
@@ -501,16 +481,11 @@ class DirectionPortrait:
 
 def build_portrait(
     sys: SystemDescriptor,
-    directions: Optional[Sequence[Sequence[float]]] = None,
     convention: str = INVERSE_ROOT,
     prec: int = DEFAULT_PRECISION,
     max_prec: int = MAX_PRECISION,
 ) -> DirectionPortrait:
-    """Assemble hyperplanes, crossings, branch data and optional samples.
-
-    directions=None skips omega sampling (structural portrait only); pass
-    default_directions(sys) or an explicit grid for curves.
-    """
+    """Assemble hyperplanes, crossings and branch data."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     hyperplanes = nonexpansive_hyperplanes(sys, max_prec)
@@ -525,10 +500,7 @@ def build_portrait(
         )
     if any(h.undecided for h in hyperplanes) or any(h.undecided for h in crossing):
         warnings.append("some zero tests stayed open at the precision cap")
-    omega = (
-        omega_samples(sys, directions, convention, prec) if directions else ()
-    )
     return DirectionPortrait(
         sys, hyperplanes, degenerate, crossing, coincidences,
-        branches, omega, convention, prec, warnings,
+        branches, convention, prec, warnings,
     )

@@ -244,23 +244,24 @@ def sphere_contours(
     return "\n".join(parts) + "\n"
 
 
-def portrait_svg(portrait, samples: int = 720) -> str:
-    """Pick the figure style matching the dimension of the portrait."""
+def portrait_svg(portrait, rows: Sequence = ()) -> str:
+    """Pick the figure style matching the dimension of the portrait; d = 2
+    draws omega_samples rows as branch curves, d = 3 draws no rows."""
     d = portrait.system.d
     prec = portrait.precision
-    rows = [
+    planes = [
         (h.label, h.normal_floats(prec), h.undecided) for h in portrait.hyperplanes
     ]
     if d == 2:
-        if portrait.omega:
+        if rows:
             curve_rows = []
-            for direction, subset, value in portrait.omega:
+            for direction, subset, value in rows:
                 theta = math.atan2(direction[1], direction[0]) % (2 * math.pi)
                 key = "{" + ",".join(str(i) for i in subset) + "}"
                 curve_rows.append((theta, key, value.mid_float()))
             curve_rows.sort(key=lambda r: (r[1], r[0]))
             return branch_curves(curve_rows)
-        return line_diagram(rows)
+        return line_diagram(planes)
     if d == 3:
-        return sphere_contours(rows, samples=samples)
+        return sphere_contours(planes)
     raise ValueError("SVG output is available for d = 2 and d = 3 only")

@@ -34,7 +34,9 @@ from .exactlog import ExactLog
 from .periodic import PeriodicCount, count_sequence
 from .system import SystemDescriptor
 
-FIT_NODE_CAP = 1 << 20
+# residual updates a fit search may make: each node of the search charges one
+# update per count term, so a long count sequence exhausts it sooner
+FIT_WORK_CAP = 1 << 20
 
 
 def is_expansive_element(
@@ -314,7 +316,7 @@ def _abs_lower(residual, prec: int) -> float:
 
 
 def _fit_once(
-    slots: List[_Slot], F: List[int], mu: int, prec: int, node_budget: List[int]
+    slots: List[_Slot], F: List[int], mu: int, prec: int, work_budget: List[int]
 ) -> List[Tuple[int, ...]]:
     """Coefficient assignments fitting F_j = -sum a c^j (at most two returned)."""
     J = len(F)
@@ -364,9 +366,9 @@ def _fit_once(
     assignment = [0] * len(order)
 
     def descend(depth, residuals):
-        if node_budget[0] <= 0:
-            raise ResourceCapError(f"coefficient search exceeded {FIT_NODE_CAP} nodes")
-        node_budget[0] -= 1
+        work_budget[0] -= J
+        if work_budget[0] < 0:
+            raise ResourceCapError(f"coefficient search exceeded {FIT_WORK_CAP} residual updates")
         if len(solutions) >= 2:
             return
         if depth == len(order):
@@ -437,7 +439,7 @@ def fit_exponents(
         raise ValueError(
             f"need at least {len(slots) + 2} count terms for {len(slots)} candidate values"
         )
-    budget = [FIT_NODE_CAP]
+    budget = [FIT_WORK_CAP]
     for mu in (1, -1):
         solutions = _fit_once(slots, values, mu, precision, budget)
         if len(solutions) == 1:

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from rankone import build_portrait, cli, load_fixture, periodic, subdynamics
+from rankone import build_portrait, cli, load_fixture, omega_samples, periodic, subdynamics, zeta
 from rankone.balls import RealBall
 from rankone.errors import UndecidedError
 from rankone.subdynamics import _round12, default_directions
@@ -55,6 +55,29 @@ def test_periodic_json_provenance(capsys):
     assert doc["j"] == 1
     assert len(doc["descriptor_hash"]) == 64
     assert doc["entries"][0] == {"n": [0, 0], "count": None}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_periodic_prints_counts_past_the_default_digit_limit(capsys, fmt):
+    # the count is the prime-to-{2,3} part of 2^15000 - 1, (2^15000 - 1)/9:
+    # 4,515 digits, more than Python converts by default
+    code, out, err = run(capsys, "periodic", "times2times3", "--range=15000..15000,0..0", "--format", fmt)
+    assert (code, err) == (0, "")
+    expected = str((2 ** 15000 - 1) // 9)
+    if fmt == "csv":
+        assert out == f"n1,n2,count\n15000,0,{expected}\n"
+    else:
+        assert json.loads(out)["entries"] == [{"n": [15000, 0], "count": int(expected)}]
+
+
+def test_bit_budget_counts_multiplicity(tmp_path, capsys):
+    # one factor is estimated at 15,000 bits; the count has about 5 million
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"d": 2, "components": [
+        {"class": "s_integer", "multiplicity": 1000, "generators": ["2", "3"]}]}))
+    code, out, err = run(capsys, "periodic", str(path), "--range=5000..5000,0..0")
+    assert (code, out) == (3, "")
+    assert err == "error: estimated size 15000000 bits exceeds the 1000000-bit budget\n"
 
 
 def test_periodic_output_file_equals_stdout(tmp_path, capsys):
@@ -110,6 +133,15 @@ def test_zeta_forced_inconsistency_exits_undecided(capsys):
     assert code == 2
 
 
+def test_fit_work_cap_exits_resource(monkeypatch, capsys):
+    # both signs of mu search this fit, charging 2,059 residual updates in all
+    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 2058)
+    code, out, err = run(capsys, "zeta", "dk-sextic", "--n", "1,0", "--force")
+    assert code == 3
+    assert out == ""
+    assert err == "error: coefficient search exceeded 2058 residual updates\n"
+
+
 @pytest.mark.parametrize(
     "golden, argv",
     [
@@ -146,6 +178,20 @@ def test_portrait_svg(capsys):
     assert out.startswith("<svg")
     assert out.rstrip().endswith("</svg>")
     assert out.count("<polyline") >= 4
+
+
+@pytest.mark.parametrize("samples", ["6", "100000"])
+def test_sphere_svg_samples_no_rows(monkeypatch, capsys, samples):
+    # the d = 3 SVG draws no rows, so --samples neither samples nor meets the row cap
+    plain = run(capsys, "portrait", "times2times3times5", "--format", "svg")
+    assert plain[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the d = 3 SVG sampled omega rows")
+
+    monkeypatch.setattr(subdynamics, "omega_samples", refuse)
+    argv = ["portrait", "times2times3times5", "--format", "svg", "--samples", samples]
+    assert run(capsys, *argv) == plain
 
 
 def test_portrait_warning_on_stderr(capsys):
@@ -309,6 +355,19 @@ def synthetic_rows(d: int) -> list:
     return rows
 
 
+def row_dicts(rows) -> list:
+    """The reference rendering of omega rows: one dict per row, every float
+    rounded by _round12, for json.dumps to lay out."""
+    return [
+        {
+            "direction": [_round12(x) for x in direction],
+            "branch": list(subset),
+            "value": [_round12(b) for b in value.float_bounds()],
+        }
+        for direction, subset, value in rows
+    ]
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("key", ["omega", "samples"])
 def test_streamed_rows_equal_json_dumps(d, key):
@@ -318,14 +377,7 @@ def test_streamed_rows_equal_json_dumps(d, key):
     if key == "omega":
         doc["warnings"] = ["w"]
     streamed = "".join(cli._json_with_rows(doc, key, rows))
-    doc[key] = [
-        {
-            "direction": [_round12(x) for x in direction],
-            "branch": list(subset),
-            "value": [_round12(b) for b in value.float_bounds()],
-        }
-        for direction, subset, value in rows
-    ]
+    doc[key] = row_dicts(rows)
     assert streamed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "1e+300", '"branch": []'):
         assert token in streamed
@@ -339,7 +391,8 @@ def test_portrait_stdout_equals_library_json(capsys, fixture, samples):
     assert code == 0
     system = load_fixture(fixture)
     doc = {"command": "portrait"}
-    doc.update(build_portrait(system, default_directions(system, samples)).to_json())
+    doc.update(build_portrait(system).to_json())
+    doc["omega"] = row_dicts(omega_samples(system, default_directions(system, samples)))
     assert doc["omega"]
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -72,6 +72,27 @@ def test_bit_budget_cap():
     assert count(sys_, (100, 100), 1, bit_budget=10 ** 7).is_finite
 
 
+def test_bit_budget_sums_multiplicity_and_components():
+    # times2times3 is estimated at 3 bits per unit of |n|, sqrt2sqrt3 at 96
+    def s_integer(*multiplicities):
+        return parse_descriptor({"label": "s", "d": 2, "components": [
+            {"class": "s_integer", "multiplicity": m, "generators": ["2", "3"]}
+            for m in multiplicities
+        ]})
+
+    assert count(s_integer(1), (1, 1), bit_budget=11).is_finite
+    for sys_ in (s_integer(2), s_integer(1, 1)):
+        with pytest.raises(ResourceCapError, match="estimated size 12 bits"):
+            count(sys_, (1, 1), bit_budget=11)
+    doubled = parse_descriptor({"label": "q", "d": 2, "components": [
+        {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+         "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]})
+    for route in (count, det_oracle):
+        assert route(load_fixture("sqrt2sqrt3"), (1, 0), bit_budget=191).is_finite
+        with pytest.raises(ResourceCapError, match="estimated size 192 bits"):
+            route(doubled, (1, 0), bit_budget=191)
+
+
 def test_count_sequence_matches_pointwise():
     sys_ = load_fixture("ledrappier")
     seq = count_sequence(sys_, (1, 1), 6)

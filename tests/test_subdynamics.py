@@ -8,6 +8,7 @@ import pytest
 
 from rankone import (
     branch_subsets,
+    cli,
     build_portrait,
     count,
     crossing_coincidences,
@@ -25,7 +26,7 @@ from rankone import (
 )
 from rankone.balls import RealBall
 from rankone.exactlog import ExactLog
-from rankone.subdynamics import ENTROPY_NOTE, default_directions
+from rankone.subdynamics import ENTROPY_NOTE, NOETHERIAN, VARIETY, default_directions
 
 S23 = load_fixture("times2times3")
 LED = load_fixture("ledrappier")
@@ -270,30 +271,33 @@ def test_entropy_matches_count_growth():
 # --- assembled portrait ----------------------------------------------------------------
 
 def test_portrait_json_shape_and_determinism():
-    portrait = build_portrait(S23, directions=[(1.0, 0.0), (0.0, 1.0)])
-    doc = portrait.to_json()
+    doc = build_portrait(S23).to_json()
     assert doc["descriptor_hash"] == S23.descriptor_hash()
     assert doc["convention"] == "inverse-root"
     assert ENTROPY_NOTE in doc["notes"]
     assert doc["warnings"] == []
     assert len(doc["hyperplanes"]) == 3
-    assert len(doc["omega"]) == 4  # 2 directions x 2 branches
-    again = build_portrait(S23, directions=[(1.0, 0.0), (0.0, 1.0)]).to_json()
+    assert doc["omega"] == []  # structure only; writers fill it from omega_samples
+    rows = omega_samples(S23, [(1.0, 0.0), (0.0, 1.0)])
+    printed = json.loads("".join(cli._json_with_rows(doc, "omega", rows)))
+    assert len(printed["omega"]) == 4  # 2 directions x 2 branches
+    again = build_portrait(S23).to_json()
     assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
 def test_portrait_variety_noetherian_split():
     portrait = build_portrait(S23)
-    assert len(portrait.variety()) == 1
-    assert len(portrait.noetherian()) == 2
-    assert portrait.omega == ()
+    labels = [h.label for h in portrait.hyperplanes]
+    assert labels.count(VARIETY) == 1
+    assert labels.count(NOETHERIAN) == 2
+    assert not hasattr(portrait, "omega")
 
 
 def test_portrait_f_graphs_evaluate():
     portrait = build_portrait(S23)
-    graphs = dict((subset, fn) for subset, fn in portrait.f_graphs())
+    graphs = {subset: f_eval(S23, subset, (1.0, 0.0)) for subset in portrait.branches}
     assert set(graphs) == {(), (0,)}
-    assert graphs[()]((1.0, 0.0)).contains_fraction(2)
+    assert graphs[()].contains_fraction(2)
 
 
 def test_sextic_portrait_warns_nonexpansive_everywhere():

@@ -2,7 +2,7 @@
 
 import math
 
-from rankone import build_portrait, load_fixture
+from rankone import build_portrait, load_fixture, omega_samples
 from rankone.subdynamics import default_directions
 from rankone.svg import branch_curves, line_diagram, portrait_svg, sphere_contours
 
@@ -49,8 +49,8 @@ def test_portrait_svg_structural_d2():
 def test_portrait_svg_with_curves_is_deterministic():
     sys_ = load_fixture("times2times3")
     directions = default_directions(sys_, 24)
-    a = portrait_svg(build_portrait(sys_, directions=directions))
-    b = portrait_svg(build_portrait(sys_, directions=directions))
+    a = portrait_svg(build_portrait(sys_), omega_samples(sys_, directions))
+    b = portrait_svg(build_portrait(sys_), omega_samples(sys_, directions))
     assert a == b
     assert a.count("<polyline") == 2  # one curve per branch
 

@@ -8,8 +8,8 @@ import pytest
 
 from rankone import (
     branch_subsets,
-    cli,
     build_portrait,
+    cli,
     count,
     crossing_coincidences,
     crossing_set,

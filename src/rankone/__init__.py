@@ -5,93 +5,75 @@ The public surface is re-exported here; the functional entry points are
 parse_descriptor / load_fixture (descriptors), count / grid / det_oracle
 (periodic points), inverse_roots (direction zeta functions) and
 build_portrait / directional_entropy (subdynamics).
+
+Importing the package loads none of its modules: each export is imported
+from its home module on first use (PEP 562), so exact counts never load
+mpmath or the interval arithmetic.
 """
 
-from .errors import (
-    DescriptorError,
-    FitAmbiguityError,
-    FitInconsistencyError,
-    ResourceCapError,
-    UndecidedError,
-    UnsupportedOperationError,
-)
-from .periodic import (
-    INFINITE,
-    PeriodicCount,
-    PeriodicGrid,
-    count,
-    count_sequence,
-    det_oracle,
-    grid,
-)
-from .subdynamics import (
-    DirectionPortrait,
-    LabeledHyperplane,
-    branch_subsets,
-    build_portrait,
-    crossing_coincidences,
-    crossing_set,
-    degenerate_characters,
-    directional_entropy,
-    directional_entropy_atoms,
-    f_eval,
-    nonexpansive_hyperplanes,
-    nonsmooth_set,
-    omega_samples,
-)
-from .system import (
-    Character,
-    SystemDescriptor,
-    fixture_names,
-    load_fixture,
-    parse_descriptor,
-)
-from .zeta import (
-    ZetaCandidate,
-    ZetaFactorization,
-    inverse_roots,
-    is_expansive_element,
-    verify_generating_identity,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Character",
-    "DescriptorError",
-    "DirectionPortrait",
-    "FitAmbiguityError",
-    "FitInconsistencyError",
-    "INFINITE",
-    "LabeledHyperplane",
-    "PeriodicCount",
-    "PeriodicGrid",
-    "ResourceCapError",
-    "SystemDescriptor",
-    "UndecidedError",
-    "UnsupportedOperationError",
-    "ZetaCandidate",
-    "ZetaFactorization",
-    "branch_subsets",
-    "build_portrait",
-    "count",
-    "count_sequence",
-    "crossing_coincidences",
-    "crossing_set",
-    "degenerate_characters",
-    "det_oracle",
-    "directional_entropy",
-    "directional_entropy_atoms",
-    "f_eval",
-    "fixture_names",
-    "grid",
-    "inverse_roots",
-    "is_expansive_element",
-    "load_fixture",
-    "nonexpansive_hyperplanes",
-    "nonsmooth_set",
-    "omega_samples",
-    "parse_descriptor",
-    "verify_generating_identity",
-    "__version__",
-]
+_EXPORTS = {
+    "errors": (
+        "DescriptorError",
+        "FitAmbiguityError",
+        "FitInconsistencyError",
+        "ResourceCapError",
+        "UndecidedError",
+        "UnsupportedOperationError",
+    ),
+    "periodic": (
+        "INFINITE",
+        "PeriodicCount",
+        "PeriodicGrid",
+        "count",
+        "count_sequence",
+        "det_oracle",
+        "grid",
+    ),
+    "subdynamics": (
+        "DirectionPortrait",
+        "LabeledHyperplane",
+        "branch_subsets",
+        "build_portrait",
+        "crossing_coincidences",
+        "crossing_set",
+        "degenerate_characters",
+        "directional_entropy",
+        "directional_entropy_atoms",
+        "f_eval",
+        "nonexpansive_hyperplanes",
+        "nonsmooth_set",
+        "omega_samples",
+    ),
+    "system": (
+        "Character",
+        "SystemDescriptor",
+        "fixture_names",
+        "load_fixture",
+        "parse_descriptor",
+    ),
+    "zeta": (
+        "ZetaCandidate",
+        "ZetaFactorization",
+        "inverse_roots",
+        "is_expansive_element",
+        "verify_generating_identity",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -47,14 +47,13 @@ from mpmath.libmp import (
     to_float,
 )
 
+from .defaults import DEFAULT_PRECISION, MAX_PRECISION
+
 # Radii only need a few correct bits; what matters is the upward rounding.
 _RPREC = 30
 _UP = "c"  # radii are nonnegative, so ceiling == away from zero
 _DOWN = "f"
 
-# Working precision of interval work, and the cap its escalation stops at.
-DEFAULT_PRECISION = 64
-MAX_PRECISION = 4096
 # Cap of the steps that always succeed for valid input and so ignore the user
 # cap: root isolation, factorization, root matching and root logs.
 HARD_PRECISION = 1 << 20

@@ -10,8 +10,11 @@ cap, 3 resource cap exceeded.  Output is deterministic: identical flags
 and descriptor produce byte-identical bytes.
 
 Precision and its cap come from the flags, else from RANKONE_PRECISION_BITS
-and RANKONE_MAX_PRECISION_BITS, else from the defaults in balls; main
+and RANKONE_MAX_PRECISION_BITS, else from the defaults module; main
 resolves them once and passes them to the library as arguments.
+
+Each subcommand imports the modules only it uses, so `periodic`, which
+does integer work alone, never loads mpmath or the interval arithmetic.
 """
 
 from __future__ import annotations
@@ -25,9 +28,7 @@ import sys as _sys
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from . import subdynamics as sd
-from . import svg as svgmod
-from .balls import DEFAULT_PRECISION, MAX_PRECISION
+from .defaults import CONVENTIONS, DEFAULT_PRECISION, INVERSE_ROOT, MAX_PRECISION
 from .errors import (
     DescriptorError,
     FitAmbiguityError,
@@ -37,9 +38,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .periodic import DEFAULT_BIT_BUDGET, grid
-from .subdynamics import _round12
 from .system import SystemDescriptor, fixture_names, load_fixture, parse_descriptor
-from .zeta import inverse_roots, is_expansive_element
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -154,6 +153,8 @@ def _rendered_rows(rows, direction_text, branch_text) -> Iterator[Tuple[str, str
 def _omega_json_rows(rows) -> Iterator[str]:
     """Each row's dict as an element of a top-level JSON array, with the
     separator before it."""
+    from .subdynamics import _round12
+
     def direction_text(direction):
         coords = _json_array([_json_float(_round12(x)) for x in direction], "      ")
         return f',\n      "direction": {coords},\n      "value": [\n        '
@@ -224,6 +225,8 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from .zeta import inverse_roots
+
     system = _load_descriptor(args.descriptor)
     n = _parse_direction(args.n, system.d)
     zf = inverse_roots(
@@ -254,6 +257,9 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
+    from . import subdynamics as sd
+    from . import svg as svgmod
+
     system = _load_descriptor(args.descriptor)
     svg = args.format == "svg"
     # curves are cheap on the circle; SVG and d >= 3 stay structural unless
@@ -278,6 +284,8 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    from . import subdynamics as sd
+
     system = _load_descriptor(args.descriptor)
     if system.d not in (2, 3):
         raise UnsupportedOperationError("omega sampling is available for d = 2 and d = 3 only")
@@ -300,6 +308,8 @@ def _cmd_omega(args) -> int:
 
 
 def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int, max_prec: int) -> dict:
+    from .zeta import inverse_roots, is_expansive_element
+
     entry: dict = {"n": list(n)}
     expansive = is_expansive_element(system, n, max_prec)
     if expansive is None:
@@ -327,6 +337,8 @@ def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int,
 
 
 def _cmd_analyze(args) -> int:
+    from . import subdynamics as sd
+
     system = _load_descriptor(args.descriptor)
     prec, max_prec = args.precision_bits, args.max_precision_bits
     ergodicity, ergodicity_warnings = system.ergodicity(max_prec)
@@ -376,7 +388,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help=f"escalation cap (default: ${MAX_PRECISION_ENV} or {MAX_PRECISION})",
     )
     p.add_argument(
-        "--convention", choices=list(sd.CONVENTIONS), default=sd.INVERSE_ROOT,
+        "--convention", choices=list(CONVENTIONS), default=INVERSE_ROOT,
         help="pole/zero value convention for reported magnitudes",
     )
 

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .balls import RealBall
+if TYPE_CHECKING:
+    from .balls import RealBall
 
 Matrix = List[List[Fraction]]
 
@@ -175,6 +176,8 @@ def ball_det(rows: List[List[RealBall]], prec: int) -> Optional[RealBall]:
     has no such pivot the determinant is not certified and the result is
     None: the caller learns nothing about it, not even that it may be zero.
     """
+    from .balls import RealBall
+
     n = len(rows)
     m = [row[:] for row in rows]
     sign = 1

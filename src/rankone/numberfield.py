@@ -23,6 +23,9 @@ functions, and exact trial division over Z confirms them.  That is enough to
 see through the multiplicative structure of embedding magnitudes (shared
 minimal polynomials, and reciprocal pairs, which also certify the roots on
 the unit circle), which the zero tests elsewhere rely on.
+
+Only the isolation, embedding and factorization functions import balls and
+mpmath, at their entry, so element arithmetic and norms load neither.
 """
 
 from __future__ import annotations
@@ -31,17 +34,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import mpmath
-from mpmath import libmp
-
-from . import balls
-from .balls import (
-    DEFAULT_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions,
-)
+from .defaults import DEFAULT_PRECISION
 from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
+
+if TYPE_CHECKING:
+    from .balls import ComplexBall, RealBall
 
 IntPoly = Tuple[int, ...]  # ascending, monic
 
@@ -130,6 +130,8 @@ def poly_xgcd(f: Sequence[Fraction], g: Sequence[Fraction]):
 
 
 def poly_eval_ball(f: Sequence[Fraction], z: ComplexBall, prec: int) -> ComplexBall:
+    from .balls import ComplexBall, RealBall
+
     acc = ComplexBall(RealBall.zero(), RealBall.zero())
     for c in reversed(list(f)):
         acc = acc.mul(z, prec)
@@ -305,15 +307,26 @@ def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:
 
 
 def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
-    """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j."""
-    m = spec.degree
-    cols = [x]
-    gen = el_from_coeffs(spec, [0, 1] if m > 1 else [-spec.min_poly[0]])
-    current = x
+    """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j.
+
+    Works on x's integer coordinates over their common denominator.  Each
+    column is the previous one times the defining root a: the coordinates
+    shift up by one, and the top one, times a^m = -(f_0 + ... + f_(m-1) a^(m-1)),
+    is folded back in by one reduction step.
+    """
+    f = spec.min_poly
+    m = len(f) - 1
+    col, den = _int_coords(x)
+    cols = [col]
     for _ in range(m - 1):
-        current = el_mul(spec, current, gen)
-        cols.append(current)
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [c - top * fi for c, fi in zip(col, f)]
+        cols.append(col)
+    if den == 1:
+        return [[Fraction(cols[j][i]) for j in range(m)] for i in range(m)]
+    return [[Fraction(cols[j][i], den) for j in range(m)] for i in range(m)]
 
 
 def norm(spec: NumberFieldSpec, x: Element) -> Fraction:
@@ -391,6 +404,8 @@ def isolate_roots(poly: Sequence[int], prec: int = DEFAULT_PRECISION) -> Tuple[E
 
 @functools.lru_cache(maxsize=256)
 def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
+    from . import balls
+
     if len(poly) < 2:
         raise ValueError("cannot isolate roots of a constant")
     if poly[-1] != 1:
@@ -398,7 +413,7 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
     if not poly_is_squarefree(poly):
         raise ValueError("root isolation expects a squarefree polynomial")
     n_real = count_real_roots(poly)
-    for work in precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
+    for work in balls.precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
         result = _try_isolate(poly, prec, work, n_real)
         if result is not None:
             return result
@@ -406,6 +421,10 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
 
 
 def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
+    import mpmath
+
+    from .balls import ComplexBall, RealBall
+
     with mpmath.workprec(work + 20):
         try:
             approx = mpmath.polyroots(
@@ -421,6 +440,10 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
 
 
 def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[Tuple[Embedding, ...]]:
+    from mpmath import libmp
+
+    from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
+
     m = len(poly) - 1
     frac = [Fraction(c) for c in poly]
     dfrac = poly_derivative(frac)
@@ -490,6 +513,8 @@ def _fraction_sqrt_upper(x: Fraction) -> Fraction:
 
 
 def _box_sort_key(boxes: List[ComplexBall]):
+    from mpmath import libmp
+
     def cmp(i: int, j: int) -> int:
         a, b = boxes[i], boxes[j]
         if not a.re.overlaps(b.re):
@@ -560,8 +585,10 @@ def _factor_squarefree_monic(poly: IntPoly) -> List[IntPoly]:
 
 def _find_irreducible_factor(poly: IntPoly) -> IntPoly:
     """An irreducible monic integer factor of a squarefree monic poly (or poly itself)."""
+    from . import balls
+
     m = len(poly) - 1
-    for prec in precisions(128, balls.HARD_PRECISION):
+    for prec in balls.precisions(128, balls.HARD_PRECISION):
         roots = isolate_roots(poly, prec)
         units: List[Tuple[int, ...]] = []
         for e in roots:
@@ -602,6 +629,8 @@ def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):
     factor is the confirmed monic integer divisor or None; decisive=False
     means the coefficient intervals were too wide to settle the subset.
     """
+    from .balls import RealBall, ball_to_fraction_bounds
+
     coeffs: List[RealBall] = [RealBall.one()]
     for unit in combo:
         if len(unit) == 1:

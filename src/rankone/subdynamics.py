@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
+from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
 from .errors import ResourceCapError, UndecidedError
 from .exactlog import ExactLog, _vector_trivially_zero, log_dot, vector_is_zero, vectors_parallel
 from .system import Character, SystemDescriptor
@@ -38,10 +39,6 @@ from .system import Character, SystemDescriptor
 VARIETY = "variety"
 NOETHERIAN = "noetherian"
 CROSSING_ONLY = "crossing-only"
-
-INVERSE_ROOT = "inverse-root"
-ROOT_LOCATION = "root-location"
-CONVENTIONS = (INVERSE_ROOT, ROOT_LOCATION)
 
 # The minimal-branch variant of directional entropy contradicts the exact
 # period counts on every bundled system, so only the maximal branch is
@@ -242,13 +239,19 @@ def crossing_coincidences(sys: SystemDescriptor) -> List[dict]:
 # branch functions on the unit sphere
 
 
-def _check_unit(v: Sequence, prec: int) -> Tuple[Fraction, ...]:
-    coeffs = tuple(Fraction(x) for x in v)
-    tol = Fraction(1, 2 ** (prec // 2))
-    norm2 = sum(c * c for c in coeffs)
-    if abs(norm2 - 1) > tol:
-        raise ValueError(f"direction is not a unit vector: |v|^2 = {float(norm2)}")
-    return coeffs
+def _check_unit(v: Sequence, prec: int) -> None:
+    """Raise ValueError unless |sum x^2 - 1| <= 2^-(prec // 2), v rational.
+
+    Decided exactly on integers: with v = (p_i / den) over the common
+    denominator, |v|^2 = total / den^2.  A float's denominator is a power
+    of two, so for float directions den is just the largest of them.
+    """
+    ratios = [x.as_integer_ratio() for x in v]
+    den = math.lcm(*(q for _, q in ratios))
+    total = sum((p * (den // q)) ** 2 for p, q in ratios)
+    den2 = den * den
+    if abs(total - den2) << (prec // 2) > den2:
+        raise ValueError(f"direction is not a unit vector: |v|^2 = {float(Fraction(total, den2))}")
 
 
 def branch_subsets(sys: SystemDescriptor) -> List[Tuple[int, ...]]:
@@ -278,7 +281,8 @@ def f_eval(
     character multiplicity).  |v| must equal 1 within 2^(-prec/2).
     """
     V, W = sys.characters()
-    coeffs = _check_unit(v, prec)
+    coeffs = tuple(Fraction(x) for x in v)
+    _check_unit(coeffs, prec)
     minus_v = [-c for c in coeffs]
     counts = Counter(L)
     for i, k in counts.items():

@@ -38,12 +38,11 @@ import itertools
 import json
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import balls, numberfield as nf
-from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall, precisions
+from . import numberfield as nf
+from .defaults import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import DescriptorError, UndecidedError
-from .exactlog import ExactLog, _vector_trivially_zero, log_dot
 from .fppoly import (
     FpPoly,
     FpRationalFunction,
@@ -53,6 +52,10 @@ from .fppoly import (
 )
 from .linalg import ball_det, rank
 from .rationals import factor_fraction, is_prime, prime_to_s_part
+
+if TYPE_CHECKING:
+    from .balls import RealBall
+    from .exactlog import ExactLog
 
 ARCHIMEDEAN = "archimedean"
 NONARCHIMEDEAN = "nonarchimedean"
@@ -110,6 +113,8 @@ class Character:
 
     def log_linear_form(self, v: Sequence) -> ExactLog:
         """Exact value of sum_i v_i * log size(generator_i), v rational."""
+        from .exactlog import log_dot
+
         coeffs = [Fraction(x) for x in v]
         if len(coeffs) != len(self.log_vector):
             raise ValueError("direction has the wrong dimension")
@@ -163,6 +168,8 @@ class SIntegerComponent:
         )
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
+        from .exactlog import ExactLog
+
         arch = Character(
             ARCHIMEDEAN,
             [ExactLog.from_rational(r) for r in self.generators],
@@ -271,6 +278,8 @@ class NumberFieldUnitsComponent:
 
         Matching is certified and escalates to the hard cap of root
         isolation, so the cached characters never depend on a user cap."""
+        from . import balls
+
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -287,7 +296,7 @@ class NumberFieldUnitsComponent:
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
                 continue
-            for prec in precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
+            for prec in balls.precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
                 field_roots = nf.isolate_roots(self.field.min_poly, prec)
                 g_roots = nf.isolate_roots(min_poly, prec)
                 indices = []
@@ -306,6 +315,8 @@ class NumberFieldUnitsComponent:
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
+        from .exactlog import ExactLog
+
         identities = self._root_identities
         embeddings = nf.isolate_roots(self.field.min_poly)
         arch = []
@@ -379,6 +390,9 @@ class NumberFieldUnitsComponent:
         # nontrivial power product has all absolute values 1, hence no
         # relation.  Rank defect cannot be certified by intervals, so the
         # failure mode is an honest warning.
+        from .balls import precisions
+        from .exactlog import _vector_trivially_zero
+
         veclists, _ = self.characters(0, 1)
         vectors = [c.log_vector for c in veclists]
         live = [w for w in vectors if not _vector_trivially_zero(w)]
@@ -471,6 +485,8 @@ class FunctionFieldComponent:
         return max((g.num.degree + g.den.degree + 1) * bits for g in self.generators)
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
+        from .exactlog import ExactLog
+
         log_p = ExactLog.from_rational(Fraction(self.p))
         nonarch = []
         checksum = [0] * self.d
@@ -582,6 +598,8 @@ class SystemDescriptor:
         self.d = d
         self.components = tuple(components)
         self._characters: Optional[Tuple[Tuple[Character, ...], Tuple[Character, ...]]] = None
+        # zeta.is_expansive_element's verdicts, keyed by (n, max_prec)
+        self._expansive: Dict[Tuple[Tuple[int, ...], int], Optional[bool]] = {}
 
     def characters(self) -> Tuple[Tuple[Character, ...], Tuple[Character, ...]]:
         """(V, W): archimedean and nonarchimedean character lists."""

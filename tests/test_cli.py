@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -708,6 +709,44 @@ def test_module_exit_code_propagates():
         capture_output=True, text=True,
     )
     assert proc.returncode == 1
+
+
+# the interval stack and the modules built on it
+INTERVAL_MODULES = (
+    "mpmath", "rankone.balls", "rankone.exactlog", "rankone.zeta", "rankone.subdynamics", "rankone.svg",
+)
+
+
+def test_periodic_loads_no_interval_stack():
+    # counts are integer work, so a periodic run on every component class
+    # imports neither mpmath nor the modules that need it
+    script = (
+        "import contextlib, io, sys\n"
+        "from rankone import cli\n"
+        "for fixture in ('sqrt2sqrt3', 'dk-sextic', 'ledrappier', 'times2times3'):\n"
+        "    for fmt in ('csv', 'json'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert cli.main(['periodic', fixture, '--range=-2..2,0..2', '--format', fmt]) == 0\n"
+        f"print([name for name in {INTERVAL_MODULES!r} if name in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_package_exports_resolve_lazily():
+    import rankone
+
+    for name in rankone.__all__:
+        assert getattr(rankone, name) is not None
+    for name, module in rankone._HOME.items():
+        assert getattr(rankone, name) is getattr(importlib.import_module(f"rankone.{module}"), name)
+    namespace = {}
+    exec("from rankone import *", namespace)
+    assert set(rankone.__all__) <= set(namespace)
+    assert set(rankone.__all__) <= set(dir(rankone))
+    with pytest.raises(AttributeError):
+        rankone.no_such_export
 
 
 REDUCIBLE_FIELD = {

@@ -147,6 +147,23 @@ def test_norm_matches_fraction_reference():
             assert nf.norm(spec, x) == reference_det(nf.mult_matrix(spec, x))
 
 
+def test_mult_matrix_columns_match_el_mul():
+    # column j holds x * a^j; the reference forms each column by el_mul
+    rng = random.Random(11)
+    for spec in FIELDS:
+        m = spec.degree
+        root = nf.el_from_coeffs(spec, [0, 1] if m > 1 else [-spec.min_poly[0]])
+        for _ in range(40):
+            x = random_element(rng, spec)
+            columns, power = [], x
+            for _ in range(m):
+                columns.append(power)
+                power = nf.el_mul(spec, power, root)
+            got = nf.mult_matrix(spec, x)
+            assert got == [[columns[j][i] for j in range(m)] for i in range(m)]
+            assert all(type(c) is Fraction for row in got for c in row)
+
+
 # --- ball_det ---------------------------------------------------------------
 
 def ball(mid, rad=0):

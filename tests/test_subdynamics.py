@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,15 @@ from rankone import (
 )
 from rankone.balls import RealBall
 from rankone.exactlog import ExactLog
-from rankone.subdynamics import ENTROPY_NOTE, NOETHERIAN, VARIETY, default_directions
+from rankone.subdynamics import (
+    ENTROPY_NOTE,
+    NOETHERIAN,
+    VARIETY,
+    _check_unit,
+    circle_directions,
+    default_directions,
+    sphere_directions,
+)
 
 S23 = load_fixture("times2times3")
 LED = load_fixture("ledrappier")
@@ -184,6 +193,34 @@ def test_f_eval_validates_inputs():
         f_eval(S23, (0, 0), (1.0, 0.0))      # repetition beyond multiplicity
     with pytest.raises(ValueError):
         f_eval(S23, (7,), (1.0, 0.0))        # no such character
+
+
+def fraction_unit_check(v, prec):
+    """The unit test on Fractions: the reference for _check_unit."""
+    norm2 = sum(Fraction(x) ** 2 for x in v)
+    if abs(norm2 - 1) > Fraction(1, 2 ** (prec // 2)):
+        return f"direction is not a unit vector: |v|^2 = {float(norm2)}"
+    return None
+
+
+def test_check_unit_matches_fraction_reference():
+    rng = random.Random(3)
+    directions = circle_directions(720) + sphere_directions(12)
+    directions += [(1.0, 1.0), (0.0, 0.0), (1.0, 2.0 ** -33), (1.0, 2.0 ** -32), (5e-324, 1.0),
+                   (Fraction(3, 5), Fraction(4, 5)), (Fraction(3, 5), Fraction(4, 5) + Fraction(1, 10 ** 12))]
+    for _ in range(500):
+        v = [rng.gauss(0, 1) for _ in range(rng.choice((2, 3)))]
+        scale = math.sqrt(sum(x * x for x in v)) * (1 + rng.choice((0.0, 1e-15, 1e-9, 2.0 ** -32, -2.0 ** -32)))
+        directions.append(tuple(x / scale for x in v))
+    for v in directions:
+        for prec in (1, 2, 63, 64, 72, 128, 4096):
+            expected = fraction_unit_check(v, prec)
+            if expected is None:
+                _check_unit(v, prec)
+            else:
+                with pytest.raises(ValueError) as info:
+                    _check_unit(v, prec)
+                assert str(info.value) == expected
 
 
 def test_omega_convention_duality():

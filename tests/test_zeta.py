@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankone import numberfield as nf, zeta
+from rankone import cli, numberfield as nf, zeta
 from rankone import (
     ZetaCandidate,
     ZetaFactorization,
@@ -40,6 +40,27 @@ def test_expansive_classification_times2times3():
     assert is_expansive_element(sys_, (0, 1)) is False
     with pytest.raises(ValueError):
         is_expansive_element(sys_, (0, 0))
+
+
+def test_analyze_decides_each_direction_once(monkeypatch, capsys):
+    # analyze asks is_expansive_element, then inverse_roots asks again for
+    # the same direction; the verdict is kept on the descriptor
+    decided = []
+
+    def counted(sys_, n, max_prec):
+        decided.append((tuple(n), max_prec))
+        return verdict(sys_, n, max_prec)
+
+    verdict = zeta._expansive_verdict
+    monkeypatch.setattr(zeta, "_expansive_verdict", counted)
+    assert cli.main(["analyze", "times2times3"]) == 0
+    capsys.readouterr()
+    assert sorted(decided) == [((0, 1), 4096), ((1, 0), 4096), ((1, 1), 4096)]
+    sys_ = load_fixture("sqrt2sqrt3")
+    assert is_expansive_element(sys_, (1, 1), 256) is True
+    assert is_expansive_element(sys_, [1, 1], 256) is True
+    assert is_expansive_element(sys_, (1, 1), 512) is True
+    assert decided[3:] == [((1, 1), 256), ((1, 1), 512)]
 
 
 def test_expansive_classification_ledrappier():

@@ -48,7 +48,7 @@ from .balls import (
 from .errors import UndecidedError
 from .numberfield import (
     IntPoly,
-    factor_monic_int,
+    is_irreducible,
     is_palindromic_or_anti,
     isolate_roots,
 )
@@ -69,7 +69,7 @@ class _RootFacts(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _root_facts(poly: IntPoly) -> _RootFacts:
-    if factor_monic_int(poly) != {poly: 1}:
+    if not is_irreducible(poly):
         raise ValueError("root atoms require an irreducible polynomial")
     embs = isolate_roots(poly, DEFAULT_PRECISION)
     canon = tuple(min(e.index, e.conj_index) for e in embs)
@@ -280,6 +280,7 @@ class ExactLog:
         return "ExactLog(" + (" + ".join(bits) if bits else "0") + ")"
 
 
+@functools.lru_cache(maxsize=256)
 def _root_abs_log(poly: IntPoly, index: int, prec: int) -> RealBall:
     for work in precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
         box = isolate_roots(poly, work)[index].box

@@ -260,8 +260,8 @@ class FpPoly:
         if f.degree == 0:
             return result
         radical = f.squarefree_part()
-        for group in _distinct_degree(radical):
-            for irr in group:
+        for d, group in _distinct_degree(radical):
+            for irr in _equal_degree(group, d):
                 m = 0
                 rem = f
                 while True:
@@ -274,8 +274,8 @@ class FpPoly:
         return dict(sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
 
 
-def _distinct_degree(f: FpPoly) -> Iterator[list]:
-    """Squarefree monic f -> groups of monic irreducible factors."""
+def _distinct_degree(f: FpPoly) -> Iterator[Tuple[int, FpPoly]]:
+    """Squarefree monic f -> (d, product of its irreducible factors of degree d)."""
     p = f.p
     x = FpPoly.gen(p)
     h = x
@@ -284,12 +284,12 @@ def _distinct_degree(f: FpPoly) -> Iterator[list]:
     while rem.degree > 0:
         d += 1
         if 2 * d > rem.degree:
-            yield [rem.monic()]
+            yield rem.degree, rem.monic()
             return
         h = h.powmod(p, rem)
         g = rem.gcd(h.sub(x))
         if g.degree > 0:
-            yield _equal_degree(g, d)
+            yield d, g
             rem = rem.divexact(g)
             h = h.mod(rem)
 

@@ -64,6 +64,7 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
 def det(a: Matrix) -> Fraction:
     """Exact determinant by Bareiss elimination over Python ints.
 
+    Entries may be Fractions or ints; an integer row is its own scaling.
     Row i is scaled by the lcm s_i of its denominators, so the scaled matrix
     is integral and det(a) = det(scaled) / prod(s_i).  Bareiss's step
     m[r][c] <- (m[r][c] * m[k][k] - m[r][k] * m[k][c]) / prev, with prev the

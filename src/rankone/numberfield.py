@@ -17,14 +17,12 @@ parts, and conjugate boxes are paired by certified overlap.  Everything
 re-runs at doubled precision until it resolves, so results are reproducible
 and independent of floating-point luck.
 
-The same machinery factors monic integer polynomials: conjugation-closed
-subsets of isolated roots propose factors through interval symmetric
-functions, and exact trial division over Z confirms them.  That is enough to
-see through the multiplicative structure of embedding magnitudes (shared
-minimal polynomials, and reciprocal pairs, which also certify the roots on
-the unit circle), which the zero tests elsewhere rely on.
+Irreducibility over Q is read from factor degrees modulo a few primes; the
+degrees those leave open go to the same machinery: conjugation-closed
+subsets of isolated roots propose divisors through interval symmetric
+functions, and exact trial division over Z confirms them.
 
-Only the isolation, embedding and factorization functions import balls and
+Only the isolation, embedding and root-search functions import balls and
 mpmath, at their entry, so element arithmetic and norms load neither.
 """
 
@@ -34,7 +32,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .defaults import DEFAULT_PRECISION
 from .errors import UndecidedError
@@ -306,8 +304,8 @@ def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:
     return result
 
 
-def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
-    """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j.
+def _int_columns(spec: NumberFieldSpec, x: Element) -> Tuple[List[List[int]], int]:
+    """(cols, den): column j of the matrix of y -> x*y is cols[j] / den.
 
     Works on x's integer coordinates over their common denominator.  Each
     column is the previous one times the defining root a: the coordinates
@@ -315,22 +313,28 @@ def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
     is folded back in by one reduction step.
     """
     f = spec.min_poly
-    m = len(f) - 1
     col, den = _int_coords(x)
     cols = [col]
-    for _ in range(m - 1):
+    for _ in range(len(f) - 2):
         top = col[-1]
         col = [0] + col[:-1]
         if top:
             col = [c - top * fi for c, fi in zip(col, f)]
         cols.append(col)
-    if den == 1:
-        return [[Fraction(cols[j][i]) for j in range(m)] for i in range(m)]
-    return [[Fraction(cols[j][i], den) for j in range(m)] for i in range(m)]
+    return cols, den
+
+
+def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
+    """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j."""
+    cols, den = _int_columns(spec, x)
+    return [[Fraction(col[i], den) for col in cols] for i in range(len(cols))]
 
 
 def norm(spec: NumberFieldSpec, x: Element) -> Fraction:
-    return mat_det(mult_matrix(spec, x))
+    """det of the multiplication matrix, taken on its integer columns (the
+    transpose, with the same determinant) and divided by den^m once."""
+    cols, den = _int_columns(spec, x)
+    return mat_det(cols) / den ** len(cols)
 
 
 def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:
@@ -413,7 +417,11 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
     if not poly_is_squarefree(poly):
         raise ValueError("root isolation expects a squarefree polynomial")
     n_real = count_real_roots(poly)
-    for work in balls.precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
+    # at work == prec the rounding error of f(z) alone is about the 2^(1-prec)
+    # radius that _try_isolate asks for, and that rung does not certify; from
+    # the default precision on, the ladder starts one rung above it
+    start = 2 * prec if prec >= DEFAULT_PRECISION else DEFAULT_PRECISION
+    for work in balls.precisions(start, balls.HARD_PRECISION):
         result = _try_isolate(poly, prec, work, n_real)
         if result is not None:
             return result
@@ -535,100 +543,80 @@ def embed(x: Element, e: Embedding, prec: int) -> ComplexBall:
 
 
 # --------------------------------------------------------------------------
-# factorization of monic integer polynomials by certified root clustering
+# irreducibility of monic integer polynomials
 
 
-def factor_monic_int(poly: Sequence[int]) -> Dict[IntPoly, int]:
-    """Factor a monic integer polynomial into monic integer irreducibles.
+# primes at which to read factor degrees; a degree that survives all of them
+# goes to the root search (x^4 - 10x^2 + 1 splits modulo every prime)
+_DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-    Conjugation-closed subsets of the isolated roots propose factors through
-    interval symmetric functions; exact division over Z confirms them.  The
-    subsets are tried in increasing degree and a candidate is only accepted
-    once every smaller degree has been decisively ruled out, so accepted
-    factors are irreducible.
+
+@functools.lru_cache(maxsize=256)
+def is_irreducible(poly: IntPoly) -> bool:
+    """Whether a monic integer polynomial is irreducible over Q.
+
+    A factor over Z of degree k reduces to a product of irreducible factors
+    modulo every prime p, so k is a sum of some of the factor degrees mod p
+    wherever f stays squarefree.  Intersecting those subset sums over a few
+    primes usually leaves only 0 and deg f, which proves irreducibility.
+    Degrees still possible go to a search over conjugation-closed subsets of
+    the isolated roots of exactly those sizes.
     """
-    poly = tuple(int(c) for c in poly)
+    from .fppoly import FpPoly, _distinct_degree
+
     if not poly or poly[-1] != 1:
-        raise ValueError("factor_monic_int expects a monic polynomial")
-    if len(poly) == 1:
-        return {}
-    sf = squarefree_part_int(poly)
-    out: Dict[IntPoly, int] = {}
-    rem = [Fraction(c) for c in poly]
-    for fac in _factor_squarefree_monic(sf):
-        ffac = [Fraction(c) for c in fac]
-        mult = 0
-        while True:
-            q, r = poly_divmod(rem, ffac)
-            if r:
-                break
-            rem = q
-            mult += 1
-        out[fac] = mult
-    if poly_degree(rem) != 0:
-        raise ArithmeticError("irreducible factors do not account for the whole polynomial")
-    return dict(sorted(out.items()))
+        raise ValueError("is_irreducible expects a monic polynomial")
+    n = len(poly) - 1
+    if n <= 1 or not poly_is_squarefree(poly):
+        return n == 1
+    possible = set(range(1, n // 2 + 1))
+    for p in _DEGREE_PRIMES:
+        f = FpPoly(p, poly)
+        if f.gcd(f.derivative()).degree > 0:
+            continue
+        sums = {0}
+        for d, group in _distinct_degree(f):
+            for _ in range(group.degree // d):
+                sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return not _root_subset_divides(poly, possible)
 
 
-def _factor_squarefree_monic(poly: IntPoly) -> List[IntPoly]:
-    if len(poly) - 1 <= 1:
-        return [poly] if len(poly) - 1 == 1 else []
-    found = _find_irreducible_factor(poly)
-    if found == poly:
-        return [poly]
-    quotient, rem = poly_divmod([Fraction(c) for c in poly], [Fraction(c) for c in found])
-    if rem:
-        raise ArithmeticError("proposed factor does not divide the polynomial")
-    qtuple = tuple(int(c) for c in quotient)
-    return sorted([found] + _factor_squarefree_monic(qtuple))
+def _root_subset_divides(poly: IntPoly, sizes) -> bool:
+    """Whether some conjugation-closed subset of roots, of a size in sizes,
+    is the root set of a monic integer divisor of the squarefree poly.
 
-
-def _find_irreducible_factor(poly: IntPoly) -> IntPoly:
-    """An irreducible monic integer factor of a squarefree monic poly (or poly itself)."""
+    Interval symmetric functions of each subset propose the divisor and
+    exact division over Z confirms it; the precision rises until every
+    subset is either confirmed or excluded.
+    """
     from . import balls
 
-    m = len(poly) - 1
     for prec in balls.precisions(128, balls.HARD_PRECISION):
         roots = isolate_roots(poly, prec)
-        units: List[Tuple[int, ...]] = []
-        for e in roots:
-            if e.is_real:
-                units.append((e.index,))
-            elif e.index < e.conj_index:
-                units.append((e.index, e.conj_index))
-        indecisive_below = False
-        for size in range(1, m // 2 + 1):
-            confirmed = None
-            indecisive_here = False
-            for r in range(1, len(units) + 1):
-                for combo in itertools.combinations(units, r):
-                    if sum(len(u) for u in combo) != size:
-                        continue
-                    cand, decisive = _candidate_from_units(poly, roots, combo, prec)
-                    if cand is not None and confirmed is None:
-                        confirmed = cand
-                    if not decisive:
-                        indecisive_here = True
-            # a confirmed factor of this degree is irreducible only when all
-            # smaller degrees were decisively excluded
-            if confirmed is not None and not indecisive_below:
-                return confirmed
-            indecisive_below = indecisive_below or indecisive_here
-            if confirmed is not None:
-                break
-        if not indecisive_below:
-            return poly
+        units = [(e.index,) if e.is_real else (e.index, e.conj_index)
+                 for e in roots if e.index <= e.conj_index]
+        undecided = False
+        for r in range(1, len(units) + 1):
+            for combo in itertools.combinations(units, r):
+                if sum(len(u) for u in combo) in sizes:
+                    verdict = _subset_divides(poly, roots, combo, prec)
+                    if verdict:
+                        return True
+                    undecided = undecided or verdict is None
+        if not undecided:
+            return False
     raise UndecidedError(
-        f"factorization by root clustering did not converge below {balls.HARD_PRECISION} bits"
+        f"irreducibility by root clustering did not converge below {balls.HARD_PRECISION} bits"
     )
 
 
-def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):
-    """(factor, decisive) for one conjugation-closed root subset.
-
-    factor is the confirmed monic integer divisor or None; decisive=False
-    means the coefficient intervals were too wide to settle the subset.
-    """
+def _subset_divides(poly: IntPoly, roots, combo, prec: int) -> Optional[bool]:
+    """True when the roots in combo are those of a monic integer divisor of
+    poly, False when they are not, None when the coefficient intervals are
+    too wide to tell."""
     from .balls import RealBall, ball_to_fraction_bounds
 
     coeffs: List[RealBall] = [RealBall.one()]
@@ -650,15 +638,13 @@ def _candidate_from_units(poly: IntPoly, roots, combo, prec: int):
         lo_i = math.ceil(lo)
         hi_i = math.floor(hi)
         if lo_i > hi_i:
-            return None, True  # interval excludes every integer: not a factor
+            return False  # interval excludes every integer: not a divisor
         if lo_i < hi_i:
-            return None, False
+            return None
         ints.append(lo_i)
     ints.append(1)
     _, rem = poly_divmod([Fraction(c) for c in poly], [Fraction(c) for c in ints])
-    if rem:
-        return None, True
-    return tuple(ints), True
+    return not rem
 
 
 # --------------------------------------------------------------------------

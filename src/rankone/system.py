@@ -280,6 +280,8 @@ class NumberFieldUnitsComponent:
         isolation, so the cached characters never depend on a user cap."""
         from . import balls
 
+        if not nf.is_irreducible(self.field.min_poly):
+            raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -288,11 +290,14 @@ class NumberFieldUnitsComponent:
                 if c.denominator != 1:
                     raise ValueError("unit with non-integral characteristic polynomial")
                 int_cp.append(int(c))
-            factors = nf.factor_monic_int(tuple(int_cp))
-            if len(factors) != 1:
-                # over a field every characteristic polynomial is a prime power
-                raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
-            min_poly = next(iter(factors))
+            # over a field the characteristic polynomial is p^k, p irreducible
+            min_poly = nf.squarefree_part_int(int_cp)
+            k, rest = divmod(len(int_cp) - 1, len(min_poly) - 1)
+            power = [1]
+            for _ in range(k):
+                power = nf.poly_mul(power, min_poly)
+            if rest or power != int_cp:
+                raise ArithmeticError("characteristic polynomial is not a power of its squarefree part")
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
                 continue

@@ -147,6 +147,26 @@ def test_norm_matches_fraction_reference():
             assert nf.norm(spec, x) == reference_det(nf.mult_matrix(spec, x))
 
 
+def test_norm_matches_det_of_mult_matrix_on_fixture_fields():
+    # norm takes the integer columns; det_oracle's route is det(mult_matrix)
+    from rankone.system import load_fixture
+
+    rng = random.Random(12)
+    for name in ("sqrt2sqrt3", "dk-sextic"):
+        comp = load_fixture(name).components[0][0]
+        spec = comp.field
+        one = nf.el_one(spec)
+        elements = [random_element(rng, spec) for _ in range(40)]
+        elements += [
+            nf.el_sub(comp.power_product((rng.randint(-6, 6), rng.randint(-6, 6))), one)
+            for _ in range(40)
+        ]
+        for x in elements:
+            got = nf.norm(spec, x)
+            assert got == det(nf.mult_matrix(spec, x))
+            assert type(got) is Fraction
+
+
 def test_mult_matrix_columns_match_el_mul():
     # column j holds x * a^j; the reference forms each column by el_mul
     rng = random.Random(11)
@@ -206,10 +226,12 @@ def test_root_isolation_cap_is_undecided(monkeypatch):
 
 
 def test_factorization_cap_is_undecided(monkeypatch):
-    monkeypatch.setattr(nf, "_candidate_from_units", lambda *args: (None, False))
+    # x^4 - 10x^2 + 1 leaves degree 2 open modulo every prime, so the
+    # irreducibility test reaches the root search, here never decisive
+    monkeypatch.setattr(nf, "_subset_divides", lambda *args: None)
     monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
-        nf._find_irreducible_factor((1, 0, -10, 0, 1))
+        nf.is_irreducible.__wrapped__((1, 0, -10, 0, 1))
 
 
 def test_reciprocal_matching_cap_is_undecided(monkeypatch):
@@ -239,8 +261,21 @@ def test_root_log_cap_is_undecided(monkeypatch):
     monkeypatch.setattr(exactlog, "isolate_roots", unresolved)
     monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
-        exactlog._root_abs_log((-2, 0, 1), 0, 64)
+        exactlog._root_abs_log.__wrapped__((-2, 0, 1), 0, 64)
     assert seen == [64, 128, 256]
+
+
+def test_cached_root_log_is_bit_equal_to_a_fresh_one():
+    from rankone import exactlog
+
+    exactlog._root_abs_log.cache_clear()
+    poly = (1, -2, -5, -3, -5, -2, 1)  # dk-sextic
+    for prec in (64, 128, 64):
+        for index in range(6):
+            cached = exactlog._root_abs_log(poly, index, prec)
+            fresh = exactlog._root_abs_log.__wrapped__(poly, index, prec)
+            assert (cached.mid, cached.rad) == (fresh.mid, fresh.rad)
+    assert exactlog._root_abs_log.cache_info().hits == 6
 
 
 # --- factorization invariants raise, so they hold under python -O -------------
@@ -257,13 +292,22 @@ def test_squarefree_part_must_be_integral(monkeypatch):
         nf.squarefree_part_int((-2, 0, 1))
 
 
+def _golden_ratio_units():
+    from rankone.system import NumberFieldUnitsComponent
+
+    # x^2 - x - 1, generated by the golden ratio: its charpoly is min_poly
+    return NumberFieldUnitsComponent((-1, -1, 1), [["0", "1"]], "components[0]")
+
+
 def test_factors_must_exhaust_the_polynomial(monkeypatch):
-    monkeypatch.setattr(nf, "_factor_squarefree_monic", lambda poly: [])
-    with pytest.raises(ArithmeticError, match="account"):
-        nf.factor_monic_int((-2, 0, 1))
+    # no power of a cubic is the quadratic characteristic polynomial
+    monkeypatch.setattr(nf, "squarefree_part_int", lambda f: (1, 0, 0, 1))
+    with pytest.raises(ArithmeticError, match="power of its squarefree part"):
+        _golden_ratio_units()._root_identities
 
 
 def test_proposed_factor_must_divide(monkeypatch):
-    monkeypatch.setattr(nf, "_find_irreducible_factor", lambda poly: (1, 1))
-    with pytest.raises(ArithmeticError, match="divide"):
-        nf.factor_monic_int((-2, 0, 1))
+    # x - 1 has a dividing degree, but (x - 1)^2 is not x^2 - x - 1
+    monkeypatch.setattr(nf, "squarefree_part_int", lambda f: (-1, 1))
+    with pytest.raises(ArithmeticError, match="power of its squarefree part"):
+        _golden_ratio_units()._root_identities

@@ -1,5 +1,8 @@
 """Number field arithmetic, root isolation, integer polynomial factoring."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +94,24 @@ def test_isolate_roots_conjugate_pair():
     assert abs(ims[0] + ims[1]) < 1e-15
 
 
+# fixture fields, their generators' minimal polynomials, and test polynomials
+ISOLATED = [
+    (1, 0, -10, 0, 1), (-1, -2, 1), (1, -4, 1),
+    (1, -2, -5, -3, -5, -2, 1), (1, 23, 16, -60, 16, 23, 1),
+    (-2, 0, 1), (1, 0, 1), (-1, -1, 1), (-3, 0, 1), (1, -10, 1), (3, 0, 0, 0, 0, 1),
+]
+
+
+def test_isolation_at_the_requested_precision_never_certifies():
+    # so _isolate_cached starts its ladder at 2 * prec from the default
+    # precision on, and results stay those of the longer ladder
+    for poly in ISOLATED:
+        n_real = nf.count_real_roots(poly)
+        for prec in (64, 128, 256):
+            assert nf._try_isolate(poly, prec, prec, n_real) is None, (poly, prec)
+            assert nf._try_isolate(poly, prec, 2 * prec, n_real) is not None, (poly, prec)
+
+
 def test_count_real_roots_sturm():
     assert nf.count_real_roots((-2, 0, 1)) == 2
     assert nf.count_real_roots((1, 0, 1)) == 0
@@ -99,17 +120,93 @@ def test_count_real_roots_sturm():
 
 
 def test_factor_monic_int_splits_known_products():
-    factors = nf.factor_monic_int((4, 0, -5, 0, 1))  # (x^2-1)(x^2-4)
-    assert factors == {(-1, 1): 1, (1, 1): 1, (-2, 1): 1, (2, 1): 1}
-    factors = nf.factor_monic_int((-1, 0, 0, 0, 1))  # x^4 - 1
-    assert factors == {(-1, 1): 1, (1, 1): 1, (1, 0, 1): 1}
-    # min poly of sqrt2 + sqrt3 is irreducible
-    assert nf.factor_monic_int((1, 0, -10, 0, 1)) == {(1, 0, -10, 0, 1): 1}
+    assert not nf.is_irreducible((4, 0, -5, 0, 1))  # (x^2-1)(x^2-4)
+    assert not nf.is_irreducible((-1, 0, 0, 0, 1))  # x^4 - 1
+    # min poly of sqrt2 + sqrt3 splits modulo every prime, yet is irreducible
+    assert nf.is_irreducible((1, 0, -10, 0, 1))
 
 
 def test_factor_monic_int_multiplicity():
-    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    assert nf.factor_monic_int((2, -3, 0, 1)) == {(-1, 1): 2, (2, 1): 1}
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2 has squarefree part (x - 1)(x + 2)
+    assert nf.squarefree_part_int((2, -3, 0, 1)) == (-2, 1, 1)
+
+
+# --- reference irreducibility test: Kronecker's method ------------------------
+# A monic integer factor g of degree k takes, at k integer points a, values
+# dividing f(a); every choice of such values determines g by interpolation.
+
+
+def _signed_divisors(v):
+    v = abs(v)
+    small = [d for d in range(1, math.isqrt(v) + 1) if v % d == 0]
+    pos = set(small) | {v // d for d in small}
+    return sorted(pos | {-d for d in pos})
+
+
+def _int_poly_eval(f, a):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * a + c
+    return acc
+
+
+def _monic_through(points, values):
+    """Monic degree-k polynomial through (points, values), or None if not integral."""
+    k = len(points)
+    g = [Fraction(1)]
+    for a in points:
+        g = nf.poly_mul(g, [Fraction(-a), Fraction(1)])
+    # add the Lagrange interpolant of the values; prod(x - a) vanishes there
+    g += [Fraction(0)] * (k + 1 - len(g))
+    for i, a in enumerate(points):
+        basis = [Fraction(1)]
+        for j, b in enumerate(points):
+            if j != i:
+                basis = nf.poly_mul(basis, [Fraction(-b, a - b), Fraction(1, a - b)])
+        for t, c in enumerate(basis):
+            g[t] += values[i] * c
+    if any(c.denominator != 1 for c in g):
+        return None
+    return [int(c) for c in g]
+
+
+def kronecker_irreducible(f):
+    n = len(f) - 1
+    if n == 1:
+        return True
+    values = {a: _int_poly_eval(f, a) for a in range(-12, 13)}
+    if 0 in values.values():
+        return False
+    points = sorted(values, key=lambda a: (len(_signed_divisors(values[a])), abs(a)))
+    for k in range(1, n // 2 + 1):
+        pts = points[:k]
+        for vals in itertools.product(*(_signed_divisors(values[a]) for a in pts)):
+            g = _monic_through(pts, vals)
+            if g is None:
+                continue
+            _, rem = nf.poly_divmod([Fraction(c) for c in f], [Fraction(c) for c in g])
+            if not rem:
+                return False
+    return True
+
+
+def _random_monic(rng, degree):
+    return tuple(rng.randint(-3, 3) for _ in range(degree)) + (1,)
+
+
+def test_is_irreducible_matches_kronecker_reference():
+    rng = random.Random(20261018)
+    polys = [_random_monic(rng, rng.randint(1, 8)) for _ in range(40)]
+    for _ in range(20):
+        a = _random_monic(rng, rng.randint(1, 4))
+        b = _random_monic(rng, rng.randint(1, 4))
+        polys.append(tuple(int(c) for c in nf.poly_mul(
+            [Fraction(c) for c in a], [Fraction(c) for c in b])))
+    polys = [f for f in polys if nf.poly_is_squarefree(f)]
+    assert len(polys) > 45
+    verdicts = [nf.is_irreducible.__wrapped__(f) for f in polys]
+    assert verdicts == [kronecker_irreducible(f) for f in polys]
+    assert 15 < sum(verdicts) < len(verdicts) - 15  # both answers were exercised
 
 
 def test_palindrome_detection():

@@ -63,6 +63,37 @@ def test_analyze_decides_each_direction_once(monkeypatch, capsys):
     assert decided[3:] == [((1, 1), 256), ((1, 1), 512)]
 
 
+def test_analyze_takes_each_root_log_once(capsys):
+    from rankone import exactlog
+
+    exactlog._root_abs_log.cache_clear()
+    cli.main(["analyze", "dk-sextic"])
+    capsys.readouterr()
+    # thousands of evaluations, four distinct (poly, index, prec) keys
+    info = exactlog._root_abs_log.cache_info()
+    assert info.misses == 4 and info.hits > 1000
+
+
+def test_forced_sextic_zeta_isolates_each_polynomial_once(monkeypatch, capsys):
+    # field and generator minimal polynomials come without factoring, and
+    # the first ladder rung certifies
+    calls = []
+    isolate = nf._try_isolate
+
+    def counted(poly, prec, work, n_real):
+        calls.append((poly, prec, work))
+        return isolate(poly, prec, work, n_real)
+
+    monkeypatch.setattr(nf, "_try_isolate", counted)
+    nf._isolate_cached.cache_clear()
+    assert cli.main(["zeta", "dk-sextic", "--n", "1,0", "--force"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [
+        ((1, -2, -5, -3, -5, -2, 1), 64, 128),
+        ((1, 23, 16, -60, 16, 23, 1), 64, 128),
+    ]
+
+
 def test_expansive_classification_ledrappier():
     sys_ = load_fixture("ledrappier")
     assert is_expansive_element(sys_, (1, 1)) is True

@@ -569,6 +569,7 @@ def is_irreducible(poly: IntPoly) -> bool:
     n = len(poly) - 1
     if n <= 1 or not poly_is_squarefree(poly):
         return n == 1
+    # a divisor of degree k has a cofactor of degree n - k
     possible = set(range(1, n // 2 + 1))
     for p in _DEGREE_PRIMES:
         f = FpPoly(p, poly)

@@ -1,4 +1,4 @@
-"""Number field arithmetic, root isolation, integer polynomial factoring."""
+"""Number field arithmetic, root isolation, irreducibility of integer polynomials."""
 
 import itertools
 import math

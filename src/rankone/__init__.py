@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "DescriptorError",
-        "FitAmbiguityError",
         "FitInconsistencyError",
         "ResourceCapError",
         "UndecidedError",

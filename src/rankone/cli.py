@@ -31,7 +31,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 from .defaults import CONVENTIONS, DEFAULT_PRECISION, INVERSE_ROOT, MAX_PRECISION
 from .errors import (
     DescriptorError,
-    FitAmbiguityError,
     FitInconsistencyError,
     ResourceCapError,
     UndecidedError,
@@ -321,7 +320,7 @@ def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int,
         return entry
     try:
         zf = inverse_roots(system, n, precision=prec, max_prec=max_prec)
-    except (UndecidedError, FitInconsistencyError, FitAmbiguityError, ResourceCapError) as exc:
+    except (UndecidedError, FitInconsistencyError, ResourceCapError) as exc:
         entry["status"] = f"failed: {exc}"
         return entry
     entry["status"] = "ok"
@@ -498,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UnsupportedOperationError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except (FitInconsistencyError, FitAmbiguityError) as exc:
+    except FitInconsistencyError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_UNDECIDED
     except UndecidedError as exc:

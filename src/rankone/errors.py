@@ -28,14 +28,4 @@ class UnsupportedOperationError(RuntimeError):
 
 
 class FitInconsistencyError(RuntimeError):
-    """No sign assignment reproduces the exact count sequence."""
-
-
-class FitAmbiguityError(RuntimeError):
-    """Several sign assignments fit; more count terms are needed."""
-
-    def __init__(self, suggested_j_check: int):
-        self.suggested_j_check = suggested_j_check
-        super().__init__(
-            f"multiple sign assignments fit the tested counts; retry with j_check >= {suggested_j_check}"
-        )
+    """No integer coefficients reproduce the exact count sequence."""

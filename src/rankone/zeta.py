@@ -5,9 +5,11 @@ polynomial F_j = -sum_J lambda_J c_J^j whose base values c_J are read off
 the characters: a nonarchimedean growth factor g common to all branches,
 times one factor chi(-n) for every multiset subset of the archimedean
 characters.  The signs (more generally small integer coefficients, since
-numerically equal values merge) are pinned by fitting against the exact
-F_j, the only convention-free anchor: the fitted values are the inverse
-roots c appearing as (1 - c z)^{+-1} in the rational zeta function.
+numerically equal values merge) are solved from the exact F_j, the only
+convention-free anchor: the K values are distinct, so F_1..F_K fix the
+coefficients through a Vandermonde system, certified in ball arithmetic,
+and the later F_j check them.  The fitted values are the inverse roots c
+appearing as (1 - c z)^{+-1} in the rational zeta function.
 
 Values are exact rationals for s_integer and function_field descriptors
 and certified complex intervals for number fields.  Interval work
@@ -22,9 +24,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import numberfield as nf
-from .balls import DEFAULT_PRECISION, MAX_PRECISION, ComplexBall, RealBall, precisions
+from .balls import (
+    DEFAULT_PRECISION,
+    HARD_PRECISION,
+    MAX_PRECISION,
+    ComplexBall,
+    RealBall,
+    ball_to_fraction_bounds,
+    precisions,
+)
 from .errors import (
-    FitAmbiguityError,
     FitInconsistencyError,
     ResourceCapError,
     UndecidedError,
@@ -34,9 +43,9 @@ from .exactlog import ExactLog
 from .periodic import PeriodicCount, count_sequence
 from .system import SystemDescriptor
 
-# residual updates a fit search may make: each node of the search charges one
-# update per count term, so a long count sequence exhausts it sooner
-FIT_WORK_CAP = 1 << 20
+# work a coefficient certification may take, in K^2 x bits for K candidate
+# values: one solve costs about 3 K^2 ball products at that many bits
+FIT_WORK_CAP = 1 << 24
 
 
 def is_expansive_element(
@@ -217,9 +226,6 @@ class ZetaCandidate:
             self._balls[prec] = ball
         return ball
 
-    def magnitude_upper(self, prec: int) -> float:
-        return self.ball(prec).abs(prec).float_bounds()[1]
-
     def label_text(self) -> str:
         return "|".join(b.label_text() for b in self.members)
 
@@ -263,54 +269,13 @@ def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaC
     return clusters
 
 
-class _Slot:
-    """A fitting unknown: one cluster, or a conjugate pair sharing a coefficient."""
-
-    __slots__ = ("primary", "partner", "bound")
-
-    def __init__(self, primary: ZetaCandidate, partner: Optional[ZetaCandidate]):
-        self.primary = primary
-        self.partner = partner
-        self.bound = primary.multiplicity
-
-    def is_exact(self) -> bool:
-        return self.primary.is_exact() and self.partner is None
-
-
-def _link_conjugates(clusters: List[ZetaCandidate], prec: int) -> Optional[List[_Slot]]:
-    """Pair clusters with their complex conjugates; None means escalate."""
-    balls = [c.ball(prec) for c in clusters]
-    partner: List[Optional[int]] = [None] * len(clusters)
-    for i, c in enumerate(clusters):
-        if c.is_exact():
-            partner[i] = i
-            continue
-        conj = balls[i].conj()
-        hits = [k for k, b in enumerate(balls) if not conj.box_disjoint(b)]
-        if len(hits) != 1:
-            return None
-        partner[i] = hits[0]
-    for i, p in enumerate(partner):
-        if partner[p] != i:
-            return None
-    slots = []
-    for i, p in enumerate(partner):
-        if p == i:
-            slots.append(_Slot(clusters[i], None))
-        elif i < p:
-            if clusters[i].multiplicity != clusters[p].multiplicity:
-                return None
-            slots.append(_Slot(clusters[i], clusters[p]))
-    return slots
-
-
 def _count_values(F: Sequence) -> List[int]:
     values = []
-    for entry in F:
+    for j, entry in enumerate(F, 1):
         if isinstance(entry, PeriodicCount):
             if not entry.is_finite:
-                raise FitInconsistencyError(
-                    "count sequence contains an infinite entry; no rational zeta factorization exists"
+                raise UnsupportedOperationError(
+                    f"the count at j={j} is infinite, so no rational zeta function exists"
                 )
             values.append(entry.value)
         else:
@@ -318,113 +283,39 @@ def _count_values(F: Sequence) -> List[int]:
     return values
 
 
-def _abs_lower(residual, prec: int) -> float:
-    """Certified lower bound for |residual| (Fraction or ComplexBall)."""
-    if isinstance(residual, Fraction):
-        return abs(residual).__float__() if abs(residual) < Fraction(10) ** 300 else float("inf")
-    return residual.abs(prec).float_bounds()[0]
+def _log2_abs(z: ComplexBall) -> int:
+    """About log2 |z|, within a bit, from the exponents of the midpoint."""
+    return max(exp + bc for _, man, exp, bc in (z.re.mid, z.im.mid) if man)
 
 
-def _fit_once(
-    slots: List[_Slot], F: List[int], mu: int, prec: int, work_budget: List[int]
-) -> List[Tuple[int, ...]]:
-    """Coefficient assignments fitting F_j = -sum a c^j (at most two returned)."""
-    J = len(F)
-    order = sorted(
-        range(len(slots)),
-        key=lambda i: (-slots[i].primary.magnitude_upper(prec), i),
+def _start_precision(balls: List[ComplexBall], values: List[int], prec: int) -> int:
+    """Bits that pin every coefficient to about 2^-16.
+
+    The solve loses about log2 |c|^-1 prod_{k != c} (1 + |c_k|) / |c - c_k|
+    bits on coefficient c (Gautschi's bound on the inverse Vandermonde
+    matrix), relative to the largest count it reads.
+    """
+    logs = [_log2_abs(b) for b in balls]
+    loss = max(
+        -logs[i]
+        + sum(
+            max(logs[k], 0) + 1 - _log2_abs(b.sub(balls[k], prec))
+            for k in range(len(balls))
+            if k != i
+        )
+        for i, b in enumerate(balls)
     )
+    return loss + max(abs(v).bit_length() for v in values) + 16
 
-    # per depth: contribution of a unit coefficient at each j, and its magnitude bound
-    unit: List[List[object]] = []
-    mags: List[List[float]] = []
-    for i in order:
-        slot = slots[i]
-        row: List[object] = []
-        mrow: List[float] = []
-        if slot.is_exact():
-            c = slot.primary.exact * mu
-            v = Fraction(1)
-            for j in range(1, J + 1):
-                v *= c
-                row.append(v)
-                mrow.append(abs(v).__float__() if abs(v) < Fraction(10) ** 300 else float("inf"))
-        else:
-            cball = slot.primary.ball(prec)
-            if mu < 0:
-                cball = cball.neg()
-            power = cball
-            for j in range(1, J + 1):
-                if j > 1:
-                    power = power.mul(cball, prec)
-                term = power
-                if slot.partner is not None:
-                    term = power.add(power.conj(), prec)
-                row.append(term)
-                mrow.append(term.abs(prec).float_bounds()[1])
-        unit.append(row)
-        mags.append(mrow)
 
-    # total remaining weight below each depth, per j
-    rem = [[0.0] * J for _ in range(len(order) + 1)]
-    for depth in range(len(order) - 1, -1, -1):
-        b = slots[order[depth]].bound
-        for j in range(J):
-            rem[depth][j] = rem[depth + 1][j] + b * mags[depth][j]
-
-    solutions: List[Tuple[int, ...]] = []
-    assignment = [0] * len(order)
-
-    def descend(depth, residuals):
-        work_budget[0] -= J
-        if work_budget[0] < 0:
-            raise ResourceCapError(f"coefficient search exceeded {FIT_WORK_CAP} residual updates")
-        if len(solutions) >= 2:
-            return
-        if depth == len(order):
-            for r in residuals:
-                if isinstance(r, Fraction):
-                    if r != 0:
-                        return
-                elif not r.contains_zero():
-                    return
-            solutions.append(tuple(assignment))
-            return
-        for j in range(J):
-            if _abs_lower(residuals[j], prec) > rem[depth][j] * (1 + 1e-12) + 1e-300:
-                return
-        slot = slots[order[depth]]
-        bound = slot.bound
-        for a in range(-bound, bound + 1):
-            if (a - bound) % 2 != 0:
-                continue
-            assignment[depth] = a
-            if a == 0:
-                descend(depth + 1, residuals)
-            else:
-                new_res = []
-                for j in range(J):
-                    contrib = unit[depth][j]
-                    r = residuals[j]
-                    if isinstance(contrib, Fraction):
-                        if isinstance(r, Fraction):
-                            new_res.append(r + a * contrib)
-                        else:
-                            new_res.append(
-                                r.add(ComplexBall.from_fractions(a * contrib, Fraction(0), prec), prec)
-                            )
-                    else:
-                        scaled = contrib.mul_real(RealBall.from_int(a), prec)
-                        if isinstance(r, Fraction):
-                            base = ComplexBall.from_fractions(r, Fraction(0), prec)
-                            new_res.append(base.add(scaled, prec))
-                        else:
-                            new_res.append(r.add(scaled, prec))
-                descend(depth + 1, new_res)
-            assignment[depth] = 0
-
-    descend(0, [Fraction(fj) for fj in F])
-    return [tuple(sol[order.index(i)] for i in range(len(slots))) for sol in solutions]
+def _admissible(a: ComplexBall, m: int) -> range:
+    """Integers in the ball with |a| <= m and the parity of m."""
+    if not a.im.contains_zero():
+        return range(0)
+    lo, hi = ball_to_fraction_bounds(a.re)
+    first = max(-m, math.ceil(lo))
+    last = min(m, math.floor(hi))
+    return range(first + (first - m) % 2, last - (last - m) % 2 + 1, 2)
 
 
 def fit_exponents(
@@ -435,41 +326,96 @@ def fit_exponents(
     """Integer coefficients and mu with F_j = -sum_c a_c (mu c)^j.
 
     Coefficient a_c ranges over [-m_c, m_c] with the parity of m_c (each of
-    the m_c coinciding branches contributes +-1).  Exactly one assignment
-    must fit all provided j: none is an inconsistency, several ask for a
-    longer count sequence.  mu = +1 is tried first and -1 only as a
-    fallback, so a factorization symmetric under global negation reports
-    mu = +1 canonically.
+    the m_c coinciding branches contributes +-1).  The K candidate values
+    are nonzero and distinct (ValueError for exact ones, UndecidedError when
+    their balls at `precision` meet zero or each other), so F_1..F_K fix the
+    coefficients through a nonsingular Vandermonde system.  It is solved by
+    the residue formula a_c = -N^(mu c) / (mu c prod_{k != c} (mu c - mu c_k)),
+    where P(z) = prod_k (1 - mu c_k z), N = P sum_j F_j z^j and
+    N^(w) = sum_{i <= K} N_i w^(K-i), in balls at the precision that
+    _start_precision estimates, doubled while some ball holds several
+    admissible integers.  F_{K+1}..F_J are checked through the vanishing of
+    N_{K+1}..N_J.  No admissible solution is an inconsistency.  mu = +1 is
+    tried first and -1 only as a fallback, so a factorization symmetric
+    under global negation reports mu = +1 canonically.  The work is bounded
+    by FIT_WORK_CAP (K^2 x bits).
     """
     values = _count_values(F)
-    slots = _link_conjugates(candidates, precision)
-    if slots is None:
-        raise UndecidedError("conjugate pairing of zeta candidates")
-    if len(values) < len(slots) + 2:
-        raise ValueError(
-            f"need at least {len(slots) + 2} count terms for {len(slots)} candidate values"
-        )
-    budget = [FIT_WORK_CAP]
-    for mu in (1, -1):
-        solutions = _fit_once(slots, values, mu, precision, budget)
-        if len(solutions) == 1:
-            return _slot_to_candidate_coeffs(candidates, slots, solutions[0]), mu
-        if len(solutions) >= 2:
-            raise FitAmbiguityError(len(values) + 2)
-    raise FitInconsistencyError(
-        "no sign assignment reproduces the count sequence; candidate values do not fit"
-    )
-
-
-def _slot_to_candidate_coeffs(
-    candidates: List[ZetaCandidate], slots: List[_Slot], solution: Tuple[int, ...]
-) -> List[int]:
-    coeff_by_id: Dict[int, int] = {}
-    for slot, a in zip(slots, solution):
-        coeff_by_id[id(slot.primary)] = a
-        if slot.partner is not None:
-            coeff_by_id[id(slot.partner)] = a
-    return [coeff_by_id[id(c)] for c in candidates]
+    K = len(candidates)
+    if len(values) < K + 2:
+        raise ValueError(f"need at least {K + 2} count terms for {K} candidate values")
+    exact = [c.exact for c in candidates if c.exact is not None]
+    if 0 in exact or len(set(exact)) < len(exact):
+        raise ValueError("exact zeta candidate values must be nonzero and distinct")
+    balls = [c.ball(precision) for c in candidates]
+    if any(b.contains_zero() for b in balls) or any(
+        not b.box_disjoint(other) for i, b in enumerate(balls) for other in balls[i + 1:]
+    ):
+        raise UndecidedError(f"separating zeta candidate values at {precision} bits")
+    start = max(precision, _start_precision(balls, values[:K], precision))
+    counts = [RealBall.from_int(v) for v in values]
+    rejected = set()
+    for prec in precisions(start, HARD_PRECISION):
+        if K * K * prec > FIT_WORK_CAP:
+            raise ResourceCapError(
+                f"certifying {K} zeta coefficients at {prec} bits exceeds the fit work cap "
+                f"of {FIT_WORK_CAP} (K^2 x bits)"
+            )
+        # members of a cluster are equal, so the first one stands for it; a
+        # cluster that merged distinct values then fails instead of blurring
+        cs = [c.members[0].ball(prec) for c in candidates]
+        # P(z) = prod_k (1 - c_k z) and D_c = c prod_{k != c} (c - c_k); for
+        # mu = -1 they become P(-z) and (-1)^K D_c
+        P = [ComplexBall(RealBall.one(), RealBall.zero())]
+        for c in cs:
+            nc = c.neg()
+            P = (
+                [P[0]]
+                + [P[i].add(P[i - 1].mul(nc, prec), prec) for i in range(1, len(P))]
+                + [P[-1].mul(nc, prec)]
+            )
+        D = list(cs)
+        for i in range(K):
+            for k in range(i + 1, K):
+                diff = cs[i].sub(cs[k], prec)
+                D[i] = D[i].mul(diff, prec)
+                D[k] = D[k].mul(diff.neg(), prec)
+        try:
+            inv_d = [d.recip(prec) for d in D]
+        except ZeroDivisionError:
+            continue  # the values are not yet apart at this precision
+        for mu in (1, -1):
+            if mu in rejected:
+                continue
+            Pmu = [p.neg() if mu < 0 and t % 2 else p for t, p in enumerate(P)]
+            N = []
+            for i in range(1, len(counts) + 1):
+                acc = Pmu[0].mul_real(counts[i - 1], prec)
+                for t in range(1, min(i, K + 1)):
+                    acc = acc.add(Pmu[t].mul_real(counts[i - t - 1], prec), prec)
+                N.append(acc)
+            if not all(x.contains_zero() for x in N[K:]):
+                rejected.add(mu)
+                continue
+            sign = RealBall.from_int(-(mu ** K))
+            ranges = []
+            for c, r, cand in zip(cs, inv_d, candidates):
+                w = c if mu > 0 else c.neg()
+                acc = N[0]
+                for x in N[1:K]:
+                    acc = acc.mul(w, prec).add(x, prec)
+                ranges.append(_admissible(acc.mul(r, prec).mul_real(sign, prec), cand.multiplicity))
+            if not all(ranges):
+                rejected.add(mu)
+                continue
+            if all(len(r) == 1 for r in ranges):
+                return [r[0] for r in ranges], mu
+            break  # mu = -1 counts only once mu = +1 is ruled out
+        if len(rejected) == 2:
+            raise FitInconsistencyError(
+                "no sign assignment reproduces the count sequence; candidate values do not fit"
+            )
+    raise UndecidedError("certifying zeta coefficients")
 
 
 class ZetaFactorization:
@@ -545,8 +491,10 @@ def inverse_roots(
 ) -> ZetaFactorization:
     """Fit the inverse-root multiset of zeta_n against exact counts.
 
-    Candidate separation walks precisions(precision, max_prec).
-    Outside the expansive regime rationality is not guaranteed; force=True
+    Candidate separation walks precisions(precision, max_prec), and values
+    are reported at the precision that separated them.  The coefficient
+    certification in fit_exponents climbs past max_prec, up to
+    HARD_PRECISION, because its results are integers.  Outside the expansive regime rationality is not guaranteed; force=True
     attempts the fit anyway and raises an inconsistency if none exists.
     """
     expansive = is_expansive_element(sys, n, max_prec)
@@ -560,31 +508,30 @@ def inverse_roots(
     branches = _branches(sys, n)
     for prec in precisions(precision, max_prec):
         clusters = _cluster_branches(branches, prec)
-        if clusters is not None:
-            all_exact = all(c.is_exact() for c in clusters)
-            J = j_check if j_check is not None else max(len(clusters) + 2, 6)
-            F = count_sequence(sys, n, J)
-            try:
-                coeffs, mu = fit_exponents(clusters, F, prec)
-            except UndecidedError:
-                coeffs = None
-            except (FitInconsistencyError, FitAmbiguityError):
-                # exact values cannot sharpen; interval clusters may split
-                if all_exact:
-                    raise
-                coeffs = None
-            if coeffs is not None:
-                for c, a in zip(clusters, coeffs):
-                    c.coefficient = a
-                if mu < 0:
-                    clusters = [c.negated() for c in clusters]
-                zf = ZetaFactorization(n, mu, clusters, len(F), prec)
-                report = verify_generating_identity(zf, F, len(F))
-                if not report["ok"]:
-                    raise FitInconsistencyError(
-                        f"fitted factorization fails re-verification at j={report['failures']}"
-                    )
-                return zf
+        if clusters is None:
+            continue
+        J = j_check if j_check is not None else max(len(clusters) + 2, 6)
+        F = count_sequence(sys, n, J)
+        try:
+            coeffs, mu = fit_exponents(clusters, F, prec)
+        except UndecidedError:
+            continue
+        except FitInconsistencyError:
+            # exact values cannot sharpen; interval clusters may split
+            if all(c.is_exact() for c in clusters):
+                raise
+            continue
+        for c, a in zip(clusters, coeffs):
+            c.coefficient = a
+        if mu < 0:
+            clusters = [c.negated() for c in clusters]
+        zf = ZetaFactorization(n, mu, clusters, len(F), prec)
+        report = verify_generating_identity(zf, F, len(F))
+        if not report["ok"]:
+            raise FitInconsistencyError(
+                f"fitted factorization fails re-verification at j={report['failures']}"
+            )
+        return zf
     raise UndecidedError("separating zeta candidate values at the precision cap")
 
 

@@ -16,7 +16,9 @@ import time
 
 import pytest
 
-from rankone import build_portrait, cli, load_fixture, omega_samples, periodic, subdynamics, zeta
+from rankone import (
+    build_portrait, cli, load_fixture, omega_samples, parse_descriptor, periodic, subdynamics, zeta,
+)
 from rankone.balls import RealBall
 from rankone.errors import UndecidedError
 from rankone.subdynamics import _round12, default_directions
@@ -134,13 +136,60 @@ def test_zeta_forced_inconsistency_exits_undecided(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, j", [("2", 3), ("3", 1)])
+def test_zeta_infinite_count_exits_validation(tmp_path, capsys, n, j):
+    # the generator is a primitive cube root of unity, so the count at
+    # j = 3/n is infinite and no zeta function exists at any precision
+    path = tmp_path / "cube_root.json"
+    path.write_text(json.dumps({"d": 1, "components": [
+        {"class": "number_field_units", "min_poly": [1, 1, 1], "generators": [["0", "1"]]},
+    ]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeta", str(path), "--n", n, "--force")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: the count at j={j} is infinite, so no rational zeta function exists\n"
+
+
+def test_multiplicity_two_quartic_fits_all_46_values(monkeypatch, tmp_path, capsys):
+    # 46 candidate values: a sign search over them ran out of work, while
+    # one certified solve of the Vandermonde system fixes the coefficients
+    path = tmp_path / "quartic_twice.json"
+    path.write_text(json.dumps({"d": 2, "components": [{
+        "class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+        "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]],
+    }]}))
+    fits = []
+
+    def kept(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    fit = zeta.inverse_roots
+    monkeypatch.setattr(zeta, "inverse_roots", kept)
+    code, out, err = run(capsys, "zeta", str(path), "--n", "-1,-2")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["factors"]) == 46
+    zf, = fits
+    J = zf.verified_to + 4
+    counts = periodic.count_sequence(parse_descriptor(path.read_text()), (-1, -2), J)
+    assert zeta.verify_generating_identity(zf, counts, J)["ok"]
+
+
 def test_fit_work_cap_exits_resource(monkeypatch, capsys):
-    # both signs of mu search this fit, charging 2,059 residual updates in all
-    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 2058)
+    # the 27 values of this fit are certified at 119 bits: 27^2 x 119 = 86,751
+    # units, checked before any ball work
+    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 86750)
     code, out, err = run(capsys, "zeta", "dk-sextic", "--n", "1,0", "--force")
     assert code == 3
     assert out == ""
-    assert err == "error: coefficient search exceeded 2058 residual updates\n"
+    assert err == (
+        "error: certifying 27 zeta coefficients at 119 bits exceeds the fit work cap "
+        "of 86750 (K^2 x bits)\n"
+    )
+    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 86751)
+    assert run(capsys, "zeta", "dk-sextic", "--n", "1,0", "--force")[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -76,7 +76,8 @@ def test_analyze_takes_each_root_log_once(capsys):
 
 def test_forced_sextic_zeta_isolates_each_polynomial_once(monkeypatch, capsys):
     # field and generator minimal polynomials come without factoring, and
-    # the first ladder rung certifies
+    # the first ladder rung certifies; the coefficient certification adds
+    # the roots of the value polynomial at its own 119 bits
     calls = []
     isolate = nf._try_isolate
 
@@ -90,6 +91,7 @@ def test_forced_sextic_zeta_isolates_each_polynomial_once(monkeypatch, capsys):
     capsys.readouterr()
     assert sorted(calls) == [
         ((1, -2, -5, -3, -5, -2, 1), 64, 128),
+        ((1, -2, -5, -3, -5, -2, 1), 119, 238),
         ((1, 23, 16, -60, 16, 23, 1), 64, 128),
     ]
 
@@ -193,6 +195,27 @@ def test_fit_exponents_inconsistent_candidates():
     F = [6 ** j - 1 for j in range(1, 5)]
     with pytest.raises(FitInconsistencyError):
         fit_exponents(cands, F)
+
+
+def test_fit_exponents_keeps_the_parity_of_the_multiplicity():
+    # -1 reproduces 2^j, but two coinciding branches sum to -2, 0 or 2
+    cands = [ZetaCandidate.exact_rational(2, multiplicity=2)]
+    with pytest.raises(FitInconsistencyError):
+        fit_exponents(cands, [2 ** j for j in range(1, 4)])
+
+
+def test_fit_exponents_bounds_coefficients_by_multiplicity():
+    # -3 reproduces 3 * 2^j, out of reach of a single branch
+    cands = [ZetaCandidate.exact_rational(2, multiplicity=1)]
+    with pytest.raises(FitInconsistencyError):
+        fit_exponents(cands, [3 * 2 ** j for j in range(1, 4)])
+
+
+@pytest.mark.parametrize("values", [(2, 2), (0, 3)])
+def test_fit_exponents_needs_distinct_nonzero_values(values):
+    cands = [ZetaCandidate.exact_rational(v) for v in values]
+    with pytest.raises(ValueError, match="nonzero and distinct"):
+        fit_exponents(cands, [2 ** j for j in range(1, 5)])
 
 
 def test_multiplicity_widens_coefficient_range():

@@ -152,8 +152,8 @@ def test_zeta_infinite_count_exits_validation(tmp_path, capsys, n, j):
 
 
 def test_multiplicity_two_quartic_fits_all_46_values(monkeypatch, tmp_path, capsys):
-    # 46 candidate values: a sign search over them ran out of work, while
-    # one certified solve of the Vandermonde system fixes the coefficients
+    # one certified solve of the 46 x 46 Vandermonde system fixes all the
+    # coefficients, some as large as 20 in absolute value
     path = tmp_path / "quartic_twice.json"
     path.write_text(json.dumps({"d": 2, "components": [{
         "class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],

@@ -76,8 +76,8 @@ def test_analyze_takes_each_root_log_once(capsys):
 
 def test_forced_sextic_zeta_isolates_each_polynomial_once(monkeypatch, capsys):
     # field and generator minimal polynomials come without factoring, and
-    # the first ladder rung certifies; the coefficient certification adds
-    # the roots of the value polynomial at its own 119 bits
+    # the first ladder rung certifies; the coefficient certification embeds
+    # the values once more, from the field polynomial's roots at 119 bits
     calls = []
     isolate = nf._try_isolate
 

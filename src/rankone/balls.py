@@ -55,7 +55,7 @@ _UP = "c"  # radii are nonnegative, so ceiling == away from zero
 _DOWN = "f"
 
 # Cap of the steps that always succeed for valid input and so ignore the user
-# cap: root isolation, factorization, root matching and root logs.
+# cap: root isolation, root matching, root logs and zeta coefficients.
 HARD_PRECISION = 1 << 20
 
 

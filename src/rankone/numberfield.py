@@ -17,13 +17,14 @@ parts, and conjugate boxes are paired by certified overlap.  Everything
 re-runs at doubled precision until it resolves, so results are reproducible
 and independent of floating-point luck.
 
-Irreducibility over Q is read from factor degrees modulo a few primes; the
-degrees those leave open go to the same machinery: conjugation-closed
-subsets of isolated roots propose divisors through interval symmetric
-functions, and exact trial division over Z confirms them.
+Irreducibility over Q is decided with integers alone.  Factor degrees
+modulo a few primes usually settle it; the degrees those leave open go to a
+Hensel lift of the factors modulo one prime, whose products are tried as
+divisors over Z by exact division (Zassenhaus).
 
-Only the isolation, embedding and root-search functions import balls and
-mpmath, at their entry, so element arithmetic and norms load neither.
+Only the isolation and embedding functions import balls and mpmath, at
+their entry, so element arithmetic, norms and the irreducibility test load
+neither.
 """
 
 from __future__ import annotations
@@ -547,7 +548,7 @@ def embed(x: Element, e: Embedding, prec: int) -> ComplexBall:
 
 
 # primes at which to read factor degrees; a degree that survives all of them
-# goes to the root search (x^4 - 10x^2 + 1 splits modulo every prime)
+# goes to a Hensel lift (x^4 - 10x^2 + 1 splits modulo every prime)
 _DEGREE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
@@ -559,10 +560,12 @@ def is_irreducible(poly: IntPoly) -> bool:
     modulo every prime p, so k is a sum of some of the factor degrees mod p
     wherever f stays squarefree.  Intersecting those subset sums over a few
     primes usually leaves only 0 and deg f, which proves irreducibility.
-    Degrees still possible go to a search over conjugation-closed subsets of
-    the isolated roots of exactly those sizes.
+    Degrees still possible go to Zassenhaus's search: the factors modulo the
+    prime with the fewest of them are lifted to p^k, and their products of a
+    possible degree are tried as divisors over Z.
     """
     from .fppoly import FpPoly, _distinct_degree
+    from .rationals import is_prime
 
     if not poly or poly[-1] != 1:
         raise ValueError("is_irreducible expects a monic polynomial")
@@ -571,81 +574,78 @@ def is_irreducible(poly: IntPoly) -> bool:
         return n == 1
     # a divisor of degree k has a cofactor of degree n - k
     possible = set(range(1, n // 2 + 1))
-    for p in _DEGREE_PRIMES:
+    best = None  # (factor count, prime) of the squarefree reduction with fewest factors
+    # f is squarefree modulo every prime not dividing its discriminant
+    beyond = filter(is_prime, itertools.count(_DEGREE_PRIMES[-1] + 1))
+    for p in itertools.chain(_DEGREE_PRIMES, beyond):
+        if best is not None and p > _DEGREE_PRIMES[-1]:
+            break
         f = FpPoly(p, poly)
         if f.gcd(f.derivative()).degree > 0:
             continue
         sums = {0}
+        count = 0
         for d, group in _distinct_degree(f):
             for _ in range(group.degree // d):
                 sums |= {s + d for s in sums}
+                count += 1
         possible &= sums
         if not possible:
             return True
-    return not _root_subset_divides(poly, possible)
+        if best is None or count < best[0]:
+            best = (count, p)
+    return not _lifted_factor_divides(poly, best[1], possible)
 
 
-def _root_subset_divides(poly: IntPoly, sizes) -> bool:
-    """Whether some conjugation-closed subset of roots, of a size in sizes,
-    is the root set of a monic integer divisor of the squarefree poly.
+def _lifted_factor_divides(poly: IntPoly, p: int, degrees) -> bool:
+    """Whether the monic poly, squarefree modulo p, has a monic integer
+    divisor whose degree is in degrees.
 
-    Interval symmetric functions of each subset propose the divisor and
-    exact division over Z confirms it; the precision rises until every
-    subset is either confirmed or excluded.
+    Each factor g mod p is lifted on its own, one power of p per step, until
+    p^k exceeds twice Mignotte's bound 2^n |f|_2 on the coefficients of any
+    divisor; a divisor over Z is then the symmetric residue of a product of
+    lifted factors, confirmed by exact division.
     """
-    from . import balls
+    from .fppoly import FpPoly
 
-    for prec in balls.precisions(128, balls.HARD_PRECISION):
-        roots = isolate_roots(poly, prec)
-        units = [(e.index,) if e.is_real else (e.index, e.conj_index)
-                 for e in roots if e.index <= e.conj_index]
-        undecided = False
-        for r in range(1, len(units) + 1):
-            for combo in itertools.combinations(units, r):
-                if sum(len(u) for u in combo) in sizes:
-                    verdict = _subset_divides(poly, roots, combo, prec)
-                    if verdict:
-                        return True
-                    undecided = undecided or verdict is None
-        if not undecided:
-            return False
-    raise UndecidedError(
-        f"irreducibility by root clustering did not converge below {balls.HARD_PRECISION} bits"
-    )
-
-
-def _subset_divides(poly: IntPoly, roots, combo, prec: int) -> Optional[bool]:
-    """True when the roots in combo are those of a monic integer divisor of
-    poly, False when they are not, None when the coefficient intervals are
-    too wide to tell."""
-    from .balls import RealBall, ball_to_fraction_bounds
-
-    coeffs: List[RealBall] = [RealBall.one()]
-    for unit in combo:
-        if len(unit) == 1:
-            r = roots[unit[0]].box.re
-            factor = [r.neg(), RealBall.one()]
-        else:
-            z = roots[unit[0]].box
-            factor = [z.abs2(prec), z.re.mul_int(2, prec).neg(), RealBall.one()]
-        new = [RealBall.zero() for _ in range(len(coeffs) + len(factor) - 1)]
-        for i, a in enumerate(coeffs):
-            for j, b in enumerate(factor):
-                new[i + j] = new[i + j].add(a.mul(b, prec), prec)
-        coeffs = new
-    ints: List[int] = []
-    for c in coeffs[:-1]:
-        lo, hi = ball_to_fraction_bounds(c)
-        lo_i = math.ceil(lo)
-        hi_i = math.floor(hi)
-        if lo_i > hi_i:
-            return False  # interval excludes every integer: not a divisor
-        if lo_i < hi_i:
-            return None
-        ints.append(lo_i)
-    ints.append(1)
-    _, rem = poly_divmod([Fraction(c) for c in poly], [Fraction(c) for c in ints])
-    return not rem
+    n = len(poly) - 1
+    pk = p
+    while pk * pk <= 4 ** (n + 1) * sum(c * c for c in poly):
+        pk *= p
+    f = FpPoly(p, poly)
+    lifted = []
+    for g in f.factor():
+        m = g.degree
+        # (f/g)^(-1) mod g, in the field F_p[x]/(g) of p^m elements
+        t = f.divexact(g).powmod(p ** m - 2, g)
+        lift = list(g.coeffs)
+        pj = p
+        while pj < pk:
+            # lift divides f modulo pj, so f mod lift is divisible by pj
+            rem = list(poly)
+            _reduce_in_place(lift, rem)
+            delta = t.mul(FpPoly(p, [c // pj for c in rem[:m]])).mod(g).coeffs
+            for i, c in enumerate(delta):
+                lift[i] += pj * c
+            pj *= p
+        lifted.append(lift)
+    for r in range(1, max(degrees) + 1):
+        for combo in itertools.combinations(lifted, r):
+            if sum(len(g) - 1 for g in combo) not in degrees:
+                continue
+            h = [1]
+            for g in combo:
+                prod = [0] * (len(h) + len(g) - 1)
+                for i, a in enumerate(h):
+                    for j, b in enumerate(g):
+                        prod[i + j] += a * b
+                h = [c % pk for c in prod]
+            h = [c - pk if 2 * c > pk else c for c in h]
+            rem = list(poly)
+            _reduce_in_place(h, rem)
+            if not any(rem[: len(h) - 1]):
+                return True
+    return False
 
 
 # --------------------------------------------------------------------------

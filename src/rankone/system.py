@@ -248,6 +248,9 @@ class NumberFieldUnitsComponent:
             self.field = nf.NumberFieldSpec(min_poly)
         except ValueError as exc:
             raise DescriptorError(f"{path}.min_poly", str(exc)) from None
+        # |Norm(h - 1)| counts periodic points only when Q[x]/(min_poly) is a field
+        if not nf.is_irreducible(self.field.min_poly):
+            raise DescriptorError(f"{path}.min_poly", "min_poly must be irreducible")
         gens = []
         for i, coeffs in enumerate(generators):
             gpath = f"{path}.generators[{i}]"
@@ -264,7 +267,6 @@ class NumberFieldUnitsComponent:
                 raise DescriptorError(gpath, "generator is not a unit of the ring of integers")
             gens.append(g)
         self.generators: Tuple[nf.Element, ...] = tuple(gens)
-        self.path = path
         self._powers: Dict[Tuple[int, int], nf.Element] = {}
 
     @property
@@ -280,8 +282,6 @@ class NumberFieldUnitsComponent:
         isolation, so the cached characters never depend on a user cap."""
         from . import balls
 
-        if not nf.is_irreducible(self.field.min_poly):
-            raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -381,8 +381,7 @@ class NumberFieldUnitsComponent:
         if value.denominator != 1:
             raise ArithmeticError("norm of an algebraic integer must be an integer")
         if value == 0:
-            # in a field h - 1 != 0 has nonzero norm, so min_poly is reducible
-            raise DescriptorError(f"{self.path}.min_poly", "min_poly must be irreducible")
+            raise ArithmeticError("in a field h - 1 != 0 must have nonzero norm")
         return abs(value.numerator)
 
     def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[None, tuple]]:

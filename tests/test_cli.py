@@ -13,6 +13,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -798,25 +799,56 @@ def test_package_exports_resolve_lazily():
         rankone.no_such_export
 
 
-REDUCIBLE_FIELD = {
-    "d": 1,
-    "components": [
-        {"class": "number_field_units", "min_poly": [-1, 0, 1], "generators": [["0", "1"]]}
-    ],
-}
+REDUCIBLE_FIELDS = (
+    # x^2 - 1: x is a unit of norm -1, but the algebra is Q x Q
+    {
+        "d": 1,
+        "components": [
+            {"class": "number_field_units", "min_poly": [-1, 0, 1], "generators": [["0", "1"]]}
+        ],
+    },
+    # (x^2 - 3x + 1)(x^2 - x - 1): Q(sqrt5) x Q(sqrt5), where no count of
+    # periodic --range=-3..3 meets a zero norm, so only the parse-time check
+    # can reject it
+    {
+        "d": 1,
+        "components": [
+            {"class": "number_field_units", "min_poly": [-1, 2, 3, -4, 1], "generators": [["0", "1"]]}
+        ],
+    },
+)
 
 
 @pytest.mark.parametrize(
-    "command", [["zeta", "--n", "1"], ["portrait"], ["periodic", "--range=0..2"]]
+    "command",
+    [
+        ["zeta", "--n", "1"],
+        ["portrait"],
+        ["periodic", "--range=0..2"],
+        ["periodic", "--range=-3..3"],
+        ["analyze"],
+        ["omega"],
+    ],
 )
 def test_reducible_min_poly_is_validation_error(tmp_path, command):
-    # x^2 - 1 parses (x is a unit of norm -1) but defines no field
-    path = tmp_path / "reducible.json"
-    path.write_text(json.dumps(REDUCIBLE_FIELD))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankone", command[0], str(path), *command[1:]],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert "components[0].min_poly: min_poly must be irreducible" in proc.stderr
+    for k, descriptor in enumerate(REDUCIBLE_FIELDS):
+        path = tmp_path / f"reducible-{k}.json"
+        path.write_text(json.dumps(descriptor))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankone", command[0], str(path), *command[1:]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1, descriptor
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "components[0].min_poly: min_poly must be irreducible" in proc.stderr
+
+
+def test_zero_norm_count_is_an_invariant(monkeypatch):
+    # a field gives h - 1 != 0 a nonzero norm, so a zero norm is a bug
+    from rankone import numberfield as nf
+
+    comp = load_fixture("sqrt2sqrt3").components[0][0]
+    monkeypatch.setattr(nf, "norm", lambda spec, x: Fraction(0))
+    with pytest.raises(ArithmeticError, match="nonzero norm"):
+        comp.count_factor((1, 0))

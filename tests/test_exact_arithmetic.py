@@ -227,11 +227,15 @@ def test_root_isolation_cap_is_undecided(monkeypatch):
 
 def test_factorization_cap_is_undecided(monkeypatch):
     # x^4 - 10x^2 + 1 leaves degree 2 open modulo every prime, so the
-    # irreducibility test reaches the root search, here never decisive
-    monkeypatch.setattr(nf, "_subset_divides", lambda *args: None)
-    monkeypatch.setattr(balls, "HARD_PRECISION", 256)
-    with pytest.raises(UndecidedError):
-        nf.is_irreducible.__wrapped__((1, 0, -10, 0, 1))
+    # irreducibility test reaches its fallback; that is a Hensel lift on
+    # integers, so neither root isolation nor the precision cap can undecide it
+    def no_isolation(*args):
+        raise AssertionError("the irreducibility test isolated roots")
+
+    monkeypatch.setattr(balls, "HARD_PRECISION", 1)
+    monkeypatch.setattr(nf, "_isolate_cached", no_isolation)
+    assert nf.is_irreducible.__wrapped__((1, 0, -10, 0, 1))
+    assert not nf.is_irreducible.__wrapped__((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3)
 
 
 def test_reciprocal_matching_cap_is_undecided(monkeypatch):

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -122,8 +124,16 @@ def test_count_real_roots_sturm():
 def test_factor_monic_int_splits_known_products():
     assert not nf.is_irreducible((4, 0, -5, 0, 1))  # (x^2-1)(x^2-4)
     assert not nf.is_irreducible((-1, 0, 0, 0, 1))  # x^4 - 1
-    # min poly of sqrt2 + sqrt3 splits modulo every prime, yet is irreducible
+    # min polys of sqrt2 + sqrt3 and sqrt2 + sqrt3 + sqrt5 split modulo every
+    # prime, yet are irreducible
     assert nf.is_irreducible((1, 0, -10, 0, 1))
+    assert nf.is_irreducible((576, 0, -960, 0, 352, 0, -40, 0, 1))
+    # x^2 - P and x^2 - Px are x^2 modulo each of the fifteen degree primes,
+    # whose product is P, so the test goes on to 53
+    P = math.prod(nf._DEGREE_PRIMES)
+    assert P == 614889782588491410
+    assert nf.is_irreducible((-P, 0, 1))
+    assert not nf.is_irreducible((0, -P, 1))
 
 
 def test_factor_monic_int_multiplicity():
@@ -207,6 +217,36 @@ def test_is_irreducible_matches_kronecker_reference():
     verdicts = [nf.is_irreducible.__wrapped__(f) for f in polys]
     assert verdicts == [kronecker_irreducible(f) for f in polys]
     assert 15 < sum(verdicts) < len(verdicts) - 15  # both answers were exercised
+
+
+def test_reducible_octic_combines_lifted_factors(monkeypatch):
+    from rankone.fppoly import FpPoly
+
+    # (x^4 - 10x^2 + 1)(x^4 - 16x^2 + 16): a quartic divisor is a product of
+    # several lifted factors
+    f = tuple(int(c) for c in nf.poly_mul([1, 0, -10, 0, 1], [16, 0, -16, 0, 1]))
+    lifts = []
+    lift = nf._lifted_factor_divides
+
+    def spy(poly, p, degrees):
+        lifts.append(p)
+        return lift(poly, p, degrees)
+
+    monkeypatch.setattr(nf, "_lifted_factor_divides", spy)
+    assert not nf.is_irreducible.__wrapped__(f)
+    assert len(lifts) == 1 and len(FpPoly(lifts[0], f).factor()) >= 4
+
+
+def test_is_irreducible_loads_no_interval_arithmetic():
+    script = (
+        "import sys\n"
+        "from rankone import numberfield as nf\n"
+        "assert nf.is_irreducible((1, 0, -10, 0, 1))\n"
+        "print([m for m in ('mpmath', 'rankone.balls') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_palindrome_detection():

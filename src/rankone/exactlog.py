@@ -51,6 +51,7 @@ from .numberfield import (
     is_irreducible,
     is_palindromic_or_anti,
     isolate_roots,
+    match_roots,
 )
 from .rationals import factor_fraction
 
@@ -86,25 +87,14 @@ def _reciprocal_match(poly: IntPoly) -> List[int]:
     """Index of the root 1/r for each root r of an (anti)palindromic poly.
 
     The root multiset of such a polynomial is closed under r -> 1/r, so the
-    reciprocal of each isolating box overlaps exactly one box once the
-    precision suffices; matching is therefore certified, and it escalates to
-    the hard cap of root isolation, not to a user cap.
+    reciprocal of each isolating box meets exactly one box once the
+    precision suffices; match_roots certifies it up to the hard cap.
     """
-    for prec in precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
-        embs = isolate_roots(poly, prec)
-        out = []
-        for e in embs:
-            try:
-                target = e.box.recip(prec)
-            except ZeroDivisionError:
-                break
-            hits = [f.index for f in embs if not target.box_disjoint(f.box)]
-            if len(hits) != 1:
-                break
-            out.append(hits[0])
-        else:
-            return out
-    raise UndecidedError("matching a root to the root at its reciprocal")
+    return match_roots(
+        poly,
+        lambda prec: [e.box.recip(prec) for e in isolate_roots(poly, prec)],
+        "matching a root to the root at its reciprocal",
+    )
 
 
 class ExactLog:

@@ -226,27 +226,6 @@ class FpPoly:
             sf = sf.mul(extra)
         return sf.monic()
 
-    def is_irreducible(self) -> bool:
-        f = self.monic()
-        n = f.degree
-        if n <= 0:
-            return False
-        if n == 1:
-            return True
-        p = self.p
-        x = FpPoly.gen(p)
-        # x^(p^n) == x mod f, and no proper-degree fixed points
-        h = x.powmod(p**n, f)
-        if h != x.mod(f):
-            return False
-        from .rationals import factor_int
-
-        for q in factor_int(n):
-            h = x.powmod(p ** (n // q), f)
-            if f.gcd(h.sub(x)).degree != 0:
-                return False
-        return True
-
     def factor(self) -> Dict["FpPoly", int]:
         """Factor into monic irreducibles: {factor: multiplicity}.
 
@@ -321,10 +300,11 @@ def _equal_degree(f: FpPoly, d: int) -> list:
 
 
 def fp_ord_at(f, pi: FpPoly) -> int:
-    """Order of vanishing of f at the finite place pi (monic irreducible)."""
-    if not pi.is_irreducible():
-        raise ValueError(f"fp_ord_at: {pi.format()} is not irreducible")
-    pi = pi.monic()
+    """Order of vanishing of f at the finite place pi.
+
+    pi must be monic irreducible, as every factor FpPoly.factor returns is;
+    that is not checked again here.
+    """
     if isinstance(f, FpRationalFunction):
         if f.num.is_zero():
             raise ValueError("ord of the zero function is undefined")

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals, plus a ball-matrix determinant.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of lists of Fractions (row major).  Everything here is
 dense and small (dimensions bounded by the number-field degree, ten or
@@ -10,16 +10,17 @@ elimination over Fraction.  The characteristic polynomial uses the
 Faddeev-LeVerrier recurrence, which stays in exact arithmetic and needs no
 pivoting at all, and so gives a determinant-free second route to
 det(I - A) = charpoly(1).
+
+All of it is exact: no interval arithmetic is used or imported here.  The
+one ball-matrix decision, the rank certificate of the embedding log matrix,
+is a single elimination kept with its caller in system.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:
-    from .balls import RealBall
+from typing import List, Optional
 
 Matrix = List[List[Fraction]]
 
@@ -169,41 +170,3 @@ def charpoly(a: Matrix) -> List[Fraction]:
             m[i][i] += c
     return [x if x is not None else Fraction(0) for x in coeffs]
 
-
-def ball_det(rows: List[List[RealBall]], prec: int) -> Optional[RealBall]:
-    """Enclosure of the determinant of a small matrix of RealBalls.
-
-    Gaussian elimination with pivots that exclude zero.  When some column
-    has no such pivot the determinant is not certified and the result is
-    None: the caller learns nothing about it, not even that it may be zero.
-    """
-    from .balls import RealBall
-
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    acc = RealBall.one()
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in range(col, n):
-            entry = m[r][col]
-            if not entry.contains_zero():
-                mag = abs(entry.mid_float())
-                if best is None or mag > best:
-                    best = mag
-                    pivot = r
-        if pivot is None:
-            return None
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        p = m[col][col]
-        acc = acc.mul(p, prec)
-        for r in range(col + 1, n):
-            f = m[r][col].div(p, prec)
-            for c in range(col, n):
-                m[r][c] = m[r][c].sub(f.mul(m[col][c], prec), prec)
-    if sign < 0:
-        acc = acc.neg()
-    return acc

@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .defaults import DEFAULT_PRECISION
 from .errors import UndecidedError
@@ -541,6 +541,36 @@ def embed(x: Element, e: Embedding, prec: int) -> ComplexBall:
     The box of e is used as given, so pass an embedding isolated at prec.
     """
     return poly_eval_ball([Fraction(c) for c in x], e.box, prec)
+
+
+def match_roots(
+    poly: Sequence[int], targets: Callable[[int], Sequence[ComplexBall]], what: str
+) -> List[int]:
+    """For each box targets(prec) gives, the index of the one root of poly it meets.
+
+    Walks the precision ladder up to balls.HARD_PRECISION, isolating poly at
+    each rung.  A rung is passed over when targets raises ZeroDivisionError
+    or some box meets no root or several; past the last rung the match is
+    UndecidedError(what).  The cap is the hard one, not a user cap, so the
+    match never depends on user flags.
+    """
+    from . import balls
+
+    for prec in balls.precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
+        roots = isolate_roots(poly, prec)
+        try:
+            boxes = targets(prec)
+        except ZeroDivisionError:
+            continue
+        out = []
+        for box in boxes:
+            hits = [e.index for e in roots if not box.box_disjoint(e.box)]
+            if len(hits) != 1:
+                break
+            out.append(hits[0])
+        else:
+            return out
+    raise UndecidedError(what)
 
 
 # --------------------------------------------------------------------------

@@ -179,19 +179,16 @@ def _signed_combinations(sys: SystemDescriptor):
     V, _ = sys.characters()
     if not V:
         return
+    pairs = (math.prod(2 * chi.multiplicity + 1 for chi in V) - 1) // 2
+    if pairs > MAX_CROSSING_PAIRS:
+        raise ResourceCapError(f"{pairs} signed branch pairs exceed the crossing cap of {MAX_CROSSING_PAIRS}")
+    columns = [[chi.log_vector[j] for chi in V] for j in range(sys.d)]
     ranges = [range(-chi.multiplicity, chi.multiplicity + 1) for chi in V]
     for eps in itertools.product(*ranges):
         first = next((e for e in eps if e != 0), None)
         if first is None or first < 0:
             continue
-        normal = []
-        for j in range(sys.d):
-            entry = ExactLog.zero()
-            for e, chi in zip(eps, V):
-                if e:
-                    entry = entry.add(chi.log_vector[j].scale(e))
-            normal.append(entry)
-        yield eps, tuple(normal)
+        yield eps, tuple(log_dot(eps, column) for column in columns)
 
 
 def _pair_source(eps: Tuple[int, ...]) -> dict:
@@ -324,21 +321,28 @@ def sphere_directions(samples: int) -> List[Tuple[float, float, float]]:
 # in memory (~0.4 KB): 16x the largest default, 180^2 x 2 on times2times3times5.
 MAX_OMEGA_ROWS = 1 << 20
 
+# Most signed branch pairs a portrait may test for crossings; each pair is one
+# exact log combination per coordinate.  Every field up to degree 10 fits
+# (3^10 // 2 = 29,524 pairs); the bundled dk-sextic has 364.
+MAX_CROSSING_PAIRS = 1 << 16
+
 
 def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     """The direction grid for sys: samples points on the circle for d = 2
     (default 720), a samples x samples sphere grid for d = 3 (default 180),
     and no directions for samples <= 0 or any other d.
 
-    Raises ResourceCapError, before any direction is built, when the grid
-    times len(branch_subsets(sys)) exceeds MAX_OMEGA_ROWS.
+    Raises ResourceCapError, before any direction or branch is built, when
+    the grid times the number of branches exceeds MAX_OMEGA_ROWS.
     """
     if sys.d not in (2, 3):
         return []
     if samples is None:
         samples = 720 if sys.d == 2 else 180
     count = max(samples, 0) ** (sys.d - 1)
-    if count > MAX_OMEGA_ROWS or (count and count * len(branch_subsets(sys)) > MAX_OMEGA_ROWS):
+    if count > MAX_OMEGA_ROWS or (
+        count and count * math.prod(chi.multiplicity + 1 for chi in sys.characters()[0]) > MAX_OMEGA_ROWS
+    ):
         raise ResourceCapError(f"{count} directions exceed the omega row cap of {MAX_OMEGA_ROWS}")
     return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 

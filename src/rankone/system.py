@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -42,7 +41,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import numberfield as nf
 from .defaults import DEFAULT_PRECISION, MAX_PRECISION
-from .errors import DescriptorError, UndecidedError
+from .errors import DescriptorError
 from .fppoly import (
     FpPoly,
     FpRationalFunction,
@@ -50,7 +49,7 @@ from .fppoly import (
     fp_ord_infinity,
     parse_rational_function,
 )
-from .linalg import ball_det, rank
+from .linalg import rank
 from .rationals import factor_fraction, is_prime, prime_to_s_part
 
 if TYPE_CHECKING:
@@ -280,8 +279,6 @@ class NumberFieldUnitsComponent:
 
         Matching is certified and escalates to the hard cap of root
         isolation, so the cached characters never depend on a user cap."""
-        from . import balls
-
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -301,22 +298,12 @@ class NumberFieldUnitsComponent:
             if len(min_poly) == 2:
                 out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
                 continue
-            for prec in balls.precisions(DEFAULT_PRECISION, balls.HARD_PRECISION):
-                field_roots = nf.isolate_roots(self.field.min_poly, prec)
-                g_roots = nf.isolate_roots(min_poly, prec)
-                indices = []
-                for emb in field_roots:
-                    val = nf.embed(g, emb, prec)
-                    hits = [k for k, r in enumerate(g_roots) if not val.box_disjoint(r.box)]
-                    if len(hits) != 1:
-                        indices = None
-                        break
-                    indices.append(hits[0])
-                if indices is not None:
-                    out.append((min_poly, tuple(indices)))
-                    break
-            else:
-                raise UndecidedError("matching a generator value to a root of its minimal polynomial")
+            indices = nf.match_roots(
+                min_poly,
+                lambda prec, g=g: [nf.embed(g, e, prec) for e in nf.isolate_roots(self.field.min_poly, prec)],
+                "matching a generator value to a root of its minimal polynomial",
+            )
+            out.append((min_poly, tuple(indices)))
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
@@ -422,18 +409,33 @@ class NumberFieldUnitsComponent:
 
 
 def _ball_rank_at_least(rows: List[List[RealBall]], target: int, prec: int) -> bool:
-    """True when some target x target minor is certified nonzero."""
-    n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    if n < target or cols < target:
-        return False
-    for rsel in itertools.combinations(range(n), target):
-        for csel in itertools.combinations(range(cols), target):
-            sub = [[rows[i][j] for j in csel] for i in rsel]
-            det = ball_det(sub, prec)
-            if det is not None and not det.contains_zero():
-                return True
-    return False
+    """True when some target x target minor is certified nonzero.
+
+    Ball Gaussian elimination with full pivoting: each step pivots on the
+    remaining entry with the largest midpoint among those that exclude zero,
+    and gives up when none does.  Every exact matrix inside the balls then
+    has the same nonzero pivots, so after target steps the minor on the
+    pivot rows and columns, their product up to sign, is nonzero.
+    """
+    m = [row[:] for row in rows]
+    for _ in range(target):
+        best = None
+        for i, row in enumerate(m):
+            for j, entry in enumerate(row):
+                if not entry.contains_zero():
+                    mag = abs(entry.mid_float())
+                    if best is None or mag > best[0]:
+                        best = (mag, i, j)
+        if best is None:
+            return False
+        _, i, j = best
+        pivot_row = m.pop(i)
+        pivot = pivot_row.pop(j)
+        for row in m:
+            f = row.pop(j).div(pivot, prec)
+            for c, x in enumerate(pivot_row):
+                row[c] = row[c].sub(f.mul(x, prec), prec)
+    return True
 
 
 class FunctionFieldComponent:
@@ -454,8 +456,10 @@ class FunctionFieldComponent:
                 raise DescriptorError(gpath, "expected a rational function written as a string")
             try:
                 g = parse_rational_function(text, characteristic)
-            except ValueError as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise DescriptorError(gpath, str(exc)) from None
+            except RecursionError:
+                raise DescriptorError(gpath, "rational-function string is nested too deeply") from None
             if g.is_zero():
                 raise DescriptorError(gpath, "generator must be nonzero")
             gens.append(g)
@@ -656,6 +660,8 @@ def parse_descriptor(data: Union[str, bytes, dict]) -> SystemDescriptor:
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise DescriptorError("", f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise DescriptorError("", "invalid JSON: nested too deeply") from None
     else:
         doc = data
     if not isinstance(doc, dict):

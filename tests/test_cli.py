@@ -21,7 +21,7 @@ from rankone import (
     build_portrait, cli, load_fixture, omega_samples, parse_descriptor, periodic, subdynamics, zeta,
 )
 from rankone.balls import RealBall
-from rankone.errors import UndecidedError
+from rankone.errors import ResourceCapError, UndecidedError
 from rankone.subdynamics import _round12, default_directions
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -526,6 +526,23 @@ def test_row_cap_counts_directions_times_branches(monkeypatch, capsys):
     assert run(capsys, "omega", "dk-sextic", "--samples", "3")[0] == 3
 
 
+def test_row_cap_counts_branches_without_building_them(monkeypatch):
+    # one character of multiplicity 8,000 has 8,001 branches, so 1,000
+    # directions are over the row cap; branch_subsets would list 32 million
+    # indices before the count
+    sys_ = parse_descriptor({
+        "d": 2,
+        "components": [{"class": "s_integer", "multiplicity": 8000, "generators": ["2", "3"]}],
+    })
+
+    def listed(sys_):
+        raise AssertionError("branch_subsets built the branches to count them")
+
+    monkeypatch.setattr(subdynamics, "branch_subsets", listed)
+    with pytest.raises(ResourceCapError):
+        default_directions(sys_, 1000)
+
+
 def test_grid_cap_exits_before_counting(tmp_path, capsys):
     # 4001^2 points: about 10 GB of entries and CSV text without the cap
     for output in ([], ["--output", str(tmp_path / "out")]):
@@ -565,6 +582,33 @@ def test_analyze_sextic_warns(capsys):
     doc = json.loads(out)
     skipped = [z for z in doc["zeta"] if str(z.get("status", "")).startswith("skipped")]
     assert skipped
+
+
+def test_crossing_cap_exits_before_the_first_pair(tmp_path, capsys):
+    # x^12 - x^11 + 1 has 12 archimedean characters: (3^12 - 1) / 2 = 265,720
+    # signed branch pairs, four times the crossing cap
+    path = tmp_path / "degree-12.json"
+    path.write_text(json.dumps({"d": 1, "components": [{
+        "class": "number_field_units", "min_poly": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 1],
+        "generators": [["0", "1"]],
+    }]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: 265720 signed branch pairs exceed the crossing cap of "
+        f"{subdynamics.MAX_CROSSING_PAIRS}\n"
+    )
+
+
+def test_crossing_cap_counts_signed_branch_pairs(monkeypatch, capsys):
+    # dk-sextic: six characters of multiplicity 1 give (3^6 - 1) / 2 = 364 pairs
+    monkeypatch.setattr(subdynamics, "MAX_CROSSING_PAIRS", 363)
+    assert run(capsys, "portrait", "dk-sextic", "--format", "svg")[0] == 3
+    monkeypatch.setattr(subdynamics, "MAX_CROSSING_PAIRS", 364)
+    assert run(capsys, "portrait", "dk-sextic", "--format", "svg")[0] == 0
 
 
 # --- descriptor resolution and global flags ---------------------------------------
@@ -741,6 +785,32 @@ def test_invalid_descriptor_file(tmp_path, capsys):
     path.write_text("{not json")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
+
+
+def _function_field(generator, characteristic=2):
+    return {"d": 1, "components": [
+        {"class": "function_field", "characteristic": characteristic, "generators": [generator]}
+    ]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+        (json.dumps(_function_field("1/(t+t)")), "division by the zero function"),
+        (json.dumps(_function_field("(" * 3000 + "t" + ")" * 3000)), "nested too deeply"),
+        (json.dumps(_function_field("-" * 5000 + "t", 3)), "nested too deeply"),
+    ],
+    ids=["deep-json", "zero-denominator", "deep-parentheses", "deep-minus"],
+)
+def test_hostile_descriptor_is_validation_error(tmp_path, capsys, text, message):
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "periodic", str(path), "--range=0..1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 # --- process entry points ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Integer kernels against the Fraction code they replaced, and ball_det soundness."""
+"""Integer kernels against the Fraction code they replaced, and ball rank soundness."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 from rankone import balls, numberfield as nf
 from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds
 from rankone.errors import UndecidedError
-from rankone.linalg import ball_det, det
+from rankone.linalg import det
 from rankone.system import _ball_rank_at_least
 
 
@@ -184,7 +184,7 @@ def test_mult_matrix_columns_match_el_mul():
             assert all(type(c) is Fraction for row in got for c in row)
 
 
-# --- ball_det ---------------------------------------------------------------
+# --- ball rank certificate ----------------------------------------------------
 
 def ball(mid, rad=0):
     return RealBall(
@@ -194,26 +194,48 @@ def ball(mid, rad=0):
 
 
 def test_ball_det_never_excludes_the_true_range():
-    # entries 4 and [-0.5, 1.5]: the determinant ranges over [-2, 6]
+    # entries 4 and [-0.5, 1.5]: the determinant ranges over [-2, 6], so
+    # the second pivot may be zero and rank 2 is not certified
     rows = [[ball(4), ball(0)], [ball(0), ball(Fraction(1, 2), 1)]]
-    result = ball_det(rows, 64)
-    if result is not None:
-        lo, hi = ball_to_fraction_bounds(result)
-        assert lo <= -2 and hi >= 6
+    assert not _ball_rank_at_least(rows, 2, 64)
+    assert _ball_rank_at_least(rows, 1, 64)
 
 
 def test_ball_det_encloses_a_certified_determinant():
+    # determinant 5: both pivots exclude zero
     rows = [[ball(2), ball(1)], [ball(1), ball(3)]]
-    lo, hi = ball_to_fraction_bounds(ball_det(rows, 64))
-    assert lo <= 5 <= hi
     assert _ball_rank_at_least(rows, 2, 64)
+    assert not _ball_rank_at_least(rows, 3, 64)
 
 
 def test_uncertified_minor_does_not_count_toward_rank():
     rows = [[ball(0, 1), ball(0, 1)], [ball(0, 1), ball(0, 1)]]
-    assert ball_det(rows, 64) is None
+    assert not _ball_rank_at_least(rows, 1, 64)
     assert not _ball_rank_at_least(rows, 2, 64)
     assert _ball_rank_at_least(rows + [[ball(1), ball(0)]], 1, 64)
+
+
+def test_rank_certified_past_a_row_that_holds_zero():
+    # every entry of row 1 may be zero; rows 2 and 3 have determinant 2 - 3 = -1
+    rows = [[ball(0, 1), ball(Fraction(1, 2), 1)], [ball(1), ball(3)], [ball(1), ball(2)]]
+    assert _ball_rank_at_least(rows, 2, 64)
+    assert not _ball_rank_at_least(rows, 3, 64)
+
+
+def test_match_roots_passes_over_a_rung_that_divides_by_zero():
+    # the roots of x^2 - 2 are -sqrt2 < sqrt2; at the first rung the targets
+    # divide by zero, at the next they are the boxes of sqrt2 and -sqrt2
+    seen = []
+
+    def targets(prec):
+        seen.append(prec)
+        if len(seen) == 1:
+            raise ZeroDivisionError("interval contains zero")
+        roots = nf.isolate_roots((-2, 0, 1), prec)
+        return [roots[1].box, roots[0].box]
+
+    assert nf.match_roots((-2, 0, 1), targets, "test match") == [1, 0]
+    assert seen == [64, 128]
 
 
 # --- precision-cap failures are typed ---------------------------------------

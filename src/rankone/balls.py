@@ -162,9 +162,6 @@ class RealBall:
         )
         return RealBall(mid, rad)
 
-    def mul_int(self, n: int, prec: int) -> "RealBall":
-        return self.mul(RealBall.from_int(n), prec)
-
     def square(self, prec: int) -> "RealBall":
         """Enclosure of {x^2}; never dips below zero, unlike self.mul(self)."""
         lo, hi = self._bounds()

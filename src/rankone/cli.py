@@ -261,6 +261,8 @@ def _cmd_portrait(args) -> int:
 
     system = _load_descriptor(args.descriptor)
     svg = args.format == "svg"
+    if svg:
+        svgmod.check_dimension(system.d)
     # curves are cheap on the circle; SVG and d >= 3 stay structural unless
     # --samples asks for them, and the d = 3 SVG draws no rows at all
     samples = args.samples

@@ -118,12 +118,12 @@ class FpPoly:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return FpPoly.zero(self.p)
+        # the constructor reduces the accumulated products mod p once
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return FpPoly(self.p, out)
 
     def mul_scalar(self, c: int) -> "FpPoly":
@@ -133,22 +133,22 @@ class FpPoly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        # schoolbook division, one pass from the top coefficient down; rem
+        # is reduced mod p only where a quotient digit is read and, by the
+        # constructor, at the end
         p = self.p
-        inv_lead = pow(other.leading(), -1, p)
+        divisor = other.coeffs
+        d = len(divisor) - 1
+        inv_lead = pow(divisor[-1], -1, p)
         rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] * inv_lead % p
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = (rem[shift + i] - factor * c) % p
-        return FpPoly(p, q), FpPoly(p, rem)
+        q = [0] * max(0, len(rem) - d)
+        for shift in range(len(rem) - 1 - d, -1, -1):
+            factor = rem[shift + d] * inv_lead % p
+            if factor:
+                q[shift] = factor
+                for i, c in enumerate(divisor):
+                    rem[shift + i] -= factor * c
+        return FpPoly(p, q), FpPoly(p, rem[:d])
 
     def mod(self, other: "FpPoly") -> "FpPoly":
         return self.divmod(other)[1]

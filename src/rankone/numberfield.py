@@ -228,10 +228,6 @@ def el_one(spec: NumberFieldSpec) -> Element:
     return el_from_coeffs(spec, [1])
 
 
-def el_sub(x: Element, y: Element) -> Element:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def _reduce_in_place(f: IntPoly, coeffs: list) -> None:
     """Reduce coeffs modulo the monic f, top degree first; the low deg(f)
     entries then hold the remainder.  Integer input stays integer."""
@@ -331,10 +327,15 @@ def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
     return [[Fraction(col[i], den) for col in cols] for i in range(len(cols))]
 
 
-def norm(spec: NumberFieldSpec, x: Element) -> Fraction:
-    """det of the multiplication matrix, taken on its integer columns (the
-    transpose, with the same determinant) and divided by den^m once."""
+def norm(spec: NumberFieldSpec, x: Element, c: int = 0) -> Fraction:
+    """Norm(x - c) for an integer c: det of the multiplication matrix of
+    x - c, taken on its integer columns (the transpose, with the same
+    determinant) and divided by den^m once.  Subtracting c moves only the
+    diagonal, by c * den, so x - c is never formed."""
     cols, den = _int_columns(spec, x)
+    if c:
+        for j, col in enumerate(cols):
+            col[j] -= c * den
     return mat_det(cols) / den ** len(cols)
 
 

@@ -4,16 +4,27 @@ For each component the group element h = prod_i g_i^{j n_i} is formed
 exactly; the count is infinite when h = 1 and otherwise equals the product
 of |h - 1|_w over the component's marked places, which collapses to integer
 arithmetic in every supported class.  Each component class computes its
-factor in its own ``count_factor`` (system.py): the prime-to-S part of
-|numerator(h) - denominator(h)| for s_integer, a power of p read off from
-place orders of h - 1 for function_field, and |Norm(h - 1)| as one exact
-determinant for number_field_units.
+factor in its own ``count_factor`` (system.py), on integers:
+
+- s_integer: h = N/D from integer powers of the generators' numerators and
+  denominators, unreduced; the factor is the prime-to-S part of
+  |N - D| / gcd(N, D).
+- function_field: h = N/D from polynomial powers, unreduced and with no
+  gcd; p is raised to the degree-weighted pole order of h - 1 = (N - D)/D
+  at the marked places, the order at pi being ord_pi(N - D) - ord_pi(D).
+- number_field_units: |Norm(h - 1)| as one exact determinant of h's
+  integer multiplication matrix with the diagonal moved by its denominator.
 
 Work that does not depend on the lattice point is done once per component
 and cached on it: marked places, S-primes, the size estimate, and every
-generator power g_i^e a number-field component forms.  A box of lattice
-points then costs one power per generator and row or column, plus one
-integer element product and one integer determinant per point.
+generator power g_i^e the counts use (with its orders at the marked places
+for function fields).  A box of lattice points then costs one power per
+generator and row or column, plus per point one product of the powers and
+one difference, determinant or set of place orders.  The size budget is
+checked once per box, at the corner where the estimate peaks, and once per
+count sequence, at the first period over it; only a box whose corner is
+over the budget checks each point, so the error names the first point over
+it as before.
 
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each
@@ -83,27 +94,40 @@ class PeriodicCount:
 INFINITE = PeriodicCount(None)
 
 
-def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: int) -> None:
+def _estimate(sys: SystemDescriptor, exponents: Sequence[int]) -> int:
     # the count, prod_c value_c^mult_c, has about sum_c mult_c * weight * bit_height_c bits
     weight = sum(abs(e) for e in exponents)
-    estimate = sum(mult * weight * comp.bit_height for comp, mult in sys.components)
+    return weight * sum(mult * comp.bit_height for comp, mult in sys.components)
+
+
+def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: int) -> None:
+    estimate = _estimate(sys, exponents)
     if estimate > bit_budget:
         raise ResourceCapError(f"estimated size {estimate} bits exceeds the {bit_budget}-bit budget")
+
+
+def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
+    if j < 1:
+        raise ValueError("period j must be a positive integer")
+    if len(n) != sys.d:
+        raise ValueError(f"expected a Z^{sys.d} element, got {len(n)} coordinates")
+    return [j * int(ni) for ni in n]
 
 
 def count(
     sys: SystemDescriptor,
     n: Sequence[int],
     j: int = 1,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
+    bit_budget: Optional[int] = DEFAULT_BIT_BUDGET,
 ) -> PeriodicCount:
-    """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1."""
-    if j < 1:
-        raise ValueError("period j must be a positive integer")
-    if len(n) != sys.d:
-        raise ValueError(f"expected a Z^{sys.d} element, got {len(n)} coordinates")
-    exponents = [j * int(ni) for ni in n]
-    _check_budget(sys, exponents, bit_budget)
+    """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1.
+
+    bit_budget None skips the size check; grid and count_sequence pass it
+    once they have checked the largest estimate they will meet.
+    """
+    exponents = _exponents(sys, n, j)
+    if bit_budget is not None:
+        _check_budget(sys, exponents, bit_budget)
     total = 1
     for comp, mult in sys.components:
         value = comp.count_factor(exponents)
@@ -119,10 +143,19 @@ def count_sequence(
     j_max: int,
     bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> List[PeriodicCount]:
-    """[|F_1|, ..., |F_jmax|]; each period tested independently."""
+    """[|F_1|, ..., |F_jmax|]; each period tested independently.
+
+    The estimate is j times its value at j = 1, so the first period over
+    the budget is found before any count and raises the message count
+    would raise there.
+    """
     if j_max < 1:
         raise ValueError("j_max must be a positive integer")
-    return [count(sys, n, j, bit_budget) for j in range(1, j_max + 1)]
+    per_period = _estimate(sys, _exponents(sys, n, 1))
+    first_over = max(1, bit_budget // per_period + 1) if per_period else 1
+    if first_over <= j_max:
+        _check_budget(sys, _exponents(sys, n, first_over), bit_budget)
+    return [count(sys, n, j, None) for j in range(1, j_max + 1)]
 
 
 class PeriodicGrid:
@@ -177,10 +210,14 @@ def grid(
     points = math.prod(hi - lo + 1 for lo, hi in ranges)
     if points > MAX_GRID_POINTS:
         raise ResourceCapError(f"{points} lattice points exceed the grid cap of {MAX_GRID_POINTS}")
+    # the estimate peaks at the corner farthest from 0 on every axis; when
+    # that corner is within the budget no point needs its own check
+    corner = [j * max(abs(lo), abs(hi)) for lo, hi in ranges]
+    check = bit_budget if _estimate(sys, corner) > bit_budget else None
     entries: Dict[Tuple[int, ...], PeriodicCount] = {}
     result = PeriodicGrid(ranges, entries)
     for point in result.points():
-        entries[point] = count(sys, point, j, bit_budget)
+        entries[point] = count(sys, point, j, check)
     return result
 
 
@@ -200,11 +237,7 @@ def det_oracle(
             raise UnsupportedOperationError(
                 "det_oracle requires every component to be number_field_units"
             )
-    if j < 1:
-        raise ValueError("period j must be a positive integer")
-    if len(n) != sys.d:
-        raise ValueError(f"expected a Z^{sys.d} element, got {len(n)} coordinates")
-    exponents = [j * int(ni) for ni in n]
+    exponents = _exponents(sys, n, j)
     _check_budget(sys, exponents, bit_budget)
     total = 1
     for comp, mult in sys.components:

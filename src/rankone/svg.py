@@ -244,10 +244,17 @@ def sphere_contours(
     return "\n".join(parts) + "\n"
 
 
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless portrait_svg can draw a Z^d-action."""
+    if d not in (2, 3):
+        raise ValueError("SVG output is available for d = 2 and d = 3 only")
+
+
 def portrait_svg(portrait, rows: Sequence = ()) -> str:
     """Pick the figure style matching the dimension of the portrait; d = 2
     draws omega_samples rows as branch curves, d = 3 draws no rows."""
     d = portrait.system.d
+    check_dimension(d)
     prec = portrait.precision
     planes = [
         (h.label, h.normal_floats(prec), h.undecided) for h in portrait.hyperplanes
@@ -262,6 +269,4 @@ def portrait_svg(portrait, rows: Sequence = ()) -> str:
             curve_rows.sort(key=lambda r: (r[1], r[0]))
             return branch_curves(curve_rows)
         return line_diagram(planes)
-    if d == 3:
-        return sphere_contours(planes)
-    raise ValueError("SVG output is available for d = 2 and d = 3 only")
+    return sphere_contours(planes)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -147,6 +148,8 @@ class SIntegerComponent:
             if r == 0:
                 raise DescriptorError(f"{path}.generators[{i}]", "generator must be nonzero")
         self.generators = gens
+        # (i, e) -> integer (N, D) with g_i^e = N / D, for the counts
+        self._powers: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     @property
     def d(self) -> int:
@@ -194,23 +197,36 @@ class SIntegerComponent:
             )
         return [arch], nonarch
 
-    def power_product(self, exponents: Sequence[int]) -> Fraction:
-        out = Fraction(1)
-        for r, e in zip(self.generators, exponents):
-            out *= r ** e
-        return out
-
     def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
-        """Prime-to-S part of |numerator(h) - denominator(h)|; None when h = 1."""
-        h = self.power_product(exponents)
-        if h == 1:
+        """Prime-to-S part of |numerator(h) - denominator(h)|; None when h = 1.
+
+        h = N/D with N and D products of integer powers of the generators'
+        numerators and denominators, each formed once per generator and
+        exponent and kept on the instance.  N/D need not be reduced:
+        dividing N - D by gcd(N, D) gives the reduced numerator minus the
+        reduced denominator up to sign.
+        """
+        num = den = 1
+        powers = self._powers
+        for i, e in enumerate(exponents):
+            if e:
+                pair = powers.get((i, e))
+                if pair is None:
+                    r = self.generators[i]
+                    a, b = r.numerator ** abs(e), r.denominator ** abs(e)
+                    pair = powers[(i, e)] = (a, b) if e > 0 else (b, a)
+                num *= pair[0]
+                den *= pair[1]
+        if num == den:
             return None
-        diff = abs(h.numerator - h.denominator)
-        return prime_to_s_part(diff, self.s_primes)
+        return prime_to_s_part(abs(num - den) // math.gcd(num, den), self.s_primes)
 
     def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[Fraction, None]]:
         """The value of h at the one archimedean character: h itself, exactly."""
-        return [(self.power_product(exponents), None)]
+        h = Fraction(1)
+        for r, e in zip(self.generators, exponents):
+            h *= r ** e
+        return [(h, None)]
 
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
@@ -361,10 +377,9 @@ class NumberFieldUnitsComponent:
     def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
         """|Norm(h - 1)| as one exact determinant; None when h = 1."""
         h = self.power_product(exponents)
-        one = nf.el_one(self.field)
-        if h == one:
+        if h[0] == 1 and not any(h[1:]):
             return None
-        value = nf.norm(self.field, nf.el_sub(h, one))
+        value = nf.norm(self.field, h, 1)
         if value.denominator != 1:
             raise ArithmeticError("norm of an algebraic integer must be an integer")
         if value == 0:
@@ -464,7 +479,7 @@ class FunctionFieldComponent:
                 raise DescriptorError(gpath, "generator must be nonzero")
             gens.append(g)
         self.generators: Tuple[FpRationalFunction, ...] = tuple(gens)
-        self._powers: Dict[Tuple[int, int], FpRationalFunction] = {}
+        self._powers: Dict[Tuple[int, int], Tuple[FpPoly, FpPoly, Tuple[int, ...]]] = {}
 
     @property
     def d(self) -> int:
@@ -534,29 +549,46 @@ class FunctionFieldComponent:
             raise ArithmeticError("place orders violate the product formula")
         return [], nonarch
 
-    def power_product(self, exponents: Sequence[int]) -> FpRationalFunction:
-        """prod_i g_i^(e_i); each g_i^e is computed once and kept on the instance."""
-        out = None
-        for i, (g, e) in enumerate(zip(self.generators, exponents)):
-            if e:
-                power = self._powers.get((i, e))
-                if power is None:
-                    power = self._powers[(i, e)] = g.pow(e)
-                out = power if out is None else out.mul(power)
-        return FpRationalFunction.one(self.p) if out is None else out
+    def _power(self, i: int, e: int) -> Tuple[FpPoly, FpPoly, Tuple[int, ...]]:
+        """(N, D, ords) with g_i^e = N / D and ords the orders of D at the
+        finite places: num^e and den^e for e > 0, swapped for e < 0.
+        Each is computed once and kept on the instance."""
+        entry = self._powers.get((i, e))
+        if entry is None:
+            g = self.generators[i]
+            num, den = (g.num, g.den) if e > 0 else (g.den, g.num)
+            ords = tuple(abs(e) * fp_ord_at(den, pi) for pi in self.finite_places)
+            entry = self._powers[(i, e)] = (num.pow(abs(e)), den.pow(abs(e)), ords)
+        return entry
 
     def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
         """p to the degree-weighted pole order of h - 1 at the marked places;
-        None when h = 1."""
-        h = self.power_product(exponents)
-        if h.is_one():
+        None when h = 1.
+
+        h = N/D with N and D the products of the generators' memoized
+        numerator and denominator powers, not reduced: every order is a
+        valuation, so for h - 1 = (N - D)/D the order at pi is
+        ord_pi(N - D) - ord_pi(D) and the order at infinity is
+        deg D - deg(N - D) whatever factor N and D share.  ord_pi(D) is the
+        sum of the memoized orders, so only N - D is divided by each place.
+        """
+        num = den = ords = None
+        for i, e in enumerate(exponents):
+            if e:
+                n_e, d_e, o_e = self._power(i, e)
+                if num is None:
+                    num, den, ords = n_e, d_e, o_e
+                else:
+                    num, den = num.mul(n_e), den.mul(d_e)
+                    ords = [a + b for a, b in zip(ords, o_e)]
+        if num is None or num == den:
             return None
-        g = h.sub(FpRationalFunction.one(self.p))
+        diff = num.sub(den)
         exponent = 0
-        for pi in self.finite_places:
-            exponent -= fp_ord_at(g, pi) * pi.degree
+        for pi, ord_den in zip(self.finite_places, ords):
+            exponent -= (fp_ord_at(diff, pi) - ord_den) * pi.degree
         if self.infinite_place_needed:
-            exponent -= fp_ord_infinity(g)
+            exponent -= den.degree - diff.degree
         # h - 1 has poles only at marked places, so the unmarked part of the
         # product formula forces a nonnegative exponent
         if exponent < 0:

@@ -231,6 +231,22 @@ def test_portrait_svg(capsys):
     assert out.count("<polyline") >= 4
 
 
+@pytest.mark.parametrize("d", [1, 4])
+def test_svg_dimension_is_checked_before_the_portrait(monkeypatch, tmp_path, capsys, d):
+    # a multiplicity-8,000 character has 32 million branch indices, which
+    # build_portrait lists (534 MB) before the SVG writer sees d
+    path = tmp_path / f"d{d}.json"
+    path.write_text(json.dumps({"d": d, "components": [
+        {"class": "s_integer", "multiplicity": 8000, "generators": [str(p) for p in (2, 3, 5, 7)[:d]]}]}))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_portrait ran before the SVG dimension check")
+
+    monkeypatch.setattr(subdynamics, "build_portrait", refuse)
+    assert run(capsys, "portrait", str(path), "--format", "svg") == (
+        1, "", "error: SVG output is available for d = 2 and d = 3 only\n")
+
+
 @pytest.mark.parametrize("samples", ["6", "100000"])
 def test_sphere_svg_samples_no_rows(monkeypatch, capsys, samples):
     # the d = 3 SVG draws no rows, so --samples neither samples nor meets the row cap
@@ -919,6 +935,6 @@ def test_zero_norm_count_is_an_invariant(monkeypatch):
     from rankone import numberfield as nf
 
     comp = load_fixture("sqrt2sqrt3").components[0][0]
-    monkeypatch.setattr(nf, "norm", lambda spec, x: Fraction(0))
+    monkeypatch.setattr(nf, "norm", lambda spec, x, c=0: Fraction(0))
     with pytest.raises(ArithmeticError, match="nonzero norm"):
         comp.count_factor((1, 0))

@@ -155,16 +155,17 @@ def test_norm_matches_det_of_mult_matrix_on_fixture_fields():
     for name in ("sqrt2sqrt3", "dk-sextic"):
         comp = load_fixture(name).components[0][0]
         spec = comp.field
-        one = nf.el_one(spec)
         elements = [random_element(rng, spec) for _ in range(40)]
         elements += [
-            nf.el_sub(comp.power_product((rng.randint(-6, 6), rng.randint(-6, 6))), one)
-            for _ in range(40)
+            comp.power_product((rng.randint(-6, 6), rng.randint(-6, 6))) for _ in range(40)
         ]
         for x in elements:
-            got = nf.norm(spec, x)
-            assert got == det(nf.mult_matrix(spec, x))
-            assert type(got) is Fraction
+            for c in (0, 1, -3):
+                # Norm(x - c), with x - c formed here on Fractions
+                shifted = (x[0] - c,) + x[1:]
+                got = nf.norm(spec, x, c)
+                assert got == det(nf.mult_matrix(spec, shifted))
+                assert type(got) is Fraction
 
 
 def test_mult_matrix_columns_match_el_mul():

@@ -1,7 +1,9 @@
 """Periodic point counts: golden grids, closed forms, invariants, oracle."""
 
+import itertools
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 import propsuites
 from rankone import INFINITE, count, count_sequence, det_oracle, grid, load_fixture
 from rankone import numberfield as nf
+from rankone import periodic
 from rankone.errors import ResourceCapError, UnsupportedOperationError
+from rankone.fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
+from rankone.rationals import prime_to_s_part
 from rankone.linalg import charpoly
 from rankone.system import parse_descriptor
 
@@ -91,6 +96,121 @@ def test_bit_budget_sums_multiplicity_and_components():
         assert route(load_fixture("sqrt2sqrt3"), (1, 0), bit_budget=191).is_finite
         with pytest.raises(ResourceCapError, match="estimated size 192 bits"):
             route(doubled, (1, 0), bit_budget=191)
+
+
+def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
+    # the estimate at n = (1, 1) is 6 bits per period, so j = 4 is the first
+    # period over a 20-bit budget
+    sys_ = load_fixture("times2times3")
+    assert count_sequence(sys_, (1, 1), 3, bit_budget=20) == [5, 35, 215]
+    (comp, _), = sys_.components
+
+    def refuse(exponents):
+        raise AssertionError("a count ran before the budget check")
+
+    monkeypatch.setattr(comp, "count_factor", refuse)
+    for j_max in (4, 10 ** 9):
+        with pytest.raises(ResourceCapError) as err:
+            count_sequence(sys_, (1, 1), j_max, bit_budget=20)
+        assert str(err.value) == "estimated size 24 bits exceeds the 20-bit budget"
+    with pytest.raises(ResourceCapError, match="estimated size 0 bits exceeds the -1-bit budget"):
+        count_sequence(sys_, (0, 0), 2, bit_budget=-1)
+    with pytest.raises(ValueError, match="expected a Z\\^2 element"):
+        count_sequence(sys_, (1, 1, 1), 2)
+
+
+def test_grid_checks_the_budget_once_when_the_corner_fits(monkeypatch):
+    sys_ = load_fixture("times2times3")
+    checked = []
+    real_check = periodic._check_budget
+    monkeypatch.setattr(periodic, "_check_budget", lambda *args: checked.append(args) or real_check(*args))
+    # the corner (-3, 2) is estimated at 15 bits
+    assert grid(sys_, [(-3, 3), (0, 2)], bit_budget=15).entries[(-3, 2)] == 3 ** 2 - 2 ** 3
+    assert checked == []
+    # over the budget, the points are checked in box order, so the message
+    # names the first point over it
+    with pytest.raises(ResourceCapError) as err:
+        grid(sys_, [(-3, 3), (0, 2)], bit_budget=12)
+    assert str(err.value) == "estimated size 15 bits exceeds the 12-bit budget"
+    assert len(checked) == 3
+
+
+def _power_product(generators, exponents, one):
+    h = one
+    for g, e in zip(generators, exponents):
+        h = h.mul(g.pow(e))
+    return h
+
+
+def _function_field_reference(comp, exponents):
+    # reduced rational functions all the way: h - 1 formed and reduced, then
+    # its order read at every marked place
+    one = FpRationalFunction.one(comp.p)
+    h = _power_product(comp.generators, exponents, one)
+    if h.is_one():
+        return None
+    g = h.sub(one)
+    exponent = -sum(fp_ord_at(g, pi) * pi.degree for pi in comp.finite_places)
+    if comp.infinite_place_needed:
+        exponent -= fp_ord_infinity(g)
+    return comp.p ** exponent
+
+
+@pytest.mark.parametrize("characteristic, generators, at_infinity, infinite", [
+    # t^2 + 1 and t^2 + t + 2 are irreducible over F_3; (2, 1) gives h = 1
+    (3, ["(t^2+1)/(t+2)", "((t+2)/(t^2+1))^2"], True, 9),
+    (3, ["(t^2+1)/(t+2)", "t^2/(t^2+t+2)"], True, 3),
+    # t^2 + 2 is irreducible over F_5; (1, 1) gives h = 1
+    (5, ["(t^2+2)/(t+1)^2", "(t+1)^2/(t^2+2)"], False, 21),
+    (5, ["(t^2+2)*t/(t+1)^3", "(2*t+3)/(t^2+2)"], True, 3),
+])
+def test_function_field_kernel_matches_reduced_route(characteristic, generators, at_infinity, infinite):
+    sys_ = parse_descriptor({"d": 2, "components": [
+        {"class": "function_field", "characteristic": characteristic, "generators": generators}]})
+    (comp, _), = sys_.components
+    assert any(pi.degree == 2 for pi in comp.finite_places)
+    assert comp.infinite_place_needed == at_infinity
+    found = 0
+    for n in itertools.product(range(-3, 4), repeat=2):
+        for j in (1, 2, 3):
+            exponents = [j * c for c in n]
+            expected = _function_field_reference(comp, exponents)
+            assert comp.count_factor(exponents) == expected, (n, j)
+            found += expected is None
+    assert found == infinite
+
+
+def _s_integer_reference(comp, exponents):
+    h = Fraction(1)
+    for r, e in zip(comp.generators, exponents):
+        h *= r ** e
+    return None if h == 1 else prime_to_s_part(abs(h.numerator - h.denominator), comp.s_primes)
+
+
+def test_s_integer_kernel_matches_fraction_route():
+    # the power products share primes, so N / D is not reduced, and
+    # (6/5)^4 (-25/36)^2 = 1
+    sys_ = parse_descriptor({"d": 2, "components": [
+        {"class": "s_integer", "multiplicity": 2, "generators": ["6/5", "-25/36"]}]})
+    (comp, _), = sys_.components
+    for n in itertools.product(range(-5, 6), repeat=2):
+        for j in (1, 2):
+            exponents = [j * c for c in n]
+            assert comp.count_factor(exponents) == _s_integer_reference(comp, exponents), (n, j)
+    assert comp.count_factor((4, 2)) is None
+    # N / D = -150 / 180 = -5 / 6, so the factor is |-5 - 6| = 11
+    assert count(sys_, (1, 1)) == 11 ** 2
+
+
+def test_number_field_kernel_matches_det_oracle():
+    # sqrt2sqrt3's generators have half-integer coordinates
+    doubled = parse_descriptor({"d": 2, "components": [
+        {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+         "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]})
+    for sys_ in (load_fixture("sqrt2sqrt3"), doubled):
+        for n in itertools.product(range(-2, 3), repeat=2):
+            for j in (1, 2):
+                assert count(sys_, n, j) == det_oracle(sys_, n, j), (n, j)
 
 
 def test_count_sequence_matches_pointwise():
@@ -198,6 +318,6 @@ def test_number_field_grid_three_routes(name, ranges, j, order):
         assert det_oracle(system, point, j) == expected, point
         (comp, mult), = system.components
         h = comp.power_product([j * c for c in point])
-        norm = abs(nf.norm(comp.field, nf.el_sub(h, nf.el_one(comp.field))))
+        norm = abs(nf.norm(comp.field, h, 1))
         assert norm == abs(sum(charpoly(nf.mult_matrix(comp.field, h))))
         assert norm ** mult == (expected.value if expected.is_finite else 0), point

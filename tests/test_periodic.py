@@ -14,8 +14,8 @@ from rankone import numberfield as nf
 from rankone import periodic
 from rankone.errors import ResourceCapError, UnsupportedOperationError
 from rankone.fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
-from rankone.rationals import prime_to_s_part
 from rankone.linalg import charpoly
+from rankone.rationals import prime_to_s_part
 from rankone.system import parse_descriptor
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -135,18 +135,13 @@ def test_grid_checks_the_budget_once_when_the_corner_fits(monkeypatch):
     assert len(checked) == 3
 
 
-def _power_product(generators, exponents, one):
-    h = one
-    for g, e in zip(generators, exponents):
-        h = h.mul(g.pow(e))
-    return h
-
-
 def _function_field_reference(comp, exponents):
     # reduced rational functions all the way: h - 1 formed and reduced, then
     # its order read at every marked place
     one = FpRationalFunction.one(comp.p)
-    h = _power_product(comp.generators, exponents, one)
+    h = one
+    for g, e in zip(comp.generators, exponents):
+        h = h.mul(g.pow(e))
     if h.is_one():
         return None
     g = h.sub(one)

@@ -49,6 +49,10 @@ from .system import SystemDescriptor
 DEFAULT_BIT_BUDGET = 10 ** 6
 # a grid and its output text are held in memory, about 0.6 KB per lattice point
 MAX_GRID_POINTS = 1 << 20
+# and its counts: most bits the size estimates of a box's counts may sum to
+# (128 MB of integers; the estimate is above the true size, about 3x on
+# times2times3)
+MAX_GRID_BITS = 1 << 30
 
 
 class PeriodicCount:
@@ -104,6 +108,15 @@ def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: i
     estimate = _estimate(sys, exponents)
     if estimate > bit_budget:
         raise ResourceCapError(f"estimated size {estimate} bits exceeds the {bit_budget}-bit budget")
+
+
+def _abs_sum(lo: int, hi: int) -> int:
+    """sum of |n| over lo <= n <= hi: the positive terms, then the negative."""
+
+    def tri(m):
+        return m * (m + 1) // 2 if m > 0 else 0
+
+    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
 
 
 def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
@@ -200,7 +213,8 @@ def grid(
     """count(sys, n, j) for every n in the closed box given by ranges.
 
     Raises ResourceCapError, before any count, when the box holds more than
-    MAX_GRID_POINTS lattice points.
+    MAX_GRID_POINTS lattice points or the size estimates of its counts sum
+    to more than MAX_GRID_BITS bits.
     """
     if len(ranges) != sys.d:
         raise ValueError(f"expected {sys.d} ranges, got {len(ranges)}")
@@ -210,6 +224,12 @@ def grid(
     points = math.prod(hi - lo + 1 for lo, hi in ranges)
     if points > MAX_GRID_POINTS:
         raise ResourceCapError(f"{points} lattice points exceed the grid cap of {MAX_GRID_POINTS}")
+    # the estimate is linear in sum_i |n_i|, so over the box it sums to the
+    # estimate at the weight sum_i j (sum of |n_i| on axis i) (points per n_i)
+    weight = j * sum(_abs_sum(lo, hi) * (points // (hi - lo + 1)) for lo, hi in ranges)
+    total = _estimate(sys, [weight])
+    if total > MAX_GRID_BITS:
+        raise ResourceCapError(f"estimated size {total} bits of all counts exceeds the grid cap of {MAX_GRID_BITS} bits")
     # the estimate peaks at the corner farthest from 0 on every axis; when
     # that corner is within the budget no point needs its own check
     corner = [j * max(abs(lo), abs(hi)) for lo, hi in ranges]

@@ -30,6 +30,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_shift
+
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
 from .errors import ResourceCapError, UndecidedError
@@ -326,6 +328,11 @@ MAX_OMEGA_ROWS = 1 << 20
 # (3^10 // 2 = 29,524 pairs); the bundled dk-sextic has 364.
 MAX_CROSSING_PAIRS = 1 << 16
 
+# Most branch indices a portrait may list, sum |L| over the branches L; one
+# character of multiplicity m has m(m+1)/2, so m = 1,447 fits.  dk-sextic
+# lists 192.
+MAX_BRANCH_INDICES = 1 << 20
+
 
 def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     """The direction grid for sys: samples points on the circle for d = 2
@@ -347,6 +354,57 @@ def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 
 
+def _sparse_terms(log_vector: Sequence[ExactLog], wprec: int) -> List[Tuple[int, RealBall, int]]:
+    """A log form's nonzero entries as (coordinate, weight, zeros) triples.
+
+    zeros counts the exactly zero entries after this one, up to the next
+    nonzero entry or the end.  The dense sum added an exact zero for each of
+    them, and RealBall.add charged the half-ulp of the running sum every
+    time, so _form_value adds that zero too.  Zero entries before the first
+    nonzero one add zero to an exact zero and charge nothing.
+    """
+    terms: List[list] = []
+    for j, entry in enumerate(log_vector):
+        if not entry.is_trivially_zero():
+            terms.append([j, entry.evaluate(wprec), 0])
+        elif terms:
+            terms[-1][2] += 1
+    return [tuple(t) for t in terms]
+
+
+def _form_value(terms, d_balls: Sequence[RealBall], wprec: int) -> RealBall:
+    """The log form at a direction, with the bits of the dense left-to-right sum."""
+    zero = RealBall.zero()
+    form = zero
+    for j, w, zeros in terms:
+        form = form.add(d_balls[j].mul(w, wprec), wprec)
+        for _ in range(zeros):
+            form = form.add(zero, wprec)
+    return form
+
+
+def _exp_neg_below_one(form: RealBall, prec: int) -> bool:
+    """Whether the upper end of form.neg().exp(prec) is below 1, so that
+    max_with(one, prec) returns `one` itself; decided without exp.
+
+    True when the form's lower end t exceeds T = 2^(4-prec) and its radius
+    r is at most T.  The upper end of the exp ball is then exp(-t) times at
+    most 1 + 2^(2-prec), as every error in it is relative to exp(-t):
+    - exp runs with 16 guard bits and widens its ends by 2^-(prec+8) of
+      the larger one: under 2^-(prec+7);
+    - the midpoint is rounded to prec bits, and the radius holds that
+      half-ulp again: under 2.01 * 2^-prec;
+    - the radius, below exp(-t) (r + 2^(1-prec)), is rounded up to 30 bits
+      twice: under 2^-(prec+23) while r <= T.  A wider form could lose
+      more than the 2^-prec margin here, so the radius bound is needed.
+    And exp(-t) (1 + 2^(2-prec)) < exp(2^(2-prec) - t) < 1.  max(1,
+    exp(-form)) is 1 for every positive form, so `one` is also the exact
+    value.
+    """
+    threshold = mpf_shift(fone, 4 - prec)
+    return mpf_cmp(form.rad, threshold) <= 0 and mpf_cmp(form.mid, mpf_add(threshold, form.rad)) > 0
+
+
 def omega_samples(
     sys: SystemDescriptor,
     directions: Sequence[Sequence[float]],
@@ -359,33 +417,49 @@ def omega_samples(
     Character log-vectors are evaluated once and reused across directions.
     Each f_L is the product of f_L[:-1] and one archimedean factor, the
     left fold g * a_L[0] * a_L[1] * ... with one product per branch.
+
+    Work whose result is already known is skipped, and every row keeps the
+    bits of the dense computation:
+    - a log form is summed over its nonzero entries only (_sparse_terms);
+    - a nonarchimedean factor max(1, exp(-form)) is `one` without exp when
+      the form is clearly positive (_exp_neg_below_one);
+    - each character keeps its last factor with the direction coordinates
+      its form reads.  The grids list directions row by row, so such a key
+      repeats right after its first use: along a sphere row for a form that
+      reads z alone, and at every direction for a zero log-vector.  One
+      slot per character keeps memory flat.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     V, W = sys.characters()
     wprec = prec + 8
-    v_logs = [[entry.evaluate(wprec) for entry in chi.log_vector] for chi in V]
-    w_logs = [[entry.evaluate(wprec) for entry in chi.log_vector] for chi in W]
+    v_terms = [_sparse_terms(chi.log_vector, wprec) for chi in V]
+    w_terms = [_sparse_terms(chi.log_vector, wprec) for chi in W]
     subsets = branch_subsets(sys)
     one = RealBall.one()
+    w_last = [(None, None)] * len(W)  # (key, factor^multiplicity) per character
+    v_last = [(None, None)] * len(V)  # (key, exp(-form)) per character
     out = []
     for direction in directions:
         direction = tuple(float(x) for x in direction)
         _check_unit(direction, prec)
         d_balls = [RealBall.from_float(x) for x in direction]
         g = one
-        for chi, logs in zip(W, w_logs):
-            form = RealBall.zero()
-            for x, w in zip(d_balls, logs):
-                form = form.add(x.mul(w, wprec), wprec)
-            factor = form.neg().exp(prec).max_with(one, prec)
-            g = g.mul(factor.pow_int(chi.multiplicity, prec), prec)
-        arch_vals = []
-        for logs in v_logs:
-            form = RealBall.zero()
-            for x, w in zip(d_balls, logs):
-                form = form.add(x.mul(w, wprec), wprec)
-            arch_vals.append(form.neg().exp(prec))
+        for c, (chi, terms) in enumerate(zip(W, w_terms)):
+            key = tuple(direction[j] for j, _, _ in terms)
+            if w_last[c][0] != key:
+                form = _form_value(terms, d_balls, wprec)
+                if _exp_neg_below_one(form, prec):
+                    factor = one
+                else:
+                    factor = form.neg().exp(prec).max_with(one, prec)
+                w_last[c] = (key, factor.pow_int(chi.multiplicity, prec))
+            g = g.mul(w_last[c][1], prec)
+        for c, terms in enumerate(v_terms):
+            key = tuple(direction[j] for j, _, _ in terms)
+            if v_last[c][0] != key:
+                v_last[c] = (key, _form_value(terms, d_balls, wprec).neg().exp(prec))
+        arch_vals = [value for _, value in v_last]
         products = {}
         for subset in subsets:
             value = products[subset[:-1]].mul(arch_vals[subset[-1]], prec) if subset else g
@@ -493,9 +567,19 @@ def build_portrait(
     prec: int = DEFAULT_PRECISION,
     max_prec: int = MAX_PRECISION,
 ) -> DirectionPortrait:
-    """Assemble hyperplanes, crossings and branch data."""
+    """Assemble hyperplanes, crossings and branch data.
+
+    Raises ResourceCapError, before any of them is built, when the branches
+    would list more than MAX_BRANCH_INDICES indices.  That is
+    prod(m_i + 1) * sum(m_i) / 2 over the multiplicities m_i: there are
+    prod(m_i + 1) branches, and index i appears m_i / 2 times in the mean.
+    """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    multiplicities = [chi.multiplicity for chi in sys.characters()[0]]
+    indices = math.prod(m + 1 for m in multiplicities) * sum(multiplicities) // 2
+    if indices > MAX_BRANCH_INDICES:
+        raise ResourceCapError(f"{indices} branch indices exceed the branch cap of {MAX_BRANCH_INDICES}")
     hyperplanes = nonexpansive_hyperplanes(sys, max_prec)
     degenerate = degenerate_characters(sys)
     crossing = crossing_set(sys, max_prec)

@@ -238,10 +238,20 @@ class ZetaCandidate:
         return {"type": "interval", "re": [re_lo, re_hi], "im": [im_lo, im_hi]}
 
 
-def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaCandidate]]:
-    """Group branches by overlapping value boxes; None means escalate."""
-    balls = [b.ball(prec) for b in branches]
-    parent = list(range(len(branches)))
+def _overlap_classes(balls: Sequence[ComplexBall]) -> List[List[int]]:
+    """Connected classes of the box-overlap graph, each in ascending index
+    order, the classes ordered by their first index.
+
+    A sweep over the boxes sorted by the lower end of their real part tests
+    only pairs whose real parts overlap: once a box's lower end is past the
+    current box's upper end, so are those of all later boxes.  The ends are
+    exact rationals (floats would round values past 2^1024 to one infinity),
+    so no overlapping pair is skipped and the classes are those of the
+    all-pairs test.
+    """
+    bounds = [ball_to_fraction_bounds(ball.re) for ball in balls]
+    order = sorted(range(len(balls)), key=lambda i: bounds[i][0])
+    parent = list(range(len(balls)))
 
     def find(i):
         while parent[i] != i:
@@ -249,15 +259,24 @@ def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaC
             i = parent[i]
         return i
 
-    for i in range(len(branches)):
-        for k in range(i + 1, len(branches)):
+    for a, i in enumerate(order):
+        hi = bounds[i][1]
+        for b in range(a + 1, len(order)):
+            k = order[b]
+            if bounds[k][0] > hi:
+                break
             if not balls[i].box_disjoint(balls[k]):
                 parent[find(i)] = find(k)
     groups: Dict[int, List[int]] = {}
-    for i in range(len(branches)):
+    for i in range(len(balls)):
         groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaCandidate]]:
+    """Group branches by overlapping value boxes; None means escalate."""
     clusters = []
-    for indices in sorted(groups.values(), key=lambda g: g[0]):
+    for indices in _overlap_classes([b.ball(prec) for b in branches]):
         members = [branches[i] for i in indices]
         if all(not b.parts for b in members):
             exacts = {b.exact for b in members}

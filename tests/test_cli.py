@@ -247,6 +247,18 @@ def test_svg_dimension_is_checked_before_the_portrait(monkeypatch, tmp_path, cap
         1, "", "error: SVG output is available for d = 2 and d = 3 only\n")
 
 
+def test_branch_cap_exits_before_the_portrait(tmp_path, capsys):
+    # one character of multiplicity 60,000 passes the crossing cap (60,000
+    # signed pairs) but its branches would list 1.8 x 10^9 indices
+    path = tmp_path / "m60000.json"
+    path.write_text(json.dumps({"d": 1, "components": [
+        {"class": "s_integer", "multiplicity": 60000, "generators": ["2"]}]}))
+    start = time.perf_counter()
+    assert run(capsys, "portrait", str(path), "--format", "json") == (
+        3, "", f"error: 1800030000 branch indices exceed the branch cap of {subdynamics.MAX_BRANCH_INDICES}\n")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("samples", ["6", "100000"])
 def test_sphere_svg_samples_no_rows(monkeypatch, capsys, samples):
     # the d = 3 SVG draws no rows, so --samples neither samples nor meets the row cap
@@ -570,6 +582,17 @@ def test_grid_cap_exits_before_counting(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"16008001 lattice points exceed the grid cap of {periodic.MAX_GRID_POINTS}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_grid_size_cap_exits_before_counting(capsys):
+    # 400,001 points pass the point cap, but their counts would hold about
+    # 4 x 10^10 bits (5 GB)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "periodic", "times2times3", "--range=-200000..200000,0..0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("error: estimated size 120000600000 bits of all counts exceeds the grid cap of "
+                   f"{periodic.MAX_GRID_BITS} bits\n")
 
 
 def test_grid_cap_counts_lattice_points(monkeypatch, capsys):

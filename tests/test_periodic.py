@@ -135,6 +135,27 @@ def test_grid_checks_the_budget_once_when_the_corner_fits(monkeypatch):
     assert len(checked) == 3
 
 
+def test_grid_caps_the_summed_size_before_any_count(monkeypatch):
+    sys_ = load_fixture("times2times3")
+    ranges = [(-4, 3), (2, 5)]
+    # the cap sits exactly at the box's summed estimate, point by point
+    total = sum(periodic._estimate(sys_, [2 * c for c in n]) for n in itertools.product(range(-4, 4), range(2, 6)))
+    monkeypatch.setattr(periodic, "MAX_GRID_BITS", total)
+    assert grid(sys_, ranges, j=2).entries[(3, 5)] == count(sys_, (3, 5), 2)
+    (comp, _), = sys_.components
+
+    def refuse(exponents):
+        raise AssertionError("a count ran before the summed-size check")
+
+    monkeypatch.setattr(comp, "count_factor", refuse)
+    monkeypatch.setattr(periodic, "MAX_GRID_BITS", total - 1)
+    with pytest.raises(ResourceCapError) as err:
+        grid(sys_, ranges, j=2)
+    assert str(err.value) == f"estimated size {total} bits of all counts exceeds the grid cap of {total - 1} bits"
+    for lo, hi in [(-4, 3), (2, 5), (-5, -2), (0, 0), (-3, 0), (7, 7), (-6, -6)]:
+        assert periodic._abs_sum(lo, hi) == sum(abs(n) for n in range(lo, hi + 1))
+
+
 def _function_field_reference(comp, exponents):
     # reduced rational functions all the way: h - 1 formed and reduced, then
     # its order read at every marked place

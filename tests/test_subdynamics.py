@@ -25,13 +25,18 @@ from rankone import (
     omega_samples,
     parse_descriptor,
 )
+from mpmath.libmp import from_man_exp, mpf_add
+
+from rankone import subdynamics
 from rankone.balls import RealBall
+from rankone.errors import ResourceCapError
 from rankone.exactlog import ExactLog
 from rankone.subdynamics import (
     ENTROPY_NOTE,
     NOETHERIAN,
     VARIETY,
     _check_unit,
+    _exp_neg_below_one,
     circle_directions,
     default_directions,
     sphere_directions,
@@ -360,6 +365,22 @@ def test_branch_subsets_list_each_prefix_first(system):
         assert position[subset[:-1]] < k
 
 
+@pytest.mark.parametrize("system", [S23, QUARTIC, SEXTIC, DOUBLED])
+def test_branch_cap_counts_indices_before_building(monkeypatch, system):
+    indices = sum(len(subset) for subset in branch_subsets(system))
+    monkeypatch.setattr(subdynamics, "MAX_BRANCH_INDICES", indices)
+    assert build_portrait(system).branches == tuple(branch_subsets(system))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the portrait was built before the branch cap")
+
+    for name in ("nonexpansive_hyperplanes", "crossing_set", "branch_subsets"):
+        monkeypatch.setattr(subdynamics, name, refuse)
+    monkeypatch.setattr(subdynamics, "MAX_BRANCH_INDICES", indices - 1)
+    with pytest.raises(ResourceCapError, match=f"^{indices} branch indices exceed the branch cap of {indices - 1}$"):
+        build_portrait(system)
+
+
 def left_fold_samples(sys, directions, convention, prec=64):
     """omega_samples with each branch folded from g on its own, one product
     per index, as the library computed it before prefix products."""
@@ -392,11 +413,50 @@ def left_fold_samples(sys, directions, convention, prec=64):
     return out
 
 
+def axis_directions(d):
+    """The 2d signed unit vectors: exact units, so they pass the unit check
+    at any precision."""
+    return [tuple(float(sign * (i == k)) for i in range(d)) for k in range(d) for sign in (1, -1)]
+
+
 @pytest.mark.parametrize("convention", ["inverse-root", "root-location"])
 @pytest.mark.parametrize("system", [S23, LED, QUARTIC, T235, SEXTIC, DOUBLED])
 def test_omega_samples_equal_left_fold(system, convention):
-    directions = default_directions(system, 3)
-    got = omega_samples(system, directions, convention)
-    want = left_fold_samples(system, directions, convention)
-    assert [(v, s) for v, s, _ in got] == [(v, s) for v, s, _ in want]
-    assert [(b.mid, b.rad) for _, _, b in got] == [(b.mid, b.rad) for _, _, b in want]
+    # 4 samples give circle coordinates of +-6e-17 and sphere rows sharing
+    # z; float grids are unit vectors only to about 2^-53, so 300 bits uses
+    # the axes, where the exact zero coordinates meet zero log entries
+    for prec in (1, 2, 8, 64, 300):
+        directions = axis_directions(system.d) if prec == 300 else default_directions(system, 4)
+        try:
+            want = left_fold_samples(system, directions, convention, prec)
+        except ZeroDivisionError:
+            # a 1- or 2-bit branch value can straddle zero; no reciprocal then
+            with pytest.raises(ZeroDivisionError):
+                omega_samples(system, directions, convention, prec)
+            continue
+        got = omega_samples(system, directions, convention, prec)
+        assert [(v, s) for v, s, _ in got] == [(v, s) for v, s, _ in want]
+        assert [(b.mid, b.rad) for _, _, b in got] == [(b.mid, b.rad) for _, _, b in want]
+
+
+@pytest.mark.parametrize("prec", list(range(1, 129)) + [4096])
+def test_exp_neg_below_one_agrees_with_max_with(prec):
+    # a (prec + 8)-bit midpoint and a 30-bit radius, as omega_samples forms
+    # them: narrow forms with both within a factor of 8 of 2^(4 - prec), and
+    # wide ones whose lower end is near it, where only the radius bound keeps
+    # the shortcut off
+    rng = random.Random(prec)
+    one = RealBall.one()
+    fired = 0
+    for k in range(32):
+        rad = from_man_exp(rng.getrandbits(30), 4 - prec - 30 + rng.randint(-3, 3))
+        mid = from_man_exp(rng.getrandbits(prec + 8) | 1 << (prec + 7), 4 - 2 * prec - 10 + rng.randint(0, 6))
+        if k % 4 == 3:
+            rad = from_man_exp(rng.getrandbits(30) | 1 << 29, rng.randint(-40, -1) - 29)
+            mid = mpf_add(mid, rad, prec + 8, "n")
+        form = RealBall(mid, rad)
+        if _exp_neg_below_one(form, prec):
+            fired += 1
+            value = form.neg().exp(prec).max_with(one, prec)
+            assert (value.mid, value.rad) == (one.mid, one.rad)
+    assert fired >= 3

@@ -1,6 +1,7 @@
 """Zeta factor fits: frozen factorizations, identity checks, failure modes."""
 
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -343,3 +344,69 @@ def test_inverse_roots_separation_ladder(monkeypatch, precision, max_prec, ladde
     with pytest.raises(UndecidedError, match="separating zeta candidate values"):
         inverse_roots(load_fixture("sqrt2sqrt3"), (2, -1), precision=precision, max_prec=max_prec)
     assert seen == ladder
+
+
+# --- clustering by a sweep over the real parts ---------------------------------
+
+def all_pairs_classes(balls):
+    """The overlap classes by testing every pair, as clustering did before
+    the sweep."""
+    parent = list(range(len(balls)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(balls)):
+        for k in range(i + 1, len(balls)):
+            if not balls[i].box_disjoint(balls[k]):
+                parent[find(i)] = find(k)
+    groups = {}
+    for i in range(len(balls)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def test_sweep_classes_equal_all_pairs_classes(monkeypatch):
+    rng = random.Random(17)
+
+    def box(re, im, rad_re, rad_im, scale=1):
+        def side(x, width):
+            lo, hi = Fraction(x) * scale, Fraction(x + width) * scale
+            return RealBall.from_fraction(lo, 53).hull(RealBall.from_fraction(hi, 53), 53)
+
+        return ComplexBall(side(re, rad_re), side(im, rad_im))
+
+    for trial in range(60):
+        size = rng.randint(0, 40)
+        # few distinct centres, so boxes touch, nest, tie on the real lower
+        # end and chain; some wide boxes span many others
+        centres = [rng.randint(-6, 6) / 4 for _ in range(8)]
+        balls = []
+        for _ in range(size):
+            re, im = rng.choice(centres), rng.choice(centres)
+            wide = rng.random() < 0.1
+            balls.append(box(re, im, rng.choice([0.0, 0.1, 0.25, 2.0 if wide else 0.05]),
+                             rng.choice([0.0, 0.1, 0.25, 0.3])))
+        assert zeta._overlap_classes(balls) == all_pairs_classes(balls)
+    # values past 2^1024, where float ends would all be infinite: 200
+    # disjoint boxes on a line take one test per neighbouring pair
+    balls = [box(k, 0, 0.5, 0, 2 ** 1100) for k in range(200)]
+    rng.shuffle(balls)
+    tests = []
+    disjoint = ComplexBall.box_disjoint
+    monkeypatch.setattr(ComplexBall, "box_disjoint", lambda a, b: tests.append(1) or disjoint(a, b))
+    assert zeta._overlap_classes(balls) == [[k] for k in range(200)]
+    assert len(tests) == 0
+    balls.append(box(-1, 0, 300, 0, 2 ** 1100))  # one box over all the others
+    assert zeta._overlap_classes(balls) == [list(range(201))]
+    assert len(tests) == 200
+
+
+def test_sextic_clusters_are_unchanged_by_the_sweep():
+    sextic = load_fixture("dk-sextic")
+    branches = _branches(sextic, (1, 1))
+    balls = [b.ball(64) for b in branches]
+    assert zeta._overlap_classes(balls) == all_pairs_classes(balls)
+    assert len(_cluster_branches(branches, 64)) == 27

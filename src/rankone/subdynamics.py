@@ -354,35 +354,6 @@ def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 
 
-def _sparse_terms(log_vector: Sequence[ExactLog], wprec: int) -> List[Tuple[int, RealBall, int]]:
-    """A log form's nonzero entries as (coordinate, weight, zeros) triples.
-
-    zeros counts the exactly zero entries after this one, up to the next
-    nonzero entry or the end.  The dense sum added an exact zero for each of
-    them, and RealBall.add charged the half-ulp of the running sum every
-    time, so _form_value adds that zero too.  Zero entries before the first
-    nonzero one add zero to an exact zero and charge nothing.
-    """
-    terms: List[list] = []
-    for j, entry in enumerate(log_vector):
-        if not entry.is_trivially_zero():
-            terms.append([j, entry.evaluate(wprec), 0])
-        elif terms:
-            terms[-1][2] += 1
-    return [tuple(t) for t in terms]
-
-
-def _form_value(terms, d_balls: Sequence[RealBall], wprec: int) -> RealBall:
-    """The log form at a direction, with the bits of the dense left-to-right sum."""
-    zero = RealBall.zero()
-    form = zero
-    for j, w, zeros in terms:
-        form = form.add(d_balls[j].mul(w, wprec), wprec)
-        for _ in range(zeros):
-            form = form.add(zero, wprec)
-    return form
-
-
 def _exp_neg_below_one(form: RealBall, prec: int) -> bool:
     """Whether the upper end of form.neg().exp(prec) is below 1, so that
     max_with(one, prec) returns `one` itself; decided without exp.
@@ -405,6 +376,73 @@ def _exp_neg_below_one(form: RealBall, prec: int) -> bool:
     return mpf_cmp(form.rad, threshold) <= 0 and mpf_cmp(form.mid, mpf_add(threshold, form.rad)) > 0
 
 
+# Most factors one character remembers in omega_samples before it starts
+# over: the 3,600 directions of a 60 x 60 sphere grid, at about 0.35 KB each.
+_FACTOR_MEMO_SIZE = 1 << 12
+
+
+class _OmegaFactor:
+    """One character's factor in omega_samples: exp(-form) for an
+    archimedean character, max(1, exp(-form))^multiplicity for a
+    nonarchimedean one, with the bits of the dense left-to-right sum.
+
+    The form is summed over the nonzero entries of the log-vector only.
+    Each term is (coordinate, weight, zeros), where zeros counts the exactly
+    zero entries after it, up to the next nonzero one.  The dense sum added
+    an exact zero for each of them, and RealBall.add charged the half-ulp of
+    the running sum every time, so the sparse sum adds that zero too.  Zero
+    entries before the first nonzero one add zero to an exact zero and
+    charge nothing.
+
+    A form that reads fewer coordinates than d remembers its factor by the
+    coordinates it reads, as such a key repeats on the grids: along a
+    sphere row for a form that reads z alone, at mirror-image directions
+    for one that reads x or y alone, and at every direction for a zero
+    log-vector.  A form that reads every coordinate would repeat only with
+    the direction and remembers nothing.  The memo starts over at
+    _FACTOR_MEMO_SIZE keys, so memory stays flat on any grid.
+    """
+
+    __slots__ = ("terms", "multiplicity", "nonarchimedean", "memo")
+
+    def __init__(self, chi: Character, d: int, nonarchimedean: bool, wprec: int):
+        terms: List[list] = []
+        for j, entry in enumerate(chi.log_vector):
+            if not entry.is_trivially_zero():
+                terms.append([j, entry.evaluate(wprec), 0])
+            elif terms:
+                terms[-1][2] += 1
+        self.terms = [tuple(t) for t in terms]
+        self.multiplicity = chi.multiplicity
+        self.nonarchimedean = nonarchimedean
+        self.memo = {} if len(terms) < d else None
+
+    def at(self, direction: Tuple[float, ...], d_balls: Sequence[RealBall], prec: int) -> RealBall:
+        if self.memo is None:
+            return self._value(d_balls, prec)
+        key = tuple(direction[j] for j, _, _ in self.terms)
+        value = self.memo.get(key)
+        if value is None:
+            if len(self.memo) >= _FACTOR_MEMO_SIZE:
+                self.memo.clear()
+            value = self.memo[key] = self._value(d_balls, prec)
+        return value
+
+    def _value(self, d_balls: Sequence[RealBall], prec: int) -> RealBall:
+        wprec = prec + 8
+        zero = RealBall.zero()
+        form = zero
+        for j, w, zeros in self.terms:
+            form = form.add(d_balls[j].mul(w, wprec), wprec)
+            for _ in range(zeros):
+                form = form.add(zero, wprec)
+        if not self.nonarchimedean:
+            return form.neg().exp(prec)
+        one = RealBall.one()
+        factor = one if _exp_neg_below_one(form, prec) else form.neg().exp(prec).max_with(one, prec)
+        return factor.pow_int(self.multiplicity, prec)
+
+
 def omega_samples(
     sys: SystemDescriptor,
     directions: Sequence[Sequence[float]],
@@ -419,54 +457,36 @@ def omega_samples(
     left fold g * a_L[0] * a_L[1] * ... with one product per branch.
 
     Work whose result is already known is skipped, and every row keeps the
-    bits of the dense computation:
-    - a log form is summed over its nonzero entries only (_sparse_terms);
-    - a nonarchimedean factor max(1, exp(-form)) is `one` without exp when
-      the form is clearly positive (_exp_neg_below_one);
-    - each character keeps its last factor with the direction coordinates
-      its form reads.  The grids list directions row by row, so such a key
-      repeats right after its first use: along a sphere row for a form that
-      reads z alone, and at every direction for a zero log-vector.  One
-      slot per character keeps memory flat.
+    bits of that computation (_OmegaFactor): a log form is summed over its
+    nonzero entries only, a nonarchimedean factor is `one` without exp when
+    its form is clearly positive (_exp_neg_below_one), and a form that
+    reads fewer coordinates than d remembers its factors.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     V, W = sys.characters()
     wprec = prec + 8
-    v_terms = [_sparse_terms(chi.log_vector, wprec) for chi in V]
-    w_terms = [_sparse_terms(chi.log_vector, wprec) for chi in W]
+    w_factors = [_OmegaFactor(chi, sys.d, True, wprec) for chi in W]
+    v_factors = [_OmegaFactor(chi, sys.d, False, wprec) for chi in V]
     subsets = branch_subsets(sys)
-    one = RealBall.one()
-    w_last = [(None, None)] * len(W)  # (key, factor^multiplicity) per character
-    v_last = [(None, None)] * len(V)  # (key, exp(-form)) per character
+    # f_L = f_{L[:-1]} * a_{L[-1]}, as (position of L[:-1], L[-1]) after f_()
+    position = {subset: k for k, subset in enumerate(subsets)}
+    steps = [(position[subset[:-1]], subset[-1]) for subset in subsets[1:]]
     out = []
     for direction in directions:
         direction = tuple(float(x) for x in direction)
         _check_unit(direction, prec)
         d_balls = [RealBall.from_float(x) for x in direction]
-        g = one
-        for c, (chi, terms) in enumerate(zip(W, w_terms)):
-            key = tuple(direction[j] for j, _, _ in terms)
-            if w_last[c][0] != key:
-                form = _form_value(terms, d_balls, wprec)
-                if _exp_neg_below_one(form, prec):
-                    factor = one
-                else:
-                    factor = form.neg().exp(prec).max_with(one, prec)
-                w_last[c] = (key, factor.pow_int(chi.multiplicity, prec))
-            g = g.mul(w_last[c][1], prec)
-        for c, terms in enumerate(v_terms):
-            key = tuple(direction[j] for j, _, _ in terms)
-            if v_last[c][0] != key:
-                v_last[c] = (key, _form_value(terms, d_balls, wprec).neg().exp(prec))
-        arch_vals = [value for _, value in v_last]
-        products = {}
-        for subset in subsets:
-            value = products[subset[:-1]].mul(arch_vals[subset[-1]], prec) if subset else g
-            products[subset] = value
-            if convention == ROOT_LOCATION:
-                value = value.recip(prec)
-            out.append((direction, subset, value))
+        g = RealBall.one()
+        for factor in w_factors:
+            g = g.mul(factor.at(direction, d_balls, prec), prec)
+        arch_vals = [factor.at(direction, d_balls, prec) for factor in v_factors]
+        values = [g]
+        for k, i in steps:
+            values.append(values[k].mul(arch_vals[i], prec))
+        if convention == ROOT_LOCATION:
+            values = [value.recip(prec) for value in values]
+        out.extend(zip(itertools.repeat(direction), subsets, values))
     return out
 
 

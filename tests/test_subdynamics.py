@@ -439,6 +439,16 @@ def test_omega_samples_equal_left_fold(system, convention):
         assert [(b.mid, b.rad) for _, _, b in got] == [(b.mid, b.rad) for _, _, b in want]
 
 
+def test_omega_factor_memo_starts_over_at_its_size(monkeypatch):
+    # 6 x 6 sphere rows share z, and x, y repeat at mirror images; a memo of
+    # two keys starts over many times and changes no bit
+    directions = default_directions(T235, 6)
+    want = left_fold_samples(T235, directions, "inverse-root")
+    monkeypatch.setattr(subdynamics, "_FACTOR_MEMO_SIZE", 2)
+    got = omega_samples(T235, directions)
+    assert [(v, s, b.mid, b.rad) for v, s, b in got] == [(v, s, b.mid, b.rad) for v, s, b in want]
+
+
 @pytest.mark.parametrize("prec", list(range(1, 129)) + [4096])
 def test_exp_neg_below_one_agrees_with_max_with(prec):
     # a (prec + 8)-bit midpoint and a 30-bit radius, as omega_samples forms

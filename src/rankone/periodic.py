@@ -24,7 +24,8 @@ one difference, determinant or set of place orders.  The size budget is
 checked once per box, at the corner where the estimate peaks, and once per
 count sequence, at the first period over it; only a box whose corner is
 over the budget checks each point, so the error names the first point over
-it as before.
+it as before.  Before any count, a box's summed estimate, which has a
+closed form, is held to MAX_GRID_BITS.
 
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each

@@ -403,32 +403,34 @@ class _OmegaFactor:
     _FACTOR_MEMO_SIZE keys, so memory stays flat on any grid.
     """
 
-    __slots__ = ("terms", "multiplicity", "nonarchimedean", "memo")
+    __slots__ = ("terms", "multiplicity", "nonarchimedean", "prec", "memo")
 
-    def __init__(self, chi: Character, d: int, nonarchimedean: bool, wprec: int):
+    def __init__(self, chi: Character, d: int, nonarchimedean: bool, prec: int):
         terms: List[list] = []
         for j, entry in enumerate(chi.log_vector):
             if not entry.is_trivially_zero():
-                terms.append([j, entry.evaluate(wprec), 0])
+                terms.append([j, entry.evaluate(prec + 8), 0])
             elif terms:
                 terms[-1][2] += 1
         self.terms = [tuple(t) for t in terms]
         self.multiplicity = chi.multiplicity
         self.nonarchimedean = nonarchimedean
+        self.prec = prec
         self.memo = {} if len(terms) < d else None
 
-    def at(self, direction: Tuple[float, ...], d_balls: Sequence[RealBall], prec: int) -> RealBall:
+    def at(self, direction: Tuple[float, ...], d_balls: Sequence[RealBall]) -> RealBall:
         if self.memo is None:
-            return self._value(d_balls, prec)
+            return self._value(d_balls)
         key = tuple(direction[j] for j, _, _ in self.terms)
         value = self.memo.get(key)
         if value is None:
             if len(self.memo) >= _FACTOR_MEMO_SIZE:
                 self.memo.clear()
-            value = self.memo[key] = self._value(d_balls, prec)
+            value = self.memo[key] = self._value(d_balls)
         return value
 
-    def _value(self, d_balls: Sequence[RealBall], prec: int) -> RealBall:
+    def _value(self, d_balls: Sequence[RealBall]) -> RealBall:
+        prec = self.prec
         wprec = prec + 8
         zero = RealBall.zero()
         form = zero
@@ -465,9 +467,8 @@ def omega_samples(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     V, W = sys.characters()
-    wprec = prec + 8
-    w_factors = [_OmegaFactor(chi, sys.d, True, wprec) for chi in W]
-    v_factors = [_OmegaFactor(chi, sys.d, False, wprec) for chi in V]
+    w_factors = [_OmegaFactor(chi, sys.d, True, prec) for chi in W]
+    v_factors = [_OmegaFactor(chi, sys.d, False, prec) for chi in V]
     subsets = branch_subsets(sys)
     # f_L = f_{L[:-1]} * a_{L[-1]}, as (position of L[:-1], L[-1]) after f_()
     position = {subset: k for k, subset in enumerate(subsets)}
@@ -479,8 +480,8 @@ def omega_samples(
         d_balls = [RealBall.from_float(x) for x in direction]
         g = RealBall.one()
         for factor in w_factors:
-            g = g.mul(factor.at(direction, d_balls, prec), prec)
-        arch_vals = [factor.at(direction, d_balls, prec) for factor in v_factors]
+            g = g.mul(factor.at(direction, d_balls), prec)
+        arch_vals = [factor.at(direction, d_balls) for factor in v_factors]
         values = [g]
         for k, i in steps:
             values.append(values[k].mul(arch_vals[i], prec))

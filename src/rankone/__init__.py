@@ -37,14 +37,11 @@ _EXPORTS = {
         "LabeledHyperplane",
         "branch_subsets",
         "build_portrait",
-        "crossing_coincidences",
         "crossing_set",
-        "degenerate_characters",
         "directional_entropy",
         "directional_entropy_atoms",
         "f_eval",
         "nonexpansive_hyperplanes",
-        "nonsmooth_set",
         "omega_samples",
     ),
     "system": (

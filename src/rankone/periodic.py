@@ -22,7 +22,8 @@ for function fields).  A box of lattice points then costs one power per
 generator and row or column, plus per point one product of the powers and
 one difference, determinant or set of place orders.  The size budget is
 checked once per box, at the corner where the estimate peaks, and once per
-count sequence, at the first period over it; only a box whose corner is
+count sequence, at the first period over it (check_sequence_budget, which
+zeta also calls before it builds any branch); only a box whose corner is
 over the budget checks each point, so the error names the first point over
 it as before.  Before any count, a box's summed estimate, which has a
 closed form, is held to MAX_GRID_BITS.
@@ -159,17 +160,30 @@ def count_sequence(
 ) -> List[PeriodicCount]:
     """[|F_1|, ..., |F_jmax|]; each period tested independently.
 
-    The estimate is j times its value at j = 1, so the first period over
-    the budget is found before any count and raises the message count
-    would raise there.
+    The budget is checked once, by check_sequence_budget, before any count.
     """
     if j_max < 1:
         raise ValueError("j_max must be a positive integer")
+    check_sequence_budget(sys, n, j_max, bit_budget)
+    return [count(sys, n, j, None) for j in range(1, j_max + 1)]
+
+
+def check_sequence_budget(
+    sys: SystemDescriptor,
+    n: Sequence[int],
+    j_max: int,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
+) -> None:
+    """Raise ResourceCapError if a count among F_1..F_jmax is over the budget.
+
+    The estimate is j times its value at j = 1, so the first period over
+    the budget is found arithmetically, without any count, and the error is
+    the one count would raise there.
+    """
     per_period = _estimate(sys, _exponents(sys, n, 1))
     first_over = max(1, bit_budget // per_period + 1) if per_period else 1
     if first_over <= j_max:
         _check_budget(sys, _exponents(sys, n, first_over), bit_budget)
-    return [count(sys, n, j, None) for j in range(1, j_max + 1)]
 
 
 class PeriodicGrid:

@@ -6,8 +6,9 @@ non-expansive locus is a finite union of hyperplanes through the origin,
 one per character with a nonzero log-vector.  Hyperplanes are labeled by
 their source: `variety` for archimedean characters, `noetherian` for
 nonarchimedean ones.  A character whose whole log-vector is zero kills
-expansiveness everywhere; it is reported as a degenerate flag instead of a
-hyperplane.
+expansiveness everywhere; it is reported as a degenerate character instead
+of a hyperplane.  nonexpansive_hyperplanes gives both lists from one pass
+over the characters.
 
 On the unit sphere the pole/zero data of the direction zeta functions is
 carried by the branch functions
@@ -16,10 +17,13 @@ carried by the branch functions
 
 indexed by multisets L of archimedean characters.  Two branches cross where
 a signed combination of archimedean log-vectors vanishes (the crossing
-set), and the common nonarchimedean prefactor is non-smooth exactly on the
-noetherian hyperplanes (the non-smooth set).  Directional entropy is the
-log of the largest branch value, scaled by the direction length; summing
-max(0, -n.w_chi) over characters computes it exactly.
+set), and coincide everywhere when that combination is zero itself;
+crossing_set gives the crossings and the coincidences from one walk over
+the signed pairs, building each normal once.  The common nonarchimedean
+prefactor is non-smooth exactly on the noetherian hyperplanes (the
+non-smooth set).  Directional entropy is the log of the largest branch
+value, scaled by the direction length; summing max(0, -n.w_chi) over
+characters computes it exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_shift
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
 from .errors import ResourceCapError, UndecidedError
-from .exactlog import ExactLog, _vector_trivially_zero, log_dot, vector_is_zero, vectors_parallel
+from .exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
 from .system import Character, SystemDescriptor
 
 VARIETY = "variety"
@@ -126,48 +130,25 @@ def _character_ref(set_name: str, index: int, chi: Character) -> dict:
 
 def nonexpansive_hyperplanes(
     sys: SystemDescriptor, max_prec: int = MAX_PRECISION
-) -> List[LabeledHyperplane]:
-    """One labeled hyperplane per character with nonzero log-vector.
+) -> Tuple[List[LabeledHyperplane], List[dict]]:
+    """(hyperplanes, degenerate) over the characters, in one pass.
 
-    Characters whose log-vector is certifiably zero are skipped here; they
-    are surfaced by degenerate_characters and as a portrait warning.
+    A character with certifiably zero log-vector is non-expansive in every
+    direction and goes to `degenerate` as a character reference; every
+    other one gives a labeled hyperplane.
     """
     V, W = sys.characters()
-    out: List[LabeledHyperplane] = []
+    hyperplanes: List[LabeledHyperplane] = []
+    degenerate: List[dict] = []
     for set_name, label, chars in (("V", VARIETY, V), ("W", NOETHERIAN, W)):
         for i, chi in enumerate(chars):
+            ref = _character_ref(set_name, i, chi)
             verdict = vector_is_zero(chi.log_vector, max_prec)
             if verdict is True:
-                continue
-            out.append(
-                LabeledHyperplane(
-                    chi.log_vector,
-                    label,
-                    (_character_ref(set_name, i, chi),),
-                    undecided=(verdict is None),
-                )
-            )
-    return out
-
-
-def degenerate_characters(sys: SystemDescriptor) -> List[dict]:
-    """Characters with certifiably zero log-vectors (non-expansive everywhere)."""
-    V, W = sys.characters()
-    out = []
-    for set_name, chars in (("V", V), ("W", W)):
-        for i, chi in enumerate(chars):
-            if _vector_trivially_zero(chi.log_vector):
-                out.append(_character_ref(set_name, i, chi))
-    return out
-
-
-def nonsmooth_set(
-    sys: SystemDescriptor, max_prec: int = MAX_PRECISION
-) -> List[LabeledHyperplane]:
-    """Exactly the noetherian hyperplanes: the common prefactor of every
-    branch is max(chi*, 1) over nonarchimedean characters, smooth away from
-    their vanishing loci and kinked on them."""
-    return [h for h in nonexpansive_hyperplanes(sys, max_prec) if h.label == NOETHERIAN]
+                degenerate.append(ref)
+            else:
+                hyperplanes.append(LabeledHyperplane(chi.log_vector, label, (ref,), undecided=verdict is None))
+    return hyperplanes, degenerate
 
 
 def _signed_combinations(sys: SystemDescriptor):
@@ -201,37 +182,23 @@ def _pair_source(eps: Tuple[int, ...]) -> dict:
 
 def crossing_set(
     sys: SystemDescriptor, max_prec: int = MAX_PRECISION
-) -> List[LabeledHyperplane]:
-    """Hyperplanes where two branch functions cross.
+) -> Tuple[List[LabeledHyperplane], List[dict]]:
+    """(crossings, coincidences) over the signed branch pairs, in one walk.
 
-    A signed combination with certifiably zero normal means the two
-    branches coincide globally; those are reported by
-    crossing_coincidences, not here.  Zero tests open at the precision cap
-    keep the hyperplane with the undecided flag set.
+    A pair whose normal is certifiably zero coincides globally and goes to
+    `coincidences` as its {"J", "L"} source; every other pair gives a
+    crossing hyperplane, with the undecided flag set when its zero test
+    stays open at the precision cap.
     """
-    out: List[LabeledHyperplane] = []
+    crossings: List[LabeledHyperplane] = []
+    coincidences: List[dict] = []
     for eps, normal in _signed_combinations(sys):
         verdict = vector_is_zero(normal, max_prec)
         if verdict is True:
-            continue
-        out.append(
-            LabeledHyperplane(
-                normal,
-                CROSSING_ONLY,
-                (_pair_source(eps),),
-                undecided=(verdict is None),
-            )
-        )
-    return out
-
-
-def crossing_coincidences(sys: SystemDescriptor) -> List[dict]:
-    """Branch pairs whose difference form is certifiably zero everywhere."""
-    out = []
-    for eps, normal in _signed_combinations(sys):
-        if _vector_trivially_zero(normal):
-            out.append(_pair_source(eps))
-    return out
+            coincidences.append(_pair_source(eps))
+        else:
+            crossings.append(LabeledHyperplane(normal, CROSSING_ONLY, (_pair_source(eps),), undecided=verdict is None))
+    return crossings, coincidences
 
 
 # --------------------------------------------------------------------------
@@ -239,17 +206,20 @@ def crossing_coincidences(sys: SystemDescriptor) -> List[dict]:
 
 
 def _check_unit(v: Sequence, prec: int) -> None:
-    """Raise ValueError unless |sum x^2 - 1| <= 2^-(prec // 2), v rational.
+    """Raise ValueError unless |sum x^2 - 1| <= 2^-min(prec // 2, 48), v rational.
 
-    Decided exactly on integers: with v = (p_i / den) over the common
-    denominator, |v|^2 = total / den^2.  A float's denominator is a power
-    of two, so for float directions den is just the largest of them.
+    The tolerance stops at 2^-48 because float directions are unit vectors
+    only to rounding: circle_directions(720) to 2^-52.6 and
+    sphere_directions(180) to 2^-51.3 at worst.  Decided exactly on
+    integers: with v = (p_i / den) over the common denominator, |v|^2 =
+    total / den^2.  A float's denominator is a power of two, so for float
+    directions den is just the largest of them.
     """
     ratios = [x.as_integer_ratio() for x in v]
     den = math.lcm(*(q for _, q in ratios))
     total = sum((p * (den // q)) ** 2 for p, q in ratios)
     den2 = den * den
-    if abs(total - den2) << (prec // 2) > den2:
+    if abs(total - den2) << min(prec // 2, 48) > den2:
         raise ValueError(f"direction is not a unit vector: |v|^2 = {float(Fraction(total, den2))}")
 
 
@@ -277,7 +247,7 @@ def f_eval(
     """One branch value at a unit direction, outward rounded.
 
     L is a multiset of archimedean character indices (repetitions up to the
-    character multiplicity).  |v| must equal 1 within 2^(-prec/2).
+    character multiplicity).  |v|^2 must equal 1 within 2^-min(prec // 2, 48).
     """
     V, W = sys.characters()
     coeffs = tuple(Fraction(x) for x in v)
@@ -453,7 +423,9 @@ def omega_samples(
 ) -> List[Tuple[Tuple[float, ...], Tuple[int, ...], RealBall]]:
     """All branch values at each direction: (direction, subset, value) rows.
 
-    inverse-root reports f_L itself; root-location reports the reciprocal.
+    inverse-root reports f_L itself; root-location reports the reciprocal,
+    and raises UndecidedError where the enclosure of f_L contains 0, as it
+    can at a precision of a few bits.
     Character log-vectors are evaluated once and reused across directions.
     Each f_L is the product of f_L[:-1] and one archimedean factor, the
     left fold g * a_L[0] * a_L[1] * ... with one product per branch.
@@ -486,7 +458,14 @@ def omega_samples(
         for k, i in steps:
             values.append(values[k].mul(arch_vals[i], prec))
         if convention == ROOT_LOCATION:
-            values = [value.recip(prec) for value in values]
+            try:
+                values = [value.recip(prec) for value in values]
+            except ZeroDivisionError:
+                subset = next(s for s, value in zip(subsets, values) if value.contains_zero())
+                raise UndecidedError(
+                    f"reciprocal of the branch value f_{list(subset)} at {direction}: "
+                    f"its {prec}-bit enclosure contains 0"
+                ) from None
         out.extend(zip(itertools.repeat(direction), subsets, values))
     return out
 
@@ -601,10 +580,8 @@ def build_portrait(
     indices = math.prod(m + 1 for m in multiplicities) * sum(multiplicities) // 2
     if indices > MAX_BRANCH_INDICES:
         raise ResourceCapError(f"{indices} branch indices exceed the branch cap of {MAX_BRANCH_INDICES}")
-    hyperplanes = nonexpansive_hyperplanes(sys, max_prec)
-    degenerate = degenerate_characters(sys)
-    crossing = crossing_set(sys, max_prec)
-    coincidences = crossing_coincidences(sys)
+    hyperplanes, degenerate = nonexpansive_hyperplanes(sys, max_prec)
+    crossing, coincidences = crossing_set(sys, max_prec)
     branches = branch_subsets(sys)
     warnings = []
     if degenerate:

@@ -40,12 +40,15 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .exactlog import ExactLog
-from .periodic import PeriodicCount, count_sequence
+from .periodic import PeriodicCount, check_sequence_budget, count_sequence
 from .system import SystemDescriptor
 
 # work a coefficient certification may take, in K^2 x bits for K candidate
 # values: one solve costs about 3 K^2 ball products at that many bits
 FIT_WORK_CAP = 1 << 24
+
+# fewest periods a fit is checked against when j_check is not given
+MIN_J_CHECK = 6
 
 
 def is_expansive_element(
@@ -513,8 +516,11 @@ def inverse_roots(
     Candidate separation walks precisions(precision, max_prec), and values
     are reported at the precision that separated them.  The coefficient
     certification in fit_exponents climbs past max_prec, up to
-    HARD_PRECISION, because its results are integers.  Outside the expansive regime rationality is not guaranteed; force=True
-    attempts the fit anyway and raises an inconsistency if none exists.
+    HARD_PRECISION, because its results are integers.  Outside the
+    expansive regime rationality is not guaranteed; force=True attempts the
+    fit anyway and raises an inconsistency if none exists.  The bit budget
+    is checked at the fewest periods the fit can ask for (j_check, else
+    MIN_J_CHECK) before any branch is built.
     """
     expansive = is_expansive_element(sys, n, max_prec)
     if expansive is None:
@@ -524,12 +530,13 @@ def inverse_roots(
             "direction is not expansive, so a rational zeta function is not guaranteed; "
             "pass force to attempt the fit anyway"
         )
+    check_sequence_budget(sys, n, j_check if j_check is not None else MIN_J_CHECK)
     branches = _branches(sys, n)
     for prec in precisions(precision, max_prec):
         clusters = _cluster_branches(branches, prec)
         if clusters is None:
             continue
-        J = j_check if j_check is not None else max(len(clusters) + 2, 6)
+        J = j_check if j_check is not None else max(len(clusters) + 2, MIN_J_CHECK)
         F = count_sequence(sys, n, J)
         try:
             coeffs, mu = fit_exponents(clusters, F, prec)

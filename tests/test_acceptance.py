@@ -21,9 +21,7 @@ from rankone import (
     cli,
     count,
     count_sequence,
-    crossing_coincidences,
     crossing_set,
-    degenerate_characters,
     det_oracle,
     directional_entropy,
     directional_entropy_atoms,
@@ -69,7 +67,7 @@ def test_criterion_02_count_table_ledrappier():
 
 
 def test_criterion_03_portrait_times2times3():
-    planes = nonexpansive_hyperplanes(S23)
+    planes, _ = nonexpansive_hyperplanes(S23)
     assert len(planes) == 3
     noeth = [h for h in planes if h.label == "noetherian"]
     variety = [h for h in planes if h.label == "variety"]
@@ -90,7 +88,7 @@ def test_criterion_03_portrait_times2times3():
 
 
 def test_criterion_04_portrait_ledrappier():
-    planes = nonexpansive_hyperplanes(LED)
+    planes, _ = nonexpansive_hyperplanes(LED)
     variety = [h for h in planes if h.label == "variety"]
     noeth = [h for h in planes if h.label == "noetherian"]
     assert variety == []
@@ -105,8 +103,8 @@ def test_criterion_04_portrait_ledrappier():
 
 def test_criterion_05_strict_inclusion_witness():
     cap = 256
-    crossing = crossing_set(QUARTIC, max_prec=cap)
-    planes = nonexpansive_hyperplanes(QUARTIC, max_prec=cap)
+    crossing, _ = crossing_set(QUARTIC, max_prec=cap)
+    planes, _ = nonexpansive_hyperplanes(QUARTIC, max_prec=cap)
     # the crossing set contains the hyperplane v1 = 0 ...
     axis = [
         h for h in crossing
@@ -125,8 +123,8 @@ def test_criterion_05_strict_inclusion_witness():
 
 def test_criterion_06_equality_case_crossing_vs_variety():
     for sys_ in (S23, LED):
-        crossing = crossing_set(sys_)
-        variety = [h for h in nonexpansive_hyperplanes(sys_) if h.label == "variety"]
+        crossing, _ = crossing_set(sys_)
+        variety = [h for h in nonexpansive_hyperplanes(sys_)[0] if h.label == "variety"]
         assert len(crossing) == len(variety)
         for c in crossing:
             assert any(c.parallel_to(v.normal) == "parallel" for v in variety)
@@ -187,7 +185,7 @@ def test_criterion_09_directional_entropy():
 
 
 def test_criterion_10_three_dimensional_locus():
-    planes = nonexpansive_hyperplanes(T235)
+    planes, _ = nonexpansive_hyperplanes(T235)
     assert len(planes) == 4
     variety = [h for h in planes if h.label == "variety"][0]
     log2, log3, log5 = math.log(2), math.log(3), math.log(5)
@@ -210,7 +208,7 @@ def test_criterion_11_sextic_units(capsys):
     comp = SEXTIC.components[0][0]
     for g in comp.generators:
         assert nf.is_unit(comp.field, g)
-    assert len(degenerate_characters(SEXTIC)) == 2
+    assert len(nonexpansive_hyperplanes(SEXTIC)[1]) == 2
     code = cli.main(["analyze", "dk-sextic"])
     captured = capsys.readouterr()
     assert code == 0

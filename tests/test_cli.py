@@ -178,6 +178,32 @@ def test_multiplicity_two_quartic_fits_all_46_values(monkeypatch, tmp_path, caps
     assert zeta.verify_generating_identity(zf, counts, J)["ok"]
 
 
+def test_zeta_checks_the_budget_before_the_branches(monkeypatch, tmp_path, capsys):
+    # F_1 of a multiplicity-10^6 copy of x -> 2x is estimated at 3 x 10^6 bits, so
+    # the fit is over the budget at its fewest periods; 10^6 + 1 exact branch
+    # values would take tens of GB
+    class BranchesBuilt(Exception):
+        pass
+
+    def refuse(*args):
+        raise BranchesBuilt
+
+    monkeypatch.setattr(zeta, "_branches", refuse)
+    path = tmp_path / "copies.json"
+    for multiplicity, jmax, message in [
+        (10 ** 6, [], "estimated size 3000000 bits"),
+        # 3,000 bits a period: period 334 is the first over the budget
+        (1000, ["--jmax", "334"], "estimated size 1002000 bits"),
+    ]:
+        path.write_text(json.dumps({"d": 1, "components": [
+            {"class": "s_integer", "multiplicity": multiplicity, "generators": ["2"]}]}))
+        code, out, err = run(capsys, "zeta", str(path), "--n", "1", *jmax)
+        assert (code, out) == (3, "")
+        assert err == f"error: {message} exceeds the 1000000-bit budget\n"
+    with pytest.raises(BranchesBuilt):
+        cli.main(["zeta", str(path), "--n", "1", "--jmax", "333"])
+
+
 def test_fit_work_cap_exits_resource(monkeypatch, capsys):
     # the 27 values of this fit are certified at 119 bits: 27^2 x 119 = 86,751
     # units, checked before any ball work
@@ -307,6 +333,17 @@ def test_omega_json_convention_flag(capsys):
     doc = json.loads(out)
     assert doc["convention"] == "root-location"
     assert len(doc["samples"]) == 8
+
+
+def test_reciprocal_of_a_ball_containing_zero_exits_undecided(capsys):
+    # at 1 bit the branch value f_[5] of the sextic at (1, 0) is enclosed
+    # by a ball that contains 0, so root-location has no reciprocal for it
+    code, out, err = run(capsys, "omega", "dk-sextic", "--precision-bits", "1", "--convention", "root-location")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: undecided at the precision cap: reciprocal of the branch value f_[5] "
+        "at (1.0, 0.0): its 1-bit enclosure contains 0\n"
+    )
 
 
 LINE_DESCRIPTOR = {"d": 1, "components": [{"class": "s_integer", "generators": ["2"]}]}

@@ -12,16 +12,13 @@ from rankone import (
     build_portrait,
     cli,
     count,
-    crossing_coincidences,
     crossing_set,
-    degenerate_characters,
     directional_entropy,
     directional_entropy_atoms,
     f_eval,
     is_expansive_element,
     load_fixture,
     nonexpansive_hyperplanes,
-    nonsmooth_set,
     omega_samples,
     parse_descriptor,
 )
@@ -29,7 +26,7 @@ from mpmath.libmp import from_man_exp, mpf_add
 
 from rankone import subdynamics
 from rankone.balls import RealBall
-from rankone.errors import ResourceCapError
+from rankone.errors import ResourceCapError, UndecidedError
 from rankone.exactlog import ExactLog
 from rankone.subdynamics import (
     ENTROPY_NOTE,
@@ -58,8 +55,8 @@ def axis_pattern(h):
 # --- non-expansive hyperplanes -------------------------------------------------
 
 def test_times2times3_has_three_hyperplanes():
-    planes = nonexpansive_hyperplanes(S23)
-    assert len(planes) == 3
+    planes, degenerate = nonexpansive_hyperplanes(S23)
+    assert len(planes) == 3 and degenerate == []
     assert not any(h.undecided for h in planes)
     variety = [h for h in planes if h.label == "variety"]
     noeth = [h for h in planes if h.label == "noetherian"]
@@ -73,17 +70,17 @@ def test_times2times3_has_three_hyperplanes():
 
 
 def test_times2times3_variety_normal_floats():
-    variety = [h for h in nonexpansive_hyperplanes(S23) if h.label == "variety"][0]
+    variety = [h for h in nonexpansive_hyperplanes(S23)[0] if h.label == "variety"][0]
     nx, ny = variety.normal_floats(64)
     # parallel to (log 2, log 3): the cross product vanishes to 1e-12
     assert abs(nx * math.log(3) - ny * math.log(2)) < 1e-12
 
 
 def test_ledrappier_noetherian_lines_exact():
-    planes = nonexpansive_hyperplanes(LED)
+    planes, _ = nonexpansive_hyperplanes(LED)
     assert len(planes) == 3
     assert all(h.label == "noetherian" for h in planes)
-    assert len(nonsmooth_set(LED)) == 3
+    assert len(build_portrait(LED).to_json()["nonsmooth"]) == 3
     forms = sorted(
         tuple(w.prime_part.get(2, Fraction(0)) for w in h.normal) for h in planes
     )
@@ -96,57 +93,69 @@ def test_ledrappier_noetherian_lines_exact():
 
 
 def test_quartic_has_four_variety_planes():
-    planes = nonexpansive_hyperplanes(QUARTIC)
+    planes, _ = nonexpansive_hyperplanes(QUARTIC)
     assert len(planes) == 4
     assert all(h.label == "variety" for h in planes)
 
 
 def test_sextic_degenerate_characters_detected():
-    degenerate = degenerate_characters(SEXTIC)
+    planes, degenerate = nonexpansive_hyperplanes(SEXTIC)
     assert len(degenerate) == 2
-    planes = nonexpansive_hyperplanes(SEXTIC)
     assert len(planes) == 4  # 6 embeddings minus the zero-vector pair
 
 
 # --- crossing set ----------------------------------------------------------------
 
 def test_crossing_equals_variety_for_times2times3():
-    crossing = crossing_set(S23)
-    variety = [h for h in nonexpansive_hyperplanes(S23) if h.label == "variety"]
+    crossing, coincidences = crossing_set(S23)
+    variety = [h for h in nonexpansive_hyperplanes(S23)[0] if h.label == "variety"]
     assert len(crossing) == 1
-    assert crossing_coincidences(S23) == []
+    assert coincidences == []
     assert crossing[0].parallel_to(variety[0].normal) == "parallel"
     assert crossing[0].sources[0] == {"J": [0], "L": []}
 
 
 def test_crossing_empty_for_ledrappier():
-    assert crossing_set(LED) == []
-    assert crossing_coincidences(LED) == []
+    assert crossing_set(LED) == ([], [])
+
+
+def pair_normal(system, pair):
+    """The normal of a signed branch pair, summed from its J and L sources."""
+    V, _ = system.characters()
+    normal = []
+    for k in range(system.d):
+        entry = ExactLog.zero()
+        for i in pair["J"]:
+            entry = entry.add(V[i].log_vector[k])
+        for i in pair["L"]:
+            entry = entry.sub(V[i].log_vector[k])
+        normal.append(entry)
+    return normal
+
+
+def assert_split_by_trivial_zero(system, crossing, coincidences):
+    # every coincidence is a certified syntactic zero of the signed atom sum,
+    # and no crossing is, whether read from its normal or from its source
+    for pair in coincidences:
+        assert all(entry.is_trivially_zero() for entry in pair_normal(system, pair))
+    for h in crossing:
+        assert not all(entry.is_trivially_zero() for entry in h.normal)
+        assert not all(entry.is_trivially_zero() for entry in pair_normal(system, h.sources[0]))
 
 
 def test_quartic_crossing_census():
     # 3^4 - 1 signed combinations, halved by global sign: 40 candidates
-    crossing = crossing_set(QUARTIC)
-    coincidences = crossing_coincidences(QUARTIC)
+    crossing, coincidences = crossing_set(QUARTIC)
     assert len(crossing) == 36
     assert len(coincidences) == 4
     assert not any(h.undecided for h in crossing)
-    # every coincidence is a certified syntactic zero of the signed atom sum
-    V, _ = QUARTIC.characters()
-    for pair in coincidences:
-        for k in range(2):
-            entry = ExactLog.zero()
-            for i in pair["J"]:
-                entry = entry.add(V[i].log_vector[k])
-            for i in pair["L"]:
-                entry = entry.sub(V[i].log_vector[k])
-            assert entry.is_trivially_zero()
+    assert_split_by_trivial_zero(QUARTIC, crossing, coincidences)
 
 
 def test_quartic_strict_inclusion_witness():
     # the pair J = {1, 3}, L = {} crosses along v1 = 0, which is not one of
     # the four non-expansive planes; certified within a 256-bit cap
-    crossing = crossing_set(QUARTIC, max_prec=256)
+    crossing, _ = crossing_set(QUARTIC, max_prec=256)
     axis = [h for h in crossing if axis_pattern(h) == (False, True)]
     assert axis
     witness = axis[0]
@@ -155,17 +164,17 @@ def test_quartic_strict_inclusion_witness():
     nx, ny = witness.normal_floats(64)
     assert ny == 0.0
     assert abs(abs(nx) - 2 * math.log(1 + math.sqrt(2))) < 1e-9
-    for h in nonexpansive_hyperplanes(QUARTIC, max_prec=256):
+    for h in nonexpansive_hyperplanes(QUARTIC, max_prec=256)[0]:
         assert witness.parallel_to(h.normal, max_prec=256) == "not-parallel"
     assert is_expansive_element(QUARTIC, (0, 1), max_prec=256) is True
 
 
 def test_sextic_crossing_census():
-    crossing = crossing_set(SEXTIC)
-    coincidences = crossing_coincidences(SEXTIC)
+    crossing, coincidences = crossing_set(SEXTIC)
     assert len(crossing) == 324
     assert len(coincidences) == 40
     assert not any(h.undecided for h in crossing)
+    assert_split_by_trivial_zero(SEXTIC, crossing, coincidences)
 
 
 # --- branch functions -------------------------------------------------------------
@@ -203,7 +212,7 @@ def test_f_eval_validates_inputs():
 def fraction_unit_check(v, prec):
     """The unit test on Fractions: the reference for _check_unit."""
     norm2 = sum(Fraction(x) ** 2 for x in v)
-    if abs(norm2 - 1) > Fraction(1, 2 ** (prec // 2)):
+    if abs(norm2 - 1) > Fraction(1, 2 ** min(prec // 2, 48)):
         return f"direction is not a unit vector: |v|^2 = {float(norm2)}"
     return None
 
@@ -226,6 +235,18 @@ def test_check_unit_matches_fraction_reference():
                 with pytest.raises(ValueError) as info:
                     _check_unit(v, prec)
                 assert str(info.value) == expected
+
+
+def test_check_unit_admits_the_float_grids_at_any_precision():
+    # the grids are unit vectors to 2^-51.3 at worst, inside the 2^-48 floor
+    # of the tolerance
+    for v in circle_directions(720) + sphere_directions(180):
+        _check_unit(v, 300)
+    for v in [(1.0, 1.0), (Fraction(1), Fraction(1, 2 ** 20))]:  # |v|^2 - 1 = 1 and 2^-40
+        for prec in (97, 300, 4096):
+            with pytest.raises(ValueError, match="not a unit vector"):
+                _check_unit(v, prec)
+    _check_unit((Fraction(1), Fraction(1, 2 ** 20)), 81)  # tolerance 2^-40
 
 
 def test_omega_convention_duality():
@@ -381,6 +402,24 @@ def test_branch_cap_counts_indices_before_building(monkeypatch, system):
         build_portrait(system)
 
 
+@pytest.mark.parametrize("system", [S23, QUARTIC, SEXTIC, DOUBLED])
+def test_portrait_walks_the_signed_pairs_once(monkeypatch, system):
+    walks = []
+    walk = subdynamics._signed_combinations
+
+    def counted(sys_):
+        walks.append(sys_)
+        return walk(sys_)
+
+    monkeypatch.setattr(subdynamics, "_signed_combinations", counted)
+    portrait = build_portrait(system)
+    assert walks == [system]
+    # and the one walk gives every signed pair to exactly one of the lists
+    V, _ = system.characters()
+    pairs = (math.prod(2 * chi.multiplicity + 1 for chi in V) - 1) // 2
+    assert len(portrait.crossing) + len(portrait.coincidences) == pairs
+
+
 def left_fold_samples(sys, directions, convention, prec=64):
     """omega_samples with each branch folded from g on its own, one product
     per index, as the library computed it before prefix products."""
@@ -431,7 +470,7 @@ def test_omega_samples_equal_left_fold(system, convention):
             want = left_fold_samples(system, directions, convention, prec)
         except ZeroDivisionError:
             # a 1- or 2-bit branch value can straddle zero; no reciprocal then
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(UndecidedError, match=f"its {prec}-bit enclosure contains 0$"):
                 omega_samples(system, directions, convention, prec)
             continue
         got = omega_samples(system, directions, convention, prec)

@@ -462,8 +462,8 @@ def axis_directions(d):
 @pytest.mark.parametrize("system", [S23, LED, QUARTIC, T235, SEXTIC, DOUBLED])
 def test_omega_samples_equal_left_fold(system, convention):
     # 4 samples give circle coordinates of +-6e-17 and sphere rows sharing
-    # z; float grids are unit vectors only to about 2^-53, so 300 bits uses
-    # the axes, where the exact zero coordinates meet zero log entries
+    # z; 300 bits uses the axes, where the exact zero coordinates meet zero
+    # log entries
     for prec in (1, 2, 8, 64, 300):
         directions = axis_directions(system.d) if prec == 300 else default_directions(system, 4)
         try:

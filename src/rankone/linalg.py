@@ -6,10 +6,10 @@ so).  The determinant clears each row's denominators and then runs Bareiss's
 fraction-free elimination on Python ints, so no Fraction is formed until
 the final quotient; it is the one determinant behind both number-field
 norms and the determinant oracle.  Inverse and rank use plain Gaussian
-elimination over Fraction.  The characteristic polynomial uses the
-Faddeev-LeVerrier recurrence, which stays in exact arithmetic and needs no
-pivoting at all, and so gives a determinant-free second route to
-det(I - A) = charpoly(1).
+elimination over Fraction.  The characteristic polynomial runs the
+Faddeev-LeVerrier recurrence on Python ints, on A scaled by the lcm of its
+denominators; it needs no pivoting at all, and so gives a determinant-free
+second route to det(I - A) = charpoly(1).
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 Matrix = List[List[Fraction]]
 
@@ -42,10 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
                 for j in range(m):
                     row[j] += c * bt[j]
     return out
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
@@ -153,20 +149,22 @@ def rank(a: Matrix) -> int:
 def charpoly(a: Matrix) -> List[Fraction]:
     """Characteristic polynomial det(yI - A), ascending coefficients, monic.
 
-    Faddeev-LeVerrier: M_0 = I, c_n = 1, and for k = 1..n
-        c_{n-k} = -tr(A M_{k-1}) / k,   M_k = A M_{k-1} + c_{n-k} I.
+    Faddeev-LeVerrier on the integer B = sA, s the lcm of A's denominators:
+    M_0 = I, c_n = 1, and for k = 1..n
+        c_{n-k} = -tr(B M_{k-1}) / k,   M_k = B M_{k-1} + c_{n-k} I,
+    each division checked exact; A's coefficients are c_i / s^(n-i).
     """
     n = len(a)
-    coeffs: List[Optional[Fraction]] = [None] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
+    s = math.lcm(1, *(x.denominator for row in a for x in row))
+    b = [[x.numerator * (s // x.denominator) for x in row] for row in a]
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        tr = sum(am[i][i] for i in range(n))
-        c = -tr / k
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in b]
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier step left a remainder")
         coeffs[n - k] = c
-        m = am
         for i in range(n):
             m[i][i] += c
-    return [x if x is not None else Fraction(0) for x in coeffs]
-
+    return [Fraction(c, s ** (n - i)) for i, c in enumerate(coeffs)]

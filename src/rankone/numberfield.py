@@ -239,14 +239,6 @@ def _reduce_in_place(f: IntPoly, coeffs: list) -> None:
                 coeffs[k - m + i] -= c * f[i]
 
 
-def _reduce_mod_min_poly(spec: NumberFieldSpec, coeffs: List[Fraction]) -> Element:
-    m = spec.degree
-    _reduce_in_place(spec.min_poly, coeffs)
-    coeffs = coeffs[:m]
-    coeffs += [Fraction(0)] * (m - len(coeffs))
-    return tuple(coeffs)
-
-
 def _int_coords(x: Element) -> Tuple[List[int], int]:
     """(v, d) with x = v / d, v an integer vector and d the lcm of x's denominators."""
     den = math.lcm(*(c.denominator for c in x))
@@ -284,7 +276,7 @@ def el_inv(spec: NumberFieldSpec, x: Element) -> Element:
     d, _, t = poly_xgcd([Fraction(c) for c in spec.min_poly], poly_trim(list(x)))
     if poly_degree(d) != 0:
         raise ZeroDivisionError("element is a zero divisor; min_poly is reducible along it")
-    return _reduce_mod_min_poly(spec, list(t))
+    return tuple(t) + (Fraction(0),) * (spec.degree - len(t))  # deg t < deg min_poly
 
 
 def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:

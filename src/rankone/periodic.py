@@ -18,9 +18,12 @@ factor in its own ``count_factor`` (system.py), on integers:
 Work that does not depend on the lattice point is done once per component
 and cached on it: marked places, S-primes, the size estimate, and every
 generator power g_i^e the counts use (with its orders at the marked places
-for function fields).  A box of lattice points then costs one power per
-generator and row or column, plus per point one product of the powers and
-one difference, determinant or set of place orders.  The size budget is
+for function fields; a negative number-field power is a power of g_i^-1, so
+each generator is inverted once).  Fix(alpha^n) = Fix(alpha^-n), so a box
+counts each +-n pair once: a point whose mirror -n came earlier takes its
+count.  The rest costs one power per generator and row or column, plus per
+point one product of the powers and one difference, determinant or set of
+place orders.  The size budget is
 checked once per box, at the corner where the estimate peaks, and once per
 count sequence, at the first period over it (check_sequence_budget, which
 zeta also calls before it builds any branch); only a box whose corner is
@@ -45,7 +48,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError, UnsupportedOperationError
-from .linalg import Matrix, det, identity, mat_mul, mat_pow, mat_sub
+from .linalg import Matrix, det, identity, mat_mul, mat_pow
 from .system import SystemDescriptor
 
 DEFAULT_BIT_BUDGET = 10 ** 6
@@ -252,7 +255,8 @@ def grid(
     entries: Dict[Tuple[int, ...], PeriodicCount] = {}
     result = PeriodicGrid(ranges, entries)
     for point in result.points():
-        entries[point] = count(sys, point, j, check)
+        mirror = entries.get(tuple(-c for c in point))  # its estimate passed the check
+        entries[point] = count(sys, point, j, check) if mirror is None else mirror
     return result
 
 
@@ -282,8 +286,7 @@ def det_oracle(
             if e:
                 m = _companion_multiplication_matrix(comp.field.min_poly, g)
                 product = mat_mul(product, mat_pow(m, e))
-        delta = mat_sub(product, identity(deg))
-        value = det(delta)
+        value = det([[x - int(i == k) for k, x in enumerate(row)] for i, row in enumerate(product)])
         if value.denominator != 1:
             raise ArithmeticError("determinant of an integral matrix must be an integer")
         if value == 0:

@@ -298,11 +298,9 @@ class NumberFieldUnitsComponent:
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
-            int_cp = []
-            for c in charpoly:
-                if c.denominator != 1:
-                    raise ValueError("unit with non-integral characteristic polynomial")
-                int_cp.append(int(c))
+            if any(c.denominator != 1 for c in charpoly):
+                raise ValueError("unit with non-integral characteristic polynomial")
+            int_cp = [int(c) for c in charpoly]
             # over a field the characteristic polynomial is p^k, p irreducible
             min_poly = nf.squarefree_part_int(int_cp)
             k, rest = divmod(len(int_cp) - 1, len(min_poly) - 1)
@@ -363,14 +361,18 @@ class NumberFieldUnitsComponent:
         """prod_i g_i^(e_i); each g_i^e is computed once and kept on the instance.
 
         Over a box of lattice points only one power per generator and box
-        row or column is ever formed, so the memo stays small.
+        row or column is ever formed, so the memo stays small.  It also keeps
+        g_i^-1, whose powers are the negative ones: one inverse per generator.
         """
         out = None
         for i, (g, e) in enumerate(zip(self.generators, exponents)):
             if e:
                 power = self._powers.get((i, e))
                 if power is None:
-                    power = self._powers[(i, e)] = nf.el_pow(self.field, g, e)
+                    base = g if e > 0 else self._powers.get((i, -1))
+                    if base is None:
+                        base = self._powers[(i, -1)] = nf.el_inv(self.field, g)
+                    power = self._powers[(i, e)] = nf.el_pow(self.field, base, abs(e))
                 out = power if out is None else nf.el_mul(self.field, out, power)
         return nf.el_one(self.field) if out is None else out
 

@@ -167,17 +167,26 @@ def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
     g = _growth_factor(sys, n)
     factors = _arch_factors(sys, n)
     embedded: dict = {}
+    # per factor, C(m, k) and f^k for k = 0..m, each from the one before
+    rows = []
+    for f_exact, _, f_mult in factors:
+        combs, powers = [1], [1]
+        for k in range(1, f_mult + 1):
+            combs.append(combs[-1] * (f_mult - k + 1) // k)
+            if f_exact is not None:
+                powers.append(powers[-1] * f_exact)
+        rows.append((combs, powers))
     branches = []
     for counts in itertools.product(*(range(f_mult + 1) for _, _, f_mult in factors)):
         exact = g
         parts = []
         mult = 1
-        for (f_exact, f_part, f_mult), k in zip(factors, counts):
-            mult *= math.comb(f_mult, k)
+        for (f_exact, f_part, _), (combs, powers), k in zip(factors, rows, counts):
+            mult *= combs[k]
             if k == 0:
                 continue
             if f_exact is not None:
-                exact *= f_exact ** k
+                exact *= powers[k]
             else:
                 parts.append(f_part + (k,))
         branches.append(_Branch(exact, parts, mult, counts, embedded))

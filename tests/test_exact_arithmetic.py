@@ -6,10 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from rankone import balls, numberfield as nf
+from rankone import balls, linalg, numberfield as nf
 from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds
 from rankone.errors import UndecidedError
-from rankone.linalg import det
+from rankone.linalg import charpoly, det
 from rankone.system import _ball_rank_at_least
 
 
@@ -42,6 +42,19 @@ def reference_det(a):
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return acc * sign
+
+
+def reference_charpoly(a):
+    # Faddeev-LeVerrier over Fraction: c_(n-k) = -tr(A M_(k-1)) / k
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*m)] for row in a]
+        coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
+        for i in range(n):
+            m[i][i] += coeffs[n - k]
+    return coeffs
 
 
 def reference_el_mul(spec, x, y):
@@ -109,6 +122,21 @@ def test_det_edge_cases():
     assert det([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(5)]]) == 0
     big = [[Fraction(10 ** 30 + i * j, 1 + i + j) for j in range(5)] for i in range(5)]
     assert det(big) == reference_det(big)
+
+
+def test_charpoly_matches_fraction_reference_sizes_0_to_6(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("charpoly is the integer, determinant-free route")
+
+    monkeypatch.setattr(linalg, "det", refuse)
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    rng = random.Random(20261019)
+    for trial in range(210):
+        a = random_matrix(rng, trial % 7)
+        assert charpoly(a) == reference_charpoly(a), a
+    assert charpoly([]) == [1]
+    big = [[Fraction(10 ** 20 + i * j, 1 + i + 2 * j) for j in range(4)] for i in range(4)]
+    assert charpoly(big) == reference_charpoly(big)
 
 
 FIELDS = [

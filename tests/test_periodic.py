@@ -229,6 +229,76 @@ def test_number_field_kernel_matches_det_oracle():
                 assert count(sys_, n, j) == det_oracle(sys_, n, j), (n, j)
 
 
+SYMMETRY_SYSTEMS = [
+    # generators phi and phi^2 of Q(sqrt5): alpha^(2, -1) is the identity
+    {"d": 2, "components": [{"class": "number_field_units", "min_poly": [-1, -1, 1],
+                             "generators": [["0", "1"], ["1", "1"]]}]},
+    {"d": 2, "components": [{"class": "s_integer", "multiplicity": 2, "generators": ["6/5", "-25/36"]}]},
+    {"d": 2, "components": [
+        {"class": "s_integer", "generators": ["2", "3"]},
+        {"class": "function_field", "characteristic": 3, "generators": ["(t^2+1)/(t+2)", "t^2/(t^2+t+2)"]}]},
+]
+
+
+def test_count_is_even_in_n():
+    """count(n, j) == count(-n, j), each computed directly: alpha^n x = x
+    exactly when alpha^-n x = x.  grid reuses a count for its mirror."""
+    systems = [load_fixture(name) for name in
+               ("times2times3", "ledrappier", "sqrt2sqrt3", "dk-sextic", "times2times3times5")]
+    systems += [parse_descriptor(descriptor) for descriptor in SYMMETRY_SYSTEMS]
+    phi = systems[5]
+    pairs = phi_infinite = 0
+    for sys_ in systems:
+        for n in itertools.product(range(-4, 5), repeat=sys_.d):
+            minus_n = tuple(-c for c in n)
+            if n < minus_n:
+                for j in (1, 2):
+                    value = count(sys_, n, j)
+                    assert count(sys_, minus_n, j) == value, (sys_.label, n, j)
+                    pairs += 1
+                    phi_infinite += sys_ is phi and not value.is_finite
+    assert pairs == 1288
+    # phi, phi^2: (-2, 1) and (-4, 2) at j = 1, 2, and their mirrors
+    assert 2 * phi_infinite == 8
+
+
+def test_grid_counts_each_pm_n_pair_once(monkeypatch):
+    counted = []
+    real_count = periodic.count
+    monkeypatch.setattr(periodic, "count", lambda sys_, n, *args: counted.append(n) or real_count(sys_, n, *args))
+    # expected counts: the box's points less the pairs inside it
+    cases = [
+        ("times2times3", [(-3, 3), (-2, 2)], 1, 35 - 17),
+        ("sqrt2sqrt3", [(-2, 3), (-1, 2)], 2, 24 - 7),
+        ("ledrappier", [(-3, 5), (1, 4)], 1, 36),  # holds no mirror
+        ("times2times3times5", [(-1, 1), (-2, 2), (0, 1)], 1, 30 - 7),
+    ]
+    for name, ranges, j, expected in cases:
+        counted.clear()
+        result = grid(load_fixture(name), ranges, j)
+        assert len(counted) == len(set(counted)) == expected, name
+        assert not any(tuple(-c for c in n) in counted for n in counted if any(n))
+        fresh = load_fixture(name)
+        for point in result.points():
+            assert result.entries[point] == real_count(fresh, point, j), (name, point)
+
+
+def test_negative_powers_invert_each_generator_once(monkeypatch):
+    inverted = []
+    real_inv = nf.el_inv
+    monkeypatch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
+    for name in ("sqrt2sqrt3", "dk-sextic"):
+        sys_ = load_fixture(name)
+        (comp, _), = sys_.components
+        inverted.clear()
+        grid(sys_, [(-4, 1), (-3, 2)], 2)
+        assert sorted(inverted) == sorted(comp.generators), name
+        monkeypatch.setattr(nf, "el_inv", real_inv)
+        for (i, e), power in comp._powers.items():
+            assert power == nf.el_pow(comp.field, comp.generators[i], e), (name, i, e)
+        monkeypatch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
+
+
 def test_count_sequence_matches_pointwise():
     sys_ = load_fixture("ledrappier")
     seq = count_sequence(sys_, (1, 1), 6)

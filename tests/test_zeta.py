@@ -1,12 +1,14 @@
 """Zeta factor fits: frozen factorizations, identity checks, failure modes."""
 
 import functools
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from rankone import cli, numberfield as nf, zeta
+from rankone import cli, numberfield as nf, parse_descriptor, zeta
 from rankone import (
     ZetaCandidate,
     ZetaFactorization,
@@ -366,6 +368,28 @@ def all_pairs_classes(balls):
     for i in range(len(balls)):
         groups.setdefault(find(i), []).append(i)
     return sorted(groups.values(), key=lambda g: g[0])
+
+
+def test_branch_multiplicities_are_binomials(monkeypatch):
+    # C(m, k) and f^k come from rows built term by term, never math.comb:
+    # each branch still carries prod C(m_i, k_i) and g * prod f_i^k_i
+    s_integer = parse_descriptor({"d": 1, "components": [
+        {"class": "s_integer", "multiplicity": 40, "generators": ["2/3"]}]})
+    doubled = parse_descriptor({"d": 2, "components": [
+        {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+         "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]})
+    for sys_, n in ((s_integer, (1,)), (s_integer, (-2,)), (doubled, (1, -1)), (load_fixture("times2times3"), (1, 2))):
+        g = zeta._growth_factor(sys_, n)
+        factors = zeta._arch_factors(sys_, n)
+        expected = [
+            (math.prod(math.comb(m, k) for (_, _, m), k in zip(factors, label)),
+             g * math.prod(f ** k for (f, _, _), k in zip(factors, label) if f is not None))
+            for label in itertools.product(*(range(m + 1) for _, _, m in factors))
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "comb", None)
+            branches = _branches(sys_, n)
+        assert [(b.multiplicity, b.exact) for b in branches] == expected, n
 
 
 def test_sweep_classes_equal_all_pairs_classes(monkeypatch):

@@ -284,19 +284,17 @@ def test_grid_counts_each_pm_n_pair_once(monkeypatch):
 
 
 def test_negative_powers_invert_each_generator_once(monkeypatch):
-    inverted = []
     real_inv = nf.el_inv
-    monkeypatch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
     for name in ("sqrt2sqrt3", "dk-sextic"):
         sys_ = load_fixture(name)
         (comp, _), = sys_.components
-        inverted.clear()
-        grid(sys_, [(-4, 1), (-3, 2)], 2)
+        inverted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
+            grid(sys_, [(-4, 1), (-3, 2)], 2)
         assert sorted(inverted) == sorted(comp.generators), name
-        monkeypatch.setattr(nf, "el_inv", real_inv)
         for (i, e), power in comp._powers.items():
             assert power == nf.el_pow(comp.field, comp.generators[i], e), (name, i, e)
-        monkeypatch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
 
 
 def test_count_sequence_matches_pointwise():

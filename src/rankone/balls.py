@@ -358,9 +358,6 @@ class ComplexBall:
         im = a.mul(d, prec).add(b.mul(c, prec), prec)
         return ComplexBall(re, im)
 
-    def mul_real(self, r: RealBall, prec: int) -> "ComplexBall":
-        return ComplexBall(self.re.mul(r, prec), self.im.mul(r, prec))
-
     def abs2(self, prec: int) -> RealBall:
         return self.re.square(prec).add(self.im.square(prec), prec)
 

@@ -7,9 +7,16 @@ times one factor chi(-n) for every multiset subset of the archimedean
 characters.  The signs (more generally small integer coefficients, since
 numerically equal values merge) are solved from the exact F_j, the only
 convention-free anchor: the K values are distinct, so F_1..F_K fix the
-coefficients through a Vandermonde system, certified in ball arithmetic,
-and the later F_j check them.  The fitted values are the inverse roots c
-appearing as (1 - c z)^{+-1} in the rational zeta function.
+coefficients through a Vandermonde system and the later F_j check them.
+The fitted values are the inverse roots c appearing as (1 - c z)^{+-1} in
+the rational zeta function.
+
+The fit and its re-verification return only integers and yes/no, so their
+O(K^2) and J x K loops run on fixed-point Gaussian boxes: Python ints with
+an integer error bound, a few int products and shifts per complex product
+where a ComplexBall product takes a dozen mpmath calls for rounded
+midpoints and upward-rounded radii.  Only the K final divisions of the fit
+go through ComplexBall.
 
 Values are exact rationals for s_integer and function_field descriptors
 and certified complex intervals for number fields.  Interval work
@@ -22,6 +29,8 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from mpmath.libmp import from_man_exp, mpf_neg, mpf_sub
 
 from . import numberfield as nf
 from .balls import (
@@ -44,7 +53,7 @@ from .periodic import PeriodicCount, check_sequence_budget, count_sequence
 from .system import SystemDescriptor
 
 # work a coefficient certification may take, in K^2 x bits for K candidate
-# values: one solve costs about 3 K^2 ball products at that many bits
+# values: one solve costs about 3 K^2 products of ints of about that many bits
 FIT_WORK_CAP = 1 << 24
 
 # fewest periods a fit is checked against when j_check is not given
@@ -314,9 +323,10 @@ def _count_values(F: Sequence) -> List[int]:
     return values
 
 
-def _log2_abs(z: ComplexBall) -> int:
-    """About log2 |z|, within a bit, from the exponents of the midpoint."""
-    return max(exp + bc for _, man, exp, bc in (z.re.mid, z.im.mid) if man)
+def _log2_abs(re, im) -> int:
+    """About log2 |re + i im|, within a bit, from the exponents of two raw mpf
+    parts; 0 when both are zero."""
+    return max((exp + bc for _, man, exp, bc in (re, im) if man), default=0)
 
 
 def _start_precision(balls: List[ComplexBall], values: List[int], prec: int) -> int:
@@ -324,19 +334,87 @@ def _start_precision(balls: List[ComplexBall], values: List[int], prec: int) -> 
 
     The solve loses about log2 |c|^-1 prod_{k != c} (1 + |c_k|) / |c - c_k|
     bits on coefficient c (Gautschi's bound on the inverse Vandermonde
-    matrix), relative to the largest count it reads.
+    matrix), relative to the largest count it reads.  |c - c_k| is read off
+    the midpoint difference that ComplexBall.sub would round, once per pair:
+    rounding to nearest is symmetric, so both orders give it.
     """
-    logs = [_log2_abs(b) for b in balls]
-    loss = max(
-        -logs[i]
-        + sum(
-            max(logs[k], 0) + 1 - _log2_abs(b.sub(balls[k], prec))
-            for k in range(len(balls))
-            if k != i
+    mids = [(b.re.mid, b.im.mid) for b in balls]
+    logs = [_log2_abs(*m) for m in mids]
+    loss = [-log for log in logs]
+    for i, (re, im) in enumerate(mids):
+        for k in range(i + 1, len(mids)):
+            gap = _log2_abs(mpf_sub(re, mids[k][0], prec, "n"), mpf_sub(im, mids[k][1], prec, "n"))
+            loss[i] += max(logs[k], 0) + 1 - gap
+            loss[k] += max(logs[i], 0) + 1 - gap
+    return max(loss) + max(abs(v).bit_length() for v in values) + 16
+
+
+def _scale(prec: int, balls: Sequence[ComplexBall]) -> int:
+    """Fixed-point scale for work at prec bits on these values: prec plus the
+    bits below the binary point that the smallest |c| needs."""
+    return prec + max([0] + [-_log2_abs(b.re.mid, b.im.mid) for b in balls])
+
+
+def _fixed(v, s: int) -> int:
+    """floor(v 2^s) for a raw mpf v."""
+    sign, man, exp, _ = v
+    man = -man if sign else man
+    return man << (exp + s) if exp + s >= 0 else man >> -(exp + s)
+
+
+class _Box:
+    """Fixed-point Gaussian box: the set (x + a + i (y + b)) 2^-s, |a|, |b| <= e.
+
+    x, y and e are ints; the scale s is passed to each operation that needs
+    it, as balls take their precision.  Sums and integer multiples are exact;
+    a product floors its midpoint and bounds every dropped term in e, so
+    each result encloses the exact image of its operand sets.
+    """
+
+    __slots__ = ("x", "y", "e")
+
+    def __init__(self, x: int, y: int, e: int):
+        self.x = x
+        self.y = y
+        self.e = e
+
+    @staticmethod
+    def from_ball(z: ComplexBall, s: int) -> "_Box":
+        # floor the midpoints (one unit of e) and round the radii up
+        rad = max(-_fixed(mpf_neg(r), s) for r in (z.re.rad, z.im.rad))
+        return _Box(_fixed(z.re.mid, s), _fixed(z.im.mid, s), rad + 1)
+
+    @staticmethod
+    def from_fraction(q, s: int) -> "_Box":
+        """The real rational (or int) q."""
+        x, rem = divmod(q.numerator << s, q.denominator)
+        return _Box(x, 0, 1 if rem else 0)
+
+    def to_ball(self, s: int) -> ComplexBall:
+        rad = from_man_exp(self.e, -s)
+        return ComplexBall(
+            RealBall(from_man_exp(self.x, -s), rad), RealBall(from_man_exp(self.y, -s), rad)
         )
-        for i, b in enumerate(balls)
-    )
-    return loss + max(abs(v).bit_length() for v in values) + 16
+
+    def add(self, other: "_Box") -> "_Box":
+        return _Box(self.x + other.x, self.y + other.y, self.e + other.e)
+
+    def sub(self, other: "_Box") -> "_Box":
+        return _Box(self.x - other.x, self.y - other.y, self.e + other.e)
+
+    def neg(self) -> "_Box":
+        return _Box(-self.x, -self.y, self.e)
+
+    def mul_int(self, k: int) -> "_Box":
+        return _Box(k * self.x, k * self.y, abs(k) * self.e)
+
+    def mul(self, other: "_Box", s: int) -> "_Box":
+        x1, y1, e1, x2, y2, e2 = self.x, self.y, self.e, other.x, other.y, other.e
+        err = (abs(x1) + abs(y1)) * e2 + (abs(x2) + abs(y2)) * e1 + 2 * e1 * e2
+        return _Box((x1 * x2 - y1 * y2) >> s, (x1 * y2 + y1 * x2) >> s, -(-err >> s) + 1)
+
+    def contains_zero(self) -> bool:
+        return abs(self.x) <= self.e and abs(self.y) <= self.e
 
 
 def _admissible(a: ComplexBall, m: int) -> range:
@@ -363,13 +441,16 @@ def fit_exponents(
     coefficients through a nonsingular Vandermonde system.  It is solved by
     the residue formula a_c = -N^(mu c) / (mu c prod_{k != c} (mu c - mu c_k)),
     where P(z) = prod_k (1 - mu c_k z), N = P sum_j F_j z^j and
-    N^(w) = sum_{i <= K} N_i w^(K-i), in balls at the precision that
-    _start_precision estimates, doubled while some ball holds several
-    admissible integers.  F_{K+1}..F_J are checked through the vanishing of
-    N_{K+1}..N_J.  No admissible solution is an inconsistency.  mu = +1 is
-    tried first and -1 only as a fallback, so a factorization symmetric
-    under global negation reports mu = +1 canonically.  The work is bounded
-    by FIT_WORK_CAP (K^2 x bits).
+    N^(w) = sum_{i <= K} N_i w^(K-i), at the precision that _start_precision
+    estimates, doubled while some coefficient's enclosure holds several
+    admissible integers.  At each precision p the products run on
+    fixed-point Gaussian boxes at scale p plus the bits the smallest |c|
+    needs; each of the K numerators and denominators then becomes a
+    ComplexBall for the division.  F_{K+1}..F_J are checked through the
+    vanishing of N_{K+1}..N_J.  No admissible solution is an inconsistency.
+    mu = +1 is tried first and -1 only as a fallback, so a factorization
+    symmetric under global negation reports mu = +1 canonically.  The work
+    is bounded by FIT_WORK_CAP (K^2 x bits).
     """
     values = _count_values(F)
     K = len(candidates)
@@ -384,7 +465,6 @@ def fit_exponents(
     ):
         raise UndecidedError(f"separating zeta candidate values at {precision} bits")
     start = max(precision, _start_precision(balls, values[:K], precision))
-    counts = [RealBall.from_int(v) for v in values]
     rejected = set()
     for prec in precisions(start, HARD_PRECISION):
         if K * K * prec > FIT_WORK_CAP:
@@ -394,25 +474,27 @@ def fit_exponents(
             )
         # members of a cluster are equal, so the first one stands for it; a
         # cluster that merged distinct values then fails instead of blurring
-        cs = [c.members[0].ball(prec) for c in candidates]
+        member_balls = [c.members[0].ball(prec) for c in candidates]
+        s = _scale(prec, member_balls)
+        cs = [_Box.from_ball(c, s) for c in member_balls]
         # P(z) = prod_k (1 - c_k z) and D_c = c prod_{k != c} (c - c_k); for
         # mu = -1 they become P(-z) and (-1)^K D_c
-        P = [ComplexBall(RealBall.one(), RealBall.zero())]
+        P = [_Box.from_fraction(1, s)]
         for c in cs:
             nc = c.neg()
             P = (
                 [P[0]]
-                + [P[i].add(P[i - 1].mul(nc, prec), prec) for i in range(1, len(P))]
-                + [P[-1].mul(nc, prec)]
+                + [P[i].add(P[i - 1].mul(nc, s)) for i in range(1, len(P))]
+                + [P[-1].mul(nc, s)]
             )
         D = list(cs)
         for i in range(K):
             for k in range(i + 1, K):
-                diff = cs[i].sub(cs[k], prec)
-                D[i] = D[i].mul(diff, prec)
-                D[k] = D[k].mul(diff.neg(), prec)
+                diff = cs[i].sub(cs[k])
+                D[i] = D[i].mul(diff, s)
+                D[k] = D[k].mul(diff.neg(), s)
         try:
-            inv_d = [d.recip(prec) for d in D]
+            inv_d = [d.to_ball(s).recip(prec) for d in D]
         except ZeroDivisionError:
             continue  # the values are not yet apart at this precision
         for mu in (1, -1):
@@ -420,22 +502,23 @@ def fit_exponents(
                 continue
             Pmu = [p.neg() if mu < 0 and t % 2 else p for t, p in enumerate(P)]
             N = []
-            for i in range(1, len(counts) + 1):
-                acc = Pmu[0].mul_real(counts[i - 1], prec)
+            for i in range(1, len(values) + 1):
+                acc = Pmu[0].mul_int(values[i - 1])
                 for t in range(1, min(i, K + 1)):
-                    acc = acc.add(Pmu[t].mul_real(counts[i - t - 1], prec), prec)
+                    acc = acc.add(Pmu[t].mul_int(values[i - t - 1]))
                 N.append(acc)
             if not all(x.contains_zero() for x in N[K:]):
                 rejected.add(mu)
                 continue
-            sign = RealBall.from_int(-(mu ** K))
             ranges = []
             for c, r, cand in zip(cs, inv_d, candidates):
                 w = c if mu > 0 else c.neg()
                 acc = N[0]
                 for x in N[1:K]:
-                    acc = acc.mul(w, prec).add(x, prec)
-                ranges.append(_admissible(acc.mul(r, prec).mul_real(sign, prec), cand.multiplicity))
+                    acc = acc.mul(w, s).add(x)
+                if mu ** K > 0:
+                    acc = acc.neg()  # the sign -mu^K of a_c
+                ranges.append(_admissible(acc.to_ball(s).mul(r, prec), cand.multiplicity))
             if not all(ranges):
                 rejected.add(mu)
                 continue
@@ -573,40 +656,51 @@ def inverse_roots(
 def verify_generating_identity(
     zf: ZetaFactorization, F: Sequence, j_check: Optional[int] = None
 ) -> dict:
-    """Check F_j = -sum a_c c^j for j = 1..j_check; exact paths deviate by 0."""
+    """Check F_j = -sum a_c c^j for j = 1..j_check; exact paths deviate by 0.
+
+    The power sums run on exact rationals and, for interval values, on
+    fixed-point Gaussian boxes at zf.precision plus the bits the smallest |c|
+    needs.  This is a second formula, not the residue solve of fit_exponents
+    run again: a wrong coefficient still fails it, and an error bound too
+    small could only show as a spurious failure, never as a silent pass.  A
+    deviation past the float range is reported as math.inf.
+    """
     values = _count_values(F)
     J = min(j_check if j_check is not None else len(values), len(values))
     prec = zf.precision
     fitted = [c for c in zf.candidates if c.coefficient]
-    bases = [c.exact if c.exact is not None else c.ball(prec) for c in fitted]
-    powers = list(bases)  # c^j, advanced by one multiplication per period
+    exact = [c for c in fitted if c.exact is not None]
+    boxed = [c for c in fitted if c.exact is None]
+    balls = [c.ball(prec) for c in boxed]
+    s = _scale(prec, balls)
+    bases = [_Box.from_ball(b, s) for b in balls]
+    exact_powers = [c.exact for c in exact]  # c^j, advanced by one product per period
+    box_powers = list(bases)
     failures = []
     max_deviation = 0.0
     for j in range(1, J + 1):
         if j > 1:
-            powers = [
-                p * b if isinstance(b, Fraction) else p.mul(b, prec)
-                for p, b in zip(powers, bases)
-            ]
-        target = Fraction(values[j - 1])
-        exact_sum = Fraction(0)
-        ball_sum: Optional[ComplexBall] = None
-        for c, power in zip(fitted, powers):
-            if c.exact is not None:
-                exact_sum += c.coefficient * power
-            else:
-                term = power.mul_real(RealBall.from_int(c.coefficient), prec)
-                ball_sum = term if ball_sum is None else ball_sum.add(term, prec)
-        if ball_sum is None:
-            deviation = abs((target + exact_sum).__float__())
-            if target + exact_sum != 0:
+            exact_powers = [p * c.exact for p, c in zip(exact_powers, exact)]
+            box_powers = [p.mul(b, s) for p, b in zip(box_powers, bases)]
+        total = values[j - 1] + sum(c.coefficient * p for c, p in zip(exact, exact_powers))
+        if not boxed:
+            deviation = _float_abs(total)
+            if total != 0:
                 failures.append(j)
         else:
-            total = ball_sum.add(
-                ComplexBall.from_fractions(target + exact_sum, Fraction(0), prec), prec
-            )
-            deviation = abs(total.mid_complex())
-            if not total.contains_zero():
+            box = _Box.from_fraction(total, s)
+            for c, p in zip(boxed, box_powers):
+                box = box.add(p.mul_int(c.coefficient))
+            deviation = _float_abs(Fraction(box.x, 1 << s), Fraction(box.y, 1 << s))
+            if not box.contains_zero():
                 failures.append(j)
         max_deviation = max(max_deviation, deviation)
     return {"ok": not failures, "max_deviation": max_deviation, "failures": failures}
+
+
+def _float_abs(re, im=0) -> float:
+    """|re + i im| as a float; math.inf past the float range."""
+    try:
+        return math.hypot(re, im)
+    except OverflowError:
+        return math.inf

@@ -4,9 +4,11 @@ import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_man_exp
 
 from rankone import cli, numberfield as nf, parse_descriptor, zeta
 from rankone import (
@@ -24,7 +26,7 @@ from rankone.errors import (
     UndecidedError,
     UnsupportedOperationError,
 )
-from rankone.balls import ComplexBall, RealBall
+from rankone.balls import HARD_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions
 from rankone.zeta import _branches, _cluster_branches, fit_exponents
 
 
@@ -175,6 +177,36 @@ def test_flipped_coefficient_fails_verification():
     assert not res["ok"]
     assert res["failures"] == [1, 2, 3, 4]
     assert res["max_deviation"] > 0
+
+
+def test_flipped_coefficient_of_an_interval_value_fails_verification():
+    sys_ = load_fixture("sqrt2sqrt3")
+    zf = inverse_roots(sys_, (1, 1))
+    F = count_sequence(sys_, (1, 1), 12)
+    assert verify_generating_identity(zf, F)["ok"]
+    # c = -1 with coefficient -2: flipping it moves F_j by 4 (-1)^j
+    flipped = next(c for c in zf.factors if not c.is_exact())
+    assert flipped.coefficient == -2
+    flipped.coefficient = 2
+    res = verify_generating_identity(zf, F)
+    assert not res["ok"]
+    assert res["failures"] == list(range(1, 13))
+    assert res["max_deviation"] > 0
+
+
+def test_verification_reports_deviations_past_the_float_range():
+    # F_1 along (700, 1) is about 2^1110: the deviation of a wrong fit is no
+    # float, on the exact path and on the interval path
+    sys_ = load_fixture("times2times3")
+    zf = inverse_roots(sys_, (700, 1))
+    zf.factors[0].coefficient = -zf.factors[0].coefficient
+    res = verify_generating_identity(zf, count_sequence(sys_, (700, 1), 3), 3)
+    assert res == {"ok": False, "max_deviation": math.inf, "failures": [1, 2, 3]}
+    huge = types.SimpleNamespace(
+        coefficient=1, exact=None, ball=lambda prec: ComplexBall.from_fractions(2 ** 1100, 3, prec)
+    )
+    res = verify_generating_identity(types.SimpleNamespace(candidates=[huge], precision=64), [0, 0], 2)
+    assert res == {"ok": False, "max_deviation": math.inf, "failures": [1, 2]}
 
 
 # --- direct fit machinery ------------------------------------------------------
@@ -434,3 +466,232 @@ def test_sextic_clusters_are_unchanged_by_the_sweep():
     balls = [b.ball(64) for b in branches]
     assert zeta._overlap_classes(balls) == all_pairs_classes(balls)
     assert len(_cluster_branches(branches, 64)) == 27
+
+
+# --- the integer solve against the ComplexBall residue solve --------------------
+
+def _times_int(z, k, prec):
+    r = RealBall.from_int(k)
+    return ComplexBall(z.re.mul(r, prec), z.im.mul(r, prec))
+
+
+def _ball_start_precision(balls, values, prec):
+    def log2_abs(z):
+        return max(exp + bc for _, man, exp, bc in (z.re.mid, z.im.mid) if man)
+
+    logs = [log2_abs(b) for b in balls]
+    loss = max(
+        -logs[i]
+        + sum(
+            max(logs[k], 0) + 1 - log2_abs(b.sub(balls[k], prec))
+            for k in range(len(balls))
+            if k != i
+        )
+        for i, b in enumerate(balls)
+    )
+    return loss + max(abs(v).bit_length() for v in values) + 16
+
+
+def _ball_fit(candidates, F, precision):
+    """The residue solve of fit_exponents with every product a ComplexBall
+    product, as it ran before the fixed-point boxes: (coefficients, mu,
+    certifying precision), or the exception type and the last precision."""
+    values = zeta._count_values(F)
+    K = len(candidates)
+    balls = [c.ball(precision) for c in candidates]
+    if any(b.contains_zero() for b in balls) or any(
+        not b.box_disjoint(other) for i, b in enumerate(balls) for other in balls[i + 1:]
+    ):
+        return UndecidedError, None
+    start = max(precision, _ball_start_precision(balls, values[:K], precision))
+    rejected = set()
+    prec = None
+    for prec in precisions(start, HARD_PRECISION):
+        cs = [c.members[0].ball(prec) for c in candidates]
+        P = [ComplexBall(RealBall.one(), RealBall.zero())]
+        for c in cs:
+            nc = c.neg()
+            P = (
+                [P[0]]
+                + [P[i].add(P[i - 1].mul(nc, prec), prec) for i in range(1, len(P))]
+                + [P[-1].mul(nc, prec)]
+            )
+        D = list(cs)
+        for i in range(K):
+            for k in range(i + 1, K):
+                diff = cs[i].sub(cs[k], prec)
+                D[i] = D[i].mul(diff, prec)
+                D[k] = D[k].mul(diff.neg(), prec)
+        try:
+            inv_d = [d.recip(prec) for d in D]
+        except ZeroDivisionError:
+            continue
+        for mu in (1, -1):
+            if mu in rejected:
+                continue
+            Pmu = [p.neg() if mu < 0 and t % 2 else p for t, p in enumerate(P)]
+            N = []
+            for i in range(1, len(values) + 1):
+                acc = _times_int(Pmu[0], values[i - 1], prec)
+                for t in range(1, min(i, K + 1)):
+                    acc = acc.add(_times_int(Pmu[t], values[i - t - 1], prec), prec)
+                N.append(acc)
+            if not all(x.contains_zero() for x in N[K:]):
+                rejected.add(mu)
+                continue
+            ranges = []
+            for c, r, cand in zip(cs, inv_d, candidates):
+                w = c if mu > 0 else c.neg()
+                acc = N[0]
+                for x in N[1:K]:
+                    acc = acc.mul(w, prec).add(x, prec)
+                a = _times_int(acc.mul(r, prec), -(mu ** K), prec)
+                ranges.append(zeta._admissible(a, cand.multiplicity))
+            if not all(ranges):
+                rejected.add(mu)
+                continue
+            if all(len(r) == 1 for r in ranges):
+                return [r[0] for r in ranges], mu, prec
+            break
+        if len(rejected) == 2:
+            return FitInconsistencyError, prec
+    return UndecidedError, prec
+
+
+def _integer_fit(monkeypatch, candidates, F, precision):
+    """fit_exponents with the precision it certified at, in _ball_fit's form."""
+    rungs = [None]
+
+    def ladder(start, cap):
+        for prec in precisions(start, cap):
+            rungs.append(prec)
+            yield prec
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zeta, "precisions", ladder)
+        try:
+            coeffs, mu = fit_exponents(candidates, F, precision)
+        except (UndecidedError, FitInconsistencyError) as exc:
+            return type(exc), rungs[-1]
+    return coeffs, mu, rungs[-1]
+
+
+def _fit_calls(monkeypatch, sys_, n, force):
+    """Every fit_exponents call that inverse_roots makes."""
+    calls = []
+    fit = zeta.fit_exponents
+
+    def kept(candidates, F, precision):
+        calls.append((candidates, F, precision))
+        return fit(candidates, F, precision)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zeta, "fit_exponents", kept)
+        inverse_roots(sys_, n, force=force)
+    return calls
+
+
+_QUARTIC_TWICE = {"d": 2, "components": [
+    {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+     "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]}
+_COPIES_40 = {"d": 1, "components": [{"class": "s_integer", "multiplicity": 40, "generators": ["2/3"]}]}
+_SMALL_VALUES = {"d": 1, "components": [
+    {"class": "s_integer", "multiplicity": 3, "generators": ["1/1024"]},
+    {"class": "s_integer", "generators": ["3"]}]}
+
+
+def _window(d):
+    return [n for n in itertools.product(range(-2, 3) if d == 2 else range(-1, 2), repeat=d) if any(n)]
+
+
+@pytest.mark.parametrize(
+    "system, directions, force",
+    [
+        ("times2times3", _window(2), False),
+        ("ledrappier", _window(2), False),
+        ("sqrt2sqrt3", _window(2), False),
+        ("dk-sextic", _window(2), True),
+        ("times2times3times5", _window(3), False),
+        (_QUARTIC_TWICE, [(-1, -2)], False),
+        (_COPIES_40, [(1,), (-1,)], False),
+        (_SMALL_VALUES, [(5,), (-5,)], False),
+    ],
+    ids=["times2times3", "ledrappier", "sqrt2sqrt3", "dk-sextic", "times2times3times5",
+         "quartic-twice", "copies-40", "small-values"],
+)
+def test_integer_solve_matches_ball_solve(monkeypatch, system, directions, force):
+    # the fixed-point boxes decide as the ComplexBall products did: the same
+    # coefficients and mu, certified at the same precision, or the same failure
+    sys_ = load_fixture(system) if isinstance(system, str) else parse_descriptor(system)
+    fits = 0
+    for n in directions:
+        if not force and not is_expansive_element(sys_, n):
+            continue
+        for candidates, F, precision in _fit_calls(monkeypatch, sys_, n, force):
+            expected = _ball_fit(candidates, F, precision)
+            assert _integer_fit(monkeypatch, candidates, F, precision) == expected, (n, precision)
+            fits += isinstance(expected[0], list)
+    assert fits >= 1
+
+
+# --- fixed-point Gaussian boxes ----------------------------------------------------
+
+def _box_points(box, s, rng):
+    """The four corners of a box and two random points inside it, as exact
+    Gaussian rationals (re, im)."""
+    scale = 1 << s
+    offsets = [(a, b) for a in (-box.e, box.e) for b in (-box.e, box.e)]
+    offsets += [
+        (Fraction(rng.randint(-box.e * 64, box.e * 64), 64), Fraction(rng.randint(-box.e * 64, box.e * 64), 64))
+        for _ in range(2)
+    ]
+    return [(Fraction(box.x + a, scale), Fraction(box.y + b, scale)) for a, b in offsets]
+
+
+def _box_holds(box, s, point):
+    re, im = point
+    return abs(re * (1 << s) - box.x) <= box.e and abs(im * (1 << s) - box.y) <= box.e
+
+
+def _random_box(rng):
+    def part():
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.choice([0, 3, 40, 120]))
+
+    return zeta._Box(part(), part(), rng.choice([0, 1, rng.getrandbits(4), rng.getrandbits(50)]))
+
+
+def test_boxes_enclose_exact_images():
+    # each operation and conversion encloses the exact image of the corners
+    # and of random interior points of its operands
+    rng = random.Random(2020)
+    Box = zeta._Box
+    for trial in range(250):
+        s = rng.choice([0, 1, 7, 64, 200])
+        a, b = _random_box(rng), _random_box(rng)
+        k = rng.choice([0, 1, -1, rng.randint(-10 ** 6, 10 ** 6)])
+        pa, pb = _box_points(a, s, rng), _box_points(b, s, rng)
+        for (r1, i1) in pa:
+            assert _box_holds(a.neg(), s, (-r1, -i1))
+            assert _box_holds(a.mul_int(k), s, (k * r1, k * i1))
+            for (r2, i2) in pb:
+                assert _box_holds(a.add(b), s, (r1 + r2, i1 + i2))
+                assert _box_holds(a.sub(b), s, (r1 - r2, i1 - i2))
+                assert _box_holds(a.mul(b, s), s, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
+        ball = a.to_ball(s)
+        assert all(ball.re.contains_fraction(r) and ball.im.contains_fraction(i) for r, i in pa)
+        # a ComplexBall with random midpoints and radii, one radius often zero
+        parts = [
+            RealBall(
+                from_man_exp(rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, 30, 90])), rng.randint(-150, 20)),
+                from_man_exp(rng.choice([0, rng.getrandbits(30)]), rng.randint(-150, 0)),
+            )
+            for _ in range(2)
+        ]
+        z = ComplexBall(*parts)
+        (re_lo, re_hi), (im_lo, im_hi) = (ball_to_fraction_bounds(p) for p in parts)
+        box = Box.from_ball(z, s)
+        for t in (Fraction(0), Fraction(1), Fraction(rng.randint(0, 64), 64)):
+            for u in (Fraction(0), Fraction(1), Fraction(rng.randint(0, 64), 64)):
+                assert _box_holds(box, s, (re_lo + t * (re_hi - re_lo), im_lo + u * (im_hi - im_lo)))
+        q = rng.choice([k, Fraction(k, rng.randint(1, 10 ** 9)), Fraction(rng.getrandbits(100), 3)])
+        assert _box_holds(Box.from_fraction(q, s), s, (Fraction(q), Fraction(0)))

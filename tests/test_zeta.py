@@ -471,11 +471,14 @@ def test_sextic_clusters_are_unchanged_by_the_sweep():
 # --- the integer solve against the ComplexBall residue solve --------------------
 
 def _times_int(z, k, prec):
+    """z times the int k, as the deleted ComplexBall.mul_real computed it."""
     r = RealBall.from_int(k)
     return ComplexBall(z.re.mul(r, prec), z.im.mul(r, prec))
 
 
 def _ball_start_precision(balls, values, prec):
+    """The start estimate of fit_exponents, from ComplexBall.sub of every
+    ordered pair."""
     def log2_abs(z):
         return max(exp + bc for _, man, exp, bc in (z.re.mid, z.im.mid) if man)
 
@@ -600,18 +603,18 @@ _SMALL_VALUES = {"d": 1, "components": [
     {"class": "s_integer", "generators": ["3"]}]}
 
 
-def _window(d):
-    return [n for n in itertools.product(range(-2, 3) if d == 2 else range(-1, 2), repeat=d) if any(n)]
+_SQUARE = [n for n in itertools.product(range(-2, 3), repeat=2) if any(n)]
+_CUBE = [n for n in itertools.product(range(-1, 2), repeat=3) if any(n)]
 
 
 @pytest.mark.parametrize(
     "system, directions, force",
     [
-        ("times2times3", _window(2), False),
-        ("ledrappier", _window(2), False),
-        ("sqrt2sqrt3", _window(2), False),
-        ("dk-sextic", _window(2), True),
-        ("times2times3times5", _window(3), False),
+        ("times2times3", _SQUARE, False),
+        ("ledrappier", _SQUARE, False),
+        ("sqrt2sqrt3", _SQUARE, False),
+        ("dk-sextic", _SQUARE, True),
+        ("times2times3times5", _CUBE, False),
         (_QUARTIC_TWICE, [(-1, -2)], False),
         (_COPIES_40, [(1,), (-1,)], False),
         (_SMALL_VALUES, [(5,), (-5,)], False),

@@ -205,7 +205,8 @@ def test_verification_reports_deviations_past_the_float_range():
     huge = types.SimpleNamespace(
         coefficient=1, exact=None, ball=lambda prec: ComplexBall.from_fractions(2 ** 1100, 3, prec)
     )
-    res = verify_generating_identity(types.SimpleNamespace(candidates=[huge], precision=64), [0, 0], 2)
+    zf = types.SimpleNamespace(candidates=[huge], precision=64)
+    res = verify_generating_identity(zf, [0, 0], 2)
     assert res == {"ok": False, "max_deviation": math.inf, "failures": [1, 2]}
 
 
@@ -597,7 +598,8 @@ def _fit_calls(monkeypatch, sys_, n, force):
 _QUARTIC_TWICE = {"d": 2, "components": [
     {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
      "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]}
-_COPIES_40 = {"d": 1, "components": [{"class": "s_integer", "multiplicity": 40, "generators": ["2/3"]}]}
+_COPIES_40 = {"d": 1, "components": [
+    {"class": "s_integer", "multiplicity": 40, "generators": ["2/3"]}]}
 _SMALL_VALUES = {"d": 1, "components": [
     {"class": "s_integer", "multiplicity": 3, "generators": ["1/1024"]},
     {"class": "s_integer", "generators": ["3"]}]}
@@ -644,10 +646,10 @@ def _box_points(box, s, rng):
     Gaussian rationals (re, im)."""
     scale = 1 << s
     offsets = [(a, b) for a in (-box.e, box.e) for b in (-box.e, box.e)]
-    offsets += [
-        (Fraction(rng.randint(-box.e * 64, box.e * 64), 64), Fraction(rng.randint(-box.e * 64, box.e * 64), 64))
-        for _ in range(2)
-    ]
+    def inside():
+        return Fraction(rng.randint(-box.e * 64, box.e * 64), 64)
+
+    offsets += [(inside(), inside()) for _ in range(2)]
     return [(Fraction(box.x + a, scale), Fraction(box.y + b, scale)) for a, b in offsets]
 
 
@@ -685,7 +687,8 @@ def test_boxes_enclose_exact_images():
         # a ComplexBall with random midpoints and radii, one radius often zero
         parts = [
             RealBall(
-                from_man_exp(rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, 30, 90])), rng.randint(-150, 20)),
+                from_man_exp(rng.choice([-1, 1]) * rng.getrandbits(rng.choice([1, 30, 90])),
+                             rng.randint(-150, 20)),
                 from_man_exp(rng.choice([0, rng.getrandbits(30)]), rng.randint(-150, 0)),
             )
             for _ in range(2)
@@ -695,6 +698,7 @@ def test_boxes_enclose_exact_images():
         box = Box.from_ball(z, s)
         for t in (Fraction(0), Fraction(1), Fraction(rng.randint(0, 64), 64)):
             for u in (Fraction(0), Fraction(1), Fraction(rng.randint(0, 64), 64)):
-                assert _box_holds(box, s, (re_lo + t * (re_hi - re_lo), im_lo + u * (im_hi - im_lo)))
+                point = (re_lo + t * (re_hi - re_lo), im_lo + u * (im_hi - im_lo))
+                assert _box_holds(box, s, point)
         q = rng.choice([k, Fraction(k, rng.randint(1, 10 ** 9)), Fraction(rng.getrandbits(100), 3)])
         assert _box_holds(Box.from_fraction(q, s), s, (Fraction(q), Fraction(0)))

@@ -42,7 +42,6 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_shift,
-    mpf_sqrt,
     mpf_sub,
     to_float,
 )
@@ -149,9 +148,6 @@ class RealBall:
     def neg(self) -> "RealBall":
         return RealBall(mpf_neg(self.mid), self.rad)
 
-    def abs(self) -> "RealBall":
-        return RealBall(mpf_abs(self.mid), self.rad)
-
     def mul(self, other: "RealBall", prec: int) -> "RealBall":
         mid = mpf_mul(self.mid, other.mid, prec, "n")
         rad = _rad_add(
@@ -215,15 +211,12 @@ class RealBall:
         hi = mpf_add(self.mid, self.rad, 0, _UP)
         return lo, hi
 
-    def _monotone(self, fn, prec: int, increasing: bool = True) -> "RealBall":
+    def _monotone(self, fn, prec: int) -> "RealBall":
+        """Enclosure of the image under an increasing function fn."""
         lo, hi = self._bounds()
         wprec = prec + 16
-        if increasing:
-            new_lo = fn(lo, wprec, _DOWN)
-            new_hi = fn(hi, wprec, _UP)
-        else:
-            new_lo = fn(hi, wprec, _DOWN)
-            new_hi = fn(lo, wprec, _UP)
+        new_lo = fn(lo, wprec, _DOWN)
+        new_hi = fn(hi, wprec, _UP)
         # margin for faithful (not correct) rounding of transcendentals
         scale = mpf_abs(new_hi) if mpf_cmp(mpf_abs(new_hi), mpf_abs(new_lo)) >= 0 else mpf_abs(new_lo)
         margin = mpf_shift(scale, -(prec + 8))
@@ -240,12 +233,6 @@ class RealBall:
             raise ValueError("log of an interval touching (-inf, 0]")
         return self._monotone(mpf_log, prec)
 
-    def sqrt(self, prec: int) -> "RealBall":
-        lo, _ = self._bounds()
-        if mpf_cmp(lo, fzero) < 0:
-            raise ValueError("sqrt of an interval with negative points")
-        return self._monotone(mpf_sqrt, prec)
-
     # --- predicates and export -----------------------------------------
 
     def contains_zero(self) -> bool:
@@ -258,15 +245,6 @@ class RealBall:
     def is_negative(self) -> bool:
         _, hi = self._bounds()
         return mpf_cmp(hi, fzero) < 0
-
-    def contains_fraction(self, x: Union[Fraction, int]) -> bool:
-        if isinstance(x, int):
-            x = Fraction(x)
-        lo, hi = self._bounds()
-        # compare exactly through rationals: raw mpfs are dyadic
-        lo_r = _to_fraction(lo)
-        hi_r = _to_fraction(hi)
-        return lo_r <= x <= hi_r
 
     def overlaps(self, other: "RealBall") -> bool:
         lo_a, hi_a = self._bounds()
@@ -300,13 +278,6 @@ class RealBall:
     def float_bounds(self) -> tuple[float, float]:
         lo, hi = self._bounds()
         return to_float(lo, rnd=_DOWN), to_float(hi, rnd=_UP)
-
-    def relative_width(self) -> float:
-        if self.contains_zero():
-            return float("inf") if mpf_cmp(self.rad, fzero) != 0 else 0.0
-        num = to_float(mpf_shift(self.rad, 1))
-        den = abs(self.mid_float())
-        return num / den
 
     def __repr__(self) -> str:
         return f"RealBall({self.mid_float()!r} +/- {self.rad_float():.3e})"
@@ -361,26 +332,10 @@ class ComplexBall:
     def abs2(self, prec: int) -> RealBall:
         return self.re.square(prec).add(self.im.square(prec), prec)
 
-    def abs(self, prec: int) -> RealBall:
-        # |z|^2 >= 0 always, but abs2's outward rounding can push the lower
-        # endpoint fractionally below zero.  Clamp to [0, hi] exactly: dyadic
-        # halving is lossless, so mid = rad = hi/2 pins the endpoint at 0.
-        d = self.abs2(prec)
-        lo, hi = d._bounds()
-        if mpf_cmp(lo, fzero) < 0:
-            if mpf_cmp(hi, fzero) < 0:
-                hi = fzero
-            half = mpf_shift(hi, -1)
-            d = RealBall(half, half)
-        return d.sqrt(prec)
-
     def recip(self, prec: int) -> "ComplexBall":
         d = self.abs2(prec + 8)
         inv = d.recip(prec + 8)
         return ComplexBall(self.re.mul(inv, prec), self.im.neg().mul(inv, prec))
-
-    def div(self, other: "ComplexBall", prec: int) -> "ComplexBall":
-        return self.mul(other.recip(prec + 8), prec)
 
     def pow_int(self, n: int, prec: int) -> "ComplexBall":
         if n == 0:

@@ -5,9 +5,9 @@ JSON file or the name of a bundled fixture (an optional fixtures/ prefix
 and .json suffix are accepted, so shell completion on the repository layout
 works too).
 
-Exit codes: 0 success, 1 validation error, 2 undecided at the precision
-cap, 3 resource cap exceeded.  Output is deterministic: identical flags
-and descriptor produce byte-identical bytes.
+Exit codes: 0 success, 1 validation or usage error, 2 undecided at the
+precision cap, 3 resource cap exceeded.  Output is deterministic: identical
+flags and descriptor produce byte-identical bytes.
 
 Precision and its cap come from the flags, else from RANKONE_PRECISION_BITS
 and RANKONE_MAX_PRECISION_BITS, else from the defaults module; main
@@ -394,8 +394,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ValueErrors, so main prints
+    them as one error: line and exits 1 instead of argparse's usage block
+    and exit 2, which is the undecided code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankone",
         description="periodic points, zeta data and expansive subdynamics "
         "of algebraic Z^d-actions of entropy rank one",
@@ -485,8 +494,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = _sys.argv[1:]
     # exact counts print in full up to the bit budget
     _sys.set_int_max_str_digits(math.ceil(DEFAULT_BIT_BUDGET * math.log10(2)))
-    args = _parser().parse_args(_join_dash_values(argv))
     try:
+        args = _parser().parse_args(_join_dash_values(argv))
         prec = _bits("--precision-bits", args.precision_bits, PRECISION_ENV, DEFAULT_PRECISION)
         cap = _bits("--max-precision-bits", args.max_precision_bits, MAX_PRECISION_ENV, MAX_PRECISION)
         if prec > cap:

@@ -122,15 +122,14 @@ class ExactLog:
         return ExactLog(primes, {})
 
     @staticmethod
-    def from_root_abs(poly: Sequence[int], index: int, coeff=Fraction(1)) -> "ExactLog":
-        """coeff * log|r| for the index-th certified root r of an irreducible poly."""
+    def from_root_abs(poly: Sequence[int], index: int) -> "ExactLog":
+        """log|r| for the index-th certified root r of an irreducible poly."""
         poly = tuple(int(c) for c in poly)
-        coeff = Fraction(coeff)
         if poly == (0, 1):
             raise ValueError("log of the zero root")
         facts = _root_facts(poly)
         if len(poly) == 2:
-            return ExactLog.from_rational(-poly[0]).scale(coeff)
+            return ExactLog.from_rational(-poly[0])
         canon = facts.canon[index]
         atom = ("root", poly, canon)
         if atom not in facts.atoms:
@@ -138,8 +137,8 @@ class ExactLog:
         if facts.inverse is not None and facts.inverse[canon] < canon:
             # roots come in inverse pairs; fold log|1/r| = -log|r| onto the
             # smaller canonical index so paired atoms cancel exactly
-            return ExactLog({}, {("root", poly, facts.inverse[canon]): -coeff})
-        return ExactLog({}, {atom: coeff})._reduce_full_groups()
+            return ExactLog({}, {("root", poly, facts.inverse[canon]): Fraction(-1)})
+        return ExactLog({}, {atom: Fraction(1)})._reduce_full_groups()
 
     # --- algebra --------------------------------------------------------
 

@@ -194,12 +194,6 @@ class FpPoly:
                 base = base.mul(base).mod(modulus)
         return result
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
     def derivative(self) -> "FpPoly":
         return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
 

@@ -335,10 +335,6 @@ def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:
     return mat_charpoly(mult_matrix(spec, x))
 
 
-def is_integral(spec: NumberFieldSpec, x: Element) -> bool:
-    return all(c.denominator == 1 for c in element_charpoly(spec, x))
-
-
 def is_unit(spec: NumberFieldSpec, x: Element) -> bool:
     """True when x is an algebraic integer of norm +-1.
 

@@ -23,13 +23,13 @@ each generator is inverted once).  Fix(alpha^n) = Fix(alpha^-n), so a box
 counts each +-n pair once: a point whose mirror -n came earlier takes its
 count.  The rest costs one power per generator and row or column, plus per
 point one product of the powers and one difference, determinant or set of
-place orders.  The size budget is
-checked once per box, at the corner where the estimate peaks, and once per
-count sequence, at the first period over it (check_sequence_budget, which
-zeta also calls before it builds any branch); only a box whose corner is
-over the budget checks each point, so the error names the first point over
-it as before.  Before any count, a box's summed estimate, which has a
-closed form, is held to MAX_GRID_BITS.
+place orders.  Every count checks
+its own size estimate against DEFAULT_BIT_BUDGET, read at call time, so a
+box's error names its first point over the budget in box order.  A count
+sequence is checked once more before any count, at the first period over
+the budget (check_sequence_budget, which zeta also calls before it builds
+any branch).  Before any count, a box's summed estimate, which has a closed
+form, is held to MAX_GRID_BITS.
 
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each
@@ -109,10 +109,10 @@ def _estimate(sys: SystemDescriptor, exponents: Sequence[int]) -> int:
     return weight * sum(mult * comp.bit_height for comp, mult in sys.components)
 
 
-def _check_budget(sys: SystemDescriptor, exponents: Sequence[int], bit_budget: int) -> None:
+def _check_budget(sys: SystemDescriptor, exponents: Sequence[int]) -> None:
     estimate = _estimate(sys, exponents)
-    if estimate > bit_budget:
-        raise ResourceCapError(f"estimated size {estimate} bits exceeds the {bit_budget}-bit budget")
+    if estimate > DEFAULT_BIT_BUDGET:
+        raise ResourceCapError(f"estimated size {estimate} bits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
 
 
 def _abs_sum(lo: int, hi: int) -> int:
@@ -132,20 +132,10 @@ def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
     return [j * int(ni) for ni in n]
 
 
-def count(
-    sys: SystemDescriptor,
-    n: Sequence[int],
-    j: int = 1,
-    bit_budget: Optional[int] = DEFAULT_BIT_BUDGET,
-) -> PeriodicCount:
-    """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1.
-
-    bit_budget None skips the size check; grid and count_sequence pass it
-    once they have checked the largest estimate they will meet.
-    """
+def count(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicCount:
+    """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1."""
     exponents = _exponents(sys, n, j)
-    if bit_budget is not None:
-        _check_budget(sys, exponents, bit_budget)
+    _check_budget(sys, exponents)
     total = 1
     for comp, mult in sys.components:
         value = comp.count_factor(exponents)
@@ -155,28 +145,18 @@ def count(
     return PeriodicCount(total)
 
 
-def count_sequence(
-    sys: SystemDescriptor,
-    n: Sequence[int],
-    j_max: int,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> List[PeriodicCount]:
+def count_sequence(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> List[PeriodicCount]:
     """[|F_1|, ..., |F_jmax|]; each period tested independently.
 
-    The budget is checked once, by check_sequence_budget, before any count.
+    The budget is checked by check_sequence_budget before any count.
     """
     if j_max < 1:
         raise ValueError("j_max must be a positive integer")
-    check_sequence_budget(sys, n, j_max, bit_budget)
-    return [count(sys, n, j, None) for j in range(1, j_max + 1)]
+    check_sequence_budget(sys, n, j_max)
+    return [count(sys, n, j) for j in range(1, j_max + 1)]
 
 
-def check_sequence_budget(
-    sys: SystemDescriptor,
-    n: Sequence[int],
-    j_max: int,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> None:
+def check_sequence_budget(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> None:
     """Raise ResourceCapError if a count among F_1..F_jmax is over the budget.
 
     The estimate is j times its value at j = 1, so the first period over
@@ -184,9 +164,9 @@ def check_sequence_budget(
     the one count would raise there.
     """
     per_period = _estimate(sys, _exponents(sys, n, 1))
-    first_over = max(1, bit_budget // per_period + 1) if per_period else 1
+    first_over = max(1, DEFAULT_BIT_BUDGET // per_period + 1) if per_period else 1
     if first_over <= j_max:
-        _check_budget(sys, _exponents(sys, n, first_over), bit_budget)
+        _check_budget(sys, _exponents(sys, n, first_over))
 
 
 class PeriodicGrid:
@@ -222,12 +202,7 @@ class PeriodicGrid:
         }
 
 
-def grid(
-    sys: SystemDescriptor,
-    ranges: Sequence[Tuple[int, int]],
-    j: int = 1,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> PeriodicGrid:
+def grid(sys: SystemDescriptor, ranges: Sequence[Tuple[int, int]], j: int = 1) -> PeriodicGrid:
     """count(sys, n, j) for every n in the closed box given by ranges.
 
     Raises ResourceCapError, before any count, when the box holds more than
@@ -248,24 +223,15 @@ def grid(
     total = _estimate(sys, [weight])
     if total > MAX_GRID_BITS:
         raise ResourceCapError(f"estimated size {total} bits of all counts exceeds the grid cap of {MAX_GRID_BITS} bits")
-    # the estimate peaks at the corner farthest from 0 on every axis; when
-    # that corner is within the budget no point needs its own check
-    corner = [j * max(abs(lo), abs(hi)) for lo, hi in ranges]
-    check = bit_budget if _estimate(sys, corner) > bit_budget else None
     entries: Dict[Tuple[int, ...], PeriodicCount] = {}
     result = PeriodicGrid(ranges, entries)
     for point in result.points():
         mirror = entries.get(tuple(-c for c in point))  # its estimate passed the check
-        entries[point] = count(sys, point, j, check) if mirror is None else mirror
+        entries[point] = count(sys, point, j) if mirror is None else mirror
     return result
 
 
-def det_oracle(
-    sys: SystemDescriptor,
-    n: Sequence[int],
-    j: int = 1,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> PeriodicCount:
+def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicCount:
     """Independent matrix-arithmetic recomputation for number-field systems.
 
     Works entirely with multiplication matrices: integer matrix powers, one
@@ -277,7 +243,7 @@ def det_oracle(
                 "det_oracle requires every component to be number_field_units"
             )
     exponents = _exponents(sys, n, j)
-    _check_budget(sys, exponents, bit_budget)
+    _check_budget(sys, exponents)
     total = 1
     for comp, mult in sys.components:
         deg = comp.field.degree

@@ -3,7 +3,7 @@
 Rationals are plain fractions.Fraction values (normalized, positive
 denominator), which already provide exact arithmetic; this module adds the
 multiplicative bookkeeping the rest of the package needs: primality,
-factorization into prime-exponent maps, and p-adic orders.
+factorization into prime-exponent maps, and prime-to-S parts.
 """
 
 from __future__ import annotations
@@ -121,26 +121,6 @@ def factor_fraction(x: Rational) -> Dict[int, int]:
     for p, e in factor_int(x.denominator).items():
         out[p] = out.get(p, 0) - e
     return dict(sorted((p, e) for p, e in out.items() if e != 0))
-
-
-def padic_ord(x: Rational, p: int) -> int:
-    """ord_p(x) for nonzero rational x, so that |x|_p = p**(-ord_p(x))."""
-    if not is_prime(p):
-        raise ValueError(f"padic_ord: modulus {p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("padic_ord of zero is undefined (+infinity)")
-    ord_num = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        ord_num += 1
-    ord_den = 0
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        ord_den += 1
-    return ord_num - ord_den
 
 
 def prime_to_s_part(n: int, primes) -> int:

@@ -39,7 +39,7 @@ from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_shift
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
 from .errors import ResourceCapError, UndecidedError
-from .exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
+from .exactlog import ExactLog, log_dot, vector_is_zero
 from .system import Character, SystemDescriptor
 
 VARIETY = "variety"
@@ -79,25 +79,6 @@ class LabeledHyperplane:
         self.label = label
         self.sources = sources
         self.undecided = undecided
-
-    def form_value(self, v: Sequence, prec: int = DEFAULT_PRECISION) -> RealBall:
-        """Enclosure of normal . v for a float or rational direction."""
-        coeffs = [Fraction(x) for x in v]
-        if len(coeffs) != len(self.normal):
-            raise ValueError("direction has the wrong dimension")
-        return log_dot(coeffs, self.normal).evaluate(prec)
-
-    def contains(self, v: Sequence, prec: int = DEFAULT_PRECISION, tol: Optional[float] = None) -> bool:
-        """Whether v may lie on the hyperplane, within tol of the form value."""
-        if tol is None:
-            tol = 2.0 ** -(prec // 2)
-        lo, hi = self.form_value(v, prec).float_bounds()
-        return not (lo > tol or hi < -tol)
-
-    def parallel_to(self, other: Sequence[ExactLog], max_prec: int = MAX_PRECISION) -> str:
-        """'parallel' | 'not-parallel' | 'undecided' against another normal."""
-        normal = other.normal if isinstance(other, LabeledHyperplane) else tuple(other)
-        return vectors_parallel(self.normal, normal, max_prec)
 
     def normal_floats(self, prec: int = DEFAULT_PRECISION) -> Tuple[float, ...]:
         return tuple(entry.evaluate(prec).mid_float() for entry in self.normal)

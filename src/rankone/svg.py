@@ -70,19 +70,16 @@ def _polyline(points: Sequence[Tuple[float, float]], stroke, width="1.2",
     )
 
 
-def line_diagram(
-    hyperplanes: Sequence[Tuple[str, Tuple[float, float], bool]],
-    size: int = 420,
-    title: str = "non-expansive lines",
-) -> str:
+def line_diagram(hyperplanes: Sequence[Tuple[str, Tuple[float, float], bool]]) -> str:
     """Lines through the origin perpendicular to each normal (d = 2).
 
     hyperplanes rows are (label, (nx, ny), undecided); undecided lines are
     drawn dashed.
     """
+    size = 420
     half = size / 2.0
     radius = half * 0.86
-    parts = _header(size, size, title)
+    parts = _header(size, size, "non-expansive lines")
     parts.append(_line(half, 0, half, size, "#dddddd", "1"))
     parts.append(_line(0, half, size, half, "#dddddd", "1"))
     seen: Dict[str, str] = {}
@@ -111,17 +108,13 @@ def line_diagram(
     return "\n".join(parts) + "\n"
 
 
-def branch_curves(
-    rows: Sequence[Tuple[float, str, float]],
-    width: int = 640,
-    height: int = 360,
-    title: str = "branch values over the circle",
-) -> str:
+def branch_curves(rows: Sequence[Tuple[float, str, float]]) -> str:
     """One curve per branch key over theta in [0, 2 pi) (d = 2).
 
     rows are (theta, branch_key, value); branches keep first-seen order and
     curves break nothing (theta is already sorted per branch by the caller).
     """
+    width, height = 640, 360
     margin = 42
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -141,7 +134,7 @@ def branch_curves(
         y = height - margin - plot_h * value / vmax
         return x, y
 
-    parts = _header(width, height, title)
+    parts = _header(width, height, "branch values over the circle")
     parts.append(_line(margin, height - margin, width - margin, height - margin, "#333333", "1"))
     parts.append(_line(margin, margin, margin, height - margin, "#333333", "1"))
     for k in range(5):
@@ -188,18 +181,14 @@ def _orthonormal_basis(n: Tuple[float, float, float]):
     return u, v
 
 
-def sphere_contours(
-    circles: Sequence[Tuple[str, Tuple[float, float, float], bool]],
-    samples: int = 720,
-    width: int = 640,
-    height: int = 360,
-    title: str = "non-expansive great circles",
-) -> str:
+def sphere_contours(circles: Sequence[Tuple[str, Tuple[float, float, float], bool]]) -> str:
     """Great circles {v : n . v = 0} in the (theta, phi) plane (d = 3).
 
     circles rows are (label, normal, undecided).  Each circle is sampled
-    parametrically and split where theta wraps around.
+    parametrically at 720 points and split where theta wraps around.
     """
+    samples = 720
+    width, height = 640, 360
     margin = 42
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -210,7 +199,7 @@ def sphere_contours(
             margin + plot_h * phi / math.pi,
         )
 
-    parts = _header(width, height, title)
+    parts = _header(width, height, "non-expansive great circles")
     parts.append(_line(margin, height - margin, width - margin, height - margin, "#333333", "1"))
     parts.append(_line(margin, margin, margin, height - margin, "#333333", "1"))
     parts.append(_text(width / 2, height - margin + 16, "theta", anchor="middle"))

@@ -218,12 +218,6 @@ class ZetaCandidate:
         self.coefficient: Optional[int] = None
         self._balls: Dict[int, ComplexBall] = {}
 
-    @staticmethod
-    def exact_rational(value, multiplicity: int = 1) -> "ZetaCandidate":
-        """Hand-built exact candidate (for direct fit_exponents use)."""
-        v = Fraction(value)
-        return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), {})])
-
     def is_exact(self) -> bool:
         return self.exact is not None
 
@@ -460,9 +454,7 @@ def fit_exponents(
     if 0 in exact or len(set(exact)) < len(exact):
         raise ValueError("exact zeta candidate values must be nonzero and distinct")
     balls = [c.ball(precision) for c in candidates]
-    if any(b.contains_zero() for b in balls) or any(
-        not b.box_disjoint(other) for i, b in enumerate(balls) for other in balls[i + 1:]
-    ):
+    if any(b.contains_zero() for b in balls) or len(_overlap_classes(balls)) < K:
         raise UndecidedError(f"separating zeta candidate values at {precision} bits")
     start = max(precision, _start_precision(balls, values[:K], precision))
     rejected = set()
@@ -559,15 +551,6 @@ class ZetaFactorization:
     @property
     def factors(self) -> List[ZetaCandidate]:
         return [c for c in self.candidates if c.coefficient]
-
-    def exact_values(self) -> Optional[List[Fraction]]:
-        """The branch value multiset when fully rational, else None."""
-        if any(c.exact is None for c in self.candidates):
-            return None
-        out = []
-        for c in self.candidates:
-            out.extend([c.exact] * c.multiplicity)
-        return sorted(out)
 
     def to_json(self) -> dict:
         return {

@@ -4,14 +4,18 @@ Each helper takes an explicit seed so failures replay exactly.  The count
 suite checks symmetry, homogeneity and divisibility of periodic counts and,
 where a second route exists, agreement with the determinant oracle.  The
 interval suite drives the ball arithmetic through random expression chains
-against an exact Fraction oracle.
+against an exact Fraction oracle.  The small ball and hyperplane predicates
+at the end are shared by the tests that read enclosures exactly.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from rankone import count, det_oracle
-from rankone.balls import RealBall
+from rankone.balls import RealBall, ball_to_fraction_bounds
+from rankone.defaults import DEFAULT_PRECISION
+from rankone.exactlog import log_dot
 from rankone.system import SystemDescriptor
 
 
@@ -68,7 +72,7 @@ def interval_soundness(expressions: int, seed: int) -> int:
         exact = _random_fraction(rng)
         ball = RealBall.from_fraction(exact, prec)
         for _ in range(rng.randint(2, 8)):
-            op = rng.choice(("add", "sub", "mul", "square", "neg", "abs", "recip"))
+            op = rng.choice(("add", "sub", "mul", "square", "neg", "recip"))
             if op in ("add", "sub", "mul"):
                 rhs = _random_fraction(rng)
                 rball = RealBall.from_fraction(rhs, prec)
@@ -82,16 +86,36 @@ def interval_soundness(expressions: int, seed: int) -> int:
                 exact, ball = exact * exact, ball.square(prec)
             elif op == "neg":
                 exact, ball = -exact, ball.neg()
-            elif op == "abs":
-                exact, ball = abs(exact), ball.abs()
             else:
                 if exact == 0 or ball.contains_zero():
                     continue
                 exact, ball = 1 / exact, ball.recip(prec)
-            assert ball.contains_fraction(exact), (op, exact, ball)
+            assert contains(ball, exact), (op, exact, ball)
             checks += 1
             # keep magnitudes in a range where Fractions stay cheap
             if abs(exact) > 10 ** 9 or exact.denominator > 10 ** 9:
                 exact = _random_fraction(rng)
                 ball = RealBall.from_fraction(exact, prec)
     return checks
+
+
+def contains(ball: RealBall, x) -> bool:
+    """Whether the ball holds the rational (or int) x, compared exactly."""
+    lo, hi = ball_to_fraction_bounds(ball)
+    return lo <= x <= hi
+
+
+def relative_width(ball: RealBall) -> float:
+    """2 rad / |mid|; infinite for a ball that holds zero."""
+    if ball.contains_zero():
+        return math.inf
+    return 2 * ball.rad_float() / abs(ball.mid_float())
+
+
+def on_hyperplane(h, v, prec: int = DEFAULT_PRECISION, tol: float = None) -> bool:
+    """Whether the direction v may lie on the hyperplane h: the enclosure of
+    normal . v comes within tol (default 2^-(prec // 2)) of zero."""
+    if tol is None:
+        tol = 2.0 ** -(prec // 2)
+    lo, hi = log_dot([Fraction(x) for x in v], h.normal).evaluate(prec).float_bounds()
+    return not (lo > tol or hi < -tol)

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 import propsuites
+from propsuites import on_hyperplane, relative_width
 from rankone import (
     build_portrait,
     cli,
@@ -34,6 +35,7 @@ from rankone import (
     verify_generating_identity,
 )
 from rankone import numberfield as nf
+from rankone.exactlog import vectors_parallel
 from rankone.svg import portrait_svg
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -112,11 +114,11 @@ def test_criterion_05_strict_inclusion_witness():
     ]
     assert axis, "crossing set is missing the v1 = 0 hyperplane"
     witness = axis[0]
-    assert witness.contains((0.0, 1.0), prec=cap)
+    assert on_hyperplane(witness, (0.0, 1.0), prec=cap)
     assert {"J": [1, 3], "L": []} in [h.sources[0] for h in axis] or witness.sources
     # ... while no non-expansive hyperplane is parallel to it ...
     for h in planes:
-        assert witness.parallel_to(h.normal, max_prec=cap) == "not-parallel"
+        assert vectors_parallel(witness.normal, h.normal, max_prec=cap) == "not-parallel"
     # ... and the direction (0, 1) is expansive
     assert is_expansive_element(QUARTIC, (0, 1), max_prec=cap) is True
 
@@ -127,9 +129,9 @@ def test_criterion_06_equality_case_crossing_vs_variety():
         variety = [h for h in nonexpansive_hyperplanes(sys_)[0] if h.label == "variety"]
         assert len(crossing) == len(variety)
         for c in crossing:
-            assert any(c.parallel_to(v.normal) == "parallel" for v in variety)
+            assert any(vectors_parallel(c.normal, v.normal) == "parallel" for v in variety)
         for v in variety:
-            assert any(c.parallel_to(v.normal) == "parallel" for c in crossing)
+            assert any(vectors_parallel(c.normal, v.normal) == "parallel" for c in crossing)
 
 
 def test_criterion_07_oracle_equivalence():
@@ -181,7 +183,7 @@ def test_criterion_09_directional_entropy():
         ball = directional_entropy(sys_, n)
         lo, hi = ball.float_bounds()
         assert lo <= ref <= hi
-        assert ball.relative_width() <= 1e-10
+        assert relative_width(ball) <= 1e-10
 
 
 def test_criterion_10_three_dimensional_locus():
@@ -199,7 +201,7 @@ def test_criterion_10_three_dimensional_locus():
             math.cos(phi),
         )
         # v solves 2^v1 3^v2 5^v3 = 1 by construction; membership at 1e-9
-        assert variety.contains(v, tol=1e-9), (k, v)
+        assert on_hyperplane(variety, v, tol=1e-9), (k, v)
     svg = portrait_svg(build_portrait(T235))
     assert svg.startswith("<svg") and svg.count("<polyline") >= 4
 

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -856,6 +857,25 @@ def test_malformed_precision_variable_rejected(name):
     assert proc.stderr == f"error: {name} must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        ([], "required: command"),
+        (["frobnicate", "times2times3"], "invalid choice: 'frobnicate'"),
+        (["zeta", "sqrt2sqrt3"], "required: --n"),
+        (["periodic", "times2times3", "--range=0..1,0..1", "--j", "x"], "--j: invalid int value: 'x'"),
+        (["periodic", "times2times3", "--range=0..1,0..1", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-arguments", "unknown-subcommand", "missing-n", "non-integer-j", "unknown-flag"],
+)
+def test_usage_error_is_one_error_line_and_exit_1(capsys, argv, fragment):
+    # exit 2 means undecided, so a usage error exits 1 like any invalid input
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 def test_invalid_descriptor_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -887,6 +907,21 @@ def test_hostile_descriptor_is_validation_error(tmp_path, capsys, text, message)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_output_corpus_is_recorded():
+    # the commands run in CI (tests/corpus/corpus.py check); here only that
+    # each one has a record and no record lacks its command
+    spec = importlib.util.spec_from_file_location("corpus", pathlib.Path(__file__).parent / "corpus" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    lines = [line for line, _, _ in corpus.load_commands()]
+    recorded = json.loads(pathlib.Path(corpus.DIGESTS).read_text())
+    assert sorted(lines) == sorted(recorded)
+    for name in ("times2times3", "ledrappier", "sqrt2sqrt3", "dk-sextic", "times2times3times5"):
+        for command in ("analyze", "periodic", "zeta", "portrait", "omega"):
+            assert any(line.startswith(f"rankone {command} {name} ") or line == f"rankone {command} {name}"
+                       for line in lines), (command, name)
 
 
 # --- process entry points ----------------------------------------------------------

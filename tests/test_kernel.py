@@ -15,11 +15,11 @@ from rankone.rationals import (
     factor_fraction,
     factor_int,
     is_prime,
-    padic_ord,
     prime_to_s_part,
 )
 
 import propsuites
+from propsuites import contains
 
 
 # --- rational valuations ---------------------------------------------------
@@ -41,12 +41,6 @@ def test_factor_fraction_signed_exponents():
     assert factor_fraction(Fraction(8, 45)) == {2: 3, 3: -2, 5: -1}
 
 
-def test_padic_ord():
-    assert padic_ord(Fraction(12), 2) == 2
-    assert padic_ord(Fraction(1, 9), 3) == -2
-    assert padic_ord(Fraction(7), 5) == 0
-
-
 def test_prime_to_s_part():
     assert prime_to_s_part(720, (2, 3)) == 5
     assert prime_to_s_part(720, ()) == 720
@@ -59,19 +53,19 @@ def test_ball_contains_exact_value_through_ops():
     prec = 53
     a = RealBall.from_fraction(Fraction(1, 3), prec)
     b = RealBall.from_fraction(Fraction(2, 7), prec)
-    assert a.add(b, prec).contains_fraction(Fraction(1, 3) + Fraction(2, 7))
-    assert a.mul(b, prec).contains_fraction(Fraction(2, 21))
-    assert a.sub(b, prec).contains_fraction(Fraction(1, 21))
-    assert a.recip(prec).contains_fraction(3)
+    assert contains(a.add(b, prec), Fraction(1, 3) + Fraction(2, 7))
+    assert contains(a.mul(b, prec), Fraction(2, 21))
+    assert contains(a.sub(b, prec), Fraction(1, 21))
+    assert contains(a.recip(prec), 3)
 
 
 def test_square_of_zero_straddling_interval_is_nonnegative():
     # interval [-2, 2]: the square must be [0, 4], not [-4, 4]
     ball = RealBall(RealBall.from_int(0).mid, RealBall.from_int(2).mid)
     sq = ball.square(53)
-    assert sq.contains_fraction(0)
-    assert sq.contains_fraction(4)
-    assert not sq.contains_fraction(Fraction(-1, 100))
+    assert contains(sq, 0)
+    assert contains(sq, 4)
+    assert not contains(sq, Fraction(-1, 100))
 
 
 def test_recip_of_zero_straddling_interval_raises():
@@ -84,21 +78,13 @@ def test_exp_log_roundtrip_contains():
     prec = 64
     for x in (Fraction(3, 2), Fraction(10), Fraction(1, 7)):
         ball = RealBall.from_fraction(x, prec)
-        assert ball.log(prec).exp(prec).contains_fraction(x)
+        assert contains(ball.log(prec).exp(prec), x)
 
 
 def test_float_bounds_bracket_midpoint():
     ball = RealBall.from_fraction(Fraction(22, 7), 53)
     lo, hi = ball.float_bounds()
     assert lo <= 22 / 7 <= hi
-
-
-def test_complex_abs_of_near_zero_box():
-    # |z| on a box around 0 must clamp the squared modulus at 0, not fail
-    z = ComplexBall.from_fractions(0, 0, 53)
-    r = z.abs(53)
-    assert r.contains_fraction(0)
-    assert not r.is_negative()
 
 
 def test_complex_mul_contains_exact_gaussian_value():
@@ -108,8 +94,8 @@ def test_complex_mul_contains_exact_gaussian_value():
     prod = z.mul(w, prec)
     re = Fraction(1, 3) * Fraction(2, 7) - Fraction(1, 5) * Fraction(-1, 2)
     im = Fraction(1, 3) * Fraction(-1, 2) + Fraction(1, 5) * Fraction(2, 7)
-    assert prod.re.contains_fraction(re)
-    assert prod.im.contains_fraction(im)
+    assert contains(prod.re, re)
+    assert contains(prod.im, im)
 
 
 def test_interval_sign_escalates_until_resolved():

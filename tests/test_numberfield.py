@@ -12,6 +12,8 @@ import pytest
 from rankone import numberfield as nf
 from rankone.exactlog import ExactLog
 
+from propsuites import contains
+
 
 GOLDEN = nf.NumberFieldSpec((-1, -1, 1))      # x^2 - x - 1
 GAUSS = nf.NumberFieldSpec((1, 0, 1))         # x^2 + 1
@@ -60,8 +62,10 @@ def test_unit_and_integrality_tests():
     assert nf.is_unit(GOLDEN, phi)
     assert nf.is_unit(GOLDEN, nf.el_pow(GOLDEN, phi, -3))
     assert not nf.is_unit(GOLDEN, nf.el_from_coeffs(GOLDEN, [2]))
-    assert nf.is_integral(GOLDEN, phi)
-    assert not nf.is_integral(GOLDEN, nf.el_from_coeffs(GOLDEN, [Fraction(1, 2)]))
+    # (-21 - 4 sqrt5)/19 has norm 1 but is not an algebraic integer
+    not_integral = nf.el_from_coeffs(GOLDEN, [Fraction(-17, 19), Fraction(-8, 19)])
+    assert abs(nf.norm(GOLDEN, not_integral)) == 1
+    assert not nf.is_unit(GOLDEN, not_integral)
 
 
 def test_norm_matches_product_of_embedding_magnitudes():
@@ -72,9 +76,9 @@ def test_norm_matches_product_of_embedding_magnitudes():
     prec = 64
     ball = None
     for emb in nf.isolate_roots(QUARTIC.min_poly, prec):
-        v = nf.embed(h, emb, prec).abs(prec)
+        v = nf.embed(h, emb, prec).abs2(prec)
         ball = v if ball is None else ball.mul(v, prec)
-    assert ball.contains_fraction(abs(nf.norm(QUARTIC, h)))
+    assert contains(ball, nf.norm(QUARTIC, h) ** 2)
 
 
 def test_isolate_roots_real_quadratic():
@@ -83,8 +87,8 @@ def test_isolate_roots_real_quadratic():
     for r in roots:
         # each box contains a point whose square is 2
         sq = r.box.mul(r.box, 64)
-        assert sq.re.contains_fraction(2)
-        assert sq.im.contains_fraction(0)
+        assert contains(sq.re, 2)
+        assert contains(sq.im, 0)
     # boxes are certifiably disjoint and ordered
     assert roots[0].box.re.float_bounds()[1] < roots[1].box.re.float_bounds()[0]
 

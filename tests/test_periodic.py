@@ -69,15 +69,16 @@ def test_count_validates_arguments():
         count(sys_, (1, 1, 1), 1)
 
 
-def test_bit_budget_cap():
+def test_bit_budget_cap(monkeypatch):
     sys_ = load_fixture("times2times3")
     with pytest.raises(ResourceCapError):
         count(sys_, (10 ** 6, 10 ** 6), 1)
-    # explicit budget loosening admits moderately large exponents
-    assert count(sys_, (100, 100), 1, bit_budget=10 ** 7).is_finite
+    # a looser budget admits moderately large exponents
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 10 ** 7)
+    assert count(sys_, (100, 100), 1).is_finite
 
 
-def test_bit_budget_sums_multiplicity_and_components():
+def test_bit_budget_sums_multiplicity_and_components(monkeypatch):
     # times2times3 is estimated at 3 bits per unit of |n|, sqrt2sqrt3 at 96
     def s_integer(*multiplicities):
         return parse_descriptor({"label": "s", "d": 2, "components": [
@@ -85,24 +86,27 @@ def test_bit_budget_sums_multiplicity_and_components():
             for m in multiplicities
         ]})
 
-    assert count(s_integer(1), (1, 1), bit_budget=11).is_finite
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 11)
+    assert count(s_integer(1), (1, 1)).is_finite
     for sys_ in (s_integer(2), s_integer(1, 1)):
         with pytest.raises(ResourceCapError, match="estimated size 12 bits"):
-            count(sys_, (1, 1), bit_budget=11)
+            count(sys_, (1, 1))
     doubled = parse_descriptor({"label": "q", "d": 2, "components": [
         {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
          "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]})
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 191)
     for route in (count, det_oracle):
-        assert route(load_fixture("sqrt2sqrt3"), (1, 0), bit_budget=191).is_finite
+        assert route(load_fixture("sqrt2sqrt3"), (1, 0)).is_finite
         with pytest.raises(ResourceCapError, match="estimated size 192 bits"):
-            route(doubled, (1, 0), bit_budget=191)
+            route(doubled, (1, 0))
 
 
 def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
     # the estimate at n = (1, 1) is 6 bits per period, so j = 4 is the first
     # period over a 20-bit budget
     sys_ = load_fixture("times2times3")
-    assert count_sequence(sys_, (1, 1), 3, bit_budget=20) == [5, 35, 215]
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 20)
+    assert count_sequence(sys_, (1, 1), 3) == [5, 35, 215]
     (comp, _), = sys_.components
 
     def refuse(exponents):
@@ -111,28 +115,39 @@ def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
     monkeypatch.setattr(comp, "count_factor", refuse)
     for j_max in (4, 10 ** 9):
         with pytest.raises(ResourceCapError) as err:
-            count_sequence(sys_, (1, 1), j_max, bit_budget=20)
+            count_sequence(sys_, (1, 1), j_max)
         assert str(err.value) == "estimated size 24 bits exceeds the 20-bit budget"
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", -1)
     with pytest.raises(ResourceCapError, match="estimated size 0 bits exceeds the -1-bit budget"):
-        count_sequence(sys_, (0, 0), 2, bit_budget=-1)
+        count_sequence(sys_, (0, 0), 2)
     with pytest.raises(ValueError, match="expected a Z\\^2 element"):
         count_sequence(sys_, (1, 1, 1), 2)
 
 
-def test_grid_checks_the_budget_once_when_the_corner_fits(monkeypatch):
+def test_grid_checks_each_counted_point_in_box_order(monkeypatch):
     sys_ = load_fixture("times2times3")
     checked = []
     real_check = periodic._check_budget
-    monkeypatch.setattr(periodic, "_check_budget", lambda *args: checked.append(args) or real_check(*args))
+
+    def check(sys_, exponents):
+        checked.append(tuple(exponents))
+        real_check(sys_, exponents)
+
+    monkeypatch.setattr(periodic, "_check_budget", check)
     # the corner (-3, 2) is estimated at 15 bits
-    assert grid(sys_, [(-3, 3), (0, 2)], bit_budget=15).entries[(-3, 2)] == 3 ** 2 - 2 ** 3
-    assert checked == []
-    # over the budget, the points are checked in box order, so the message
-    # names the first point over it
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 15)
+    assert grid(sys_, [(-3, 3), (0, 2)]).entries[(-3, 2)] == 3 ** 2 - 2 ** 3
+    # every point is checked where it is counted: all but (1, 0), (2, 0) and
+    # (3, 0), which take the counts of their mirrors
+    box = itertools.product(range(-3, 4), range(0, 3))
+    assert checked == [n for n in box if n[1] or n[0] <= 0]
+    # over the budget, the message names the first point over it
+    checked.clear()
+    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 12)
     with pytest.raises(ResourceCapError) as err:
-        grid(sys_, [(-3, 3), (0, 2)], bit_budget=12)
+        grid(sys_, [(-3, 3), (0, 2)])
     assert str(err.value) == "estimated size 15 bits exceeds the 12-bit budget"
-    assert len(checked) == 3
+    assert checked == [(-3, 0), (-3, 1), (-3, 2)]
 
 
 def test_grid_caps_the_summed_size_before_any_count(monkeypatch):

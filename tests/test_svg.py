@@ -35,7 +35,7 @@ def test_sphere_contours_great_circles():
     svg = sphere_contours([
         ("variety", (math.log(2), math.log(3), math.log(5)), False),
         ("noetherian", (1.0, 0.0, 0.0), False),
-    ], samples=90)
+    ])
     assert svg.count("<polyline") >= 2
 
 

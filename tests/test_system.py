@@ -18,6 +18,8 @@ from rankone.system import (
     parse_descriptor,
 )
 
+from propsuites import contains
+
 
 def desc(components, d=2, label="t"):
     return {"label": label, "d": d, "components": components}
@@ -179,8 +181,8 @@ def test_sextic_has_zero_log_vector_pair():
 def test_chi_star_value():
     sys_ = load_fixture("times2times3")
     arch = sys_.characters()[0][0]
-    assert arch.chi_star((1, 0), 64).contains_fraction(2)
-    assert arch.chi_star((-1, -1), 64).contains_fraction(Fraction(1, 6))
+    assert contains(arch.chi_star((1, 0), 64), 2)
+    assert contains(arch.chi_star((-1, -1), 64), Fraction(1, 6))
 
 
 def test_zero_test_results():

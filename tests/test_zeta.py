@@ -27,11 +27,25 @@ from rankone.errors import (
     UnsupportedOperationError,
 )
 from rankone.balls import HARD_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions
-from rankone.zeta import _branches, _cluster_branches, fit_exponents
+from rankone.zeta import _Branch, _branches, _cluster_branches, fit_exponents
+
+from propsuites import contains, relative_width
 
 
 def coeff_by_value(zf):
     return {c.exact: c.coefficient for c in zf.factors}
+
+
+def exact_values(zf):
+    """The branch value multiset of a fully rational factorization."""
+    assert all(c.exact is not None for c in zf.candidates)
+    return sorted(c.exact for c in zf.candidates for _ in range(c.multiplicity))
+
+
+def exact_candidate(value, multiplicity=1):
+    """A candidate for one exact value, built by hand for fit_exponents."""
+    v = Fraction(value)
+    return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), {})])
 
 
 # --- expansiveness -----------------------------------------------------------
@@ -114,7 +128,7 @@ def test_times2times3_diagonal_factorization():
     sys_ = load_fixture("times2times3")
     zf = inverse_roots(sys_, (1, 1))
     assert zf.mu == 1
-    assert zf.exact_values() == [Fraction(1), Fraction(6)]
+    assert exact_values(zf) == [Fraction(1), Fraction(6)]
     assert coeff_by_value(zf) == {Fraction(1): 1, Fraction(6): -1}
     F = count_sequence(sys_, (1, 1), 20)
     res = verify_generating_identity(zf, F, 20)
@@ -167,9 +181,9 @@ def test_forced_fit_reports_honest_inconsistency():
 
 
 def test_flipped_coefficient_fails_verification():
-    c1 = ZetaCandidate.exact_rational(1)
+    c1 = exact_candidate(1)
     c1.coefficient = 1
-    c6 = ZetaCandidate.exact_rational(6)
+    c6 = exact_candidate(6)
     c6.coefficient = 1  # wrong sign: the true factorization needs -1
     bad = ZetaFactorization((1, 1), 1, [c1, c6], 0, 64)
     F = count_sequence(load_fixture("times2times3"), (1, 1), 4)
@@ -213,7 +227,7 @@ def test_verification_reports_deviations_past_the_float_range():
 # --- direct fit machinery ------------------------------------------------------
 
 def test_fit_exponents_recovers_signs():
-    cands = [ZetaCandidate.exact_rational(1), ZetaCandidate.exact_rational(6)]
+    cands = [exact_candidate(1), exact_candidate(6)]
     F = [6 ** j - 1 for j in range(1, 5)]
     coeffs, mu = fit_exponents(cands, F)
     assert coeffs == [1, -1]
@@ -221,13 +235,13 @@ def test_fit_exponents_recovers_signs():
 
 
 def test_fit_exponents_needs_enough_counts():
-    cands = [ZetaCandidate.exact_rational(1), ZetaCandidate.exact_rational(6)]
+    cands = [exact_candidate(1), exact_candidate(6)]
     with pytest.raises(ValueError):
         fit_exponents(cands, [5])
 
 
 def test_fit_exponents_inconsistent_candidates():
-    cands = [ZetaCandidate.exact_rational(1), ZetaCandidate.exact_rational(5)]
+    cands = [exact_candidate(1), exact_candidate(5)]
     F = [6 ** j - 1 for j in range(1, 5)]
     with pytest.raises(FitInconsistencyError):
         fit_exponents(cands, F)
@@ -235,28 +249,28 @@ def test_fit_exponents_inconsistent_candidates():
 
 def test_fit_exponents_keeps_the_parity_of_the_multiplicity():
     # -1 reproduces 2^j, but two coinciding branches sum to -2, 0 or 2
-    cands = [ZetaCandidate.exact_rational(2, multiplicity=2)]
+    cands = [exact_candidate(2, multiplicity=2)]
     with pytest.raises(FitInconsistencyError):
         fit_exponents(cands, [2 ** j for j in range(1, 4)])
 
 
 def test_fit_exponents_bounds_coefficients_by_multiplicity():
     # -3 reproduces 3 * 2^j, out of reach of a single branch
-    cands = [ZetaCandidate.exact_rational(2, multiplicity=1)]
+    cands = [exact_candidate(2, multiplicity=1)]
     with pytest.raises(FitInconsistencyError):
         fit_exponents(cands, [3 * 2 ** j for j in range(1, 4)])
 
 
 @pytest.mark.parametrize("values", [(2, 2), (0, 3)])
 def test_fit_exponents_needs_distinct_nonzero_values(values):
-    cands = [ZetaCandidate.exact_rational(v) for v in values]
+    cands = [exact_candidate(v) for v in values]
     with pytest.raises(ValueError, match="nonzero and distinct"):
         fit_exponents(cands, [2 ** j for j in range(1, 5)])
 
 
 def test_multiplicity_widens_coefficient_range():
     # candidate value 2 with multiplicity 3: coefficient -3 reproduces 3 * 2^j
-    cands = [ZetaCandidate.exact_rational(2, multiplicity=3)]
+    cands = [exact_candidate(2, multiplicity=3)]
     F = [3 * 2 ** j for j in range(1, 4)]
     coeffs, mu = fit_exponents(cands, F)
     assert coeffs == [-3]
@@ -355,13 +369,14 @@ def test_entropy_is_log_of_largest_fitted_inverse_root(name, n):
     sys_ = load_fixture(name)
     zf = inverse_roots(sys_, n)
     prec = zf.precision
-    sizes = [
-        RealBall.from_fraction(abs(c.exact), prec) if c.exact is not None
-        else c.ball(prec).abs(prec)
+    squares = [
+        RealBall.from_fraction(c.exact ** 2, prec) if c.exact is not None
+        else c.ball(prec).abs2(prec)
         for c in zf.factors
     ]
-    log_largest = functools.reduce(lambda a, b: a.max_with(b, prec), sizes).log(prec)
-    assert log_largest.relative_width() < 1e-12
+    largest = functools.reduce(lambda a, b: a.max_with(b, prec), squares)
+    log_largest = largest.log(prec).mul(RealBall.from_fraction(Fraction(1, 2), prec), prec)
+    assert relative_width(log_largest) < 1e-12
     assert directional_entropy(sys_, n, prec).overlaps(log_largest)
 
 
@@ -683,7 +698,7 @@ def test_boxes_enclose_exact_images():
                 assert _box_holds(a.sub(b), s, (r1 - r2, i1 - i2))
                 assert _box_holds(a.mul(b, s), s, (r1 * r2 - i1 * i2, r1 * i2 + i1 * r2))
         ball = a.to_ball(s)
-        assert all(ball.re.contains_fraction(r) and ball.im.contains_fraction(i) for r, i in pa)
+        assert all(contains(ball.re, r) and contains(ball.im, i) for r, i in pa)
         # a ComplexBall with random midpoints and radii, one radius often zero
         parts = [
             RealBall(

@@ -23,13 +23,13 @@ each generator is inverted once).  Fix(alpha^n) = Fix(alpha^-n), so a box
 counts each +-n pair once: a point whose mirror -n came earlier takes its
 count.  The rest costs one power per generator and row or column, plus per
 point one product of the powers and one difference, determinant or set of
-place orders.  Every count checks
-its own size estimate against DEFAULT_BIT_BUDGET, read at call time, so a
-box's error names its first point over the budget in box order.  A count
-sequence is checked once more before any count, at the first period over
-the budget (check_sequence_budget, which zeta also calls before it builds
-any branch).  Before any count, a box's summed estimate, which has a closed
-form, is held to MAX_GRID_BITS.
+place orders.  Every count checks its own size estimate against
+DEFAULT_BIT_BUDGET, read at call time, so a box's error names its first
+point over the budget in box order.  A count sequence is checked once more
+before any count, at the first period over the budget
+(check_sequence_budget, which zeta also calls before it builds any branch).
+Before any count, a box's summed estimate, which has a closed form, is held
+to MAX_GRID_BITS.
 
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each

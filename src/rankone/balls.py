@@ -24,6 +24,8 @@ promises faithful rounding for them.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
@@ -276,11 +278,25 @@ class RealBall:
         return to_float(self.rad)
 
     def float_bounds(self) -> tuple[float, float]:
-        lo, hi = self._bounds()
-        return to_float(lo, rnd=_DOWN), to_float(hi, rnd=_UP)
+        """The largest double <= the lower end, the smallest >= the upper end."""
+        return (_to_double(mpf_sub(self.mid, self.rad, 53, _DOWN), _DOWN),
+                _to_double(mpf_add(self.mid, self.rad, 53, _UP), _UP))
 
     def __repr__(self) -> str:
         return f"RealBall({self.mid_float()!r} +/- {self.rad_float():.3e})"
+
+
+def _to_double(x, rnd: str) -> float:
+    """The next double from x (53 bits, rounded toward rnd) toward rnd: x in
+    the normal range; below it a multiple of 2^-1074, a grid inside the
+    53-bit one; above it the largest double toward zero, else infinity."""
+    sign, man, exp, bc = x
+    if not man or -1021 <= exp + bc <= 1024:
+        return to_float(x)
+    if exp + bc > 1024:
+        big = sys.float_info.max if (rnd == _DOWN) != sign else math.inf
+        return -big if sign else big
+    return math.ldexp(libmp.to_int(mpf_shift(x, 1074), rnd), -1074)
 
 
 def _to_fraction(x) -> Fraction:

@@ -26,7 +26,7 @@ import math
 import os
 import sys as _sys
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Sized, Tuple
 
 from .defaults import CONVENTIONS, DEFAULT_PRECISION, INVERSE_ROOT, MAX_PRECISION
 from .errors import (
@@ -109,11 +109,12 @@ def _json_text(obj) -> str:
 # --------------------------------------------------------------------------
 # omega rows, written as they are formatted
 #
-# A row is (direction, subset, value) as omega_samples returns it.  The
-# JSON rows are byte for byte what _json_text writes, in a top-level array,
-# for the dicts {"branch", "direction", "value"} with every float through
-# _round12; each direction's text is rendered once per direction, each
-# branch's once per subset, and only the two value bounds once per row.
+# The rows are the (direction, subset, lo, hi, mid) of the OmegaRows that
+# omega_samples returns; mid is for the SVG.  The JSON rows are byte for
+# byte what _json_text writes, in a top-level array, for the dicts
+# {"branch", "direction", "value"} with every float through _round12; each
+# direction's text is rendered once per direction, each branch's once, and
+# only the two value bounds once per row.
 
 
 def _json_float(x: float) -> str:
@@ -137,15 +138,12 @@ def _json_array(items: Sequence[str], indent: str) -> str:
 
 def _rendered_rows(rows, direction_text, branch_text) -> Iterator[Tuple[str, str, float, float]]:
     """(direction text, branch text, lo, hi) for each row."""
-    branches = {}
+    # rows run through rows.subsets in order at each direction
+    btexts = itertools.cycle([branch_text(subset) for subset in rows.subsets])
     last = None
-    for direction, subset, value in rows:
+    for (direction, _, lo, hi, _), btext in zip(rows, btexts):
         if direction is not last:
             last, dtext = direction, direction_text(direction)
-        btext = branches.get(subset)
-        if btext is None:
-            btext = branches[subset] = branch_text(subset)
-        lo, hi = value.float_bounds()
         yield dtext, btext, lo, hi
 
 
@@ -168,7 +166,7 @@ def _omega_json_rows(rows) -> Iterator[str]:
         sep = ","
 
 
-def _json_with_rows(doc: dict, key: str, rows: list) -> Iterable[str]:
+def _json_with_rows(doc: dict, key: str, rows: Sized) -> Iterable[str]:
     """The chunks of _json_text(doc) with the rows as the array under key,
     which doc holds empty."""
     text = _json_text(doc)

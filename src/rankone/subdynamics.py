@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -211,7 +212,7 @@ def branch_subsets(sys: SystemDescriptor) -> List[Tuple[int, ...]]:
     characters it is just (empty,) and there is a single branch.  It is
     prefix-closed and lists each nonempty L after L[:-1], whatever the
     multiplicities: dropping the last index lowers the last nonzero count,
-    which comes earlier in itertools.product order.  omega_samples builds
+    which comes earlier in itertools.product order.  _branch_balls builds
     each branch value from its prefix's on this guarantee.
     """
     V, _ = sys.characters()
@@ -270,8 +271,8 @@ def sphere_directions(samples: int) -> List[Tuple[float, float, float]]:
     return out
 
 
-# Most omega rows (directions x branches) a grid may give, as every row is held
-# in memory (~0.4 KB): 16x the largest default, 180^2 x 2 on times2times3times5.
+# Most omega rows (directions x branches) a grid may give, each held in memory
+# as three doubles: 16x the largest default, 180^2 x 2 on times2times3times5.
 MAX_OMEGA_ROWS = 1 << 20
 
 # Most signed branch pairs a portrait may test for crossings; each pair is one
@@ -298,10 +299,10 @@ def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     if samples is None:
         samples = 720 if sys.d == 2 else 180
     count = max(samples, 0) ** (sys.d - 1)
-    if count > MAX_OMEGA_ROWS or (
-        count and count * math.prod(chi.multiplicity + 1 for chi in sys.characters()[0]) > MAX_OMEGA_ROWS
-    ):
-        raise ResourceCapError(f"{count} directions exceed the omega row cap of {MAX_OMEGA_ROWS}")
+    branches = math.prod(chi.multiplicity + 1 for chi in sys.characters()[0]) if count else 0
+    if count * branches > MAX_OMEGA_ROWS:
+        raise ResourceCapError(f"{count * branches} omega rows ({count} directions x {branches} branches) "
+                               f"exceed the omega row cap of {MAX_OMEGA_ROWS}")
     return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 
 
@@ -338,20 +339,16 @@ class _OmegaFactor:
     nonarchimedean one, with the bits of the dense left-to-right sum.
 
     The form is summed over the nonzero entries of the log-vector only.
-    Each term is (coordinate, weight, zeros), where zeros counts the exactly
-    zero entries after it, up to the next nonzero one.  The dense sum added
-    an exact zero for each of them, and RealBall.add charged the half-ulp of
-    the running sum every time, so the sparse sum adds that zero too.  Zero
-    entries before the first nonzero one add zero to an exact zero and
-    charge nothing.
+    Each term is (coordinate, weight, zeros), zeros counting the exactly
+    zero entries up to the next nonzero one: the dense sum added each, and
+    RealBall.add charged the half-ulp of the running sum every time, so the
+    sparse sum adds them too.  Leading zero entries charge nothing.
 
     A form that reads fewer coordinates than d remembers its factor by the
-    coordinates it reads, as such a key repeats on the grids: along a
-    sphere row for a form that reads z alone, at mirror-image directions
-    for one that reads x or y alone, and at every direction for a zero
-    log-vector.  A form that reads every coordinate would repeat only with
-    the direction and remembers nothing.  The memo starts over at
-    _FACTOR_MEMO_SIZE keys, so memory stays flat on any grid.
+    coordinates it reads, a key that repeats on the grids: along a sphere
+    row for z alone, at mirror images for x or y alone, everywhere for a
+    zero log-vector.  A form that reads every coordinate remembers nothing;
+    the memo starts over at _FACTOR_MEMO_SIZE keys, so memory stays flat.
     """
 
     __slots__ = ("terms", "multiplicity", "nonarchimedean", "prec", "memo")
@@ -396,37 +393,30 @@ class _OmegaFactor:
         return factor.pow_int(self.multiplicity, prec)
 
 
-def omega_samples(
-    sys: SystemDescriptor,
-    directions: Sequence[Sequence[float]],
-    convention: str = INVERSE_ROOT,
-    prec: int = DEFAULT_PRECISION,
-) -> List[Tuple[Tuple[float, ...], Tuple[int, ...], RealBall]]:
-    """All branch values at each direction: (direction, subset, value) rows.
-
-    inverse-root reports f_L itself; root-location reports the reciprocal,
-    and raises UndecidedError where the enclosure of f_L contains 0, as it
-    can at a precision of a few bits.
-    Character log-vectors are evaluated once and reused across directions.
-    Each f_L is the product of f_L[:-1] and one archimedean factor, the
-    left fold g * a_L[0] * a_L[1] * ... with one product per branch.
-
-    Work whose result is already known is skipped, and every row keeps the
-    bits of that computation (_OmegaFactor): a log form is summed over its
-    nonzero entries only, a nonarchimedean factor is `one` without exp when
-    its form is clearly positive (_exp_neg_below_one), and a form that
-    reads fewer coordinates than d remembers its factors.
-    """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
+def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
+                  directions: Sequence[Sequence[float]], convention: str, prec: int):
+    """Per direction, (direction as a float tuple, [f_L for L in subsets]),
+    subsets being branch_subsets(sys); root-location gives 1 / f_L.  Each
+    f_L is f_L[:-1] times one archimedean factor, with the bits of the left
+    fold g * a_L[0] * a_L[1] * ... though known work is skipped
+    (_OmegaFactor).  Characters with equal terms give equal factor bits at
+    every direction, so a branch whose sequence of such classes is an
+    earlier branch's shares that branch's ball instead of a product."""
     V, W = sys.characters()
     w_factors = [_OmegaFactor(chi, sys.d, True, prec) for chi in W]
-    v_factors = [_OmegaFactor(chi, sys.d, False, prec) for chi in V]
-    subsets = branch_subsets(sys)
-    # f_L = f_{L[:-1]} * a_{L[-1]}, as (position of L[:-1], L[-1]) after f_()
-    position = {subset: k for k, subset in enumerate(subsets)}
-    steps = [(position[subset[:-1]], subset[-1]) for subset in subsets[1:]]
-    out = []
+    v_factors, kinds, classes = [], [], {}
+    for chi in V:
+        factor = _OmegaFactor(chi, sys.d, False, prec)
+        kind = classes.setdefault(tuple((j, w.mid, w.rad, z) for j, w, z in factor.terms), len(classes))
+        if kind == len(v_factors):
+            v_factors.append(factor)
+        kinds.append(kind)
+    # after f_(): (position of L[:-1]'s classes, class of L[-1]), or (position of L's, None)
+    first, steps = {(): 0}, []
+    for position, subset in enumerate(subsets[1:], 1):
+        seq = tuple(kinds[i] for i in subset)
+        steps.append((first[seq], None) if seq in first else (first[seq[:-1]], seq[-1]))
+        first.setdefault(seq, position)
     for direction in directions:
         direction = tuple(float(x) for x in direction)
         _check_unit(direction, prec)
@@ -436,19 +426,55 @@ def omega_samples(
             g = g.mul(factor.at(direction, d_balls), prec)
         arch_vals = [factor.at(direction, d_balls) for factor in v_factors]
         values = [g]
-        for k, i in steps:
-            values.append(values[k].mul(arch_vals[i], prec))
+        for k, c in steps:
+            values.append(values[k] if c is None else values[k].mul(arch_vals[c], prec))
         if convention == ROOT_LOCATION:
             try:
                 values = [value.recip(prec) for value in values]
             except ZeroDivisionError:
                 subset = next(s for s, value in zip(subsets, values) if value.contains_zero())
-                raise UndecidedError(
-                    f"reciprocal of the branch value f_{list(subset)} at {direction}: "
-                    f"its {prec}-bit enclosure contains 0"
-                ) from None
-        out.extend(zip(itertools.repeat(direction), subsets, values))
-    return out
+                raise UndecidedError(f"reciprocal of the branch value f_{list(subset)} at {direction}: "
+                                     f"its {prec}-bit enclosure contains 0") from None
+        yield direction, values
+
+
+class OmegaRows:
+    """Rows of three doubles, float_bounds() and mid_float(), in one array:
+    len() counts them, and iterating gives (direction, subset, lo, hi, mid),
+    each direction over all of .subsets in turn, every tuple shared."""
+
+    __slots__ = ("directions", "subsets", "floats")
+
+    def __init__(self, subsets: List[Tuple[int, ...]]):
+        self.directions, self.subsets, self.floats = [], subsets, array("d")
+
+    def __len__(self) -> int:
+        return len(self.directions) * len(self.subsets)
+
+    def __iter__(self):
+        floats = iter(self.floats)
+        for direction in self.directions:
+            for subset, lo, hi, mid in zip(self.subsets, floats, floats, floats):
+                yield direction, subset, lo, hi, mid
+
+
+def omega_samples(
+    sys: SystemDescriptor,
+    directions: Sequence[Sequence[float]],
+    convention: str = INVERSE_ROOT,
+    prec: int = DEFAULT_PRECISION,
+) -> OmegaRows:
+    """The doubles of _branch_balls at each direction (f_L, or 1 / f_L for
+    root-location, which raises UndecidedError where the enclosure of f_L
+    contains 0), so that no ball outlives its direction."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    rows = OmegaRows(branch_subsets(sys))
+    for direction, values in _branch_balls(sys, rows.subsets, directions, convention, prec):
+        rows.directions.append(direction)
+        for value in values:
+            rows.floats.extend((*value.float_bounds(), value.mid_float()))
+    return rows
 
 
 # --------------------------------------------------------------------------

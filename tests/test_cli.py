@@ -446,29 +446,18 @@ def test_omega_rows_match_golden(tmp_path):
     assert omega_row_digests(tmp_path) == golden
 
 
-class Bounds:
-    """A stand-in for a value ball: fixed float bounds."""
-
-    def __init__(self, lo, hi):
-        self.bounds = (lo, hi)
-
-    def float_bounds(self):
-        return self.bounds
-
-
 SPECIAL_FLOATS = (0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 1 / 3, -2.5e-7)
 
 
-def synthetic_rows(d: int) -> list:
-    """Rows over special floats, with an empty branch and repeated indices;
-    rows of one direction share its tuple, as omega_samples returns them."""
-    subsets = [(), (0,), (0, 0), (0, 1, 1, 2)]
+def synthetic_rows(d: int) -> subdynamics.OmegaRows:
+    """Rows over special floats, with an empty branch and repeated indices,
+    in the row object omega_samples returns."""
+    rows = subdynamics.OmegaRows([(), (0,), (0, 0), (0, 1, 1, 2)])
     specials = itertools.cycle(SPECIAL_FLOATS)
-    rows = []
     for _ in range(5):
-        direction = tuple(next(specials) for _ in range(d))
-        for subset in subsets:
-            rows.append((direction, subset, Bounds(next(specials), next(specials))))
+        rows.directions.append(tuple(next(specials) for _ in range(d)))
+        for _ in rows.subsets:
+            rows.floats.extend(next(specials) for _ in range(3))
     return rows
 
 
@@ -479,9 +468,9 @@ def row_dicts(rows) -> list:
         {
             "direction": [_round12(x) for x in direction],
             "branch": list(subset),
-            "value": [_round12(b) for b in value.float_bounds()],
+            "value": [_round12(lo), _round12(hi)],
         }
-        for direction, subset, value in rows
+        for direction, subset, lo, hi, _ in rows
     ]
 
 
@@ -568,20 +557,23 @@ def test_failure_while_sampling_writes_nothing(tmp_path, monkeypatch, capsys, ar
 @pytest.mark.parametrize(
     "argv",
     [
-        # 100,000 directions x 64 branches; 10^10 sphere directions
+        # 100,000 directions x 64 branches; 10^10 sphere directions x 2 branches
         ["omega", "dk-sextic", "--samples", "100000"],
         ["portrait", "times2times3times5", "--samples", "100000"],
     ],
 )
 def test_row_cap_exits_before_sampling(tmp_path, capsys, argv):
+    rows = {
+        "dk-sextic": "6400000 omega rows (100000 directions x 64 branches)",
+        "times2times3times5": "20000000000 omega rows (10000000000 directions x 2 branches)",
+    }[argv[1]]
     for output in ([], ["--output", str(tmp_path / "out")]):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, *output)
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"exceed the omega row cap of {subdynamics.MAX_OMEGA_ROWS}" in err
+        assert err == f"error: {rows} exceed the omega row cap of {subdynamics.MAX_OMEGA_ROWS}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -605,7 +597,7 @@ def test_row_cap_counts_branches_without_building_them(monkeypatch):
         raise AssertionError("branch_subsets built the branches to count them")
 
     monkeypatch.setattr(subdynamics, "branch_subsets", listed)
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"^8001000 omega rows \(1000 directions x 8001 branches\) exceed"):
         default_directions(sys_, 1000)
 
 

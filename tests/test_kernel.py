@@ -2,14 +2,18 @@
 
 import ast
 import json
+import math
 import pathlib
+import random
 from fractions import Fraction
+
+from mpmath.libmp import from_man_exp, to_float
 
 import pytest
 
 import rankone
 from rankone import cli
-from rankone.balls import ComplexBall, RealBall, interval_sign, precisions
+from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds, interval_sign, precisions
 from rankone.exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
 from rankone.rationals import (
     factor_fraction,
@@ -85,6 +89,35 @@ def test_float_bounds_bracket_midpoint():
     ball = RealBall.from_fraction(Fraction(22, 7), 53)
     lo, hi = ball.float_bounds()
     assert lo <= 22 / 7 <= hi
+
+
+def test_float_bounds_are_the_nearest_doubles_outside():
+    # midpoints and radii of random sizes with exponents in [-1100, 1100]:
+    # past the largest double, in the subnormals, across zero and in between
+    rng = random.Random(22)
+    normal = 0
+    for _ in range(3000):
+        exp = rng.randint(-1100, 1100)
+        bits = rng.randint(1, 120)
+        man = rng.getrandbits(bits) | 1
+        mid = from_man_exp(-man if rng.getrandbits(1) else man, exp - bits)
+        rad = from_man_exp(rng.getrandbits(30) | 1, exp - bits - rng.randint(-5, 80))
+        ball = RealBall(mid, rad)
+        lo, hi = ball.float_bounds()
+        exact_lo, exact_hi = ball_to_fraction_bounds(ball)
+        # lo is the largest double <= the lower end, hi the smallest >= the upper end
+        assert lo < math.inf and hi > -math.inf
+        above, below = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
+        assert lo == -math.inf or Fraction(lo) <= exact_lo
+        assert above == math.inf or Fraction(above) > exact_lo
+        assert hi == math.inf or Fraction(hi) >= exact_hi
+        assert below == -math.inf or Fraction(below) < exact_hi
+        if all(2.0 ** -1022 <= abs(x) <= 1.7976931348623157e308 for x in (lo, hi)):
+            # the normal range: the exact ends rounded outward, as before
+            normal += 1
+            ends = ball._bounds()
+            assert (lo, hi) == (to_float(ends[0], rnd="f"), to_float(ends[1], rnd="c"))
+    assert normal > 2000
 
 
 def test_complex_mul_contains_exact_gaussian_value():

@@ -1,8 +1,10 @@
 """Expansive subdynamics: hyperplanes, crossings, branches, entropy, portraits."""
 
+import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -251,10 +253,21 @@ def test_check_unit_admits_the_float_grids_at_any_precision():
     _check_unit((Fraction(1), Fraction(1, 2 ** 20)), 81)  # tolerance 2^-40
 
 
+def branch_ball_rows(sys_, directions, convention="inverse-root", prec=64):
+    """(direction, subset, ball) rows from the per-direction generator
+    behind omega_samples."""
+    subsets = branch_subsets(sys_)
+    return [
+        (direction, subset, value)
+        for direction, values in subdynamics._branch_balls(sys_, subsets, directions, convention, prec)
+        for subset, value in zip(subsets, values, strict=True)
+    ]
+
+
 def test_omega_convention_duality():
     directions = [(1.0, 0.0), (SQRT_HALF, SQRT_HALF), (0.0, -1.0)]
-    inv = omega_samples(S23, directions, "inverse-root")
-    loc = omega_samples(S23, directions, "root-location")
+    inv = branch_ball_rows(S23, directions, "inverse-root")
+    loc = branch_ball_rows(S23, directions, "root-location")
     assert len(inv) == len(loc) == 6
     for (va, sa, a), (vb, sb, b) in zip(inv, loc):
         assert va == vb and sa == sb
@@ -344,6 +357,7 @@ def test_portrait_json_shape_and_determinism():
     assert len(doc["hyperplanes"]) == 3
     assert doc["omega"] == []  # structure only; writers fill it from omega_samples
     rows = omega_samples(S23, [(1.0, 0.0), (0.0, 1.0)])
+    assert isinstance(rows, subdynamics.OmegaRows) and len(rows) == 4
     printed = json.loads("".join(cli._json_with_rows(doc, "omega", rows)))
     assert len(printed["omega"]) == 4  # 2 directions x 2 branches
     again = build_portrait(S23).to_json()
@@ -475,7 +489,7 @@ def test_omega_samples_equal_left_fold(system, convention):
             with pytest.raises(UndecidedError, match=f"its {prec}-bit enclosure contains 0$"):
                 omega_samples(system, directions, convention, prec)
             continue
-        got = omega_samples(system, directions, convention, prec)
+        got = branch_ball_rows(system, directions, convention, prec)
         assert [(v, s) for v, s, _ in got] == [(v, s) for v, s, _ in want]
         assert [(b.mid, b.rad) for _, _, b in got] == [(b.mid, b.rad) for _, _, b in want]
 
@@ -486,8 +500,81 @@ def test_omega_factor_memo_starts_over_at_its_size(monkeypatch):
     directions = default_directions(T235, 6)
     want = left_fold_samples(T235, directions, "inverse-root")
     monkeypatch.setattr(subdynamics, "_FACTOR_MEMO_SIZE", 2)
-    got = omega_samples(T235, directions)
+    got = branch_ball_rows(T235, directions)
     assert [(v, s, b.mid, b.rad) for v, s, b in got] == [(v, s, b.mid, b.rad) for v, s, b in want]
+
+
+@pytest.mark.parametrize("convention", ["inverse-root", "root-location"])
+@pytest.mark.parametrize("system", [S23, LED, T235, SEXTIC, DOUBLED])
+def test_omega_samples_are_the_doubles_of_the_branch_balls(system, convention):
+    directions = default_directions(system, 4)
+    rows = omega_samples(system, directions, convention)
+    balls = branch_ball_rows(system, directions, convention)
+    assert len(rows) == len(balls)
+    assert list(rows) == [(v, s, *b.float_bounds(), b.mid_float()) for v, s, b in balls]
+    # each direction is one tuple, shared by its rows
+    assert len({id(v) for v, *_ in rows}) == len(directions)
+
+
+def test_sextic_branches_take_47_products_per_direction(monkeypatch):
+    # characters 2 and 3 of dk-sextic both have a zero log-vector, so the 16
+    # branch pairs that differ only in 2 <-> 3 share one product: 63 - 16
+    V, W = SEXTIC.characters()
+    assert len(branch_subsets(SEXTIC)) == 64 and not W
+    zero = [k for k, chi in enumerate(V) if all(e.is_trivially_zero() for e in chi.log_vector)]
+    assert zero == [2, 3]
+    # products inside a factor (its log forms and their sums) are not counted
+    in_factor = []
+    products = []
+    real_mul = RealBall.mul
+
+    def uncounted(method):
+        def wrapped(*args):
+            in_factor.append(method)
+            try:
+                return method(*args)
+            finally:
+                in_factor.pop()
+        return wrapped
+
+    def mul(self, other, prec):
+        if not in_factor:
+            products.append(prec)
+        return real_mul(self, other, prec)
+
+    for name in ("__init__", "at"):
+        monkeypatch.setattr(subdynamics._OmegaFactor, name, uncounted(getattr(subdynamics._OmegaFactor, name)))
+    monkeypatch.setattr(RealBall, "mul", mul)
+    directions = default_directions(SEXTIC, 8)
+    rows = omega_samples(SEXTIC, directions)
+    assert len(rows) == 8 * 64
+    assert len(products) == 8 * 47
+
+
+def test_sextic_rows_hold_under_3_mb(monkeypatch):
+    # 720 x 64 rows of three doubles; as balls they held about 17.7 MB.  What
+    # the rows hold does not depend on the values, so every direction takes
+    # the balls of the first one, which keeps tracemalloc's slowdown small
+    directions = default_directions(SEXTIC)
+    subsets = branch_subsets(SEXTIC)
+    _, values = next(subdynamics._branch_balls(SEXTIC, subsets, directions, "inverse-root", 64))
+
+    def first_balls(sys_, subsets, directions, convention, prec):
+        for direction in directions:
+            yield tuple(float(x) for x in direction), values
+
+    monkeypatch.setattr(subdynamics, "_branch_balls", first_balls)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = omega_samples(SEXTIC, directions)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 720 * 64
+    assert held < 3_000_000
 
 
 @pytest.mark.parametrize("prec", list(range(1, 129)) + [4096])

@@ -14,7 +14,11 @@ and RANKONE_MAX_PRECISION_BITS, else from the defaults module; main
 resolves them once and passes them to the library as arguments.
 
 Each subcommand imports the modules only it uses, so `periodic`, which
-does integer work alone, never loads mpmath or the interval arithmetic.
+does integer work alone, never loads mpmath or the interval arithmetic, and
+`portrait` loads svg only for --format svg.  Below the subcommands each
+component class loads its own arithmetic (system), so a `periodic` run
+loads only what its descriptor's classes need, and hashlib only for the
+descriptor_hash of JSON output.
 """
 
 from __future__ import annotations
@@ -255,11 +259,12 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_portrait(args) -> int:
     from . import subdynamics as sd
-    from . import svg as svgmod
 
     system = _load_descriptor(args.descriptor)
     svg = args.format == "svg"
     if svg:
+        from . import svg as svgmod
+
         svgmod.check_dimension(system.d)
     # curves are cheap on the circle; SVG and d >= 3 stay structural unless
     # --samples asks for them, and the d = 3 SVG draws no rows at all

@@ -18,7 +18,6 @@ elements come from a generator seeded by the input, so runs are repeatable.
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Iterator, Tuple
 
 from .rationals import is_prime
@@ -269,6 +268,8 @@ def _distinct_degree(f: FpPoly) -> Iterator[Tuple[int, FpPoly]]:
 
 def _equal_degree(f: FpPoly, d: int) -> list:
     """Split squarefree f, all of whose irreducible factors have degree d."""
+    import random
+
     p = f.p
     if f.degree == d:
         return [f.monic()]

@@ -4,12 +4,13 @@ Matrices are lists of lists of Fractions (row major).  Everything here is
 dense and small (dimensions bounded by the number-field degree, ten or
 so).  The determinant clears each row's denominators and then runs Bareiss's
 fraction-free elimination on Python ints, so no Fraction is formed until
-the final quotient; it is the one determinant behind both number-field
-norms and the determinant oracle.  Inverse and rank use plain Gaussian
-elimination over Fraction.  The characteristic polynomial runs the
-Faddeev-LeVerrier recurrence on Python ints, on A scaled by the lcm of its
-denominators; it needs no pivoting at all, and so gives a determinant-free
-second route to det(I - A) = charpoly(1).
+the final quotient, and none at all for a matrix of ints; it is the one
+determinant behind both number-field norms and the determinant oracle.
+Inverse and rank use plain Gaussian elimination over Fraction.  The
+characteristic polynomial runs the Faddeev-LeVerrier recurrence on Python
+ints, on A scaled by the lcm of its denominators; it needs no pivoting at
+all, and so gives a determinant-free second route to det(I - A) =
+charpoly(1).
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
@@ -58,31 +59,36 @@ def mat_pow(a: Matrix, n: int) -> Matrix:
     return result
 
 
-def det(a: Matrix) -> Fraction:
+def det(a: Matrix):
     """Exact determinant by Bareiss elimination over Python ints.
 
-    Entries may be Fractions or ints; an integer row is its own scaling.
-    Row i is scaled by the lcm s_i of its denominators, so the scaled matrix
-    is integral and det(a) = det(scaled) / prod(s_i).  Bareiss's step
+    Entries may be Fractions or ints.  A matrix of ints is eliminated as it
+    is and its determinant is an int.  Otherwise row i is scaled by the lcm
+    s_i of its denominators, so the scaled matrix is integral and
+    det(a) = det(scaled) / prod(s_i), a Fraction.  Bareiss's step
     m[r][c] <- (m[r][c] * m[k][k] - m[r][k] * m[k][c]) / prev, with prev the
     previous pivot, divides exactly by Sylvester's identity; the division is
     checked, and a remainder raises ArithmeticError rather than returning a
     wrong determinant.  Row swaps find a nonzero pivot and flip the sign.
     """
     n = len(a)
-    scale = 1
-    m = []
-    for row in a:
-        den = math.lcm(*(x.denominator for x in row))
-        scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    scale = None  # stays None for a matrix of ints
+    if all(type(x) is int for row in a for x in row):
+        m = [list(row) for row in a]
+    else:
+        scale = 1
+        m = []
+        for row in a:
+            den = math.lcm(*(x.denominator for x in row))
+            scale *= den
+            m.append([x.numerator * (den // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0 if scale is None else Fraction(0)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         rowk = m[k]
@@ -96,7 +102,8 @@ def det(a: Matrix) -> Fraction:
                     raise ArithmeticError("Bareiss elimination step left a remainder")
                 rowr[c] = q
         prev = p
-    return Fraction(sign * m[n - 1][n - 1], scale) if n else Fraction(1)
+    value = sign * m[n - 1][n - 1] if n else 1
+    return value if scale is None else Fraction(value, scale)
 
 
 def mat_inv(a: Matrix) -> Matrix:

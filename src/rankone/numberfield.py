@@ -22,6 +22,12 @@ modulo a few primes usually settle it; the degrees those leave open go to a
 Hensel lift of the factors modulo one prime, whose products are tried as
 divisors over Z by exact division (Zassenhaus).
 
+Element products and norms run on integers: int_coords writes an element
+as an integer vector over one denominator, mul_coords multiplies such
+vectors modulo min_poly, and norm takes the determinant of integer
+columns.  A count keeps h as the pair (v, den) from start to finish, so it
+forms no Fraction at any lattice point.
+
 Only the isolation and embedding functions import balls and mpmath, at
 their entry, so element arithmetic, norms and the irreducibility test load
 neither.
@@ -239,35 +245,44 @@ def _reduce_in_place(f: IntPoly, coeffs: list) -> None:
                 coeffs[k - m + i] -= c * f[i]
 
 
-def _int_coords(x: Element) -> Tuple[List[int], int]:
+def int_coords(x: Element) -> Tuple[List[int], int]:
     """(v, d) with x = v / d, v an integer vector and d the lcm of x's denominators."""
     den = math.lcm(*(c.denominator for c in x))
     return [c.numerator * (den // c.denominator) for c in x], den
 
 
-def el_mul(spec: NumberFieldSpec, x: Element, y: Element) -> Element:
-    """x * y in Q[x]/(min_poly), computed on integers.
-
-    Each factor is written as an integer coordinate vector over its common
-    denominator; the integer product polynomial is reduced modulo the monic
-    integer min_poly, which needs no division, and divided by the product
-    of the two denominators once at the end.  The result is the same
-    canonical tuple of Fractions that Fraction arithmetic would give.
-    """
-    m = spec.degree
-    xs, dx = _int_coords(x)
-    ys, dy = _int_coords(y)
+def mul_coords(f: IntPoly, xs: Sequence[int], ys: Sequence[int]) -> List[int]:
+    """Integer coordinates of xs * ys in Z[x]/(f), for integer coordinate
+    vectors xs and ys: the integer product polynomial reduced modulo the
+    monic f, which needs no division."""
+    m = len(f) - 1
     out = [0] * (2 * m - 1)
     for i, a in enumerate(xs):
         if a:
             for j, b in enumerate(ys):
                 if b:
                     out[i + j] += a * b
-    _reduce_in_place(spec.min_poly, out)
+    _reduce_in_place(f, out)
+    del out[m:]
+    return out
+
+
+def el_mul(spec: NumberFieldSpec, x: Element, y: Element) -> Element:
+    """x * y in Q[x]/(min_poly), computed on integers.
+
+    Each factor is written as an integer coordinate vector over its common
+    denominator, the vectors are multiplied by mul_coords, and the result
+    is divided by the product of the two denominators once at the end.  It
+    is the same canonical tuple of Fractions that Fraction arithmetic would
+    give.
+    """
+    xs, dx = int_coords(x)
+    ys, dy = int_coords(y)
+    out = mul_coords(spec.min_poly, xs, ys)
     den = dx * dy
     if den == 1:
-        return tuple(Fraction(c) for c in out[:m])
-    return tuple(Fraction(c, den) for c in out[:m])
+        return tuple(Fraction(c) for c in out)
+    return tuple(Fraction(c, den) for c in out)
 
 
 def el_inv(spec: NumberFieldSpec, x: Element) -> Element:
@@ -293,16 +308,14 @@ def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:
     return result
 
 
-def _int_columns(spec: NumberFieldSpec, x: Element) -> Tuple[List[List[int]], int]:
-    """(cols, den): column j of the matrix of y -> x*y is cols[j] / den.
+def _int_columns(f: IntPoly, col: List[int]) -> List[List[int]]:
+    """Column j of the matrix of y -> x*y for x with integer coordinates col.
 
-    Works on x's integer coordinates over their common denominator.  Each
-    column is the previous one times the defining root a: the coordinates
-    shift up by one, and the top one, times a^m = -(f_0 + ... + f_(m-1) a^(m-1)),
-    is folded back in by one reduction step.
+    Each column is the previous one times the defining root a: the
+    coordinates shift up by one, and the top one, times
+    a^m = -(f_0 + ... + f_(m-1) a^(m-1)), is folded back in by one
+    reduction step.
     """
-    f = spec.min_poly
-    col, den = _int_coords(x)
     cols = [col]
     for _ in range(len(f) - 2):
         top = col[-1]
@@ -310,25 +323,36 @@ def _int_columns(spec: NumberFieldSpec, x: Element) -> Tuple[List[List[int]], in
         if top:
             col = [c - top * fi for c, fi in zip(col, f)]
         cols.append(col)
-    return cols, den
+    return cols
 
 
 def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
     """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j."""
-    cols, den = _int_columns(spec, x)
+    col, den = int_coords(x)
+    cols = _int_columns(spec.min_poly, col)
     return [[Fraction(col[i], den) for col in cols] for i in range(len(cols))]
 
 
-def norm(spec: NumberFieldSpec, x: Element, c: int = 0) -> Fraction:
+def norm(spec: NumberFieldSpec, x: Sequence, c: int = 0):
     """Norm(x - c) for an integer c: det of the multiplication matrix of
-    x - c, taken on its integer columns (the transpose, with the same
-    determinant) and divided by den^m once.  Subtracting c moves only the
-    diagonal, by c * den, so x - c is never formed."""
-    cols, den = _int_columns(spec, x)
+    x - c, taken on integer columns (the transpose, with the same
+    determinant).  Subtracting c moves only the diagonal, so x - c is never
+    formed.
+
+    x is an element, whose columns are its integer coordinates over their
+    common denominator den and whose norm is the Fraction det / den^m; or
+    an integer coordinate vector, whose norm is an int found on ints alone.
+    A count takes h = v / den as the vector v with c = den:
+    Norm(v - den) = den^m Norm(h - 1).
+    """
+    integral = all(type(v) is int for v in x)
+    col, den = (list(x), 1) if integral else int_coords(x)
+    cols = _int_columns(spec.min_poly, col)
     if c:
         for j, col in enumerate(cols):
             col[j] -= c * den
-    return mat_det(cols) / den ** len(cols)
+    value = mat_det(cols)
+    return value if integral else Fraction(value, den ** len(cols))
 
 
 def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:

@@ -12,8 +12,10 @@ factor in its own ``count_factor`` (system.py), on integers:
 - function_field: h = N/D from polynomial powers, unreduced and with no
   gcd; p is raised to the degree-weighted pole order of h - 1 = (N - D)/D
   at the marked places, the order at pi being ord_pi(N - D) - ord_pi(D).
-- number_field_units: |Norm(h - 1)| as one exact determinant of h's
-  integer multiplication matrix with the diagonal moved by its denominator.
+- number_field_units: h = v / den from the powers' integer coordinates,
+  multiplied modulo min_poly; |Norm(h - 1)| is the determinant of v's
+  integer multiplication matrix with the diagonal moved by den, divided by
+  den^m once.  No Fraction is formed.
 
 Work that does not depend on the lattice point is done once per component
 and cached on it: marked places, S-primes, the size estimate, and every
@@ -23,10 +25,12 @@ each generator is inverted once).  Fix(alpha^n) = Fix(alpha^-n), so a box
 counts each +-n pair once: a point whose mirror -n came earlier takes its
 count.  The rest costs one power per generator and row or column, plus per
 point one product of the powers and one difference, determinant or set of
-place orders.  Every count checks its own size estimate against
-DEFAULT_BIT_BUDGET, read at call time, so a box's error names its first
-point over the budget in box order.  A count sequence is checked once more
-before any count, at the first period over the budget
+place orders.  Every count checks its own size estimate, which bounds the
+count's size from above, against DEFAULT_BIT_BUDGET, read at call time, so
+a box's error names its first point over the budget in box order; the
+estimate's factor, sum_c mult_c * bit_height_c, is formed once per
+descriptor (SystemDescriptor.bit_height).  A count sequence is checked once
+more before any count, at the first period over the budget
 (check_sequence_budget, which zeta also calls before it builds any branch).
 Before any count, a box's summed estimate, which has a closed form, is held
 to MAX_GRID_BITS.
@@ -34,10 +38,12 @@ to MAX_GRID_BITS.
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each
 generator's multiplication matrix from the companion matrix of min_poly,
-multiplies matrix powers, and takes one determinant of the product minus
-the identity.  The only code the two routes share is linalg.det: count
-forms h with numberfield's el_pow/el_mul and the per-instance power memo,
-and the oracle uses none of these.
+multiplies matrix powers of Fractions, and takes one determinant of the
+product minus the identity.  The only code the two routes share is
+linalg.det: count forms h with numberfield's el_pow, int_coords and
+mul_coords and the per-instance power memo, and the oracle uses none of
+these.  linalg is imported by det_oracle alone, so a count loads only the
+modules of its descriptor's component classes.
 """
 
 from __future__ import annotations
@@ -45,11 +51,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ResourceCapError, UnsupportedOperationError
-from .linalg import Matrix, det, identity, mat_mul, mat_pow
 from .system import SystemDescriptor
+
+if TYPE_CHECKING:
+    from .linalg import Matrix
 
 DEFAULT_BIT_BUDGET = 10 ** 6
 # a grid and its output text are held in memory, about 0.6 KB per lattice point
@@ -104,9 +112,8 @@ INFINITE = PeriodicCount(None)
 
 
 def _estimate(sys: SystemDescriptor, exponents: Sequence[int]) -> int:
-    # the count, prod_c value_c^mult_c, has about sum_c mult_c * weight * bit_height_c bits
-    weight = sum(abs(e) for e in exponents)
-    return weight * sum(mult * comp.bit_height for comp, mult in sys.components)
+    # the count, prod_c value_c^mult_c, has at most weight * sum_c mult_c * bit_height_c bits
+    return sum(abs(e) for e in exponents) * sys.bit_height
 
 
 def _check_budget(sys: SystemDescriptor, exponents: Sequence[int]) -> None:
@@ -237,6 +244,8 @@ def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicC
     Works entirely with multiplication matrices: integer matrix powers, one
     exact determinant.  Zero determinant reports the infinite count.
     """
+    from .linalg import det, identity, mat_mul, mat_pow
+
     for comp, _ in sys.components:
         if comp.kind != "number_field_units":
             raise UnsupportedOperationError(
@@ -267,6 +276,8 @@ def _companion_multiplication_matrix(min_poly: Sequence[int], g: Sequence[Fracti
     C is the companion matrix of min_poly, the matrix of multiplication by
     the defining root; built from linalg alone, independently of el_mul.
     """
+    from .linalg import identity, mat_mul
+
     m = len(min_poly) - 1
     companion = [[Fraction(int(i == j + 1)) for j in range(m)] for i in range(m)]
     for i in range(m):

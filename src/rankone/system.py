@@ -23,6 +23,13 @@ periodic count (None when h = 1), ``arch_factors`` is (exact value, part to
 embed) for h at each archimedean character in ``characters()`` order, and
 ``ergodicity`` is (status, notes).
 
+Each class imports its own arithmetic where it first needs it: numberfield
+(which brings linalg, and fppoly for its irreducibility test) for
+number_field_units, fppoly for function_field, linalg for the s_integer
+and function_field ergodicity ranks.  Only rationals, which every class
+uses, is imported here at load, so a run loads the modules of its
+descriptor's classes and no others; descriptor_hash imports hashlib.
+
 The archimedean characters of a component go into the V list, the
 nonarchimedean ones into W.  Orderings are deterministic: components in
 descriptor order, embeddings in certified root order, finite primes
@@ -33,29 +40,21 @@ infinite place last.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import math
 from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import numberfield as nf
 from .defaults import DEFAULT_PRECISION, MAX_PRECISION
 from .errors import DescriptorError
-from .fppoly import (
-    FpPoly,
-    FpRationalFunction,
-    fp_ord_at,
-    fp_ord_infinity,
-    parse_rational_function,
-)
-from .linalg import rank
 from .rationals import factor_fraction, is_prime, prime_to_s_part
 
 if TYPE_CHECKING:
     from .balls import RealBall
     from .exactlog import ExactLog
+    from .fppoly import FpPoly, FpRationalFunction
+    from .numberfield import Element
 
 ARCHIMEDEAN = "archimedean"
 NONARCHIMEDEAN = "nonarchimedean"
@@ -232,6 +231,8 @@ class SIntegerComponent:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
         # ergodicity is exactly full rank of the prime exponent matrix.
+        from .linalg import rank
+
         primes = self.s_primes
         rows = []
         for r in self.generators:
@@ -259,6 +260,8 @@ class NumberFieldUnitsComponent:
     kind = "number_field_units"
 
     def __init__(self, min_poly: Sequence[int], generators: Sequence[Sequence], path: str):
+        from . import numberfield as nf
+
         try:
             self.field = nf.NumberFieldSpec(min_poly)
         except ValueError as exc:
@@ -281,8 +284,11 @@ class NumberFieldUnitsComponent:
             if not nf.is_unit(self.field, g):
                 raise DescriptorError(gpath, "generator is not a unit of the ring of integers")
             gens.append(g)
-        self.generators: Tuple[nf.Element, ...] = tuple(gens)
-        self._powers: Dict[Tuple[int, int], nf.Element] = {}
+        self.generators: Tuple[Element, ...] = tuple(gens)
+        # (i, e) -> integer (v, den) with g_i^e = v / den, for the counts;
+        # i -> g_i^-1, whose powers are the negative ones
+        self._powers: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int]] = {}
+        self._inverses: Dict[int, Element] = {}
 
     @property
     def d(self) -> int:
@@ -295,6 +301,8 @@ class NumberFieldUnitsComponent:
 
         Matching is certified and escalates to the hard cap of root
         isolation, so the cached characters never depend on a user cap."""
+        from . import numberfield as nf
+
         out = []
         for g in self.generators:
             charpoly = nf.element_charpoly(self.field, g)
@@ -321,6 +329,7 @@ class NumberFieldUnitsComponent:
         return out
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
+        from . import numberfield as nf
         from .exactlog import ExactLog
 
         identities = self._root_identities
@@ -348,45 +357,96 @@ class NumberFieldUnitsComponent:
 
     @functools.cached_property
     def bit_height(self) -> int:
-        """Rough bits-per-unit-exponent estimate used by the count size budget."""
+        """Bits per unit of exponent that bound a count's size from above.
+
+        |Norm(h - 1)| <= prod_k (|sigma_k(h)| + 1) over the m embeddings, and
+        every root of the monic min_poly lies below the Cauchy bound
+        R = 1 + max |f_i|, so |sigma_k(g)| <= B(g) = sum_j |g_j| R^j.  With M
+        the largest B(g_i) and B(g_i^-1), the count has at most
+        m * (ceil(log2 M) + 1) bits per unit of sum |e_i|.  The estimate is
+        the larger of that and m^2 times the generators' largest coordinate
+        size in bits.
+        """
+        m = self.field.degree
         coeff_bits = 1
         for g in self.generators:
             for c in g:
                 coeff_bits = max(
                     coeff_bits, c.numerator.bit_length() + c.denominator.bit_length()
                 )
-        return self.field.degree ** 2 * coeff_bits
+        radius = 1 + max(abs(c) for c in self.field.min_poly[:-1])
+        top = 1  # ceil(M), M the largest root-size bound B
+        for i, g in enumerate(self.generators):
+            for x in (g, self._inverse(i)):
+                bound = sum(abs(c) * radius ** j for j, c in enumerate(x))
+                top = max(top, math.ceil(bound))
+        return max(m ** 2 * coeff_bits, m * ((top - 1).bit_length() + 1))
 
-    def power_product(self, exponents: Sequence[int]) -> nf.Element:
-        """prod_i g_i^(e_i); each g_i^e is computed once and kept on the instance.
+    def _inverse(self, i: int) -> Element:
+        """g_i^-1, computed once and kept on the instance."""
+        inverse = self._inverses.get(i)
+        if inverse is None:
+            from . import numberfield as nf
 
-        Over a box of lattice points only one power per generator and box
-        row or column is ever formed, so the memo stays small.  It also keeps
-        g_i^-1, whose powers are the negative ones: one inverse per generator.
+            inverse = self._inverses[i] = nf.el_inv(self.field, self.generators[i])
+        return inverse
+
+    def _power(self, i: int, e: int) -> Tuple[Tuple[int, ...], int]:
+        """(v, den) with g_i^e = v / den, e != 0, computed once.
+
+        g_i^e comes from el_pow; a negative power is a power of g_i^-1, so
+        each generator is inverted once.  Over a box of lattice points only
+        one power per generator and box row or column is ever formed, so the
+        memo stays small.
         """
-        out = None
-        for i, (g, e) in enumerate(zip(self.generators, exponents)):
+        entry = self._powers.get((i, e))
+        if entry is None:
+            from . import numberfield as nf
+
+            base = self.generators[i] if e > 0 else self._inverse(i)
+            v, den = nf.int_coords(nf.el_pow(self.field, base, abs(e)))
+            entry = self._powers[(i, e)] = (tuple(v), den)
+        return entry
+
+    def _product_coords(self, exponents: Sequence[int]) -> Tuple[Sequence[int], int]:
+        """(v, den) with h = prod_i g_i^(e_i) = v / den, on integers: the
+        powers' integer coordinates multiplied by mul_coords and their
+        denominators multiplied, not reduced."""
+        from . import numberfield as nf
+
+        v, den = None, 1
+        for i, e in enumerate(exponents):
             if e:
-                power = self._powers.get((i, e))
-                if power is None:
-                    base = g if e > 0 else self._powers.get((i, -1))
-                    if base is None:
-                        base = self._powers[(i, -1)] = nf.el_inv(self.field, g)
-                    power = self._powers[(i, e)] = nf.el_pow(self.field, base, abs(e))
-                out = power if out is None else nf.el_mul(self.field, out, power)
-        return nf.el_one(self.field) if out is None else out
+                pv, pden = self._power(i, e)
+                v = pv if v is None else nf.mul_coords(self.field.min_poly, v, pv)
+                den *= pden
+        if v is None:
+            v = (1,) + (0,) * (self.field.degree - 1)
+        return v, den
+
+    def power_product(self, exponents: Sequence[int]) -> Element:
+        """prod_i g_i^(e_i) as an element."""
+        v, den = self._product_coords(exponents)
+        return tuple(Fraction(c, den) for c in v)
 
     def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
-        """|Norm(h - 1)| as one exact determinant; None when h = 1."""
-        h = self.power_product(exponents)
-        if h[0] == 1 and not any(h[1:]):
+        """|Norm(h - 1)| on integers alone; None when h = 1.
+
+        With h = v / den, norm takes the integer vector v and c = den:
+        Norm(v - den) = den^m Norm(h - 1) is one integer determinant, and
+        one exact division by den^m gives the count's factor.
+        """
+        from . import numberfield as nf
+
+        v, den = self._product_coords(exponents)
+        if v[0] == den and not any(v[1:]):
             return None
-        value = nf.norm(self.field, h, 1)
-        if value.denominator != 1:
+        value, rem = divmod(nf.norm(self.field, v, den), den ** self.field.degree)
+        if rem:
             raise ArithmeticError("norm of an algebraic integer must be an integer")
         if value == 0:
             raise ArithmeticError("in a field h - 1 != 0 must have nonzero norm")
-        return abs(value.numerator)
+        return abs(value)
 
     def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[None, tuple]]:
         """Per embedding k, the part (min_poly, k, h) that embeds h there."""
@@ -461,6 +521,8 @@ class FunctionFieldComponent:
     kind = "function_field"
 
     def __init__(self, characteristic: int, generators: Sequence, path: str):
+        from .fppoly import parse_rational_function
+
         if not isinstance(characteristic, int) or isinstance(characteristic, bool):
             raise DescriptorError(f"{path}.characteristic", "expected a prime integer")
         if not is_prime(characteristic):
@@ -489,6 +551,8 @@ class FunctionFieldComponent:
 
     @functools.cached_property
     def finite_places(self) -> Tuple[FpPoly, ...]:
+        from .fppoly import fp_ord_at
+
         places = set()
         for g in self.generators:
             for part in (g.num, g.den):
@@ -501,6 +565,8 @@ class FunctionFieldComponent:
 
     @functools.cached_property
     def infinite_place_needed(self) -> bool:
+        from .fppoly import fp_ord_infinity
+
         return any(fp_ord_infinity(g) != 0 for g in self.generators)
 
     @functools.cached_property
@@ -511,6 +577,7 @@ class FunctionFieldComponent:
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
         from .exactlog import ExactLog
+        from .fppoly import fp_ord_at, fp_ord_infinity
 
         log_p = ExactLog.from_rational(Fraction(self.p))
         nonarch = []
@@ -557,6 +624,8 @@ class FunctionFieldComponent:
         Each is computed once and kept on the instance."""
         entry = self._powers.get((i, e))
         if entry is None:
+            from .fppoly import fp_ord_at
+
             g = self.generators[i]
             num, den = (g.num, g.den) if e > 0 else (g.den, g.num)
             ords = tuple(abs(e) * fp_ord_at(den, pi) for pi in self.finite_places)
@@ -574,6 +643,8 @@ class FunctionFieldComponent:
         deg D - deg(N - D) whatever factor N and D share.  ord_pi(D) is the
         sum of the memoized orders, so only N - D is divided by each place.
         """
+        from . import fppoly
+
         num = den = ords = None
         for i, e in enumerate(exponents):
             if e:
@@ -588,7 +659,7 @@ class FunctionFieldComponent:
         diff = num.sub(den)
         exponent = 0
         for pi, ord_den in zip(self.finite_places, ords):
-            exponent -= (fp_ord_at(diff, pi) - ord_den) * pi.degree
+            exponent -= (fppoly.fp_ord_at(diff, pi) - ord_den) * pi.degree
         if self.infinite_place_needed:
             exponent -= den.degree - diff.degree
         # h - 1 has poles only at marked places, so the unmarked part of the
@@ -606,6 +677,9 @@ class FunctionFieldComponent:
         # kernel vector of the order matrix makes the product a constant in
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
         # matrix rank decides exactly.
+        from .fppoly import fp_ord_at, fp_ord_infinity
+        from .linalg import rank
+
         places = self.finite_places
         rows = []
         for g in self.generators:
@@ -655,6 +729,12 @@ class SystemDescriptor:
             self._characters = (tuple(arch), tuple(nonarch))
         return self._characters
 
+    @functools.cached_property
+    def bit_height(self) -> int:
+        """sum_c mult_c * bit_height_c: bits per unit of sum |n_i| j that
+        bound a periodic count's size from above, for the count budget."""
+        return sum(mult * comp.bit_height for comp, mult in self.components)
+
     def all_characters(self) -> Tuple[Character, ...]:
         arch, nonarch = self.characters()
         return arch + nonarch
@@ -670,6 +750,8 @@ class SystemDescriptor:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
     def descriptor_hash(self) -> str:
+        import hashlib
+
         return hashlib.sha256(self.json_text().encode("utf-8")).hexdigest()
 
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:

@@ -85,6 +85,22 @@ def test_bit_budget_counts_multiplicity(tmp_path, capsys):
     assert err == "error: estimated size 15000000 bits exceeds the 1000000-bit budget\n"
 
 
+def test_budget_bounds_a_number_field_count_with_large_roots(tmp_path, capsys):
+    # x^2 - 1000x + 1: the generator x has coordinates (0, 1), but its root
+    # near 1000 gives the count at n = 120,000 about 1.2 million bits; the
+    # estimate (24 bits per unit of n) rejects it before any count, where
+    # the coordinate sizes alone (8 bits) let it run into Python's limit on
+    # integer-to-text conversion
+    path = tmp_path / "big-root.json"
+    path.write_text(json.dumps({"d": 1, "components": [
+        {"class": "number_field_units", "min_poly": [1, -1000, 1], "generators": [["0", "1"]]}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "periodic", str(path), "--range=120000..120000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: estimated size 2880000 bits exceeds the 1000000-bit budget\n"
+
+
 def test_periodic_output_file_equals_stdout(tmp_path, capsys):
     target = tmp_path / "grid.csv"
     code, out, err = run(
@@ -955,6 +971,55 @@ def test_periodic_loads_no_interval_stack():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# modules a CSV periodic run on each fixture must not import: a run loads
+# only its component classes' arithmetic, and hashlib only for JSON output
+UNUSED_BY_CLASS = {
+    "times2times3": ("rankone.numberfield", "rankone.fppoly", "rankone.linalg", "hashlib"),
+    "ledrappier": ("rankone.numberfield", "rankone.linalg", "hashlib"),
+    "sqrt2sqrt3": ("hashlib",),
+    "dk-sextic": ("hashlib",),
+}
+# sha256 of each fixture's canonical JSON, as periodic --format json prints it
+DESCRIPTOR_HASHES = {
+    "times2times3": "894603b53020a8d81ef7f3f029d47f527a48e8d736421b6483d1f9299bf97711",
+    "ledrappier": "7fbed1d46391e2b5f918757536b4d9374a63d511194d7518df83041b87f80511",
+    "sqrt2sqrt3": "e217df855667bbff0f5a38d8bd901ffdfa9f37ec8b54d520278e4cbdb22c11ca",
+    "dk-sextic": "2174a70153d9ca01cbf0b4c0143f05c9342126a7a8acafabc270a67d89223d55",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(UNUSED_BY_CLASS))
+def test_periodic_loads_only_its_classes_modules(fixture):
+    # one fresh process per fixture: the CSV run first, then a JSON run,
+    # which imports hashlib for its descriptor_hash
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from rankone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['periodic', {fixture!r}, '--range=-2..2,0..2']) == 0\n"
+        f"print([name for name in {UNUSED_BY_CLASS[fixture]!r} if name in sys.modules])\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert cli.main(['periodic', {fixture!r}, '--range=0..1,0..1', '--format', 'json']) == 0\n"
+        "print(json.loads(out.getvalue())['descriptor_hash'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[]\n{DESCRIPTOR_HASHES[fixture]}\n"
+
+
+def test_portrait_json_loads_no_svg():
+    script = (
+        "import contextlib, io, sys\n"
+        "from rankone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['portrait', 'times2times3', '--format', 'json', '--samples', '4']) == 0\n"
+        "print('rankone.svg' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_package_exports_resolve_lazily():

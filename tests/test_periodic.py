@@ -14,7 +14,7 @@ from rankone import numberfield as nf
 from rankone import periodic
 from rankone.errors import ResourceCapError, UnsupportedOperationError
 from rankone.fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
-from rankone.linalg import charpoly
+from rankone.linalg import charpoly, det
 from rankone.rationals import prime_to_s_part
 from rankone.system import parse_descriptor
 
@@ -244,6 +244,58 @@ def test_number_field_kernel_matches_det_oracle():
                 assert count(sys_, n, j) == det_oracle(sys_, n, j), (n, j)
 
 
+HALVES = {"d": 2, "components": [
+    {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
+     "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]}
+
+
+def _fraction_norm_reference(comp, exponents):
+    # Fractions all the way: h from el_pow and el_mul, h - 1 formed, and the
+    # determinant of its Fraction multiplication matrix
+    spec = comp.field
+    h = nf.el_one(spec)
+    for g, e in zip(comp.generators, exponents):
+        h = nf.el_mul(spec, h, nf.el_pow(spec, g, e))
+    if h == nf.el_one(spec):
+        return None
+    value = det(nf.mult_matrix(spec, (h[0] - 1,) + h[1:]))
+    assert value.denominator == 1
+    return abs(value.numerator)
+
+
+def test_integer_norm_matches_fraction_reference_and_oracle():
+    # every +-n of each box, so negative exponents and h = 1 at n = 0; the
+    # half-integer generators put a denominator on h
+    for sys_, r, fractional in ((load_fixture("sqrt2sqrt3"), 3, True), (load_fixture("dk-sextic"), 2, False),
+                                (parse_descriptor(HALVES), 3, True)):
+        (comp, mult), = sys_.components
+        denominators = set()
+        for n in itertools.product(range(-r, r + 1), repeat=2):
+            for j in (1, 2):
+                exponents = [j * c for c in n]
+                expected = _fraction_norm_reference(comp, exponents)
+                assert comp.count_factor(exponents) == expected, (sys_.label, n, j)
+                value = INFINITE if expected is None else expected ** mult
+                assert count(sys_, n, j) == det_oracle(sys_, n, j) == value, (sys_.label, n, j)
+                denominators.add(comp._product_coords(exponents)[1])
+        assert (max(denominators) > 1) == fractional, sys_.label
+
+
+@pytest.mark.parametrize("name", ["times2times3", "ledrappier", "sqrt2sqrt3", "dk-sextic", "big-root"])
+def test_estimate_bounds_the_count_from_above(name):
+    # big-root: x^2 - 1000x + 1, whose count at n has about 10n bits while
+    # its generator's coordinates take 2 bits
+    if name == "big-root":
+        sys_ = parse_descriptor({"d": 1, "components": [
+            {"class": "number_field_units", "min_poly": [1, -1000, 1], "generators": [["0", "1"]]}]})
+    else:
+        sys_ = load_fixture(name)
+    for n in itertools.product(range(-6, 7), repeat=sys_.d):
+        value = count(sys_, n, 3)
+        if value.is_finite:
+            assert value.value.bit_length() <= periodic._estimate(sys_, [3 * c for c in n]), n
+
+
 SYMMETRY_SYSTEMS = [
     # generators phi and phi^2 of Q(sqrt5): alpha^(2, -1) is the identity
     {"d": 2, "components": [{"class": "number_field_units", "min_poly": [-1, -1, 1],
@@ -308,7 +360,8 @@ def test_negative_powers_invert_each_generator_once(monkeypatch):
             patch.setattr(nf, "el_inv", lambda spec, x: inverted.append(x) or real_inv(spec, x))
             grid(sys_, [(-4, 1), (-3, 2)], 2)
         assert sorted(inverted) == sorted(comp.generators), name
-        for (i, e), power in comp._powers.items():
+        for (i, e), (v, den) in comp._powers.items():
+            power = tuple(Fraction(c, den) for c in v)
             assert power == nf.el_pow(comp.field, comp.generators[i], e), (name, i, e)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import rankone
-from rankone import system
+from rankone import fppoly, system
 from rankone.errors import DescriptorError
 from rankone.exactlog import vector_is_zero
 from rankone.system import (
@@ -294,7 +294,7 @@ def test_arch_factors_follow_the_archimedean_characters():
 
 def test_product_formula_violation_raises(monkeypatch):
     # a wrong order at the infinite place breaks the degree-weighted sum
-    real = system.fp_ord_infinity
-    monkeypatch.setattr(system, "fp_ord_infinity", lambda g: real(g) + 1)
+    real = fppoly.fp_ord_infinity
+    monkeypatch.setattr(fppoly, "fp_ord_infinity", lambda g: real(g) + 1)
     with pytest.raises(ArithmeticError, match="product formula"):
         load_fixture("ledrappier").characters()

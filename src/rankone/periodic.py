@@ -15,7 +15,7 @@ factor in its own ``count_factor`` (system.py), on integers:
 - number_field_units: h = v / den from the powers' integer coordinates,
   multiplied modulo min_poly; |Norm(h - 1)| is the determinant of v's
   integer multiplication matrix with the diagonal moved by den, divided by
-  den^m once.  No Fraction is formed.
+  den^m once, so no Fraction is formed per point.
 
 Work that does not depend on the lattice point is done once per component
 and cached on it: marked places, S-primes, the size estimate, and every

@@ -279,24 +279,43 @@ class RealBall:
 
     def float_bounds(self) -> tuple[float, float]:
         """The largest double <= the lower end, the smallest >= the upper end."""
-        return (_to_double(mpf_sub(self.mid, self.rad, 53, _DOWN), _DOWN),
-                _to_double(mpf_add(self.mid, self.rad, 53, _UP), _UP))
+        sign, man, exp, _ = self.mid
+        _, rman, rexp, _ = self.rad
+        if sign:
+            man = -man
+        # both ends exactly, as integers times 2^exp; fzero carries exponent 0
+        if not rman:
+            lo = hi = man
+        elif not man:
+            lo, hi, exp = -rman, rman, rexp
+        else:
+            if rexp < exp:
+                man <<= exp - rexp
+                exp = rexp
+            else:
+                rman <<= rexp - exp
+            lo, hi = man - rman, man + rman
+        # the ceiling is minus the floor of the negation; 0.0 - x keeps +0.0
+        return _floor_double(lo, exp), 0.0 - _floor_double(-hi, exp)
 
     def __repr__(self) -> str:
         return f"RealBall({self.mid_float()!r} +/- {self.rad_float():.3e})"
 
 
-def _to_double(x, rnd: str) -> float:
-    """The next double from x (53 bits, rounded toward rnd) toward rnd: x in
-    the normal range; below it a multiple of 2^-1074, a grid inside the
-    53-bit one; above it the largest double toward zero, else infinity."""
-    sign, man, exp, bc = x
-    if not man or -1021 <= exp + bc <= 1024:
-        return to_float(x)
-    if exp + bc > 1024:
-        big = sys.float_info.max if (rnd == _DOWN) != sign else math.inf
-        return -big if sign else big
-    return math.ldexp(libmp.to_int(mpf_shift(x, 1074), rnd), -1074)
+def _floor_double(n: int, exp: int) -> float:
+    """The largest double <= n * 2^exp: floored to 53 bits, or to a multiple
+    of 2^-1074 below the normal range; past the range the largest double
+    for a positive n and -inf for a negative one.  Never -0.0."""
+    if not n:
+        return 0.0
+    # the quantum: 2^-53 of the power of two above |n| * 2^exp, at least 2^-1074
+    quantum = max(n.bit_length() + exp - 53, -1074)
+    if quantum > exp:
+        n >>= quantum - exp  # >> floors, for either sign
+        exp = quantum
+    if n.bit_length() + exp > 1024:
+        return sys.float_info.max if n > 0 else -math.inf
+    return math.ldexp(n, exp)
 
 
 def _to_fraction(x) -> Fraction:

@@ -110,15 +110,26 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_chunks(obj) -> Iterator[str]:
+    """_json_text(obj) in pieces of a few thousand encoder chunks, so that
+    neither the text nor the list of its chunks is ever whole in memory."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        yield batch
+    yield "\n"
+
+
 # --------------------------------------------------------------------------
 # omega rows, written as they are formatted
 #
 # The rows are the (direction, subset, lo, hi, mid) of the OmegaRows that
 # omega_samples returns; mid is for the SVG.  The JSON rows are byte for
 # byte what _json_text writes, in a top-level array, for the dicts
-# {"branch", "direction", "value"} with every float through _round12; each
-# direction's text is rendered once per direction, each branch's once, and
-# only the two value bounds once per row.
+# {"branch", "direction", "value"} with every float through _round12.  Each
+# branch's text is rendered once, each direction's once, and the two value
+# bounds once per distinct ball of a direction (its slot, not the doubles,
+# names the ball, so 0.0 and -0.0 stay apart); each direction's rows are
+# one chunk.
 
 
 def _json_float(x: float) -> str:
@@ -140,34 +151,37 @@ def _json_array(items: Sequence[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def _rendered_rows(rows, direction_text, branch_text) -> Iterator[Tuple[str, str, float, float]]:
-    """(direction text, branch text, lo, hi) for each row."""
-    # rows run through rows.subsets in order at each direction
-    btexts = itertools.cycle([branch_text(subset) for subset in rows.subsets])
-    last = None
-    for (direction, _, lo, hi, _), btext in zip(rows, btexts):
-        if direction is not last:
-            last, dtext = direction, direction_text(direction)
-        yield dtext, btext, lo, hi
+def _direction_chunks(rows, branch_text, direction_text, value_text, direction_first: bool) -> Iterator[str]:
+    """One chunk per direction: its rows, each the branch's, the direction's
+    and the value's text, with the direction's first when direction_first."""
+    btexts = [branch_text(subset) for subset in rows.subsets]
+    for direction, slots, values in rows.by_direction():
+        dtext = direction_text(direction)
+        vtexts = [value_text(lo, hi) for lo, hi, _ in values]
+        parts = []
+        for btext, k in zip(btexts, slots):
+            parts += (dtext, btext, vtexts[k]) if direction_first else (btext, dtext, vtexts[k])
+        yield "".join(parts)
 
 
 def _omega_json_rows(rows) -> Iterator[str]:
-    """Each row's dict as an element of a top-level JSON array, with the
-    separator before it."""
+    """The rows' dicts as the elements of a top-level JSON array, each with
+    the separator before it but the first."""
     from .subdynamics import _round12
+
+    def branch_text(subset):
+        return ',\n    {\n      "branch": ' + _json_array([str(i) for i in subset], "      ")
 
     def direction_text(direction):
         coords = _json_array([_json_float(_round12(x)) for x in direction], "      ")
         return f',\n      "direction": {coords},\n      "value": [\n        '
 
-    def branch_text(subset):
-        return '\n    {\n      "branch": ' + _json_array([str(i) for i in subset], "      ")
+    def value_text(lo, hi):
+        return f"{_json_float(_round12(lo))},\n        {_json_float(_round12(hi))}\n      ]\n    }}"
 
-    sep = ""
-    for dtext, btext, lo, hi in _rendered_rows(rows, direction_text, branch_text):
-        yield (f"{sep}{btext}{dtext}{_json_float(_round12(lo))},\n"
-               f"        {_json_float(_round12(hi))}\n      ]\n    }}")
-        sep = ","
+    chunks = _direction_chunks(rows, branch_text, direction_text, value_text, False)
+    yield next(chunks)[1:]
+    yield from chunks
 
 
 def _json_with_rows(doc: dict, key: str, rows: Sized) -> Iterable[str]:
@@ -182,14 +196,16 @@ def _json_with_rows(doc: dict, key: str, rows: Sized) -> Iterable[str]:
 
 
 def _omega_csv_rows(rows) -> Iterator[str]:
-    def direction_text(direction):
-        return ",".join(f"{x:.12e}" for x in direction) + ","
-
     def branch_text(subset):
         return _csv_cell("{" + ",".join(str(i) for i in subset) + "}") + ","
 
-    for dtext, btext, lo, hi in _rendered_rows(rows, direction_text, branch_text):
-        yield f"{dtext}{btext}{lo:.12e},{hi:.12e}\n"
+    def direction_text(direction):
+        return ",".join(f"{x:.12e}" for x in direction) + ","
+
+    def value_text(lo, hi):
+        return f"{lo:.12e},{hi:.12e}\n"
+
+    return _direction_chunks(rows, branch_text, direction_text, value_text, True)
 
 
 def _csv_cell(value: str) -> str:
@@ -221,7 +237,7 @@ def _cmd_periodic(args) -> int:
             "j": args.j,
         }
         doc.update(result.to_json())
-        _emit([_json_text(doc)], args.output)
+        _emit(_json_chunks(doc), args.output)
     return EXIT_OK
 
 
@@ -253,7 +269,7 @@ def _cmd_zeta(args) -> int:
         "lambda": [c.coefficient for c in factors],
     }
     doc.update(zf.to_json())
-    _emit([_json_text(doc)], args.output)
+    _emit(_json_chunks(doc), args.output)
     return EXIT_OK
 
 
@@ -372,7 +388,7 @@ def _cmd_analyze(args) -> int:
     }
     for warning in warnings:
         print(f"warning: {warning}", file=_sys.stderr)
-    _emit([_json_text(doc)], args.output)
+    _emit(_json_chunks(doc), args.output)
     return EXIT_OK
 
 

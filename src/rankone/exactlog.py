@@ -98,13 +98,15 @@ def _reciprocal_match(poly: IntPoly) -> List[int]:
 
 
 class ExactLog:
-    """An immutable Q-linear combination of log atoms."""
+    """An immutable Q-linear combination of log atoms, which remembers its
+    enclosure at each precision it was evaluated at."""
 
-    __slots__ = ("prime_part", "root_part")
+    __slots__ = ("prime_part", "root_part", "_balls")
 
     def __init__(self, prime_part: Dict[int, Fraction], root_part: Dict[Atom, Fraction]):
         self.prime_part = {p: c for p, c in sorted(prime_part.items()) if c}
         self.root_part = dict(sorted((a, c) for a, c in root_part.items() if c))
+        self._balls: Dict[int, RealBall] = {}
 
     # --- constructors -------------------------------------------------
 
@@ -208,6 +210,12 @@ class ExactLog:
         return not self.prime_part and not self.root_part
 
     def evaluate(self, prec: int) -> RealBall:
+        ball = self._balls.get(prec)
+        if ball is None:
+            ball = self._balls[prec] = self._evaluate(prec)
+        return ball
+
+    def _evaluate(self, prec: int) -> RealBall:
         total = RealBall.zero()
         for p, c in self.prime_part.items():
             term = RealBall.from_int(p).log(prec + 8)

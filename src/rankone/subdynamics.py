@@ -401,7 +401,8 @@ def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
     fold g * a_L[0] * a_L[1] * ... though known work is skipped
     (_OmegaFactor).  Characters with equal terms give equal factor bits at
     every direction, so a branch whose sequence of such classes is an
-    earlier branch's shares that branch's ball instead of a product."""
+    earlier branch's shares that branch's ball instead of a product, and
+    its reciprocal too."""
     V, W = sys.characters()
     w_factors = [_OmegaFactor(chi, sys.d, True, prec) for chi in W]
     v_factors, kinds, classes = [], [], {}
@@ -429,33 +430,46 @@ def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
         for k, c in steps:
             values.append(values[k] if c is None else values[k].mul(arch_vals[c], prec))
         if convention == ROOT_LOCATION:
-            try:
-                values = [value.recip(prec) for value in values]
-            except ZeroDivisionError:
-                subset = next(s for s, value in zip(subsets, values) if value.contains_zero())
-                raise UndecidedError(f"reciprocal of the branch value f_{list(subset)} at {direction}: "
-                                     f"its {prec}-bit enclosure contains 0") from None
+            recips = {}
+            for subset, value in zip(subsets, values):
+                if id(value) not in recips:
+                    try:
+                        recips[id(value)] = value.recip(prec)
+                    except ZeroDivisionError:
+                        raise UndecidedError(f"reciprocal of the branch value f_{list(subset)} at {direction}: "
+                                             f"its {prec}-bit enclosure contains 0") from None
+            values = [recips[id(value)] for value in values]
         yield direction, values
 
 
 class OmegaRows:
-    """Rows of three doubles, float_bounds() and mid_float(), in one array:
-    len() counts them, and iterating gives (direction, subset, lo, hi, mid),
+    """The doubles of omega_samples.  Per direction, .slots holds a tuple
+    giving each of .subsets the number of its ball among the direction's
+    distinct branch balls, numbered in branch order (one tuple for every
+    direction with the same sharing), and .floats holds float_bounds() and
+    mid_float() of each distinct ball, three doubles each, in one array.
+    len() counts the rows; iterating gives (direction, subset, lo, hi, mid),
     each direction over all of .subsets in turn, every tuple shared."""
 
-    __slots__ = ("directions", "subsets", "floats")
+    __slots__ = ("directions", "subsets", "slots", "floats")
 
     def __init__(self, subsets: List[Tuple[int, ...]]):
-        self.directions, self.subsets, self.floats = [], subsets, array("d")
+        self.directions, self.subsets, self.slots, self.floats = [], subsets, [], array("d")
 
     def __len__(self) -> int:
         return len(self.directions) * len(self.subsets)
 
-    def __iter__(self):
+    def by_direction(self):
+        """(direction, slots, values) per direction, values[k] the
+        (lo, hi, mid) of its k-th distinct ball."""
         floats = iter(self.floats)
-        for direction in self.directions:
-            for subset, lo, hi, mid in zip(self.subsets, floats, floats, floats):
-                yield direction, subset, lo, hi, mid
+        for direction, slots in zip(self.directions, self.slots):
+            yield direction, slots, list(itertools.islice(zip(floats, floats, floats), max(slots) + 1))
+
+    def __iter__(self):
+        for direction, slots, values in self.by_direction():
+            for subset, k in zip(self.subsets, slots):
+                yield (direction, subset, *values[k])
 
 
 def omega_samples(
@@ -466,13 +480,20 @@ def omega_samples(
 ) -> OmegaRows:
     """The doubles of _branch_balls at each direction (f_L, or 1 / f_L for
     root-location, which raises UndecidedError where the enclosure of f_L
-    contains 0), so that no ball outlives its direction."""
+    contains 0), so that no ball outlives its direction.  A ball that
+    several branches share is exported once."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     rows = OmegaRows(branch_subsets(sys))
+    shared = {}
     for direction, values in _branch_balls(sys, rows.subsets, directions, convention, prec):
+        ids = [id(value) for value in values]
+        distinct = dict(zip(ids, values))  # in order of first appearance
+        number = {key: k for k, key in enumerate(distinct)}
+        slots = tuple(map(number.__getitem__, ids))
         rows.directions.append(direction)
-        for value in values:
+        rows.slots.append(shared.setdefault(slots, slots))
+        for value in distinct.values():
             rows.floats.extend((*value.float_bounds(), value.mid_float()))
     return rows
 

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -14,6 +15,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -324,6 +326,19 @@ def test_portrait_warning_on_stderr(capsys):
     assert doc["warnings"]
 
 
+def test_portrait_evaluates_each_exact_log_once_per_precision(monkeypatch, tmp_path):
+    # the zero tests and to_json take the crossing normals at 64 bits both;
+    # 1,320 evaluations come from 664 (ExactLog, precision) pairs
+    from rankone import exactlog
+
+    computed = []
+    evaluate = exactlog.ExactLog._evaluate
+    monkeypatch.setattr(exactlog.ExactLog, "_evaluate",
+                        lambda self, prec: computed.append(prec) or evaluate(self, prec))
+    assert cli.main(["portrait", "dk-sextic", "-o", str(tmp_path / "portrait.json")]) == 0
+    assert len(computed) == 664
+
+
 def test_portrait_byte_determinism(capsys):
     a = run(capsys, "portrait", "times2times3", "--samples", "16", "--format", "json")
     b = run(capsys, "portrait", "times2times3", "--samples", "16", "--format", "json")
@@ -467,12 +482,14 @@ SPECIAL_FLOATS = (0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 1 / 3
 
 def synthetic_rows(d: int) -> subdynamics.OmegaRows:
     """Rows over special floats, with an empty branch and repeated indices,
-    in the row object omega_samples returns."""
+    in the row object omega_samples returns; every other direction shares
+    one ball among three branches."""
     rows = subdynamics.OmegaRows([(), (0,), (0, 0), (0, 1, 1, 2)])
     specials = itertools.cycle(SPECIAL_FLOATS)
-    for _ in range(5):
+    for slots in [(0, 1, 2, 3), (0, 0, 1, 0)] * 5:
         rows.directions.append(tuple(next(specials) for _ in range(d)))
-        for _ in rows.subsets:
+        rows.slots.append(slots)
+        for _ in range(max(slots) + 1):
             rows.floats.extend(next(specials) for _ in range(3))
     return rows
 
@@ -667,6 +684,32 @@ def test_analyze_sextic_warns(capsys):
     doc = json.loads(out)
     skipped = [z for z in doc["zeta"] if str(z.get("status", "")).startswith("skipped")]
     assert skipped
+
+
+def test_analyze_document_streams_under_1_mb(monkeypatch, tmp_path):
+    # the 508 KB analyze document of dk-sextic, written as it is encoded;
+    # joined into one string first, the encoder's chunk list alone held
+    # about 3 MB
+    docs = []
+    chunks = cli._json_chunks
+    monkeypatch.setattr(cli, "_json_chunks", lambda doc: docs.append(doc) or chunks(doc))
+    assert cli.main(["analyze", "dk-sextic", "-o", str(tmp_path / "run.json")]) == 0
+    [doc] = docs
+
+    def peak(emit):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            emit()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed = peak(lambda: cli._emit(chunks(doc), str(tmp_path / "streamed.json")))
+    whole = peak(lambda: cli._emit([cli._json_text(doc)], str(tmp_path / "whole.json")))
+    texts = {(tmp_path / name).read_text() for name in ("run.json", "streamed.json", "whole.json")}
+    assert len(texts) == 1 and len(texts.pop()) > 500_000
+    assert streamed < 1_000_000 and whole > 2_000_000
 
 
 def test_crossing_cap_exits_before_the_first_pair(tmp_path, capsys):

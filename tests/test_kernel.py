@@ -5,9 +5,10 @@ import json
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
-from mpmath.libmp import from_man_exp, to_float
+from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_shift, mpf_sub, to_float, to_int
 
 import pytest
 
@@ -118,6 +119,60 @@ def test_float_bounds_are_the_nearest_doubles_outside():
             ends = ball._bounds()
             assert (lo, hi) == (to_float(ends[0], rnd="f"), to_float(ends[1], rnd="c"))
     assert normal > 2000
+
+
+def mpf_float_bounds(ball):
+    """float_bounds through mpmath: each end rounded to 53 bits outward,
+    then taken to the next double outward: itself in the normal range, a
+    multiple of 2^-1074 below it, the largest double or infinity above it."""
+
+    def to_double(x, rnd):
+        sign, man, exp, bc = x
+        if not man or -1021 <= exp + bc <= 1024:
+            return to_float(x)
+        if exp + bc > 1024:
+            big = sys.float_info.max if (rnd == "f") != sign else math.inf
+            return -big if sign else big
+        return math.ldexp(to_int(mpf_shift(x, 1074), rnd), -1074)
+
+    return (to_double(mpf_sub(ball.mid, ball.rad, 53, "f"), "f"),
+            to_double(mpf_add(ball.mid, ball.rad, 53, "c"), "c"))
+
+
+def float_bounds_cases(rng):
+    """Balls whose ends have their top bit at -1074, -1022 and 1024, +-3;
+    2,000-bit midpoints with a radius far below their last bit; rad = 0 and
+    mid = 0; either sign, and radii that cross zero."""
+    for top in (-1074, -1022, 1024):
+        for shift in range(-3, 4):
+            for bits in (1, 53, 54, 64, 2000):
+                man = rng.getrandbits(bits) | 1 << (bits - 1)
+                for sign in (1, -1):
+                    mid = from_man_exp(sign * man, top + shift - bits + 1)
+                    yield RealBall(mid)
+                    for below in (0, 20, 52, 53, 60, bits + 500):
+                        rad = from_man_exp(rng.getrandbits(30) | 1 << 29, top + shift - below - 29)
+                        yield RealBall(mid, rad)
+                        yield RealBall(fzero, rad)
+    yield RealBall(fzero)
+    for _ in range(500):
+        mid = from_man_exp(rng.getrandbits(2000) | 1 << 1999, rng.randint(-3000, 1000))
+        yield RealBall(mid, from_man_exp(rng.getrandbits(30) | 1, mid[2] - rng.randint(30, 4000)))
+
+
+def test_float_bounds_equal_the_mpf_route():
+    balls = list(float_bounds_cases(random.Random(24)))
+    assert len(balls) > 1500
+    for ball in balls:
+        got, want = ball.float_bounds(), mpf_float_bounds(ball)
+        assert got == want
+        # equal doubles of equal sign, and never -0.0
+        assert [math.copysign(1, x) for x in got] == [math.copysign(1, x) for x in want]
+        assert all(math.copysign(1, x) > 0 for x in got if x == 0)
+    ends = {x for ball in balls for x in ball.float_bounds()}
+    # the cases reach both saturations, the subnormals and zero
+    assert {math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, 0.0} <= ends
+    assert any(0 < abs(x) < 2.0 ** -1022 for x in ends)
 
 
 def test_complex_mul_contains_exact_gaussian_value():

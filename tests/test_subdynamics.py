@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -549,6 +550,46 @@ def test_sextic_branches_take_47_products_per_direction(monkeypatch):
     rows = omega_samples(SEXTIC, directions)
     assert len(rows) == 8 * 64
     assert len(products) == 8 * 47
+
+
+@pytest.mark.parametrize("convention", ["inverse-root", "root-location"])
+def test_sextic_exports_each_distinct_ball_once(monkeypatch, convention):
+    # at each of the 720 default directions the 64 branches share 48 balls
+    # (g and 47 products); each is exported once and, for root-location,
+    # inverted once: 720 x 48 calls each, where one per row made 720 x 64
+    directions = default_directions(SEXTIC)
+    omega_samples(SEXTIC, directions[:1], convention)  # characters and root logs
+    calls = Counter()
+    for name in ("float_bounds", "mid_float", "recip"):
+        def counted(self, *args, name=name, method=getattr(RealBall, name)):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(RealBall, name, counted)
+    rows = omega_samples(SEXTIC, directions, convention)
+    assert len(rows) == 720 * 64
+    assert calls["float_bounds"] == calls["mid_float"] == 720 * 48 == 34_560
+    assert calls["recip"] == (34_560 if convention == "root-location" else 0)
+    assert len({id(slots) for slots in rows.slots}) == 1
+
+
+def test_root_location_names_the_first_branch_containing_zero():
+    # 1- and 2-bit branch values can straddle 0; the error names the first
+    # (direction, branch) in row order whose value does, shared or not
+    raised = 0
+    for system in (S23, LED, QUARTIC, T235, SEXTIC, DOUBLED):
+        for prec in (1, 2):
+            directions = default_directions(system, 4)
+            rows = left_fold_samples(system, directions, "inverse-root", prec)
+            first = next(((v, s) for v, s, b in rows if b.contains_zero()), None)
+            if first is None:
+                omega_samples(system, directions, "root-location", prec)
+                continue
+            raised += 1
+            with pytest.raises(UndecidedError) as info:
+                omega_samples(system, directions, "root-location", prec)
+            assert info.value.what == (f"reciprocal of the branch value f_{list(first[1])} at {first[0]}: "
+                                       f"its {prec}-bit enclosure contains 0")
+    assert raised >= 3
 
 
 def test_sextic_rows_hold_under_3_mb(monkeypatch):

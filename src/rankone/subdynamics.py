@@ -395,14 +395,15 @@ class _OmegaFactor:
 
 def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
                   directions: Sequence[Sequence[float]], convention: str, prec: int):
-    """Per direction, (direction as a float tuple, [f_L for L in subsets]),
-    subsets being branch_subsets(sys); root-location gives 1 / f_L.  Each
-    f_L is f_L[:-1] times one archimedean factor, with the bits of the left
-    fold g * a_L[0] * a_L[1] * ... though known work is skipped
-    (_OmegaFactor).  Characters with equal terms give equal factor bits at
-    every direction, so a branch whose sequence of such classes is an
-    earlier branch's shares that branch's ball instead of a product, and
-    its reciprocal too."""
+    """Per direction, (direction as a float tuple, balls, slots): subsets[i],
+    subsets being branch_subsets(sys), takes the value f_L in balls[slots[i]],
+    or 1 / f_L for root-location.  Each f_L is f_L[:-1] times one
+    archimedean factor, with the bits of the left fold
+    g * a_L[0] * a_L[1] * ... though known work is skipped (_OmegaFactor).
+    Characters with equal terms give equal factor bits at every direction,
+    so branches with equal sequences of such classes share one ball: balls
+    holds one per sequence, numbered in branch order, each computed and
+    inverted once, and slots is one tuple for every direction."""
     V, W = sys.characters()
     w_factors = [_OmegaFactor(chi, sys.d, True, prec) for chi in W]
     v_factors, kinds, classes = [], [], {}
@@ -412,12 +413,15 @@ def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
         if kind == len(v_factors):
             v_factors.append(factor)
         kinds.append(kind)
-    # after f_(): (position of L[:-1]'s classes, class of L[-1]), or (position of L's, None)
-    first, steps = {(): 0}, []
-    for position, subset in enumerate(subsets[1:], 1):
+    # after f_(): (number of L[:-1]'s sequence, class of L[-1]) for each new sequence
+    number, steps, slots = {(): 0}, [], [0]
+    for subset in subsets[1:]:
         seq = tuple(kinds[i] for i in subset)
-        steps.append((first[seq], None) if seq in first else (first[seq[:-1]], seq[-1]))
-        first.setdefault(seq, position)
+        if seq not in number:
+            steps.append((number[seq[:-1]], seq[-1]))
+            number[seq] = len(number)
+        slots.append(number[seq])
+    slots = tuple(slots)
     for direction in directions:
         direction = tuple(float(x) for x in direction)
         _check_unit(direction, prec)
@@ -426,35 +430,34 @@ def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
         for factor in w_factors:
             g = g.mul(factor.at(direction, d_balls), prec)
         arch_vals = [factor.at(direction, d_balls) for factor in v_factors]
-        values = [g]
+        balls = [g]
         for k, c in steps:
-            values.append(values[k] if c is None else values[k].mul(arch_vals[c], prec))
+            balls.append(balls[k].mul(arch_vals[c], prec))
         if convention == ROOT_LOCATION:
-            recips = {}
-            for subset, value in zip(subsets, values):
-                if id(value) not in recips:
-                    try:
-                        recips[id(value)] = value.recip(prec)
-                    except ZeroDivisionError:
-                        raise UndecidedError(f"reciprocal of the branch value f_{list(subset)} at {direction}: "
-                                             f"its {prec}-bit enclosure contains 0") from None
-            values = [recips[id(value)] for value in values]
-        yield direction, values
+            try:
+                balls = [ball.recip(prec) for ball in balls]
+            except ZeroDivisionError:
+                # balls are numbered in branch order, so the first subset of
+                # the first ball containing 0 is the first such subset
+                k = next(k for k, ball in enumerate(balls) if ball.contains_zero())
+                raise UndecidedError(f"reciprocal of the branch value f_{list(subsets[slots.index(k)])} "
+                                     f"at {direction}: its {prec}-bit enclosure contains 0") from None
+        yield direction, balls, slots
 
 
 class OmegaRows:
-    """The doubles of omega_samples.  Per direction, .slots holds a tuple
-    giving each of .subsets the number of its ball among the direction's
-    distinct branch balls, numbered in branch order (one tuple for every
-    direction with the same sharing), and .floats holds float_bounds() and
-    mid_float() of each distinct ball, three doubles each, in one array.
+    """The doubles of omega_samples in one array: per direction, the
+    float_bounds() and mid_float() of each of its distinct branch balls,
+    three doubles each, with .slots giving each of .subsets the number of
+    its ball, the same at every direction (by default one ball per subset).
     len() counts the rows; iterating gives (direction, subset, lo, hi, mid),
     each direction over all of .subsets in turn, every tuple shared."""
 
     __slots__ = ("directions", "subsets", "slots", "floats")
 
     def __init__(self, subsets: List[Tuple[int, ...]]):
-        self.directions, self.subsets, self.slots, self.floats = [], subsets, [], array("d")
+        self.directions, self.subsets, self.floats = [], subsets, array("d")
+        self.slots = tuple(range(len(subsets)))
 
     def __len__(self) -> int:
         return len(self.directions) * len(self.subsets)
@@ -462,9 +465,10 @@ class OmegaRows:
     def by_direction(self):
         """(direction, slots, values) per direction, values[k] the
         (lo, hi, mid) of its k-th distinct ball."""
-        floats = iter(self.floats)
-        for direction, slots in zip(self.directions, self.slots):
-            yield direction, slots, list(itertools.islice(zip(floats, floats, floats), max(slots) + 1))
+        triples = zip(*[iter(self.floats)] * 3)
+        count = max(self.slots) + 1
+        for direction in self.directions:
+            yield direction, self.slots, list(itertools.islice(triples, count))
 
     def __iter__(self):
         for direction, slots, values in self.by_direction():
@@ -485,16 +489,11 @@ def omega_samples(
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     rows = OmegaRows(branch_subsets(sys))
-    shared = {}
-    for direction, values in _branch_balls(sys, rows.subsets, directions, convention, prec):
-        ids = [id(value) for value in values]
-        distinct = dict(zip(ids, values))  # in order of first appearance
-        number = {key: k for k, key in enumerate(distinct)}
-        slots = tuple(map(number.__getitem__, ids))
+    for direction, balls, slots in _branch_balls(sys, rows.subsets, directions, convention, prec):
         rows.directions.append(direction)
-        rows.slots.append(shared.setdefault(slots, slots))
-        for value in distinct.values():
-            rows.floats.extend((*value.float_bounds(), value.mid_float()))
+        rows.slots = slots
+        for ball in balls:
+            rows.floats.extend((*ball.float_bounds(), ball.mid_float()))
     return rows
 
 

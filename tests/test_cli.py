@@ -482,15 +482,13 @@ SPECIAL_FLOATS = (0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 1 / 3
 
 def synthetic_rows(d: int) -> subdynamics.OmegaRows:
     """Rows over special floats, with an empty branch and repeated indices,
-    in the row object omega_samples returns; every other direction shares
-    one ball among three branches."""
+    in the row object omega_samples returns; two branches share one ball."""
     rows = subdynamics.OmegaRows([(), (0,), (0, 0), (0, 1, 1, 2)])
+    rows.slots = (0, 1, 0, 2)
     specials = itertools.cycle(SPECIAL_FLOATS)
-    for slots in [(0, 1, 2, 3), (0, 0, 1, 0)] * 5:
+    for _ in range(10):
         rows.directions.append(tuple(next(specials) for _ in range(d)))
-        rows.slots.append(slots)
-        for _ in range(max(slots) + 1):
-            rows.floats.extend(next(specials) for _ in range(3))
+        rows.floats.extend(next(specials) for _ in range(3 * 3))
     return rows
 
 

@@ -259,9 +259,9 @@ def branch_ball_rows(sys_, directions, convention="inverse-root", prec=64):
     behind omega_samples."""
     subsets = branch_subsets(sys_)
     return [
-        (direction, subset, value)
-        for direction, values in subdynamics._branch_balls(sys_, subsets, directions, convention, prec)
-        for subset, value in zip(subsets, values, strict=True)
+        (direction, subset, balls[k])
+        for direction, balls, slots in subdynamics._branch_balls(sys_, subsets, directions, convention, prec)
+        for subset, k in zip(subsets, slots, strict=True)
     ]
 
 
@@ -569,7 +569,7 @@ def test_sextic_exports_each_distinct_ball_once(monkeypatch, convention):
     assert len(rows) == 720 * 64
     assert calls["float_bounds"] == calls["mid_float"] == 720 * 48 == 34_560
     assert calls["recip"] == (34_560 if convention == "root-location" else 0)
-    assert len({id(slots) for slots in rows.slots}) == 1
+    assert len(rows.slots) == 64 and max(rows.slots) == 47
 
 
 def test_root_location_names_the_first_branch_containing_zero():
@@ -593,16 +593,17 @@ def test_root_location_names_the_first_branch_containing_zero():
 
 
 def test_sextic_rows_hold_under_3_mb(monkeypatch):
-    # 720 x 64 rows of three doubles; as balls they held about 17.7 MB.  What
-    # the rows hold does not depend on the values, so every direction takes
-    # the balls of the first one, which keeps tracemalloc's slowdown small
+    # 720 x 64 rows, from 48 balls of three doubles per direction; as balls
+    # they held about 17.7 MB.  What the rows hold does not depend on the
+    # values, so every direction takes the balls of the first one, which
+    # keeps tracemalloc's slowdown small
     directions = default_directions(SEXTIC)
     subsets = branch_subsets(SEXTIC)
-    _, values = next(subdynamics._branch_balls(SEXTIC, subsets, directions, "inverse-root", 64))
+    _, balls, slots = next(subdynamics._branch_balls(SEXTIC, subsets, directions, "inverse-root", 64))
 
     def first_balls(sys_, subsets, directions, convention, prec):
         for direction in directions:
-            yield tuple(float(x) for x in direction), values
+            yield tuple(float(x) for x in direction), balls, slots
 
     monkeypatch.setattr(subdynamics, "_branch_balls", first_balls)
     gc.collect()

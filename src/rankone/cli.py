@@ -155,11 +155,11 @@ def _direction_chunks(rows, branch_text, direction_text, value_text, direction_f
     """One chunk per direction: its rows, each the branch's, the direction's
     and the value's text, with the direction's first when direction_first."""
     btexts = [branch_text(subset) for subset in rows.subsets]
-    for direction, slots, values in rows.by_direction():
+    for direction, values in rows.by_direction():
         dtext = direction_text(direction)
         vtexts = [value_text(lo, hi) for lo, hi, _ in values]
         parts = []
-        for btext, k in zip(btexts, slots):
+        for btext, k in zip(btexts, rows.slots):
             parts += (dtext, btext, vtexts[k]) if direction_first else (btext, dtext, vtexts[k])
         yield "".join(parts)
 

@@ -463,16 +463,16 @@ class OmegaRows:
         return len(self.directions) * len(self.subsets)
 
     def by_direction(self):
-        """(direction, slots, values) per direction, values[k] the
-        (lo, hi, mid) of its k-th distinct ball."""
+        """(direction, values) per direction, values[k] the (lo, hi, mid) of
+        its k-th distinct ball."""
         triples = zip(*[iter(self.floats)] * 3)
         count = max(self.slots) + 1
         for direction in self.directions:
-            yield direction, self.slots, list(itertools.islice(triples, count))
+            yield direction, list(itertools.islice(triples, count))
 
     def __iter__(self):
-        for direction, slots, values in self.by_direction():
-            for subset, k in zip(self.subsets, slots):
+        for direction, values in self.by_direction():
+            for subset, k in zip(self.subsets, self.slots):
                 yield (direction, subset, *values[k])
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import balls
 from .balls import (
@@ -46,14 +46,10 @@ from .balls import (
     precisions,
 )
 from .errors import UndecidedError
-from .numberfield import (
-    IntPoly,
-    is_irreducible,
-    is_palindromic_or_anti,
-    isolate_roots,
-    match_roots,
-)
 from .rationals import factor_fraction
+
+if TYPE_CHECKING:
+    from .numberfield import IntPoly
 
 # ('q', p) for log p, ('root', poly, index) for log|root_index(poly)|
 Atom = Tuple
@@ -70,6 +66,8 @@ class _RootFacts(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _root_facts(poly: IntPoly) -> _RootFacts:
+    from .numberfield import is_irreducible, is_palindromic_or_anti, isolate_roots
+
     if not is_irreducible(poly):
         raise ValueError("root atoms require an irreducible polynomial")
     embs = isolate_roots(poly, DEFAULT_PRECISION)
@@ -90,6 +88,8 @@ def _reciprocal_match(poly: IntPoly) -> List[int]:
     reciprocal of each isolating box meets exactly one box once the
     precision suffices; match_roots certifies it up to the hard cap.
     """
+    from .numberfield import isolate_roots, match_roots
+
     return match_roots(
         poly,
         lambda prec: [e.box.recip(prec) for e in isolate_roots(poly, prec)],
@@ -279,6 +279,8 @@ class ExactLog:
 
 @functools.lru_cache(maxsize=256)
 def _root_abs_log(poly: IntPoly, index: int, prec: int) -> RealBall:
+    from .numberfield import isolate_roots
+
     for work in precisions(max(prec, DEFAULT_PRECISION), balls.HARD_PRECISION):
         box = isolate_roots(poly, work)[index].box
         mag2 = box.abs2(work)

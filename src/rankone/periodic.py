@@ -190,14 +190,17 @@ class PeriodicGrid:
         return itertools.product(*axes)
 
     def to_csv(self) -> str:
+        """One line per point in box order.  Each coordinate's text is formed
+        once per axis value, and a line joins its point's texts with the
+        entry's count."""
         d = len(self.ranges)
-        header = ",".join(f"n{i + 1}" for i in range(d)) + ",count"
-        lines = [header]
-        for point in self.points():
-            lines.append(
-                ",".join(str(c) for c in point) + "," + self.entries[point].as_text()
-            )
-        return "\n".join(lines) + "\n"
+        header = ",".join(f"n{i + 1}" for i in range(d)) + ",count\n"
+        texts = [[f"{c}," for c in range(lo, hi + 1)] for lo, hi in self.ranges]
+        entries = self.entries
+        return header + "".join(
+            "".join(prefix) + entries[point].as_text() + "\n"
+            for point, prefix in zip(self.points(), itertools.product(*texts))
+        )
 
     def to_json(self) -> dict:
         return {

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_neg, mpf_sub
 
-from . import numberfield as nf
 from .balls import (
     DEFAULT_PRECISION,
     HARD_PRECISION,
@@ -144,6 +143,8 @@ class _Branch:
     def _factor(self, part, prec: int) -> ComplexBall:
         value = self._factors.get((part, prec))
         if value is None:
+            from . import numberfield as nf
+
             min_poly, emb_index, element, power = part
             emb = nf.isolate_roots(min_poly, prec)[emb_index]
             value = nf.embed(element, emb, prec).pow_int(power, prec)

@@ -21,7 +21,8 @@ from fractions import Fraction
 import pytest
 
 from rankone import (
-    build_portrait, cli, load_fixture, omega_samples, parse_descriptor, periodic, subdynamics, zeta,
+    build_portrait, cli, load_fixture, omega_samples, parse_descriptor, periodic, sampling, subdynamics,
+    zeta,
 )
 from rankone.balls import RealBall
 from rankone.errors import ResourceCapError, UndecidedError
@@ -513,13 +514,14 @@ def test_streamed_rows_equal_json_dumps(d, key):
     doc = {"command": "x", "label": None, "notes": ["n"], key: []}
     if key == "omega":
         doc["warnings"] = ["w"]
-    streamed = "".join(cli._json_with_rows(doc, key, rows))
+    streamed = "".join(sampling._json_with_rows(doc, key, rows))
     doc[key] = row_dicts(rows)
     assert streamed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for token in ("NaN", "Infinity", "-Infinity", "-0.0", "1e-300", "1e+300", '"branch": []'):
         assert token in streamed
     doc[key] = []
-    assert "".join(cli._json_with_rows(doc, key, [])) == cli._json_text(doc)
+    empty = "".join(sampling._json_with_rows(doc, key, []))
+    assert empty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("fixture, samples", [("dk-sextic", 24), ("times2times3times5", 6)])
@@ -690,7 +692,7 @@ def test_analyze_document_streams_under_1_mb(monkeypatch, tmp_path):
     # about 3 MB
     docs = []
     chunks = cli._json_chunks
-    monkeypatch.setattr(cli, "_json_chunks", lambda doc: docs.append(doc) or chunks(doc))
+    monkeypatch.setattr(sampling, "_json_chunks", lambda doc: docs.append(doc) or chunks(doc))
     assert cli.main(["analyze", "dk-sextic", "-o", str(tmp_path / "run.json")]) == 0
     [doc] = docs
 
@@ -704,7 +706,9 @@ def test_analyze_document_streams_under_1_mb(monkeypatch, tmp_path):
             tracemalloc.stop()
 
     streamed = peak(lambda: cli._emit(chunks(doc), str(tmp_path / "streamed.json")))
-    whole = peak(lambda: cli._emit([cli._json_text(doc)], str(tmp_path / "whole.json")))
+    whole = peak(lambda: cli._emit(
+        [json.dumps(doc, indent=2, sort_keys=True) + "\n"], str(tmp_path / "whole.json"),
+    ))
     texts = {(tmp_path / name).read_text() for name in ("run.json", "streamed.json", "whole.json")}
     assert len(texts) == 1 and len(texts.pop()) > 500_000
     assert streamed < 1_000_000 and whole > 2_000_000
@@ -1015,12 +1019,26 @@ def test_periodic_loads_no_interval_stack():
 
 
 # modules a CSV periodic run on each fixture must not import: a run loads
-# only its component classes' arithmetic, and hashlib only for JSON output
+# only its component classes' modules and arithmetic, never the sampling
+# subcommands, and hashlib only for JSON output
+SAMPLING_AND_HASH = ("rankone.sampling", "hashlib")
 UNUSED_BY_CLASS = {
-    "times2times3": ("rankone.numberfield", "rankone.fppoly", "rankone.linalg", "hashlib"),
-    "ledrappier": ("rankone.numberfield", "rankone.linalg", "hashlib"),
-    "sqrt2sqrt3": ("hashlib",),
-    "dk-sextic": ("hashlib",),
+    "times2times3": (
+        "rankone.number_field_units", "rankone.function_field",
+        "rankone.numberfield", "rankone.fppoly", "rankone.linalg",
+    ) + SAMPLING_AND_HASH,
+    "ledrappier": (
+        "rankone.s_integer", "rankone.number_field_units", "rankone.numberfield", "rankone.linalg",
+    ) + SAMPLING_AND_HASH,
+    "sqrt2sqrt3": ("rankone.s_integer", "rankone.function_field") + SAMPLING_AND_HASH,
+    "dk-sextic": ("rankone.s_integer", "rankone.function_field") + SAMPLING_AND_HASH,
+}
+# the module of each fixture's one component class
+CLASS_MODULE = {
+    "times2times3": "rankone.s_integer",
+    "ledrappier": "rankone.function_field",
+    "sqrt2sqrt3": "rankone.number_field_units",
+    "dk-sextic": "rankone.number_field_units",
 }
 # sha256 of each fixture's canonical JSON, as periodic --format json prints it
 DESCRIPTOR_HASHES = {
@@ -1041,6 +1059,7 @@ def test_periodic_loads_only_its_classes_modules(fixture):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['periodic', {fixture!r}, '--range=-2..2,0..2']) == 0\n"
         f"print([name for name in {UNUSED_BY_CLASS[fixture]!r} if name in sys.modules])\n"
+        f"print({CLASS_MODULE[fixture]!r} in sys.modules)\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    assert cli.main(['periodic', {fixture!r}, '--range=0..1,0..1', '--format', 'json']) == 0\n"
@@ -1048,7 +1067,26 @@ def test_periodic_loads_only_its_classes_modules(fixture):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"[]\n{DESCRIPTOR_HASHES[fixture]}\n"
+    assert proc.stdout == f"[]\nTrue\n{DESCRIPTOR_HASHES[fixture]}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "times2times3times5", "--n", "1,2,1"],
+    ["portrait", "times2times3times5", "--samples", "5"],
+])
+def test_s_integer_sampling_loads_no_number_field(argv):
+    # root atoms and embeddings import numberfield where they are used, so
+    # an s_integer descriptor's zeta and portrait never load it or linalg
+    unused = ("rankone.numberfield", "rankone.linalg", "rankone.number_field_units")
+    script = (
+        "import contextlib, io, sys\n"
+        "from rankone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n"
+        f"print([name for name in {unused!r} if name in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_portrait_json_loads_no_svg():

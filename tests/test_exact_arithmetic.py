@@ -10,7 +10,7 @@ from rankone import balls, linalg, numberfield as nf
 from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds
 from rankone.errors import UndecidedError
 from rankone.linalg import charpoly, det
-from rankone.system import _ball_rank_at_least
+from rankone.number_field_units import _ball_rank_at_least
 
 
 # --- reference implementations: Fraction Gaussian elimination and Fraction
@@ -297,7 +297,7 @@ def test_reciprocal_matching_cap_is_undecided(monkeypatch):
     def misplaced(poly, prec):
         return far  # +-sqrt(2): no box meets the reciprocal of another
 
-    monkeypatch.setattr(exactlog, "isolate_roots", misplaced)
+    monkeypatch.setattr(nf, "isolate_roots", misplaced)
     monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
         exactlog._reciprocal_match((1, -10, 1))
@@ -313,7 +313,7 @@ def test_root_log_cap_is_undecided(monkeypatch):
         seen.append(prec)
         return [zero]  # a box that never leaves zero
 
-    monkeypatch.setattr(exactlog, "isolate_roots", unresolved)
+    monkeypatch.setattr(nf, "isolate_roots", unresolved)
     monkeypatch.setattr(balls, "HARD_PRECISION", 256)
     with pytest.raises(UndecidedError):
         exactlog._root_abs_log.__wrapped__((-2, 0, 1), 0, 64)
@@ -348,7 +348,7 @@ def test_squarefree_part_must_be_integral(monkeypatch):
 
 
 def _golden_ratio_units():
-    from rankone.system import NumberFieldUnitsComponent
+    from rankone.number_field_units import NumberFieldUnitsComponent
 
     # x^2 - x - 1, generated by the golden ratio: its charpoly is min_poly
     return NumberFieldUnitsComponent((-1, -1, 1), [["0", "1"]], "components[0]")

@@ -13,7 +13,6 @@ import pytest
 from rankone import (
     branch_subsets,
     build_portrait,
-    cli,
     count,
     crossing_set,
     directional_entropy,
@@ -27,7 +26,7 @@ from rankone import (
 )
 from mpmath.libmp import from_man_exp, mpf_add
 
-from rankone import subdynamics
+from rankone import sampling, subdynamics
 from rankone.balls import RealBall
 from rankone.errors import ResourceCapError, UndecidedError
 from rankone.exactlog import ExactLog, vectors_parallel
@@ -359,7 +358,7 @@ def test_portrait_json_shape_and_determinism():
     assert doc["omega"] == []  # structure only; writers fill it from omega_samples
     rows = omega_samples(S23, [(1.0, 0.0), (0.0, 1.0)])
     assert isinstance(rows, subdynamics.OmegaRows) and len(rows) == 4
-    printed = json.loads("".join(cli._json_with_rows(doc, "omega", rows)))
+    printed = json.loads("".join(sampling._json_with_rows(doc, "omega", rows)))
     assert len(printed["omega"]) == 4  # 2 directions x 2 branches
     again = build_portrait(S23).to_json()
     assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)

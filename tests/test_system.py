@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import rankone
-from rankone import fppoly, system
+from rankone import fppoly, number_field_units, system
 from rankone.errors import DescriptorError
 from rankone.exactlog import vector_is_zero
 from rankone.system import (
@@ -215,7 +215,7 @@ def test_ergodicity_rank_test_tries_the_cap_itself(monkeypatch):
         seen.append(prec)
         return False
 
-    monkeypatch.setattr(system, "_ball_rank_at_least", never_certified)
+    monkeypatch.setattr(number_field_units, "_ball_rank_at_least", never_certified)
     comp, _ = load_fixture("sqrt2sqrt3").components[0]
     status, notes = comp.ergodicity(300)
     assert seen == [64, 128, 256, 300]
@@ -252,10 +252,16 @@ def _names(node):
     }
 
 
+# system.py and the modules of the classes themselves
+COMPONENT_MODULES = {"system.py", "s_integer.py", "number_field_units.py", "function_field.py"}
+
+
 def test_no_component_class_test_outside_system():
-    # consumers call the protocol; only system.py may name a component class
+    # consumers call the protocol; only the descriptor model may name a
+    # component class
     package = pathlib.Path(rankone.__file__).parent
-    paths = [p for p in sorted(package.glob("*.py")) if p.name != "system.py"]
+    assert COMPONENT_MODULES <= {p.name for p in package.glob("*.py")}
+    paths = [p for p in sorted(package.glob("*.py")) if p.name not in COMPONENT_MODULES]
     paths.append(pathlib.Path(__file__).parent / "propsuites.py")
     offenders = []
     for path in paths:

@@ -14,17 +14,16 @@ and RANKONE_MAX_PRECISION_BITS, else from the defaults module; main
 resolves them once and passes them to the library as arguments.
 
 This module holds the parser, main, the environment reads, `periodic` and
-the output helpers.  zeta, portrait, omega and analyze live in sampling,
-with the writers only they use; the parser records the module and name of
-the function that runs each subcommand, and main imports it, so a
-`periodic` run never compiles sampling.  Each subcommand imports the
-modules only it uses, so `periodic`, which does integer work alone, never
-loads mpmath or the interval arithmetic, and `portrait` loads svg only for
---format svg.  Below the subcommands each component class lives in its own
-module, which parse_descriptor imports when the descriptor names the class
-(system), so a `periodic` run compiles and loads only what its
-descriptor's classes need, and hashlib only for the descriptor_hash of
-JSON output.
+the output helpers.  zeta, portrait, omega and analyze live in sampling
+with the writers only they use: the parser records the module and name of
+each subcommand's function and main imports it, so a `periodic` run never
+compiles sampling.  Each subcommand imports the modules only it uses, so
+`periodic`, which does integer work alone, never loads mpmath or the
+interval arithmetic, and `portrait` loads svg only for --format svg.  Each
+component class has its own module, which parse_descriptor imports only
+for a descriptor that names the class (system), so a `periodic` run
+compiles and loads only what its descriptor's classes need, and hashlib
+only for the descriptor_hash of JSON output.
 """
 
 from __future__ import annotations
@@ -112,9 +111,8 @@ def _json_chunks(obj) -> Iterator[str]:
     yield "\n"
 
 
-def _batches(chunks: Iterable[str]) -> Iterator[str]:
+def _batches(chunks: Iterator[str]) -> Iterator[str]:
     """The chunks joined 4,096 at a time."""
-    chunks = iter(chunks)
     while batch := "".join(itertools.islice(chunks, 4096)):
         yield batch
 

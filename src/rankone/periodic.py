@@ -4,7 +4,8 @@ For each component the group element h = prod_i g_i^{j n_i} is formed
 exactly; the count is infinite when h = 1 and otherwise equals the product
 of |h - 1|_w over the component's marked places, which collapses to integer
 arithmetic in every supported class.  Each component class computes its
-factor in its own ``count_factor`` (system.py), on integers:
+factor in its own ``count_factor`` (s_integer.py, number_field_units.py,
+function_field.py), on integers:
 
 - s_integer: h = N/D from integer powers of the generators' numerators and
   denominators, unreduced; the factor is the prime-to-S part of

@@ -5,6 +5,11 @@ the zeta, subdynamics and interval layers, the omega row writers and the
 direction parser.  cli's parser records which function runs each
 subcommand, and main imports this module only to run one of these four, so
 a `periodic` run never compiles it.
+
+Each subcommand loads its descriptor before it imports zeta or
+subdynamics, so a number field's arithmetic (numberfield, linalg, fppoly)
+is compiled while mpmath and the interval layers are not yet loaded, and
+its compile-time allocations do not set the process's peak memory.
 """
 
 from __future__ import annotations
@@ -155,9 +160,9 @@ def _exact_json(x: Fraction):
 
 
 def _cmd_zeta(args) -> int:
+    system = _load_descriptor(args.descriptor)
     from .zeta import inverse_roots
 
-    system = _load_descriptor(args.descriptor)
     n = _parse_direction(args.n, system.d)
     zf = inverse_roots(
         system, n, precision=args.precision_bits, force=args.force, j_check=args.jmax,
@@ -187,9 +192,9 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_portrait(args) -> int:
+    system = _load_descriptor(args.descriptor)
     from . import subdynamics as sd
 
-    system = _load_descriptor(args.descriptor)
     svg = args.format == "svg"
     if svg:
         from . import svg as svgmod
@@ -217,9 +222,9 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_omega(args) -> int:
+    system = _load_descriptor(args.descriptor)
     from . import subdynamics as sd
 
-    system = _load_descriptor(args.descriptor)
     if system.d not in (2, 3):
         raise UnsupportedOperationError("omega sampling is available for d = 2 and d = 3 only")
     directions = sd.default_directions(system, args.samples)
@@ -270,9 +275,9 @@ def _analyze_zeta_entry(system: SystemDescriptor, n: Tuple[int, ...], prec: int,
 
 
 def _cmd_analyze(args) -> int:
+    system = _load_descriptor(args.descriptor)
     from . import subdynamics as sd
 
-    system = _load_descriptor(args.descriptor)
     prec, max_prec = args.precision_bits, args.max_precision_bits
     ergodicity, ergodicity_warnings = system.ergodicity(max_prec)
     portrait = sd.build_portrait(system, args.convention, prec, max_prec)

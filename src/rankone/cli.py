@@ -107,14 +107,10 @@ def _json_chunks(obj) -> Iterator[str]:
     """json.dumps(obj, indent=2, sort_keys=True) + "\n" in pieces of a few
     thousand encoder chunks, so that neither the text nor the list of its
     chunks is ever whole in memory."""
-    yield from _batches(json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj))
-    yield "\n"
-
-
-def _batches(chunks: Iterator[str]) -> Iterator[str]:
-    """The chunks joined 4,096 at a time."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
     while batch := "".join(itertools.islice(chunks, 4096)):
         yield batch
+    yield "\n"
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The ``s_integer`` component class: d nonzero rationals acting on a ring
 of S-integers.
 
-Its counts and characters need only rationals, which system imports too;
-exactlog (characters) and linalg (the ergodicity rank) are imported where
-they are used, so a count over a box loads neither.
+Its counts need only rationals; exactlog (characters) and linalg (the
+ergodicity rank) are imported where they are used, so a count over a box
+loads neither.
 """
 
 from __future__ import annotations

@@ -15,13 +15,12 @@ its compile-time allocations do not set the process's peak memory.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import sys as _sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Sized, Tuple
+from typing import Iterator, Sequence, Sized, Tuple
 
-from .cli import EXIT_OK, _batches, _emit, _json_chunks, _load_descriptor
+from .cli import EXIT_OK, _emit, _json_chunks, _load_descriptor
 from .errors import (
     DescriptorError,
     FitInconsistencyError,
@@ -107,29 +106,32 @@ def _omega_json_rows(rows) -> Iterator[str]:
     yield from chunks
 
 
-def _json_with_rows(doc: dict, key: str, rows: Sized) -> Iterable[str]:
+def _json_with_rows(doc: dict, key: str, rows: Sized) -> Iterator[str]:
     """The chunks of _json_chunks(doc) with the rows as the array under key,
-    which doc holds empty: the encoder's chunks before that array and after
-    it in batches, and the rows one chunk per direction between them."""
+    which doc holds empty, one chunk per direction.
+
+    Keys are sorted and only a top-level key follows a newline and a
+    two-space indent (a JSON string holds no raw newline).  The empty
+    array's text may straddle two chunks, so each chunk's last characters
+    wait for the next.
+    """
     if not rows:
-        return _json_chunks(doc)
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    return itertools.chain(
-        _batches(_before_empty_array(chunks, f'"{key}"')),
-        ["["], _omega_json_rows(rows), ["\n  ]"], _batches(chunks), ["\n"],
-    )
-
-
-def _before_empty_array(chunks: Iterator[str], name: str) -> Iterator[str]:
-    """The chunks up to the empty array under the top-level key name, which
-    is consumed and not yielded.  Keys are chunks of their own, and only a
-    top-level key follows a two-space indent."""
-    last = ("", "", "")
+        yield from _json_chunks(doc)
+        return
+    opening = f'\n  "{key}": ['
+    chunks = _json_chunks(doc)
+    pending = ""
     for chunk in chunks:
-        if chunk == "[]" and last[1:] == (name, ": ") and last[0] in ("\n  ", ",\n  "):
+        head, found, tail = (pending + chunk).partition(opening + "]")
+        if found:
+            yield head + opening
+            yield from _omega_json_rows(rows)
+            yield "\n  ]" + tail
+            yield from chunks
             return
-        yield chunk
-        last = last[1:] + (chunk,)
+        pending = head[-len(opening):]
+        yield head[:-len(opening)]
+    yield pending
 
 
 def _omega_csv_rows(rows) -> Iterator[str]:

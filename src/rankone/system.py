@@ -34,7 +34,8 @@ numberfield (which brings linalg, and fppoly for its irreducibility test)
 for number_field_units, fppoly for function_field, rationals for
 s_integer.  exactlog, balls and linalg are imported where a class uses
 them (characters, ergodicity ranks), so a count over a box loads none of
-them beyond what numberfield brings; descriptor_hash imports hashlib.
+them but the linalg that numberfield brings; descriptor_hash imports
+hashlib.
 
 The archimedean characters of a component go into the V list, the
 nonarchimedean ones into W.  Orderings are deterministic: components in

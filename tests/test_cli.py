@@ -524,6 +524,18 @@ def test_streamed_rows_equal_json_dumps(d, key):
     assert empty == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("pad", range(4084, 4092))
+def test_streamed_rows_splice_across_encoder_batches(pad):
+    # _json_chunks joins 4,096 encoder chunks per piece; a list of pad ints
+    # is pad chunks, so across these pads the empty array's chunks ("\n  ",
+    # '"omega"', ": ", "[]") straddle the first boundary at every position
+    rows = synthetic_rows(2)
+    doc = {"a": [0] * pad, "omega": [], "z": [1]}
+    streamed = "".join(sampling._json_with_rows(doc, "omega", rows))
+    doc["omega"] = row_dicts(rows)
+    assert streamed == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("fixture, samples", [("dk-sextic", 24), ("times2times3times5", 6)])
 def test_portrait_stdout_equals_library_json(capsys, fixture, samples):
     code, out, err = run(capsys, "portrait", fixture, "--samples", str(samples))

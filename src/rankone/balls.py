@@ -48,7 +48,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .defaults import DEFAULT_PRECISION, MAX_PRECISION
+from .defaults import DEFAULT_PRECISION, MAX_PRECISION, power
 
 # Radii only need a few correct bits; what matters is the upward rounding.
 _RPREC = 30
@@ -190,20 +190,7 @@ class RealBall:
         return self.mul(other.recip(prec + 8), prec)
 
     def pow_int(self, n: int, prec: int) -> "RealBall":
-        if n == 0:
-            return RealBall.one()
-        if n < 0:
-            return self.pow_int(-n, prec).recip(prec)
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul(base, prec)
-            k >>= 1
-            if k:
-                base = base.mul(base, prec)
-        return result
+        return power(self, n, lambda a, b: a.mul(b, prec))
 
     # --- transcendental -----------------------------------------------
 
@@ -373,20 +360,7 @@ class ComplexBall:
         return ComplexBall(self.re.mul(inv, prec), self.im.neg().mul(inv, prec))
 
     def pow_int(self, n: int, prec: int) -> "ComplexBall":
-        if n == 0:
-            return ComplexBall(RealBall.one(), RealBall.zero())
-        if n < 0:
-            return self.pow_int(-n, prec).recip(prec)
-        result = None
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul(base, prec)
-            k >>= 1
-            if k:
-                base = base.mul(base, prec)
-        return result
+        return power(self, n, lambda a, b: a.mul(b, prec))
 
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Tuple
 
+from .defaults import power
 from .rationals import is_prime
 
 
@@ -170,28 +171,12 @@ class FpPoly:
         return a.monic() if not a.is_zero() else a
 
     def pow(self, n: int) -> "FpPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = FpPoly.one(self.p)
-        base = self
-        while n:
-            if n & 1:
-                result = result.mul(base)
-            n >>= 1
-            if n:
-                base = base.mul(base)
-        return result
+        return power(self, n, FpPoly.mul)
 
     def powmod(self, n: int, modulus: "FpPoly") -> "FpPoly":
-        result = FpPoly.one(self.p)
-        base = self.mod(modulus)
-        while n:
-            if n & 1:
-                result = result.mul(base).mod(modulus)
-            n >>= 1
-            if n:
-                base = base.mul(base).mod(modulus)
-        return result
+        if n == 0:  # numberfield's Hensel lift asks for p**m - 2 = 0 at p = 2, m = 1
+            return FpPoly.one(self.p)
+        return power(self.mod(modulus), n, lambda a, b: a.mul(b).mod(modulus))
 
     def derivative(self) -> "FpPoly":
         return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
@@ -319,15 +304,11 @@ def _poly_ord(f: FpPoly, pi: FpPoly) -> int:
         n += 1
 
 
-def fp_ord_infinity(f) -> int:
+def fp_ord_infinity(f: FpRationalFunction) -> int:
     """ord at the infinite place: deg(den) - deg(num); |f|_inf = p**(-ord)."""
-    if isinstance(f, FpRationalFunction):
-        if f.num.is_zero():
-            raise ValueError("ord of the zero function is undefined")
-        return f.den.degree - f.num.degree
-    if f.is_zero():
-        raise ValueError("ord of the zero polynomial is undefined")
-    return -f.degree
+    if f.num.is_zero():
+        raise ValueError("ord of the zero function is undefined")
+    return f.den.degree - f.num.degree
 
 
 class FpRationalFunction:
@@ -368,16 +349,6 @@ class FpRationalFunction:
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpRationalFunction)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.den.is_one():

@@ -6,11 +6,10 @@ so).  The determinant clears each row's denominators and then runs Bareiss's
 fraction-free elimination on Python ints, so no Fraction is formed until
 the final quotient, and none at all for a matrix of ints; it is the one
 determinant behind both number-field norms and the determinant oracle.
-Inverse and rank use plain Gaussian elimination over Fraction.  The
-characteristic polynomial runs the Faddeev-LeVerrier recurrence on Python
-ints, on A scaled by the lcm of its denominators; it needs no pivoting at
-all, and so gives a determinant-free second route to det(I - A) =
-charpoly(1).
+Rank uses plain Gaussian elimination over Fraction.  The characteristic
+polynomial runs the Faddeev-LeVerrier recurrence on Python ints, on A
+scaled by the lcm of its denominators; it needs no pivoting at all, and so
+gives a determinant-free second route to det(I - A) = charpoly(1).
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
@@ -22,6 +21,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import List
+
+from .defaults import power
 
 Matrix = List[List[Fraction]]
 
@@ -46,17 +47,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, n: int) -> Matrix:
-    if n < 0:
-        return mat_pow(mat_inv(a), -n)
-    result = identity(len(a))
-    base = [row[:] for row in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        n >>= 1
-        if n:
-            base = mat_mul(base, base)
-    return result
+    return power(a, n, mat_mul)
 
 
 def det(a: Matrix):
@@ -104,27 +95,6 @@ def det(a: Matrix):
         prev = p
     value = sign * m[n - 1][n - 1] if n else 1
     return value if scale is None else Fraction(value, scale)
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    m = [row[:] + ident_row[:] for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 def rank(a: Matrix) -> int:

@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .defaults import DEFAULT_PRECISION
+from .defaults import DEFAULT_PRECISION, power
 from .errors import UndecidedError
 from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
 
@@ -209,12 +209,6 @@ class NumberFieldSpec:
     def degree(self) -> int:
         return len(self.min_poly) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, NumberFieldSpec) and self.min_poly == other.min_poly
-
-    def __hash__(self):
-        return hash(self.min_poly)
-
     def __repr__(self):
         return f"NumberFieldSpec({list(self.min_poly)})"
 
@@ -297,15 +291,10 @@ def el_inv(spec: NumberFieldSpec, x: Element) -> Element:
 def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:
     if n < 0:
         return el_pow(spec, el_inv(spec, x), -n)
-    result = el_one(spec)
-    base = x
-    while n:
-        if n & 1:
-            result = el_mul(spec, result, base)
-        n >>= 1
-        if n:
-            base = el_mul(spec, base, base)
-    return result
+    if n == 0:
+        return el_one(spec)
+    # el_mul is looked up at each product, so a rebinding of it is seen
+    return power(x, n, lambda a, b: el_mul(spec, a, b))
 
 
 def _int_columns(f: IntPoly, col: List[int]) -> List[List[int]]:
@@ -394,16 +383,6 @@ class Embedding:
         self.box = box
         self.is_real = is_real
         self.conj_index = conj_index
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Embedding)
-            and self.poly == other.poly
-            and self.index == other.index
-        )
-
-    def __hash__(self):
-        return hash((self.poly, self.index))
 
     def __repr__(self):
         kind = "real" if self.is_real else "complex"

@@ -39,8 +39,11 @@ to MAX_GRID_BITS.
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each
 generator's multiplication matrix from the companion matrix of min_poly,
-multiplies matrix powers of Fractions, and takes one determinant of the
-product minus the identity.  The only code the two routes share is
+multiplies the matrix powers of Fractions with positive exponents into A
+and those with negative exponents, raised to |e|, into B, and takes one
+determinant, det(A - B), with no matrix inverse: h = A B^-1 and B is a
+product of units, so |det(A - B)| = |det(A B^-1 - I)| |det B| =
+|Norm(h - 1)|.  The only code the two routes share is
 linalg.det: count forms h with numberfield's el_pow, int_coords and
 mul_coords and the per-instance power memo, and the oracle uses none of
 these.  linalg is imported by det_oracle alone, so a count loads only the
@@ -94,16 +97,9 @@ class PeriodicCount:
     def __eq__(self, other):
         if isinstance(other, PeriodicCount):
             return self.value == other.value
-        if other is None:
-            return False
         if isinstance(other, int):
             return self.value == other
-        if isinstance(other, float):
-            return self.value is None and other == float("inf")
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
 
     def __repr__(self):
         return f"PeriodicCount({self.as_text()})"
@@ -245,8 +241,9 @@ def grid(sys: SystemDescriptor, ranges: Sequence[Tuple[int, int]], j: int = 1) -
 def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicCount:
     """Independent matrix-arithmetic recomputation for number-field systems.
 
-    Works entirely with multiplication matrices: integer matrix powers, one
-    exact determinant.  Zero determinant reports the infinite count.
+    Works entirely with multiplication matrices: the products A of the
+    positive and B of the negative generator powers, then one exact
+    determinant det(A - B).  Zero determinant reports the infinite count.
     """
     from .linalg import det, identity, mat_mul, mat_pow
 
@@ -259,13 +256,15 @@ def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicC
     _check_budget(sys, exponents)
     total = 1
     for comp, mult in sys.components:
-        deg = comp.field.degree
-        product = identity(deg)
+        a = b = identity(comp.field.degree)
         for g, e in zip(comp.generators, exponents):
             if e:
-                m = _companion_multiplication_matrix(comp.field.min_poly, g)
-                product = mat_mul(product, mat_pow(m, e))
-        value = det([[x - int(i == k) for k, x in enumerate(row)] for i, row in enumerate(product)])
+                m = mat_pow(_companion_multiplication_matrix(comp.field.min_poly, g), abs(e))
+                if e > 0:
+                    a = mat_mul(a, m)
+                else:
+                    b = mat_mul(b, m)
+        value = det([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         if value.denominator != 1:
             raise ArithmeticError("determinant of an integral matrix must be an integer")
         if value == 0:

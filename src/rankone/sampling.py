@@ -44,9 +44,9 @@ def _parse_direction(text: str, d: int) -> Tuple[int, ...]:
 # --------------------------------------------------------------------------
 # omega rows, written as they are formatted
 #
-# The rows are the (direction, subset, lo, hi, mid) of the OmegaRows that
-# omega_samples returns; mid is for the SVG.  The JSON rows are byte for
-# byte what json.dumps(indent=2) writes, in a top-level array, for the dicts
+# The rows are the (direction, subset, lo, hi) of the OmegaRows that
+# omega_samples returns.  The JSON rows are byte for byte what
+# json.dumps(indent=2) writes, in a top-level array, for the dicts
 # {"branch", "direction", "value"} with every float through _round12.  Each
 # branch's text is rendered once, each direction's once, and the two value
 # bounds once per distinct ball of a direction (its slot, not the doubles,
@@ -79,7 +79,7 @@ def _direction_chunks(rows, branch_text, direction_text, value_text, direction_f
     btexts = [branch_text(subset) for subset in rows.subsets]
     for direction, values in rows.by_direction():
         dtext = direction_text(direction)
-        vtexts = [value_text(lo, hi) for lo, hi, _ in values]
+        vtexts = [value_text(lo, hi) for lo, hi in values]
         parts = []
         for btext, k in zip(btexts, rows.slots):
             parts += (dtext, btext, vtexts[k]) if direction_first else (btext, dtext, vtexts[k])

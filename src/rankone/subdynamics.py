@@ -447,11 +447,11 @@ def _branch_balls(sys: SystemDescriptor, subsets: Sequence[Tuple[int, ...]],
 
 class OmegaRows:
     """The doubles of omega_samples in one array: per direction, the
-    float_bounds() and mid_float() of each of its distinct branch balls,
-    three doubles each, with .slots giving each of .subsets the number of
-    its ball, the same at every direction (by default one ball per subset).
-    len() counts the rows; iterating gives (direction, subset, lo, hi, mid),
-    each direction over all of .subsets in turn, every tuple shared."""
+    float_bounds() of each of its distinct branch balls, two doubles each,
+    with .slots giving each of .subsets the number of its ball, the same at
+    every direction (by default one ball per subset).  len() counts the
+    rows; iterating gives (direction, subset, lo, hi), each direction over
+    all of .subsets in turn, every tuple shared."""
 
     __slots__ = ("directions", "subsets", "slots", "floats")
 
@@ -463,12 +463,12 @@ class OmegaRows:
         return len(self.directions) * len(self.subsets)
 
     def by_direction(self):
-        """(direction, values) per direction, values[k] the (lo, hi, mid) of
-        its k-th distinct ball."""
-        triples = zip(*[iter(self.floats)] * 3)
+        """(direction, values) per direction, values[k] the (lo, hi) of its
+        k-th distinct ball."""
+        pairs = zip(*[iter(self.floats)] * 2)
         count = max(self.slots) + 1
         for direction in self.directions:
-            yield direction, list(itertools.islice(triples, count))
+            yield direction, list(itertools.islice(pairs, count))
 
     def __iter__(self):
         for direction, values in self.by_direction():
@@ -493,7 +493,7 @@ def omega_samples(
         rows.directions.append(direction)
         rows.slots = slots
         for ball in balls:
-            rows.floats.extend((*ball.float_bounds(), ball.mid_float()))
+            rows.floats.extend(ball.float_bounds())
     return rows
 
 

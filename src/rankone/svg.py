@@ -251,10 +251,10 @@ def portrait_svg(portrait, rows: Sequence = ()) -> str:
     if d == 2:
         if rows:
             curve_rows = []
-            for direction, subset, _, _, mid in rows:
+            for direction, subset, lo, hi in rows:
                 theta = math.atan2(direction[1], direction[0]) % (2 * math.pi)
                 key = "{" + ",".join(str(i) for i in subset) + "}"
-                curve_rows.append((theta, key, mid))
+                curve_rows.append((theta, key, (lo + hi) / 2))
             curve_rows.sort(key=lambda r: (r[1], r[0]))
             return branch_curves(curve_rows)
         return line_diagram(planes)

@@ -489,7 +489,7 @@ def synthetic_rows(d: int) -> subdynamics.OmegaRows:
     specials = itertools.cycle(SPECIAL_FLOATS)
     for _ in range(10):
         rows.directions.append(tuple(next(specials) for _ in range(d)))
-        rows.floats.extend(next(specials) for _ in range(3 * 3))
+        rows.floats.extend(next(specials) for _ in range(3 * 2))
     return rows
 
 
@@ -502,7 +502,7 @@ def row_dicts(rows) -> list:
             "branch": list(subset),
             "value": [_round12(lo), _round12(hi)],
         }
-        for direction, subset, lo, hi, _ in rows
+        for direction, subset, lo, hi in rows
     ]
 
 

@@ -511,7 +511,7 @@ def test_omega_samples_are_the_doubles_of_the_branch_balls(system, convention):
     rows = omega_samples(system, directions, convention)
     balls = branch_ball_rows(system, directions, convention)
     assert len(rows) == len(balls)
-    assert list(rows) == [(v, s, *b.float_bounds(), b.mid_float()) for v, s, b in balls]
+    assert list(rows) == [(v, s, *b.float_bounds()) for v, s, b in balls]
     # each direction is one tuple, shared by its rows
     assert len({id(v) for v, *_ in rows}) == len(directions)
 
@@ -555,7 +555,8 @@ def test_sextic_branches_take_47_products_per_direction(monkeypatch):
 def test_sextic_exports_each_distinct_ball_once(monkeypatch, convention):
     # at each of the 720 default directions the 64 branches share 48 balls
     # (g and 47 products); each is exported once and, for root-location,
-    # inverted once: 720 x 48 calls each, where one per row made 720 x 64
+    # inverted once: 720 x 48 calls each, where one per row made 720 x 64;
+    # the rows hold bounds only, so no midpoint is taken
     directions = default_directions(SEXTIC)
     omega_samples(SEXTIC, directions[:1], convention)  # characters and root logs
     calls = Counter()
@@ -566,7 +567,8 @@ def test_sextic_exports_each_distinct_ball_once(monkeypatch, convention):
         monkeypatch.setattr(RealBall, name, counted)
     rows = omega_samples(SEXTIC, directions, convention)
     assert len(rows) == 720 * 64
-    assert calls["float_bounds"] == calls["mid_float"] == 720 * 48 == 34_560
+    assert calls["float_bounds"] == 720 * 48 == 34_560
+    assert calls["mid_float"] == 0
     assert calls["recip"] == (34_560 if convention == "root-location" else 0)
     assert len(rows.slots) == 64 and max(rows.slots) == 47
 

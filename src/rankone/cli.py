@@ -268,10 +268,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the module itself, and -X importtime sees the import
         module, name = args.run
         return getattr(__import__(module, fromlist=[name]), name)(args)
-    except DescriptorError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except (UnsupportedOperationError, ValueError) as exc:
+    # DescriptorError is a ValueError
+    except (UnsupportedOperationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
     except FitInconsistencyError as exc:
@@ -283,9 +281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -266,11 +266,6 @@ class ExactLog:
             and self.root_part == other.root_part
         )
 
-    def __hash__(self):
-        return hash(
-            (tuple(self.prime_part.items()), tuple(self.root_part.items()))
-        )
-
     def __repr__(self):
         bits = [f"{c}*log({p})" for p, c in self.prime_part.items()]
         bits += [f"{c}*log|root#{i} of {list(f)}|" for (_, f, i), c in self.root_part.items()]

@@ -13,7 +13,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_shift, mpf_sub, to_fl
 import pytest
 
 import rankone
-from rankone import cli
+from rankone import cli, rationals
 from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds, interval_sign, precisions
 from rankone.exactlog import ExactLog, log_dot, vector_is_zero, vectors_parallel
 from rankone.rationals import (
@@ -42,6 +42,19 @@ def test_factor_int():
     assert factor_int(1) == {}
 
 
+def test_factor_int_splits_semiprimes_above_the_trial_primes(monkeypatch):
+    # no prime factor is below 41, so trial division leaves each whole and
+    # Pollard-Brent splits it
+    splits = []
+    real = rationals._pollard_brent
+    monkeypatch.setattr(rationals, "_pollard_brent", lambda n: splits.append(n) or real(n))
+    m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+    for p, q in ((41, 43), (1009, 1013), (m31, m61)):
+        assert factor_int(p * q) == {p: 1, q: 1}
+        assert splits[-1] == p * q
+    assert len(splits) == 3
+
+
 def test_factor_fraction_signed_exponents():
     assert factor_fraction(Fraction(8, 45)) == {2: 3, 3: -2, 5: -1}
 
@@ -53,6 +66,36 @@ def test_prime_to_s_part():
 
 
 # --- real balls --------------------------------------------------------------
+
+def _binary_loop_pow(ball, n, prec):
+    """The loop pow_int replaced, kept as the reference: the first factor is
+    the ball itself, times it at each set bit of n, squared between bits."""
+    result, base = None, ball
+    while n:
+        if n & 1:
+            result = base if result is None else result.mul(base, prec)
+        n >>= 1
+        if n:
+            base = base.mul(base, prec)
+    return result
+
+
+def _ball_bits(ball):
+    parts = (ball.re, ball.im) if isinstance(ball, ComplexBall) else (ball,)
+    return [(part.mid, part.rad) for part in parts]
+
+
+def test_pow_int_keeps_the_products_of_the_binary_loop():
+    # every product rounds and widens the radius, so a power that started
+    # from one, or multiplied in another order, would differ in its bits
+    prec = 53
+    real = RealBall.from_fraction(Fraction(-7, 5), prec)
+    for ball in (real, ComplexBall(real, RealBall.from_fraction(Fraction(3, 7), prec))):
+        for n in range(1, 41):
+            assert _ball_bits(ball.pow_int(n, prec)) == _ball_bits(_binary_loop_pow(ball, n, prec)), n
+        with pytest.raises(ValueError):
+            ball.pow_int(0, prec)
+
 
 def test_ball_contains_exact_value_through_ops():
     prec = 53

@@ -13,7 +13,7 @@ from rankone import INFINITE, count, count_sequence, det_oracle, grid, load_fixt
 from rankone import numberfield as nf
 from rankone import periodic
 from rankone.errors import ResourceCapError, UnsupportedOperationError
-from rankone.fppoly import FpRationalFunction, fp_ord_at, fp_ord_infinity
+from rankone.fppoly import FpPoly, FpRationalFunction, fp_ord_at, fp_ord_infinity
 from rankone.linalg import charpoly, det
 from rankone.rationals import prime_to_s_part
 from rankone.system import parse_descriptor
@@ -209,6 +209,19 @@ def test_function_field_kernel_matches_reduced_route(characteristic, generators,
             assert comp.count_factor(exponents) == expected, (n, j)
             found += expected is None
     assert found == infinite
+
+
+def test_characteristic_2_splits_equal_degree_factors():
+    # t^6 + ... + 1 = (t^3 + t + 1)(t^3 + t^2 + 1) over F_2: both factors have
+    # degree 3, so the trace map has to split them
+    cubics = [FpPoly(2, [1, 1, 0, 1]), FpPoly(2, [1, 0, 1, 1])]
+    assert FpPoly(2, [1] * 7).factor() == {cubics[0]: 1, cubics[1]: 1}
+    sys_ = parse_descriptor({"d": 1, "components": [
+        {"class": "function_field", "characteristic": 2, "generators": ["t^6+t^5+t^4+t^3+t^2+t+1"]}]})
+    (comp, _), = sys_.components
+    assert set(comp.finite_places) == set(cubics) and comp.infinite_place_needed
+    # g - 1 is a unit at both cubics, with a pole of order 6 n at infinity
+    assert [count(sys_, (n,)) for n in (1, 2)] == [64, 4096]
 
 
 def _s_integer_reference(comp, exponents):

@@ -19,7 +19,13 @@ exponents, so there is no underflow to absorb rounding errors silently:
 a nonzero exact result never rounds to zero, which makes |result|*2^-prec
 a valid bound for the half-ulp error of any correctly rounded operation.
 Transcendental functions get an extra guard margin because mpmath only
-promises faithful rounding for them.
+promises faithful rounding for them.  Ball fields are finite: mpmath's inf
+and nan carry a zero mantissa, which the integer code below would read as 0.
+
+Midpoints round to nearest, ties to even, at the working precision; radii
+round up to _RPREC = 30 bits, after each product and each partial sum.
+`mul` and the radii of `add`, `sub` and `_from_endpoints` do this on Python
+ints, with the bits mpmath's mpf_mul and mpf_add would give.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from mpmath import libmp
 from mpmath.libmp import (
     fone,
     fzero,
-    from_int,
     from_rational,
     mpf_abs,
     mpf_add,
@@ -76,21 +81,45 @@ def precisions(start: int, cap: int) -> Iterator[int]:
         yield cap
 
 
-def _half_ulp(mid, prec: int):
-    # Valid bound for the rounding error of a nearest-rounded result `mid`;
-    # exactly zero results have error zero, and shifts are exact.
-    return mpf_shift(mpf_abs(mid), -prec)
+def _up(man: int, exp: int, tman: int = 0, texp: int = 0):
+    """The mpf man * 2^exp + tman * 2^texp (man, tman >= 0 and odd or 0)
+    rounded up to _RPREC bits: the tuple mpf_add(..., _RPREC, "c") returns."""
+    if tman:
+        if man:
+            if exp < texp:
+                man, exp, tman, texp = tman, texp, man, exp
+            offset = exp - texp
+            # mpmath's shortcut: a term whose last bit lies over 100 bits and
+            # whose top lies over _RPREC + 4 bits below the other's only sets
+            # a sticky bit
+            if offset > 100 and man.bit_length() + offset - tman.bit_length() > _RPREC + 4:
+                man = (man << (_RPREC + 4)) + 1
+                exp -= _RPREC + 4
+            else:
+                man = (man << offset) + tman
+                exp = texp
+        else:
+            man, exp = tman, texp
+    elif not man:
+        return fzero
+    n = man.bit_length() - _RPREC
+    if n > 0:
+        man = -(-man >> n)
+        exp += n
+    if not man & 1:
+        tz = (man & -man).bit_length() - 1
+        man >>= tz
+        exp += tz
+    return 0, man, exp, man.bit_length()
 
 
-def _rad_add(*terms):
-    total = fzero
-    for t in terms:
-        total = mpf_add(total, t, _RPREC, _UP)
-    return total
-
-
-def _rad_mul(a, b):
-    return mpf_mul(a, b, _RPREC, _UP)
+def _sum_rad(a, b, mid, prec: int):
+    """a + b + |mid| 2^-prec, each partial sum rounded up; the last term
+    bounds the rounding error of a nearest-rounded `mid` (zero when exact)."""
+    if a[3] > _RPREC:
+        a = _up(a[1], a[2])
+    _, man, exp, _ = _up(a[1], a[2], b[1], b[2])
+    return _up(man, exp, mid[1], mid[2] - prec)
 
 
 class RealBall:
@@ -112,7 +141,14 @@ class RealBall:
 
     @staticmethod
     def from_int(n: int) -> "RealBall":
-        return RealBall(from_int(n))  # exact at any size
+        """Exact at any size: mpmath's from_int tuple, with the trailing
+        zeros stripped in one step rather than 8 bits per loop pass."""
+        if not n:
+            return RealBall(fzero)
+        man = -n if n < 0 else n
+        tz = (man & -man).bit_length() - 1
+        man >>= tz
+        return RealBall((int(n < 0), man, tz, man.bit_length()))
 
     @staticmethod
     def from_fraction(x: Union[Fraction, int], prec: int) -> "RealBall":
@@ -129,36 +165,57 @@ class RealBall:
 
     @staticmethod
     def from_float(x: float) -> "RealBall":
+        if not math.isfinite(x):
+            raise ValueError(f"ball of a non-finite float: {x!r}")
         return RealBall(libmp.from_float(x))  # doubles embed exactly
 
     @staticmethod
     def _from_endpoints(lo, hi, prec: int) -> "RealBall":
         mid = mpf_shift(mpf_add(lo, hi, prec, "n"), -1)
-        half = mpf_shift(mpf_sub(hi, lo, _RPREC, _UP), -1)
-        return RealBall(mid, _rad_add(half, _half_ulp(mid, prec)))
+        _, half, exp, _ = mpf_sub(hi, lo, _RPREC, _UP)
+        return RealBall(mid, _up(half, exp - 1, mid[1], mid[2] - prec))
 
     # --- arithmetic ---------------------------------------------------
 
     def add(self, other: "RealBall", prec: int) -> "RealBall":
         mid = mpf_add(self.mid, other.mid, prec, "n")
-        return RealBall(mid, _rad_add(self.rad, other.rad, _half_ulp(mid, prec)))
+        return RealBall(mid, _sum_rad(self.rad, other.rad, mid, prec))
 
     def sub(self, other: "RealBall", prec: int) -> "RealBall":
         mid = mpf_sub(self.mid, other.mid, prec, "n")
-        return RealBall(mid, _rad_add(self.rad, other.rad, _half_ulp(mid, prec)))
+        return RealBall(mid, _sum_rad(self.rad, other.rad, mid, prec))
 
     def neg(self) -> "RealBall":
         return RealBall(mpf_neg(self.mid), self.rad)
 
     def mul(self, other: "RealBall", prec: int) -> "RealBall":
-        mid = mpf_mul(self.mid, other.mid, prec, "n")
-        rad = _rad_add(
-            _rad_mul(mpf_abs(self.mid), other.rad),
-            _rad_mul(mpf_abs(other.mid), self.rad),
-            _rad_mul(self.rad, other.rad),
-            _half_ulp(mid, prec),
-        )
-        return RealBall(mid, rad)
+        sign, man, exp, _ = self.mid
+        _, rman, rexp, _ = self.rad
+        osign, oman, oexp, _ = other.mid
+        _, orman, orexp, _ = other.rad
+        # the midpoint: the product of the odd mantissas, to nearest, ties to even
+        m = man * oman
+        e = exp + oexp
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)
+            if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+                m = (t >> 1) + 1
+            else:
+                m = t >> 1
+            tz = (m & -m).bit_length() - 1
+            m >>= tz
+            e += n + tz
+        mid = (sign ^ osign, m, e, m.bit_length()) if m else fzero
+        # |mid| orad + |omid| rad + rad orad + |m| 2^-prec, each product and
+        # sum rounded up; adding a zero term would leave the sum as it is
+        _, s, se, _ = _up(man * orman, exp + orexp)
+        if rman:
+            _, p, pe, _ = _up(oman * rman, oexp + rexp)
+            _, s, se, _ = _up(s, se, p, pe)
+            _, p, pe, _ = _up(rman * orman, rexp + orexp)
+            _, s, se, _ = _up(s, se, p, pe)
+        return RealBall(mid, _up(s, se, m, e - prec))
 
     def square(self, prec: int) -> "RealBall":
         """Enclosure of {x^2}; never dips below zero, unlike self.mul(self)."""

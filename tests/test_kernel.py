@@ -8,7 +8,19 @@ import random
 import sys
 from fractions import Fraction
 
-from mpmath.libmp import from_man_exp, fzero, mpf_add, mpf_shift, mpf_sub, to_float, to_int
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_mul,
+    mpf_shift,
+    mpf_sub,
+    to_float,
+    to_int,
+)
 
 import pytest
 
@@ -216,6 +228,107 @@ def test_float_bounds_equal_the_mpf_route():
     # the cases reach both saturations, the subnormals and zero
     assert {math.inf, -math.inf, sys.float_info.max, -sys.float_info.max, 0.0} <= ends
     assert any(0 < abs(x) < 2.0 ** -1022 for x in ends)
+
+
+def _mpf_rad_add(*terms):
+    total = fzero
+    for t in terms:
+        total = mpf_add(total, t, 30, "c")
+    return total
+
+
+def _mpf_half_ulp(mid, prec):
+    return mpf_shift(mpf_abs(mid), -prec)
+
+
+def mpf_ball_op(op, a, b, prec):
+    """mul, add, sub and _from_endpoints(a, b) as mpmath computed them before
+    they moved onto Python ints, kept as the reference: (mid, rad)."""
+    if op == "mul":
+        mid = mpf_mul(a.mid, b.mid, prec, "n")
+        return mid, _mpf_rad_add(
+            mpf_mul(mpf_abs(a.mid), b.rad, 30, "c"),
+            mpf_mul(mpf_abs(b.mid), a.rad, 30, "c"),
+            mpf_mul(a.rad, b.rad, 30, "c"),
+            _mpf_half_ulp(mid, prec),
+        )
+    if op in ("add", "sub"):
+        mid = (mpf_add if op == "add" else mpf_sub)(a.mid, b.mid, prec, "n")
+        return mid, _mpf_rad_add(a.rad, b.rad, _mpf_half_ulp(mid, prec))
+    lo, hi = a.mid, b.mid
+    mid = mpf_shift(mpf_add(lo, hi, prec, "n"), -1)
+    half = mpf_shift(mpf_sub(hi, lo, 30, "c"), -1)
+    return mid, _mpf_rad_add(half, _mpf_half_ulp(mid, prec))
+
+
+def ball_op_cases(rng):
+    """Seeded (a, b, prec) at each prec of 1, 2, 53, 64, 72 and 300: mantissas
+    whose product has prec + 1 bits (an exact tie) or is 2^(2k) - 1 (a carry
+    to 2^prec), radii of 1 to 200 bits from just below the midpoint to
+    2^-3000 under it, zero midpoints and zero radii."""
+
+    def ball(man, exp):
+        mid = from_man_exp(rng.choice((-1, 1)) * man, exp)
+        bits = rng.choice((0, 1, 5, 30, 31, 64, 200))
+        if not bits:
+            return RealBall(mid)
+        rman = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        below = rng.choice((rng.randint(-5, 40), rng.randint(90, 400), rng.randint(2000, 3000)))
+        return RealBall(mid, from_man_exp(rman, exp + man.bit_length() - bits - below))
+
+    def odd(bits):
+        return rng.getrandbits(bits) | 1 << (bits - 1) | 1 if bits else 0
+
+    for prec in (1, 2, 53, 64, 72, 300):
+        for _ in range(150):
+            ka = rng.randint(1, prec)
+            kb = prec + 1 - ka + rng.choice((0, 0, 1))  # the product has prec + 1 or + 2 bits
+            yield ball(odd(ka), rng.randint(-80, 80)), ball(odd(kb), rng.randint(-80, 80)), prec
+        for k in range(1, prec // 2 + 3):
+            # (2^k - 1)(2^k + 1) = 2^(2k) - 1 rounds up to 2^(2k) when 2k > prec
+            yield ball(2 ** k - 1, rng.randint(-80, 80)), ball(2 ** k + 1, rng.randint(-80, 80)), prec
+        for _ in range(150):
+            a, b = (ball(odd(rng.choice((0, 0, 1, 30, 64, prec, 2 * prec + 7))), rng.randint(-300, 300))
+                    for _ in range(2))
+            yield a, b, prec
+
+
+def test_ball_ops_equal_the_mpf_route():
+    ties, carries, wide, gaps, zeros = set(), 0, 0, 0, 0
+    for a, b, prec in ball_op_cases(random.Random(27)):
+        lo, hi = (a.mid, b.mid) if mpf_cmp(a.mid, b.mid) <= 0 else (b.mid, a.mid)
+        for op, x, y in (("mul", a, b), ("add", a, b), ("sub", a, b), ("ends", RealBall(lo), RealBall(hi)),
+                         ("ends", *map(RealBall, a._bounds()))):
+            got = RealBall._from_endpoints(x.mid, y.mid, prec) if op == "ends" else getattr(x, op)(y, prec)
+            assert (got.mid, got.rad) == mpf_ball_op(op, x, y, prec), (op, prec, x.mid, x.rad, y.mid, y.rad)
+        product = a.mid[1] * b.mid[1]
+        if product.bit_length() == prec + 1:
+            ties.add((product >> 1) & 1)  # the kept last bit: 0 rounds down, 1 rounds up
+        carries += product.bit_length() > prec and a.mul(b, prec).mid[1] == 1 and product > 1
+        wide += max(a.rad[3], b.rad[3]) > 30
+        gaps += any(r[1] and m[2] - r[2] > 100 for m, r in ((a.mid, a.rad), (b.mid, b.rad)))
+        zeros += not (a.mid[1] and b.mid[1] and a.rad[1] and b.rad[1])
+    # both parities of exact ties, and every other kind of case, are reached
+    assert ties == {0, 1}
+    assert min(carries, wide, gaps, zeros) > 50
+
+
+def test_from_int_equals_mpmath():
+    rng = random.Random(27)
+    cases = [0, 1, -1, 2 ** 100_000, -(2 ** 99_999)]
+    for _ in range(60):
+        n = rng.getrandbits(rng.randint(1, 100_000)) << rng.randint(0, 3000)
+        cases += [n, -n, 1 << rng.randint(0, 100_000)]
+    for n in cases:
+        assert RealBall.from_int(n).mid == from_int(n)
+        assert RealBall.from_int(n).rad == fzero
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_from_float_rejects_non_finite(x):
+    # mpmath's inf and nan have a zero mantissa, which ball products would read as 0
+    with pytest.raises(ValueError, match="non-finite"):
+        RealBall.from_float(x)
 
 
 def test_complex_mul_contains_exact_gaussian_value():

@@ -36,6 +36,7 @@ import os
 import sys as _sys
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import defaults
 from .defaults import CONVENTIONS, DEFAULT_PRECISION, INVERSE_ROOT, MAX_PRECISION
 from .errors import (
     DescriptorError,
@@ -44,7 +45,7 @@ from .errors import (
     UndecidedError,
     UnsupportedOperationError,
 )
-from .periodic import DEFAULT_BIT_BUDGET, grid
+from .periodic import grid
 from .system import SystemDescriptor, fixture_names, load_fixture, parse_descriptor
 
 EXIT_OK = 0
@@ -256,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = _sys.argv[1:]
     # exact counts print in full up to the bit budget
-    _sys.set_int_max_str_digits(math.ceil(DEFAULT_BIT_BUDGET * math.log10(2)))
+    _sys.set_int_max_str_digits(math.ceil(defaults.DEFAULT_BIT_BUDGET * math.log10(2)))
     try:
         args = _parser().parse_args(_join_dash_values(argv))
         prec = _bits("--precision-bits", args.precision_bits, PRECISION_ENV, DEFAULT_PRECISION)

@@ -168,6 +168,8 @@ class FunctionFieldComponent:
         """No archimedean characters in positive characteristic."""
         return []
 
+    arch_exponents = arch_factors
+
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # prod g_i^{k_i} = 1 forces zero order at every place; conversely a
         # kernel vector of the order matrix makes the product a constant in

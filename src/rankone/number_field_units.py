@@ -214,6 +214,10 @@ class NumberFieldUnitsComponent:
         h = self.power_product(exponents)
         return [(None, (self.field.min_poly, k, h)) for k in range(self.field.degree)]
 
+    def arch_exponents(self, exponents: Sequence[int]) -> List[None]:
+        """No exact value: h is embedded at every archimedean character."""
+        return [None] * self.field.degree
+
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # Full real rank of the embedding log matrix certifies that no
         # nontrivial power product has all absolute values 1, hence no

@@ -26,15 +26,12 @@ each generator is inverted once).  Fix(alpha^n) = Fix(alpha^-n), so a box
 counts each +-n pair once: a point whose mirror -n came earlier takes its
 count.  The rest costs one power per generator and row or column, plus per
 point one product of the powers and one difference, determinant or set of
-place orders.  Every count checks its own size estimate, which bounds the
-count's size from above, against DEFAULT_BIT_BUDGET, read at call time, so
-a box's error names its first point over the budget in box order; the
-estimate's factor, sum_c mult_c * bit_height_c, is formed once per
-descriptor (SystemDescriptor.bit_height).  A count sequence is checked once
-more before any count, at the first period over the budget
-(check_sequence_budget, which zeta also calls before it builds any branch).
-Before any count, a box's summed estimate, which has a closed form, is held
-to MAX_GRID_BITS.
+place orders.  The caps and size estimates are those of rankone.defaults:
+every count checks its own estimate against the bit budget, so a box's error
+names its first point over the budget in box order; a count sequence is
+checked once before any count, at its first period over the budget
+(check_sequence_budget, which zeta also calls before it builds any branch);
+and a box's points and summed estimate are checked before its first count.
 
 det_oracle recomputes number-field counts by a second route, so the two
 implementations can be checked against each other.  It builds each
@@ -53,23 +50,15 @@ modules of its descriptor's component classes.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ResourceCapError, UnsupportedOperationError
+from . import defaults
+from .errors import UnsupportedOperationError
 from .system import SystemDescriptor
 
 if TYPE_CHECKING:
     from .linalg import Matrix
-
-DEFAULT_BIT_BUDGET = 10 ** 6
-# a grid and its output text are held in memory, about 0.6 KB per lattice point
-MAX_GRID_POINTS = 1 << 20
-# and its counts: most bits the size estimates of a box's counts may sum to
-# (128 MB of integers; the estimate is above the true size, about 3x on
-# times2times3)
-MAX_GRID_BITS = 1 << 30
 
 
 class PeriodicCount:
@@ -108,26 +97,6 @@ class PeriodicCount:
 INFINITE = PeriodicCount(None)
 
 
-def _estimate(sys: SystemDescriptor, exponents: Sequence[int]) -> int:
-    # the count, prod_c value_c^mult_c, has at most weight * sum_c mult_c * bit_height_c bits
-    return sum(abs(e) for e in exponents) * sys.bit_height
-
-
-def _check_budget(sys: SystemDescriptor, exponents: Sequence[int]) -> None:
-    estimate = _estimate(sys, exponents)
-    if estimate > DEFAULT_BIT_BUDGET:
-        raise ResourceCapError(f"estimated size {estimate} bits exceeds the {DEFAULT_BIT_BUDGET}-bit budget")
-
-
-def _abs_sum(lo: int, hi: int) -> int:
-    """sum of |n| over lo <= n <= hi: the positive terms, then the negative."""
-
-    def tri(m):
-        return m * (m + 1) // 2 if m > 0 else 0
-
-    return tri(hi) - tri(lo - 1) + tri(-lo) - tri(-hi - 1)
-
-
 def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
     if j < 1:
         raise ValueError("period j must be a positive integer")
@@ -139,7 +108,7 @@ def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
 def count(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicCount:
     """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1."""
     exponents = _exponents(sys, n, j)
-    _check_budget(sys, exponents)
+    defaults.check_budget(sys.bit_height, exponents)
     total = 1
     for comp, mult in sys.components:
         value = comp.count_factor(exponents)
@@ -161,16 +130,12 @@ def count_sequence(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> List[
 
 
 def check_sequence_budget(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> None:
-    """Raise ResourceCapError if a count among F_1..F_jmax is over the budget.
-
-    The estimate is j times its value at j = 1, so the first period over
-    the budget is found arithmetically, without any count, and the error is
-    the one count would raise there.
-    """
-    per_period = _estimate(sys, _exponents(sys, n, 1))
-    first_over = max(1, DEFAULT_BIT_BUDGET // per_period + 1) if per_period else 1
+    """Raise ResourceCapError if a count among F_1..F_jmax is over the budget,
+    with the error count raises at the first period over it, which is found
+    without any count: the estimate is j times its value at j = 1."""
+    first_over = defaults.first_period_over(defaults.count_bits(sys.bit_height, _exponents(sys, n, 1)))
     if first_over <= j_max:
-        _check_budget(sys, _exponents(sys, n, first_over))
+        defaults.check_budget(sys.bit_height, _exponents(sys, n, first_over))
 
 
 class PeriodicGrid:
@@ -212,24 +177,16 @@ class PeriodicGrid:
 def grid(sys: SystemDescriptor, ranges: Sequence[Tuple[int, int]], j: int = 1) -> PeriodicGrid:
     """count(sys, n, j) for every n in the closed box given by ranges.
 
-    Raises ResourceCapError, before any count, when the box holds more than
-    MAX_GRID_POINTS lattice points or the size estimates of its counts sum
-    to more than MAX_GRID_BITS bits.
+    Raises ResourceCapError, before any count, when the box's lattice
+    points or the summed size estimates of its counts are over their caps.
     """
     if len(ranges) != sys.d:
         raise ValueError(f"expected {sys.d} ranges, got {len(ranges)}")
     for lo, hi in ranges:
         if lo > hi:
             raise ValueError(f"empty range {lo}..{hi}")
-    points = math.prod(hi - lo + 1 for lo, hi in ranges)
-    if points > MAX_GRID_POINTS:
-        raise ResourceCapError(f"{points} lattice points exceed the grid cap of {MAX_GRID_POINTS}")
-    # the estimate is linear in sum_i |n_i|, so over the box it sums to the
-    # estimate at the weight sum_i j (sum of |n_i| on axis i) (points per n_i)
-    weight = j * sum(_abs_sum(lo, hi) * (points // (hi - lo + 1)) for lo, hi in ranges)
-    total = _estimate(sys, [weight])
-    if total > MAX_GRID_BITS:
-        raise ResourceCapError(f"estimated size {total} bits of all counts exceeds the grid cap of {MAX_GRID_BITS} bits")
+    defaults.check("MAX_GRID_POINTS", defaults.grid_points(ranges))
+    defaults.check("MAX_GRID_BITS", defaults.grid_bits(sys.bit_height, ranges, j))
     entries: Dict[Tuple[int, ...], PeriodicCount] = {}
     result = PeriodicGrid(ranges, entries)
     for point in result.points():
@@ -253,7 +210,7 @@ def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicC
                 "det_oracle requires every component to be number_field_units"
             )
     exponents = _exponents(sys, n, j)
-    _check_budget(sys, exponents)
+    defaults.check_budget(sys.bit_height, exponents)
     total = 1
     for comp, mult in sys.components:
         a = b = identity(comp.field.degree)

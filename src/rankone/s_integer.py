@@ -38,45 +38,29 @@ class SIntegerComponent:
         return len(self.generators)
 
     @functools.cached_property
+    def factorizations(self) -> Tuple[Dict[int, int], ...]:
+        """Each generator's prime exponents, factored once."""
+        return tuple(factor_fraction(r) for r in self.generators)
+
+    @functools.cached_property
     def s_primes(self) -> Tuple[int, ...]:
-        primes = set()
-        for r in self.generators:
-            primes.update(factor_fraction(r))
-        return tuple(sorted(primes))
+        return tuple(sorted({p for fac in self.factorizations for p in fac}))
 
     @functools.cached_property
     def bit_height(self) -> int:
         """Rough bits-per-unit-exponent estimate used by the count size budget."""
-        return max(
-            r.numerator.bit_length() + r.denominator.bit_length() for r in self.generators
-        )
+        return max(r.numerator.bit_length() + r.denominator.bit_length() for r in self.generators)
 
     def characters(self, component_index: int, multiplicity: int) -> Tuple[List[Character], List[Character]]:
         from .exactlog import ExactLog
 
-        arch = Character(
-            ARCHIMEDEAN,
-            [ExactLog.from_rational(r) for r in self.generators],
-            {"place": "archimedean"},
-            component_index,
-            multiplicity,
-        )
+        logs = [ExactLog.from_rational(r) for r in self.generators]
+        arch = Character(ARCHIMEDEAN, logs, {"place": "archimedean"}, component_index, multiplicity)
         nonarch = []
         for p in self.s_primes:
             log_p = ExactLog.from_rational(Fraction(p))
-            vec = []
-            for r in self.generators:
-                ordp = factor_fraction(r).get(p, 0)
-                vec.append(log_p.scale(Fraction(-ordp)))
-            nonarch.append(
-                Character(
-                    NONARCHIMEDEAN,
-                    vec,
-                    {"place": str(p)},
-                    component_index,
-                    multiplicity,
-                )
-            )
+            vec = [log_p.scale(Fraction(-fac.get(p, 0))) for fac in self.factorizations]
+            nonarch.append(Character(NONARCHIMEDEAN, vec, {"place": str(p)}, component_index, multiplicity))
         return [arch], nonarch
 
     def count_factor(self, exponents: Sequence[int]) -> Optional[int]:
@@ -110,6 +94,15 @@ class SIntegerComponent:
             h *= r ** e
         return [(h, None)]
 
+    def arch_exponents(self, exponents: Sequence[int]) -> List[Dict[int, int]]:
+        """h's exponent of each prime, and of -1 (whose parity is h's sign),
+        summed from the generators' factorizations with no power formed."""
+        out: Dict[int, int] = {}
+        for r, fac, e in zip(self.generators, self.factorizations, exponents):
+            for p, k in ({**fac, -1: 1} if r < 0 else fac).items():
+                out[p] = out.get(p, 0) + k * e
+        return [out]
+
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
@@ -117,10 +110,7 @@ class SIntegerComponent:
         from .linalg import rank
 
         primes = self.s_primes
-        rows = []
-        for r in self.generators:
-            fac = factor_fraction(r)
-            rows.append([Fraction(fac.get(p, 0)) for p in primes])
+        rows = [[Fraction(fac.get(p, 0)) for p in primes] for fac in self.factorizations]
         if not primes:
             return (NON_ERGODIC if self.generators else ERGODIC), []
         return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []

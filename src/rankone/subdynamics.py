@@ -37,9 +37,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_shift
 
+from . import defaults
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
-from .errors import ResourceCapError, UndecidedError
+from .errors import UndecidedError
 from .exactlog import ExactLog, log_dot, vector_is_zero
 from .system import Character, SystemDescriptor
 
@@ -144,9 +145,7 @@ def _signed_combinations(sys: SystemDescriptor):
     V, _ = sys.characters()
     if not V:
         return
-    pairs = (math.prod(2 * chi.multiplicity + 1 for chi in V) - 1) // 2
-    if pairs > MAX_CROSSING_PAIRS:
-        raise ResourceCapError(f"{pairs} signed branch pairs exceed the crossing cap of {MAX_CROSSING_PAIRS}")
+    defaults.check("MAX_CROSSING_PAIRS", defaults.crossing_pairs(chi.multiplicity for chi in V))
     columns = [[chi.log_vector[j] for chi in V] for j in range(sys.d)]
     ranges = [range(-chi.multiplicity, chi.multiplicity + 1) for chi in V]
     for eps in itertools.product(*ranges):
@@ -271,38 +270,21 @@ def sphere_directions(samples: int) -> List[Tuple[float, float, float]]:
     return out
 
 
-# Most omega rows (directions x branches) a grid may give, each held in memory
-# as three doubles: 16x the largest default, 180^2 x 2 on times2times3times5.
-MAX_OMEGA_ROWS = 1 << 20
-
-# Most signed branch pairs a portrait may test for crossings; each pair is one
-# exact log combination per coordinate.  Every field up to degree 10 fits
-# (3^10 // 2 = 29,524 pairs); the bundled dk-sextic has 364.
-MAX_CROSSING_PAIRS = 1 << 16
-
-# Most branch indices a portrait may list, sum |L| over the branches L; one
-# character of multiplicity m has m(m+1)/2, so m = 1,447 fits.  dk-sextic
-# lists 192.
-MAX_BRANCH_INDICES = 1 << 20
-
-
 def default_directions(sys: SystemDescriptor, samples: Optional[int] = None):
     """The direction grid for sys: samples points on the circle for d = 2
     (default 720), a samples x samples sphere grid for d = 3 (default 180),
     and no directions for samples <= 0 or any other d.
 
     Raises ResourceCapError, before any direction or branch is built, when
-    the grid times the number of branches exceeds MAX_OMEGA_ROWS.
+    the grid times the number of branches is over the omega row cap.
     """
     if sys.d not in (2, 3):
         return []
     if samples is None:
         samples = 720 if sys.d == 2 else 180
     count = max(samples, 0) ** (sys.d - 1)
-    branches = math.prod(chi.multiplicity + 1 for chi in sys.characters()[0]) if count else 0
-    if count * branches > MAX_OMEGA_ROWS:
-        raise ResourceCapError(f"{count * branches} omega rows ({count} directions x {branches} branches) "
-                               f"exceed the omega row cap of {MAX_OMEGA_ROWS}")
+    branches = defaults.branch_count(chi.multiplicity for chi in sys.characters()[0]) if count else 0
+    defaults.check("MAX_OMEGA_ROWS", count * branches, directions=count, branches=branches)
     return circle_directions(samples) if sys.d == 2 else sphere_directions(samples)
 
 
@@ -597,16 +579,12 @@ def build_portrait(
     """Assemble hyperplanes, crossings and branch data.
 
     Raises ResourceCapError, before any of them is built, when the branches
-    would list more than MAX_BRANCH_INDICES indices.  That is
-    prod(m_i + 1) * sum(m_i) / 2 over the multiplicities m_i: there are
-    prod(m_i + 1) branches, and index i appears m_i / 2 times in the mean.
+    would list more indices than the branch cap.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     multiplicities = [chi.multiplicity for chi in sys.characters()[0]]
-    indices = math.prod(m + 1 for m in multiplicities) * sum(multiplicities) // 2
-    if indices > MAX_BRANCH_INDICES:
-        raise ResourceCapError(f"{indices} branch indices exceed the branch cap of {MAX_BRANCH_INDICES}")
+    defaults.check("MAX_BRANCH_INDICES", defaults.branch_indices(multiplicities))
     hyperplanes, degenerate = nonexpansive_hyperplanes(sys, max_prec)
     crossing, coincidences = crossing_set(sys, max_prec)
     branches = branch_subsets(sys)

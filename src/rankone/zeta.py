@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import from_man_exp, mpf_neg, mpf_sub
 
+from . import defaults
 from .balls import (
     DEFAULT_PRECISION,
     HARD_PRECISION,
@@ -41,22 +42,9 @@ from .balls import (
     ball_to_fraction_bounds,
     precisions,
 )
-from .errors import (
-    FitInconsistencyError,
-    ResourceCapError,
-    UndecidedError,
-    UnsupportedOperationError,
-)
-from .exactlog import ExactLog
+from .errors import FitInconsistencyError, UndecidedError, UnsupportedOperationError
 from .periodic import PeriodicCount, check_sequence_budget, count_sequence
 from .system import SystemDescriptor
-
-# work a coefficient certification may take, in K^2 x bits for K candidate
-# values: one solve costs about 3 K^2 products of ints of about that many bits
-FIT_WORK_CAP = 1 << 24
-
-# fewest periods a fit is checked against when j_check is not given
-MIN_J_CHECK = 6
 
 
 def is_expansive_element(
@@ -85,25 +73,17 @@ def _expansive_verdict(sys: SystemDescriptor, n: Sequence[int], max_prec: int) -
     return None if undecided else True
 
 
-def _exact_exp(log: ExactLog) -> Fraction:
-    """exp of an ExactLog made of integer prime-log multiples, as a rational."""
-    if log.root_part:
-        raise ValueError("not a rational log combination")
-    out = Fraction(1)
-    for p, coeff in log.prime_part.items():
-        if coeff.denominator != 1:
-            raise ValueError("fractional prime exponent has no rational exp")
-        out *= Fraction(p) ** int(coeff)
-    return out
-
-
 def _growth_factor(sys: SystemDescriptor, n: Sequence[int]) -> Fraction:
-    """g = prod over nonarchimedean characters of max(chi*(-n), 1)^multiplicity."""
+    """g = prod over nonarchimedean characters of max(chi*(-n), 1)^multiplicity,
+    each chi*(-n) a product of integer prime powers."""
     _, nonarch = sys.characters()
     minus_n = [-int(c) for c in n]
     g = Fraction(1)
     for chi in nonarch:
-        value = _exact_exp(chi.log_linear_form(minus_n))
+        log = chi.log_linear_form(minus_n)
+        if log.root_part or any(c.denominator != 1 for c in log.prime_part.values()):
+            raise ValueError("not a rational log combination of integer prime powers")
+        value = math.prod(Fraction(p) ** int(c) for p, c in log.prime_part.items())
         if value > 1:
             g *= value ** chi.multiplicity
     return g
@@ -164,13 +144,7 @@ class _Branch:
         return _Branch(-self.exact, self.parts, self.multiplicity, self.label, self._factors)
 
     def label_text(self) -> str:
-        inside = []
-        for idx, k in enumerate(self.label):
-            if k == 1:
-                inside.append(str(idx))
-            elif k > 1:
-                inside.append(f"{idx}^{k}")
-        return "{" + ",".join(inside) + "}"
+        return "{" + ",".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(self.label) if k) + "}"
 
 
 def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
@@ -201,6 +175,28 @@ def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
                 parts.append(f_part + (k,))
         branches.append(_Branch(exact, parts, mult, counts, embedded))
     return branches
+
+
+def _distinct_exact_values(sys: SystemDescriptor, n: Sequence[int]) -> Optional[int]:
+    """The number of distinct branch values (so of clusters) when all are
+    exact, else None.  g prod_f f^k_f (0 <= k_f <= m_f) is fixed by its
+    exponents of -1 (mod 2) and of each prime, sums of small multiples of
+    each factor's: no power or big integer is formed."""
+    minus_n = [-int(c) for c in n]
+    factors = [(f, mult) for comp, mult in sys.components for f in comp.arch_exponents(minus_n)]
+    if any(f is None for f, _ in factors):
+        return None
+    primes = sorted({p for f, _ in factors for p in f})
+    values = {(0,) * len(primes)}
+    for f, mult in factors:
+        step = [f.get(p, 0) for p in primes]
+        values = {tuple(x + k * y for x, y in zip(v, step)) for v in values for k in range(mult + 1)}
+    return len({tuple(x % 2 if p == -1 else x for p, x in zip(primes, v)) for v in values})
+
+
+def _check_terms(J: int, K: int) -> None:
+    if J < K + 2:
+        raise ValueError(f"need at least {K + 2} count terms for {K} candidate values")
 
 
 def _hull(a: ComplexBall, b: ComplexBall, prec: int) -> ComplexBall:
@@ -445,12 +441,11 @@ def fit_exponents(
     vanishing of N_{K+1}..N_J.  No admissible solution is an inconsistency.
     mu = +1 is tried first and -1 only as a fallback, so a factorization
     symmetric under global negation reports mu = +1 canonically.  The work
-    is bounded by FIT_WORK_CAP (K^2 x bits).
+    at each precision is held to the fit work cap of rankone.defaults.
     """
     values = _count_values(F)
     K = len(candidates)
-    if len(values) < K + 2:
-        raise ValueError(f"need at least {K + 2} count terms for {K} candidate values")
+    _check_terms(len(values), K)
     exact = [c.exact for c in candidates if c.exact is not None]
     if 0 in exact or len(set(exact)) < len(exact):
         raise ValueError("exact zeta candidate values must be nonzero and distinct")
@@ -460,11 +455,7 @@ def fit_exponents(
     start = max(precision, _start_precision(balls, values[:K], precision))
     rejected = set()
     for prec in precisions(start, HARD_PRECISION):
-        if K * K * prec > FIT_WORK_CAP:
-            raise ResourceCapError(
-                f"certifying {K} zeta coefficients at {prec} bits exceeds the fit work cap "
-                f"of {FIT_WORK_CAP} (K^2 x bits)"
-            )
+        defaults.check("FIT_WORK_CAP", defaults.fit_work(K, prec), K=K, bits=prec)
         # members of a cluster are equal, so the first one stands for it; a
         # cluster that merged distinct values then fails instead of blurring
         member_balls = [c.members[0].ball(prec) for c in candidates]
@@ -554,27 +545,15 @@ class ZetaFactorization:
         return [c for c in self.candidates if c.coefficient]
 
     def to_json(self) -> dict:
+        def branch(c):
+            return {"c": c.value_json(self.precision), "subset": c.label_text(), "multiplicity": c.multiplicity}
+
         return {
             "n": list(self.n),
             "convention": self.convention,
             "mu": self.mu,
-            "factors": [
-                {
-                    "c": c.value_json(self.precision),
-                    "lambda": c.coefficient,
-                    "subset": c.label_text(),
-                    "multiplicity": c.multiplicity,
-                }
-                for c in self.factors
-            ],
-            "branches": [
-                {
-                    "c": c.value_json(self.precision),
-                    "subset": c.label_text(),
-                    "multiplicity": c.multiplicity,
-                }
-                for c in self.candidates
-            ],
+            "factors": [{**branch(c), "lambda": c.coefficient} for c in self.factors],
+            "branches": [branch(c) for c in self.candidates],
             "verified_to": self.verified_to,
         }
 
@@ -594,9 +573,12 @@ def inverse_roots(
     certification in fit_exponents climbs past max_prec, up to
     HARD_PRECISION, because its results are integers.  Outside the
     expansive regime rationality is not guaranteed; force=True attempts the
-    fit anyway and raises an inconsistency if none exists.  The bit budget
-    is checked at the fewest periods the fit can ask for (j_check, else
-    MIN_J_CHECK) before any branch is built.
+    fit anyway and raises an inconsistency if none exists.
+
+    Before any branch is built, the bit budget (rankone.defaults) is checked
+    at j_check, else MIN_J_CHECK; and when all K distinct values are exact,
+    counted without building them, at the periods their fit reads, or, in an
+    expansive direction, j_check is held to the K + 2 fit_exponents needs.
     """
     expansive = is_expansive_element(sys, n, max_prec)
     if expansive is None:
@@ -606,13 +588,18 @@ def inverse_roots(
             "direction is not expansive, so a rational zeta function is not guaranteed; "
             "pass force to attempt the fit anyway"
         )
-    check_sequence_budget(sys, n, j_check if j_check is not None else MIN_J_CHECK)
+    check_sequence_budget(sys, n, j_check if j_check is not None else defaults.MIN_J_CHECK)
+    K = _distinct_exact_values(sys, n)
+    if K is not None and j_check is None:
+        check_sequence_budget(sys, n, max(K + 2, defaults.MIN_J_CHECK))
+    elif K is not None and expansive:
+        _check_terms(j_check, K)
     branches = _branches(sys, n)
     for prec in precisions(precision, max_prec):
         clusters = _cluster_branches(branches, prec)
         if clusters is None:
             continue
-        J = j_check if j_check is not None else max(len(clusters) + 2, MIN_J_CHECK)
+        J = j_check if j_check is not None else max(len(clusters) + 2, defaults.MIN_J_CHECK)
         F = count_sequence(sys, n, J)
         try:
             coeffs, mu = fit_exponents(clusters, F, prec)

@@ -21,8 +21,8 @@ from fractions import Fraction
 import pytest
 
 from rankone import (
-    build_portrait, cli, load_fixture, omega_samples, parse_descriptor, periodic, sampling, subdynamics,
-    zeta,
+    build_portrait, cli, defaults, load_fixture, omega_samples, parse_descriptor, periodic, sampling,
+    subdynamics, zeta,
 )
 from rankone.balls import RealBall
 from rankone.errors import ResourceCapError, UndecidedError
@@ -220,14 +220,21 @@ def test_zeta_checks_the_budget_before_the_branches(monkeypatch, tmp_path, capsy
         code, out, err = run(capsys, "zeta", str(path), "--n", "1", *jmax)
         assert (code, out) == (3, "")
         assert err == f"error: {message} exceeds the 1000000-bit budget\n"
+    # under the budget at --jmax 333, the 1,001 distinct exact values are
+    # counted, not built, and need 1,003 periods
+    code, out, err = run(capsys, "zeta", str(path), "--n", "1", "--jmax", "333")
+    assert (code, out, err) == (1, "", "error: need at least 1003 count terms for 1001 candidate values\n")
+    # within the budget and the periods, the branches are built
+    path.write_text(json.dumps({"d": 1, "components": [
+        {"class": "s_integer", "multiplicity": 100, "generators": ["2"]}]}))
     with pytest.raises(BranchesBuilt):
-        cli.main(["zeta", str(path), "--n", "1", "--jmax", "333"])
+        cli.main(["zeta", str(path), "--n", "1", "--jmax", "103"])
 
 
 def test_fit_work_cap_exits_resource(monkeypatch, capsys):
     # the 27 values of this fit are certified at 119 bits: 27^2 x 119 = 86,751
     # units, checked before any ball work
-    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 86750)
+    monkeypatch.setattr(defaults, "FIT_WORK_CAP", 86750)
     code, out, err = run(capsys, "zeta", "dk-sextic", "--n", "1,0", "--force")
     assert code == 3
     assert out == ""
@@ -235,7 +242,7 @@ def test_fit_work_cap_exits_resource(monkeypatch, capsys):
         "error: certifying 27 zeta coefficients at 119 bits exceeds the fit work cap "
         "of 86750 (K^2 x bits)\n"
     )
-    monkeypatch.setattr(zeta, "FIT_WORK_CAP", 86751)
+    monkeypatch.setattr(defaults, "FIT_WORK_CAP", 86751)
     assert run(capsys, "zeta", "dk-sextic", "--n", "1,0", "--force")[0] == 0
 
 
@@ -301,7 +308,7 @@ def test_branch_cap_exits_before_the_portrait(tmp_path, capsys):
         {"class": "s_integer", "multiplicity": 60000, "generators": ["2"]}]}))
     start = time.perf_counter()
     assert run(capsys, "portrait", str(path), "--format", "json") == (
-        3, "", f"error: 1800030000 branch indices exceed the branch cap of {subdynamics.MAX_BRANCH_INDICES}\n")
+        3, "", f"error: 1800030000 branch indices exceed the branch cap of {defaults.MAX_BRANCH_INDICES}\n")
     assert time.perf_counter() - start < 1.0
 
 
@@ -618,13 +625,13 @@ def test_row_cap_exits_before_sampling(tmp_path, capsys, argv):
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert err == f"error: {rows} exceed the omega row cap of {subdynamics.MAX_OMEGA_ROWS}\n"
+        assert err == f"error: {rows} exceed the omega row cap of {defaults.MAX_OMEGA_ROWS}\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_row_cap_counts_directions_times_branches(monkeypatch, capsys):
     # dk-sextic has 64 branches: 2 directions give 128 rows, 3 give 192
-    monkeypatch.setattr(subdynamics, "MAX_OMEGA_ROWS", 128)
+    monkeypatch.setattr(defaults, "MAX_OMEGA_ROWS", 128)
     assert run(capsys, "omega", "dk-sextic", "--samples", "2")[0] == 0
     assert run(capsys, "omega", "dk-sextic", "--samples", "3")[0] == 3
 
@@ -655,7 +662,7 @@ def test_grid_cap_exits_before_counting(tmp_path, capsys):
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"16008001 lattice points exceed the grid cap of {periodic.MAX_GRID_POINTS}" in err
+        assert f"16008001 lattice points exceed the grid cap of {defaults.MAX_GRID_POINTS}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -667,11 +674,11 @@ def test_grid_size_cap_exits_before_counting(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert err == ("error: estimated size 120000600000 bits of all counts exceeds the grid cap of "
-                   f"{periodic.MAX_GRID_BITS} bits\n")
+                   f"{defaults.MAX_GRID_BITS} bits\n")
 
 
 def test_grid_cap_counts_lattice_points(monkeypatch, capsys):
-    monkeypatch.setattr(periodic, "MAX_GRID_POINTS", 6)
+    monkeypatch.setattr(defaults, "MAX_GRID_POINTS", 6)
     assert run(capsys, "periodic", "times2times3", "--range=0..1,0..2")[0] == 0
     assert run(capsys, "periodic", "times2times3", "--range=0..2,0..2")[0] == 3
 
@@ -741,15 +748,15 @@ def test_crossing_cap_exits_before_the_first_pair(tmp_path, capsys):
     assert out == ""
     assert err == (
         "error: 265720 signed branch pairs exceed the crossing cap of "
-        f"{subdynamics.MAX_CROSSING_PAIRS}\n"
+        f"{defaults.MAX_CROSSING_PAIRS}\n"
     )
 
 
 def test_crossing_cap_counts_signed_branch_pairs(monkeypatch, capsys):
     # dk-sextic: six characters of multiplicity 1 give (3^6 - 1) / 2 = 364 pairs
-    monkeypatch.setattr(subdynamics, "MAX_CROSSING_PAIRS", 363)
+    monkeypatch.setattr(defaults, "MAX_CROSSING_PAIRS", 363)
     assert run(capsys, "portrait", "dk-sextic", "--format", "svg")[0] == 3
-    monkeypatch.setattr(subdynamics, "MAX_CROSSING_PAIRS", 364)
+    monkeypatch.setattr(defaults, "MAX_CROSSING_PAIRS", 364)
     assert run(capsys, "portrait", "dk-sextic", "--format", "svg")[0] == 0
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import propsuites
 from rankone import INFINITE, count, count_sequence, det_oracle, grid, load_fixture
 from rankone import numberfield as nf
-from rankone import periodic
+from rankone import defaults, periodic
 from rankone.errors import ResourceCapError, UnsupportedOperationError
 from rankone.fppoly import FpPoly, FpRationalFunction, fp_ord_at, fp_ord_infinity
 from rankone.linalg import charpoly, det
@@ -74,7 +74,7 @@ def test_bit_budget_cap(monkeypatch):
     with pytest.raises(ResourceCapError):
         count(sys_, (10 ** 6, 10 ** 6), 1)
     # a looser budget admits moderately large exponents
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 10 ** 7)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 10 ** 7)
     assert count(sys_, (100, 100), 1).is_finite
 
 
@@ -86,7 +86,7 @@ def test_bit_budget_sums_multiplicity_and_components(monkeypatch):
             for m in multiplicities
         ]})
 
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 11)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 11)
     assert count(s_integer(1), (1, 1)).is_finite
     for sys_ in (s_integer(2), s_integer(1, 1)):
         with pytest.raises(ResourceCapError, match="estimated size 12 bits"):
@@ -94,7 +94,7 @@ def test_bit_budget_sums_multiplicity_and_components(monkeypatch):
     doubled = parse_descriptor({"label": "q", "d": 2, "components": [
         {"class": "number_field_units", "multiplicity": 2, "min_poly": [1, 0, -10, 0, 1],
          "generators": [["1", "-9/2", "0", "1/2"], ["2", "11/2", "0", "-1/2"]]}]})
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 191)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 191)
     for route in (count, det_oracle):
         assert route(load_fixture("sqrt2sqrt3"), (1, 0)).is_finite
         with pytest.raises(ResourceCapError, match="estimated size 192 bits"):
@@ -105,7 +105,7 @@ def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
     # the estimate at n = (1, 1) is 6 bits per period, so j = 4 is the first
     # period over a 20-bit budget
     sys_ = load_fixture("times2times3")
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 20)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 20)
     assert count_sequence(sys_, (1, 1), 3) == [5, 35, 215]
     (comp, _), = sys_.components
 
@@ -117,7 +117,7 @@ def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
         with pytest.raises(ResourceCapError) as err:
             count_sequence(sys_, (1, 1), j_max)
         assert str(err.value) == "estimated size 24 bits exceeds the 20-bit budget"
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", -1)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", -1)
     with pytest.raises(ResourceCapError, match="estimated size 0 bits exceeds the -1-bit budget"):
         count_sequence(sys_, (0, 0), 2)
     with pytest.raises(ValueError, match="expected a Z\\^2 element"):
@@ -127,15 +127,15 @@ def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
 def test_grid_checks_each_counted_point_in_box_order(monkeypatch):
     sys_ = load_fixture("times2times3")
     checked = []
-    real_check = periodic._check_budget
+    real_check = defaults.check_budget
 
-    def check(sys_, exponents):
+    def check(bit_height, exponents):
         checked.append(tuple(exponents))
-        real_check(sys_, exponents)
+        real_check(bit_height, exponents)
 
-    monkeypatch.setattr(periodic, "_check_budget", check)
+    monkeypatch.setattr(defaults, "check_budget", check)
     # the corner (-3, 2) is estimated at 15 bits
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 15)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 15)
     assert grid(sys_, [(-3, 3), (0, 2)]).entries[(-3, 2)] == 3 ** 2 - 2 ** 3
     # every point is checked where it is counted: all but (1, 0), (2, 0) and
     # (3, 0), which take the counts of their mirrors
@@ -143,7 +143,7 @@ def test_grid_checks_each_counted_point_in_box_order(monkeypatch):
     assert checked == [n for n in box if n[1] or n[0] <= 0]
     # over the budget, the message names the first point over it
     checked.clear()
-    monkeypatch.setattr(periodic, "DEFAULT_BIT_BUDGET", 12)
+    monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 12)
     with pytest.raises(ResourceCapError) as err:
         grid(sys_, [(-3, 3), (0, 2)])
     assert str(err.value) == "estimated size 15 bits exceeds the 12-bit budget"
@@ -154,8 +154,8 @@ def test_grid_caps_the_summed_size_before_any_count(monkeypatch):
     sys_ = load_fixture("times2times3")
     ranges = [(-4, 3), (2, 5)]
     # the cap sits exactly at the box's summed estimate, point by point
-    total = sum(periodic._estimate(sys_, [2 * c for c in n]) for n in itertools.product(range(-4, 4), range(2, 6)))
-    monkeypatch.setattr(periodic, "MAX_GRID_BITS", total)
+    total = sum(defaults.count_bits(sys_.bit_height, [2 * c for c in n]) for n in itertools.product(range(-4, 4), range(2, 6)))
+    monkeypatch.setattr(defaults, "MAX_GRID_BITS", total)
     assert grid(sys_, ranges, j=2).entries[(3, 5)] == count(sys_, (3, 5), 2)
     (comp, _), = sys_.components
 
@@ -163,12 +163,12 @@ def test_grid_caps_the_summed_size_before_any_count(monkeypatch):
         raise AssertionError("a count ran before the summed-size check")
 
     monkeypatch.setattr(comp, "count_factor", refuse)
-    monkeypatch.setattr(periodic, "MAX_GRID_BITS", total - 1)
+    monkeypatch.setattr(defaults, "MAX_GRID_BITS", total - 1)
     with pytest.raises(ResourceCapError) as err:
         grid(sys_, ranges, j=2)
     assert str(err.value) == f"estimated size {total} bits of all counts exceeds the grid cap of {total - 1} bits"
     for lo, hi in [(-4, 3), (2, 5), (-5, -2), (0, 0), (-3, 0), (7, 7), (-6, -6)]:
-        assert periodic._abs_sum(lo, hi) == sum(abs(n) for n in range(lo, hi + 1))
+        assert defaults._abs_sum(lo, hi) == sum(abs(n) for n in range(lo, hi + 1))
 
 
 def _function_field_reference(comp, exponents):
@@ -306,7 +306,7 @@ def test_estimate_bounds_the_count_from_above(name):
     for n in itertools.product(range(-6, 7), repeat=sys_.d):
         value = count(sys_, n, 3)
         if value.is_finite:
-            assert value.value.bit_length() <= periodic._estimate(sys_, [3 * c for c in n]), n
+            assert value.value.bit_length() <= defaults.count_bits(sys_.bit_height, [3 * c for c in n]), n
 
 
 SYMMETRY_SYSTEMS = [

@@ -26,7 +26,7 @@ from rankone import (
 )
 from mpmath.libmp import from_man_exp, mpf_add
 
-from rankone import sampling, subdynamics
+from rankone import defaults, sampling, subdynamics
 from rankone.balls import RealBall
 from rankone.errors import ResourceCapError, UndecidedError
 from rankone.exactlog import ExactLog, vectors_parallel
@@ -405,7 +405,7 @@ def test_branch_subsets_list_each_prefix_first(system):
 @pytest.mark.parametrize("system", [S23, QUARTIC, SEXTIC, DOUBLED])
 def test_branch_cap_counts_indices_before_building(monkeypatch, system):
     indices = sum(len(subset) for subset in branch_subsets(system))
-    monkeypatch.setattr(subdynamics, "MAX_BRANCH_INDICES", indices)
+    monkeypatch.setattr(defaults, "MAX_BRANCH_INDICES", indices)
     assert build_portrait(system).branches == tuple(branch_subsets(system))
 
     def refuse(*args, **kwargs):
@@ -413,7 +413,7 @@ def test_branch_cap_counts_indices_before_building(monkeypatch, system):
 
     for name in ("nonexpansive_hyperplanes", "crossing_set", "branch_subsets"):
         monkeypatch.setattr(subdynamics, name, refuse)
-    monkeypatch.setattr(subdynamics, "MAX_BRANCH_INDICES", indices - 1)
+    monkeypatch.setattr(defaults, "MAX_BRANCH_INDICES", indices - 1)
     with pytest.raises(ResourceCapError, match=f"^{indices} branch indices exceed the branch cap of {indices - 1}$"):
         build_portrait(system)
 

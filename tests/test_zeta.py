@@ -23,6 +23,7 @@ from rankone import (
 )
 from rankone.errors import (
     FitInconsistencyError,
+    ResourceCapError,
     UndecidedError,
     UnsupportedOperationError,
 )
@@ -396,6 +397,50 @@ def test_inverse_roots_separation_ladder(monkeypatch, precision, max_prec, ladde
     with pytest.raises(UndecidedError, match="separating zeta candidate values"):
         inverse_roots(load_fixture("sqrt2sqrt3"), (2, -1), precision=precision, max_prec=max_prec)
     assert seen == ladder
+
+
+# --- distinct exact values before the branches ----------------------------------
+
+def test_exact_values_are_counted_before_the_branches(monkeypatch):
+    class BranchesBuilt(Exception):
+        pass
+
+    def refuse(*args):
+        raise BranchesBuilt
+
+    monkeypatch.setattr(zeta, "_branches", refuse)
+    # 10,001 distinct values: the fit reads 10,003 periods, and period 34
+    # is the first over the budget at 30,000 bits each
+    copies = parse_descriptor({"d": 1, "components": [
+        {"class": "s_integer", "multiplicity": 10000, "generators": ["2"]}]})
+    with pytest.raises(ResourceCapError) as err:
+        inverse_roots(copies, (1,))
+    assert str(err.value) == "estimated size 1020000 bits exceeds the 1000000-bit budget"
+    with pytest.raises(ValueError) as err:
+        inverse_roots(load_fixture("times2times3"), (1, 1), j_check=3)
+    assert str(err.value) == "need at least 4 count terms for 2 candidate values"
+    # number-field values are embedded, so none is counted before the branches
+    with pytest.raises(BranchesBuilt):
+        inverse_roots(load_fixture("sqrt2sqrt3"), (1, 2))
+
+
+@pytest.mark.parametrize("components, n", [
+    ([("s_integer", 3, ["2", "3"])], (1, -1)),
+    ([("s_integer", 2, ["-2", "3"]), ("s_integer", 1, ["-1/2", "3"])], (1, 0)),
+    ([("s_integer", 2, ["-2", "3"]), ("s_integer", 1, ["-1/2", "3"])], (1, 1)),
+    ([("s_integer", 4, ["-1", "2"]), ("s_integer", 2, ["1/2", "5"])], (3, 1)),
+    ([("s_integer", 2, ["6", "4"]), ("s_integer", 3, ["2/3", "-9/4"])], (2, -1)),
+    ([("s_integer", 3, ["2", "3"]), ("s_integer", 2, ["1/2", "1/3"])], (1, 1)),
+    ([("s_integer", 3, ["-2", "3"]), ("s_integer", 3, ["1/2", "-1/3"])], (1, 0)),
+    ([("s_integer", 2, ["-2", "3"]), ("s_integer", 3, ["-1/2", "-1/3"])], (1, 1)),
+])
+def test_distinct_exact_values_match_the_branches(components, n):
+    sys_ = parse_descriptor({"d": len(n), "components": [
+        {"class": kind, "multiplicity": m, "generators": gens} for kind, m, gens in components]})
+    values = {b.exact for b in _branches(sys_, n)}
+    assert zeta._distinct_exact_values(sys_, n) == len(values)
+    assert zeta._distinct_exact_values(load_fixture("ledrappier"), (1, 1)) == 1
+    assert zeta._distinct_exact_values(load_fixture("dk-sextic"), (1, 1)) is None
 
 
 # --- clustering by a sweep over the real parts ---------------------------------

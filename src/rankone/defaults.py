@@ -71,13 +71,11 @@ def count_bits(bit_height: int, exponents) -> int:
     return sum(abs(e) for e in exponents) * bit_height
 
 
-def check_budget(bit_height: int, exponents) -> None:
-    check("DEFAULT_BIT_BUDGET", count_bits(bit_height, exponents))
-
-
-def first_period_over(per_period: int) -> int:
-    """The first period whose count, at per_period bits a period, is over the budget."""
-    return max(1, DEFAULT_BIT_BUDGET // per_period + 1) if per_period else 1
+def check_periods(per_period: int, j_max: int) -> None:
+    """check() at the first of periods 1..j_max over the budget, at j x per_period bits."""
+    first = max(1, DEFAULT_BIT_BUDGET // per_period + 1) if per_period else 1
+    if first <= j_max:
+        check("DEFAULT_BIT_BUDGET", first * per_period)
 
 
 def grid_points(ranges) -> int:

@@ -108,7 +108,7 @@ def _exponents(sys: SystemDescriptor, n: Sequence[int], j: int) -> List[int]:
 def count(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicCount:
     """|F_j(alpha^n)|: exact, with infinite detected by exact equality h = 1."""
     exponents = _exponents(sys, n, j)
-    defaults.check_budget(sys.bit_height, exponents)
+    defaults.check("DEFAULT_BIT_BUDGET", defaults.count_bits(sys.bit_height, exponents))
     total = 1
     for comp, mult in sys.components:
         value = comp.count_factor(exponents)
@@ -130,12 +130,9 @@ def count_sequence(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> List[
 
 
 def check_sequence_budget(sys: SystemDescriptor, n: Sequence[int], j_max: int) -> None:
-    """Raise ResourceCapError if a count among F_1..F_jmax is over the budget,
-    with the error count raises at the first period over it, which is found
-    without any count: the estimate is j times its value at j = 1."""
-    first_over = defaults.first_period_over(defaults.count_bits(sys.bit_height, _exponents(sys, n, 1)))
-    if first_over <= j_max:
-        defaults.check_budget(sys.bit_height, _exponents(sys, n, first_over))
+    """Before any count, raise the error count would raise at the first of
+    F_1..F_jmax over the budget."""
+    defaults.check_periods(defaults.count_bits(sys.bit_height, _exponents(sys, n, 1)), j_max)
 
 
 class PeriodicGrid:
@@ -210,7 +207,7 @@ def det_oracle(sys: SystemDescriptor, n: Sequence[int], j: int = 1) -> PeriodicC
                 "det_oracle requires every component to be number_field_units"
             )
     exponents = _exponents(sys, n, j)
-    defaults.check_budget(sys.bit_height, exponents)
+    defaults.check("DEFAULT_BIT_BUDGET", defaults.count_bits(sys.bit_height, exponents))
     total = 1
     for comp, mult in sys.components:
         a = b = identity(comp.field.degree)

@@ -144,7 +144,13 @@ class _Branch:
         return _Branch(-self.exact, self.parts, self.multiplicity, self.label, self._factors)
 
     def label_text(self) -> str:
-        return "{" + ",".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(self.label) if k) + "}"
+        inside = []
+        for idx, k in enumerate(self.label):
+            if k == 1:
+                inside.append(str(idx))
+            elif k > 1:
+                inside.append(f"{idx}^{k}")
+        return "{" + ",".join(inside) + "}"
 
 
 def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:

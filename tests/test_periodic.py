@@ -127,13 +127,13 @@ def test_count_sequence_checks_the_budget_before_any_count(monkeypatch):
 def test_grid_checks_each_counted_point_in_box_order(monkeypatch):
     sys_ = load_fixture("times2times3")
     checked = []
-    real_check = defaults.check_budget
+    real_bits = defaults.count_bits
 
-    def check(bit_height, exponents):
+    def bits(bit_height, exponents):
         checked.append(tuple(exponents))
-        real_check(bit_height, exponents)
+        return real_bits(bit_height, exponents)
 
-    monkeypatch.setattr(defaults, "check_budget", check)
+    monkeypatch.setattr(defaults, "count_bits", bits)
     # the corner (-3, 2) is estimated at 15 bits
     monkeypatch.setattr(defaults, "DEFAULT_BIT_BUDGET", 15)
     assert grid(sys_, [(-3, 3), (0, 2)]).entries[(-3, 2)] == 3 ** 2 - 2 ** 3

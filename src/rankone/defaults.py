@@ -1,14 +1,17 @@
 """Defaults, every resource cap with the estimate it is held to, and the one
 power routine that the other layers share.
 
-This module imports nothing but the error types, so the exact layers and the
-CLI parser use it without loading the interval stack.  Each estimate is a
-pure integer function of a command's arguments and the descriptor's sizes,
-checked before the work it bounds; check() is the one place a
-ResourceCapError is raised, and it reads the cap when it is called, so a cap
-lowered here holds everywhere.  balls re-exports the precisions and
-subdynamics the conventions.
+This module imports no rankone module except errors (and only math from
+the standard library), so the exact layers and the CLI parser use it
+without loading the interval stack.  Each estimate is a pure integer
+function of a command's arguments and the descriptor's sizes, checked
+before the work it bounds; check() is the one place a ResourceCapError is
+raised, and it reads the cap when it is called, so a cap lowered here holds
+everywhere.  balls re-exports the precisions and subdynamics the
+conventions.
 """
+
+import math
 
 from .errors import ResourceCapError
 
@@ -28,7 +31,7 @@ DEFAULT_BIT_BUDGET = 10 ** 6
 MAX_GRID_POINTS = 1 << 20
 # bits of a box's counts, 128 MB (grid_bits, about 3x the true size on times2times3)
 MAX_GRID_BITS = 1 << 30
-# omega rows, directions x branch_count, three doubles each: 16x the largest default
+# omega rows, directions x branch_count, two doubles each: 16x the largest default
 MAX_OMEGA_ROWS = 1 << 20
 # signed branch pairs a portrait tests: every field up to degree 10 fits (29,524)
 MAX_CROSSING_PAIRS = 1 << 16
@@ -59,13 +62,6 @@ def check(cap: str, estimate: int, **fields) -> None:
         raise ResourceCapError(_MESSAGES[cap].format(estimate, limit, **fields))
 
 
-def _product(factors) -> int:
-    out = 1
-    for f in factors:
-        out *= f
-    return out
-
-
 def count_bits(bit_height: int, exponents) -> int:
     """Upper bound on the bits of a count: sum |e_i| x SystemDescriptor.bit_height."""
     return sum(abs(e) for e in exponents) * bit_height
@@ -79,7 +75,7 @@ def check_periods(per_period: int, j_max: int) -> None:
 
 
 def grid_points(ranges) -> int:
-    return _product(hi - lo + 1 for lo, hi in ranges)
+    return math.prod(hi - lo + 1 for lo, hi in ranges)
 
 
 def _abs_sum(lo: int, hi: int) -> int:
@@ -98,11 +94,11 @@ def grid_bits(bit_height: int, ranges, j: int) -> int:
 # branches, (prod (2m + 1) - 1) / 2 signed pairs mod sign, and
 # prod (m + 1) sum m / 2 branch indices (m_i / 2 of index i in the mean branch).
 def branch_count(multiplicities) -> int:
-    return _product(m + 1 for m in multiplicities)
+    return math.prod(m + 1 for m in multiplicities)
 
 
 def crossing_pairs(multiplicities) -> int:
-    return (_product(2 * m + 1 for m in multiplicities) - 1) // 2
+    return (math.prod(2 * m + 1 for m in multiplicities) - 1) // 2
 
 
 def branch_indices(multiplicities: list) -> int:

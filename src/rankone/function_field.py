@@ -71,6 +71,18 @@ class FunctionFieldComponent:
         return any(fppoly.fp_ord_infinity(g) != 0 for g in self.generators)
 
     @functools.cached_property
+    def _place_orders(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+        """(place, degree-weighted order of each generator) per marked finite
+        place, then at infinity when some generator has an order there."""
+        table = [
+            (pi.format(), tuple(fppoly.fp_ord_at(g, pi) * pi.degree for g in self.generators))
+            for pi in self.finite_places
+        ]
+        if self.infinite_place_needed:
+            table.append(("infinity", tuple(fppoly.fp_ord_infinity(g) for g in self.generators)))
+        return tuple(table)
+
+    @functools.cached_property
     def bit_height(self) -> int:
         """Rough bits-per-unit-exponent estimate used by the count size budget."""
         bits = max(1, self.p.bit_length())
@@ -80,43 +92,14 @@ class FunctionFieldComponent:
         from .exactlog import ExactLog
 
         log_p = ExactLog.from_rational(Fraction(self.p))
-        nonarch = []
-        checksum = [0] * self.d
-        for pi in self.finite_places:
-            deg = pi.degree
-            vec = []
-            for i, g in enumerate(self.generators):
-                o = fppoly.fp_ord_at(g, pi)
-                checksum[i] += o * deg
-                vec.append(log_p.scale(Fraction(-o * deg)))
-            nonarch.append(
-                Character(
-                    NONARCHIMEDEAN,
-                    vec,
-                    {"place": pi.format()},
-                    component_index,
-                    multiplicity,
-                )
-            )
-        if self.infinite_place_needed:
-            vec = []
-            for i, g in enumerate(self.generators):
-                o = fppoly.fp_ord_infinity(g)
-                checksum[i] += o
-                vec.append(log_p.scale(Fraction(-o)))
-            nonarch.append(
-                Character(
-                    NONARCHIMEDEAN,
-                    vec,
-                    {"place": "infinity"},
-                    component_index,
-                    multiplicity,
-                )
-            )
         # product formula: total degree-weighted order vanishes per generator
-        if any(checksum):
+        if any(sum(orders[i] for _, orders in self._place_orders) for i in range(self.d)):
             raise ArithmeticError("place orders violate the product formula")
-        return [], nonarch
+        return [], [
+            Character(NONARCHIMEDEAN, [log_p.scale(Fraction(-o)) for o in orders], {"place": place},
+                      component_index, multiplicity)
+            for place, orders in self._place_orders
+        ]
 
     def _power(self, i: int, e: int) -> Tuple[FpPoly, FpPoly, Tuple[int, ...]]:
         """(N, D, ords) with g_i^e = N / D and ords the orders of D at the
@@ -168,21 +151,15 @@ class FunctionFieldComponent:
         """No archimedean characters in positive characteristic."""
         return []
 
-    arch_exponents = arch_factors
-
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # prod g_i^{k_i} = 1 forces zero order at every place; conversely a
         # kernel vector of the order matrix makes the product a constant in
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
-        # matrix rank decides exactly.
+        # matrix rank decides exactly; an all-zero infinity column, left out
+        # of _place_orders, would not change it.
         from .linalg import rank
 
-        places = self.finite_places
-        rows = []
-        for g in self.generators:
-            row = [Fraction(fppoly.fp_ord_at(g, pi) * pi.degree) for pi in places]
-            row.append(Fraction(fppoly.fp_ord_infinity(g)))
-            rows.append(row)
+        rows = [[Fraction(orders[i]) for _, orders in self._place_orders] for i in range(self.d)]
         return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []
 
     def canonical(self, multiplicity: int) -> dict:

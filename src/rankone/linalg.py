@@ -13,7 +13,7 @@ gives a determinant-free second route to det(I - A) = charpoly(1).
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
-is a single elimination kept with its caller in system.
+is a single elimination kept with its caller in number_field_units.
 """
 
 from __future__ import annotations

@@ -210,13 +210,10 @@ class NumberFieldUnitsComponent:
         return abs(value)
 
     def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[None, tuple]]:
-        """Per embedding k, the part (min_poly, k, h) that embeds h there."""
+        """Per embedding k, no exponents (h is not exact there) and the part
+        (min_poly, k, h) that embeds h."""
         h = self.power_product(exponents)
         return [(None, (self.field.min_poly, k, h)) for k in range(self.field.degree)]
-
-    def arch_exponents(self, exponents: Sequence[int]) -> List[None]:
-        """No exact value: h is embedded at every archimedean character."""
-        return [None] * self.field.degree
 
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # Full real rank of the embedding log matrix certifies that no

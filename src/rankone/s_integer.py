@@ -87,21 +87,15 @@ class SIntegerComponent:
             return None
         return prime_to_s_part(abs(num - den) // math.gcd(num, den), self.s_primes)
 
-    def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[Fraction, None]]:
-        """The value of h at the one archimedean character: h itself, exactly."""
-        h = Fraction(1)
-        for r, e in zip(self.generators, exponents):
-            h *= r ** e
-        return [(h, None)]
-
-    def arch_exponents(self, exponents: Sequence[int]) -> List[Dict[int, int]]:
-        """h's exponent of each prime, and of -1 (whose parity is h's sign),
-        summed from the generators' factorizations with no power formed."""
+    def arch_factors(self, exponents: Sequence[int]) -> List[Tuple[Dict[int, int], None]]:
+        """h at the one archimedean character, exactly: its exponent of each
+        prime, and of -1 (whose parity is h's sign), summed from the
+        generators' factorizations with no power formed."""
         out: Dict[int, int] = {}
         for r, fac, e in zip(self.generators, self.factorizations, exponents):
             for p, k in ({**fac, -1: 1} if r < 0 else fac).items():
                 out[p] = out.get(p, 0) + k * e
-        return [out]
+        return [(out, None)]
 
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and

@@ -101,7 +101,7 @@ class LabeledHyperplane:
 def _round12(x: float) -> float:
     # fixed 12-significant-digit rendering keeps emitted JSON byte-stable;
     # the one rounding of every JSON float the portrait and omega commands
-    # print, here and in the CLI's streamed rows
+    # print, here and in the rows that sampling streams
     return float(f"{x:.12e}")
 
 

@@ -21,11 +21,11 @@ Three component classes are supported, each in its own module:
 
 Each class answers the same questions about h = prod_i g_i^(e_i), so no
 consumer tests the class: ``count_factor`` is the component's factor of the
-periodic count (None when h = 1), ``arch_factors`` is (exact value, part to
-embed) for h at each archimedean character in ``characters()`` order,
-``arch_exponents`` is, in the same order, h's exponents of -1 and of each
-prime where h is exact and None where it is embedded, and ``ergodicity`` is
-(status, notes).
+periodic count (None when h = 1), ``arch_factors`` is (exponents, part)
+for h at each archimedean character in ``characters()`` order: h's
+exponents of -1 and of each prime where h is exact, else None, and the
+part to embed where it is not, else None; ``ergodicity`` is (status,
+notes).
 
 This module holds what every run needs: the characters, the descriptor,
 its validation and the fixtures.  parse_descriptor imports a class's

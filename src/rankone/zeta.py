@@ -90,76 +90,70 @@ def _growth_factor(sys: SystemDescriptor, n: Sequence[int]) -> Fraction:
 
 
 def _arch_factors(sys: SystemDescriptor, n: Sequence[int]) -> List[tuple]:
-    """(exact, part, multiplicity) of chi(-n) per archimedean character, in
-    characters() order: exact is a Fraction or None, part is
-    (min_poly, emb_index, element) or None."""
+    """(exponents, exact, part, multiplicity) of chi(-n) per archimedean
+    character, in characters() order: exponents (of -1 and of each prime)
+    and the Fraction exact they fix where chi(-n) is exact, else None; part
+    (min_poly, emb_index, element) where it is embedded, else None."""
     minus_n = [-int(c) for c in n]
     return [
-        (exact, part, mult)
+        (exps, None if exps is None else math.prod(
+            (Fraction(p) ** k for p, k in exps.items()), start=Fraction(1)), part, mult)
         for comp, mult in sys.components
-        for exact, part in comp.arch_factors(minus_n)
+        for exps, part in comp.arch_factors(minus_n)
     ]
 
 
 class _Branch:
     """One multiset subset of the archimedean characters: a candidate value.
 
-    The branches of one inverse_roots call share one dict of embedded power
-    factors, keyed by (part, precision), and each branch keeps its own ball
-    per precision.  So every value is computed once per precision, by the
-    same arithmetic as an uncached recompute.
+    The branches of one inverse_roots call share the embedded factors' parts
+    and one dict of their embedded powers, keyed by (factor index, power,
+    precision), and each branch keeps its own ball per precision.  So every
+    value is computed once per precision, by the same arithmetic as an
+    uncached recompute.
     """
 
-    __slots__ = ("exact", "parts", "multiplicity", "label", "_factors", "_balls")
+    __slots__ = ("exact", "parts", "multiplicity", "label", "_embedded", "_balls")
 
-    def __init__(self, exact: Fraction, parts, multiplicity: int, label, factors: dict):
+    def __init__(self, exact: Fraction, parts, multiplicity: int, label, embedded: tuple):
         self.exact = exact
-        self.parts = tuple(parts)      # ((min_poly, emb_index, element, power), ...)
+        self.parts = tuple(parts)      # ((factor index, power), ...)
         self.multiplicity = multiplicity
         self.label = label             # per-V-character copy counts
-        self._factors = factors        # (part, prec) -> ComplexBall
+        self._embedded = embedded      # (parts by factor index, {(index, power, prec): ComplexBall})
         self._balls: Dict[int, ComplexBall] = {}
 
-    def _factor(self, part, prec: int) -> ComplexBall:
-        value = self._factors.get((part, prec))
+    def _factor(self, index: int, power: int, prec: int) -> ComplexBall:
+        parts, cache = self._embedded
+        value = cache.get((index, power, prec))
         if value is None:
             from . import numberfield as nf
 
-            min_poly, emb_index, element, power = part
+            min_poly, emb_index, element = parts[index]
             emb = nf.isolate_roots(min_poly, prec)[emb_index]
-            value = nf.embed(element, emb, prec).pow_int(power, prec)
-            self._factors[(part, prec)] = value
+            value = cache[(index, power, prec)] = nf.embed(element, emb, prec).pow_int(power, prec)
         return value
 
     def ball(self, prec: int) -> ComplexBall:
         out = self._balls.get(prec)
         if out is None:
             out = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
-            for part in self.parts:
-                out = out.mul(self._factor(part, prec), prec)
+            for index, power in self.parts:
+                out = out.mul(self._factor(index, power, prec), prec)
             self._balls[prec] = out
         return out
 
-    def negated(self) -> "_Branch":
-        return _Branch(-self.exact, self.parts, self.multiplicity, self.label, self._factors)
-
     def label_text(self) -> str:
-        inside = []
-        for idx, k in enumerate(self.label):
-            if k == 1:
-                inside.append(str(idx))
-            elif k > 1:
-                inside.append(f"{idx}^{k}")
-        return "{" + ",".join(inside) + "}"
+        return "{" + ",".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(self.label) if k) + "}"
 
 
-def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
+def _branches(sys: SystemDescriptor, n: Sequence[int], factors: List[tuple]) -> List[_Branch]:
+    """The branches g prod f^k over the _arch_factors list of n."""
     g = _growth_factor(sys, n)
-    factors = _arch_factors(sys, n)
-    embedded: dict = {}
+    embedded = ([part for _, _, part, _ in factors], {})
     # per factor, C(m, k) and f^k for k = 0..m, each from the one before
     rows = []
-    for f_exact, _, f_mult in factors:
+    for _, f_exact, _, f_mult in factors:
         combs, powers = [1], [1]
         for k in range(1, f_mult + 1):
             combs.append(combs[-1] * (f_mult - k + 1) // k)
@@ -167,35 +161,34 @@ def _branches(sys: SystemDescriptor, n: Sequence[int]) -> List[_Branch]:
                 powers.append(powers[-1] * f_exact)
         rows.append((combs, powers))
     branches = []
-    for counts in itertools.product(*(range(f_mult + 1) for _, _, f_mult in factors)):
+    for counts in itertools.product(*(range(m + 1) for *_, m in factors)):
         exact = g
         parts = []
         mult = 1
-        for (f_exact, f_part, _), (combs, powers), k in zip(factors, rows, counts):
+        for index, ((_, f_exact, _, _), (combs, powers), k) in enumerate(zip(factors, rows, counts)):
             mult *= combs[k]
             if k == 0:
                 continue
             if f_exact is not None:
                 exact *= powers[k]
             else:
-                parts.append(f_part + (k,))
+                parts.append((index, k))
         branches.append(_Branch(exact, parts, mult, counts, embedded))
     return branches
 
 
-def _distinct_exact_values(sys: SystemDescriptor, n: Sequence[int]) -> Optional[int]:
-    """The number of distinct branch values (so of clusters) when all are
-    exact, else None.  g prod_f f^k_f (0 <= k_f <= m_f) is fixed by its
-    exponents of -1 (mod 2) and of each prime, sums of small multiples of
-    each factor's: no power or big integer is formed."""
-    minus_n = [-int(c) for c in n]
-    factors = [(f, mult) for comp, mult in sys.components for f in comp.arch_exponents(minus_n)]
-    if any(f is None for f, _ in factors):
+def _distinct_exact_values(factors: List[tuple]) -> Optional[int]:
+    """The number of distinct branch values (so of clusters) over an
+    _arch_factors list when all are exact, else None.  g prod_f f^k_f
+    (0 <= k_f <= m_f) is fixed by its exponents of -1 (mod 2) and of each
+    prime, sums of small multiples of each factor's: no power or big
+    integer is formed."""
+    if any(exps is None for exps, _, _, _ in factors):
         return None
-    primes = sorted({p for f, _ in factors for p in f})
+    primes = sorted({p for exps, _, _, _ in factors for p in exps})
     values = {(0,) * len(primes)}
-    for f, mult in factors:
-        step = [f.get(p, 0) for p in primes]
+    for exps, _, _, mult in factors:
+        step = [exps.get(p, 0) for p in primes]
         values = {tuple(x + k * y for x, y in zip(v, step)) for v in values for k in range(mult + 1)}
     return len({tuple(x % 2 if p == -1 else x for p, x in zip(primes, v)) for v in values})
 
@@ -205,30 +198,25 @@ def _check_terms(J: int, K: int) -> None:
         raise ValueError(f"need at least {K + 2} count terms for {K} candidate values")
 
 
-def _hull(a: ComplexBall, b: ComplexBall, prec: int) -> ComplexBall:
-    return ComplexBall(a.re.hull(b.re, prec), a.im.hull(b.im, prec))
-
-
 class ZetaCandidate:
-    """A cluster of numerically identical branch values."""
+    """A cluster of numerically identical branch values, times sign: -1 once
+    the fit picks mu = -1, so exact and the ball are the members' negated."""
 
-    __slots__ = ("exact", "members", "multiplicity", "coefficient", "_balls")
+    __slots__ = ("exact", "members", "multiplicity", "coefficient", "sign", "_balls")
 
-    def __init__(self, exact: Optional[Fraction], members: List[_Branch]):
+    def __init__(self, exact: Optional[Fraction], members: List[_Branch], sign: int = 1):
         self.exact = exact
         self.members = members
         self.multiplicity = sum(b.multiplicity for b in members)
         self.coefficient: Optional[int] = None
+        self.sign = sign
         self._balls: Dict[int, ComplexBall] = {}
 
     def is_exact(self) -> bool:
         return self.exact is not None
 
     def negated(self) -> "ZetaCandidate":
-        out = ZetaCandidate(
-            -self.exact if self.exact is not None else None,
-            [b.negated() for b in self.members],
-        )
+        out = ZetaCandidate(None if self.exact is None else -self.exact, self.members, -self.sign)
         out.coefficient = self.coefficient
         return out
 
@@ -239,8 +227,10 @@ class ZetaCandidate:
                 ball = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
             else:
                 ball = self.members[0].ball(prec)
-                for b in self.members[1:]:
-                    ball = _hull(ball, b.ball(prec), prec)
+                for other in (b.ball(prec) for b in self.members[1:]):
+                    ball = ComplexBall(ball.re.hull(other.re, prec), ball.im.hull(other.im, prec))
+                if self.sign < 0:
+                    ball = ball.neg()
             self._balls[prec] = ball
         return ball
 
@@ -292,10 +282,19 @@ def _overlap_classes(balls: Sequence[ComplexBall]) -> List[List[int]]:
 
 
 def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaCandidate]]:
-    """Group branches by overlapping value boxes; None means escalate."""
+    """Group branches by overlapping value boxes; None means escalate.
+
+    Branches with equal exact value and equal parts are equal, so each such
+    group enters the sweep by one ball, its first member's; the members of
+    a cluster stay in branch order.
+    """
+    by_value: Dict[tuple, List[int]] = {}
+    for i, b in enumerate(branches):
+        by_value.setdefault((b.exact, b.parts), []).append(i)
+    groups = list(by_value.values())
     clusters = []
-    for indices in _overlap_classes([b.ball(prec) for b in branches]):
-        members = [branches[i] for i in indices]
+    for indices in _overlap_classes([branches[g[0]].ball(prec) for g in groups]):
+        members = [branches[i] for i in sorted(i for k in indices for i in groups[k])]
         if all(not b.parts for b in members):
             exacts = {b.exact for b in members}
             if len(exacts) > 1:
@@ -595,12 +594,13 @@ def inverse_roots(
             "pass force to attempt the fit anyway"
         )
     check_sequence_budget(sys, n, j_check if j_check is not None else defaults.MIN_J_CHECK)
-    K = _distinct_exact_values(sys, n)
+    factors = _arch_factors(sys, n)
+    K = _distinct_exact_values(factors)
     if K is not None and j_check is None:
         check_sequence_budget(sys, n, max(K + 2, defaults.MIN_J_CHECK))
     elif K is not None and expansive:
         _check_terms(j_check, K)
-    branches = _branches(sys, n)
+    branches = _branches(sys, n, factors)
     for prec in precisions(precision, max_prec):
         clusters = _cluster_branches(branches, prec)
         if clusters is None:

@@ -46,7 +46,12 @@ def exact_values(zf):
 def exact_candidate(value, multiplicity=1):
     """A candidate for one exact value, built by hand for fit_exponents."""
     v = Fraction(value)
-    return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), {})])
+    return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), ([], {}))])
+
+
+def branches_of(sys_, n):
+    """The branches of direction n over its one _arch_factors list."""
+    return _branches(sys_, n, zeta._arch_factors(sys_, n))
 
 
 # --- expansiveness -----------------------------------------------------------
@@ -300,47 +305,54 @@ def _bits(ball):
     return (ball.re.mid, ball.re.rad, ball.im.mid, ball.im.rad)
 
 
-def _uncached_branch_ball(branch, prec):
+def _uncached_branch_ball(branch, factors, prec):
+    """The branch value by the arithmetic of _Branch.ball, each embedded
+    power formed afresh from the factor its (index, power) part names."""
     out = ComplexBall.from_fractions(branch.exact, Fraction(0), prec)
-    for min_poly, emb_index, element, power in branch.parts:
+    for index, power in branch.parts:
+        min_poly, emb_index, element = factors[index][2]
         emb = nf.isolate_roots(min_poly, prec)[emb_index]
         out = out.mul(nf.embed(element, emb, prec).pow_int(power, prec), prec)
     return out
 
 
-def _uncached_candidate_ball(candidate, prec):
-    ball = _uncached_branch_ball(candidate.members[0], prec)
-    for b in candidate.members[1:]:
-        other = _uncached_branch_ball(b, prec)
+def _hull_of(balls, prec):
+    ball = balls[0]
+    for other in balls[1:]:
         ball = ComplexBall(ball.re.hull(other.re, prec), ball.im.hull(other.im, prec))
     return ball
 
 
 def _quartic_branches_and_merged_cluster():
-    branches = _branches(load_fixture("sqrt2sqrt3"), (1, 1))
+    sys_ = load_fixture("sqrt2sqrt3")
+    factors = zeta._arch_factors(sys_, (1, 1))
+    branches = _branches(sys_, (1, 1), factors)
     clusters = _cluster_branches(branches, 64)
     merged = next(c for c in clusters if len(c.members) > 1 and not c.is_exact())
-    return branches, merged
+    return factors, branches, merged
 
 
 def test_cached_balls_equal_uncached_recompute_per_precision():
-    branches, merged = _quartic_branches_and_merged_cluster()
+    factors, branches, merged = _quartic_branches_and_merged_cluster()
     for prec in (64, 128, 64):
         for b in branches:
-            assert _bits(b.ball(prec)) == _bits(_uncached_branch_ball(b, prec))
-        assert _bits(merged.ball(prec)) == _bits(_uncached_candidate_ball(merged, prec))
+            assert _bits(b.ball(prec)) == _bits(_uncached_branch_ball(b, factors, prec))
+        uncached = [_uncached_branch_ball(b, factors, prec) for b in merged.members]
+        assert _bits(merged.ball(prec)) == _bits(_hull_of(uncached, prec))
     assert _bits(branches[-1].ball(128)) != _bits(branches[-1].ball(64))
     assert _bits(merged.ball(128)) != _bits(merged.ball(64))
 
 
 def test_negated_balls_are_negations():
-    branches, merged = _quartic_branches_and_merged_cluster()
+    # mu = -1 negates a candidate by its sign: its ball is the hull of its
+    # members' negated balls, bit for bit, as when each member was negated
+    _, _, merged = _quartic_branches_and_merged_cluster()
+    negated = merged.negated()
+    assert negated.members == merged.members and negated.sign == -1
     for prec in (64, 128):
-        for b in branches:
-            b.ball(prec)  # fill the original's cache before negating
-            assert _bits(b.negated().ball(prec)) == _bits(b.ball(prec).neg())
-        merged.ball(prec)
-        assert _bits(merged.negated().ball(prec)) == _bits(merged.ball(prec).neg())
+        expected = _hull_of([b.ball(prec).neg() for b in merged.members], prec)
+        assert _bits(negated.ball(prec)) == _bits(expected)
+        assert _bits(negated.ball(prec)) == _bits(merged.ball(prec).neg())
 
 
 def test_repeated_fits_on_one_system_match_fresh_loads():
@@ -437,10 +449,29 @@ def test_exact_values_are_counted_before_the_branches(monkeypatch):
 def test_distinct_exact_values_match_the_branches(components, n):
     sys_ = parse_descriptor({"d": len(n), "components": [
         {"class": kind, "multiplicity": m, "generators": gens} for kind, m, gens in components]})
-    values = {b.exact for b in _branches(sys_, n)}
-    assert zeta._distinct_exact_values(sys_, n) == len(values)
-    assert zeta._distinct_exact_values(load_fixture("ledrappier"), (1, 1)) == 1
-    assert zeta._distinct_exact_values(load_fixture("dk-sextic"), (1, 1)) is None
+    factors = zeta._arch_factors(sys_, n)
+    branches = _branches(sys_, n, factors)
+    K = zeta._distinct_exact_values(factors)
+    assert K == len({b.exact for b in branches})
+    assert K == len(_cluster_branches(branches, 64))
+    for name, n, K in (("ledrappier", (1, 1), 1), ("dk-sextic", (1, 1), None)):
+        assert zeta._distinct_exact_values(zeta._arch_factors(load_fixture(name), n)) == K
+
+
+def test_equal_exact_values_share_one_ball(monkeypatch):
+    # three copies of x2, each of multiplicity 20: 9,261 branches take the
+    # 61 values g 2^-k = 2^(60-k), so the sweep sees one ball per value
+    copies = parse_descriptor({"d": 1, "components": [
+        {"class": "s_integer", "multiplicity": 20, "generators": ["2"]}] * 3})
+    branches = branches_of(copies, (1,))
+    built = []
+    ball = _Branch.ball
+    monkeypatch.setattr(_Branch, "ball", lambda b, prec: built.append(b) or ball(b, prec))
+    clusters = _cluster_branches(branches, 64)
+    assert len(branches) == 9261 and len(built) <= 61
+    assert [c.exact for c in clusters] == [Fraction(2 ** (60 - k)) for k in range(61)]
+    assert [c.multiplicity for c in clusters] == [math.comb(60, k) for k in range(61)]
+    assert [b for c in clusters for b in c.members] == sorted(branches, key=lambda b: b.exact, reverse=True)
 
 
 # --- clustering by a sweep over the real parts ---------------------------------
@@ -477,13 +508,13 @@ def test_branch_multiplicities_are_binomials(monkeypatch):
         g = zeta._growth_factor(sys_, n)
         factors = zeta._arch_factors(sys_, n)
         expected = [
-            (math.prod(math.comb(m, k) for (_, _, m), k in zip(factors, label)),
-             g * math.prod(f ** k for (f, _, _), k in zip(factors, label) if f is not None))
-            for label in itertools.product(*(range(m + 1) for _, _, m in factors))
+            (math.prod(math.comb(m, k) for (_, _, _, m), k in zip(factors, label)),
+             g * math.prod(f ** k for (_, f, _, _), k in zip(factors, label) if f is not None))
+            for label in itertools.product(*(range(m + 1) for _, _, _, m in factors))
         ]
         with monkeypatch.context() as patch:
             patch.setattr(math, "comb", None)
-            branches = _branches(sys_, n)
+            branches = _branches(sys_, n, factors)
         assert [(b.multiplicity, b.exact) for b in branches] == expected, n
 
 
@@ -525,7 +556,7 @@ def test_sweep_classes_equal_all_pairs_classes(monkeypatch):
 
 def test_sextic_clusters_are_unchanged_by_the_sweep():
     sextic = load_fixture("dk-sextic")
-    branches = _branches(sextic, (1, 1))
+    branches = branches_of(sextic, (1, 1))
     balls = [b.ball(64) for b in branches]
     assert zeta._overlap_classes(balls) == all_pairs_classes(balls)
     assert len(_cluster_branches(branches, 64)) == 27

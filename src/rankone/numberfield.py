@@ -7,8 +7,8 @@ power basis is only a coordinate system: elements may have non-integral
 coordinates, and integrality is decided by the integrality of the element's
 characteristic polynomial, not of its coordinates.
 
-Embeddings are certified boxes around the roots of f.  Root isolation runs a
-simultaneous iteration (mpmath's polyroots) for the approximations and then
+Embeddings are certified boxes around the roots of f.  Root isolation runs
+Durand-Kerner sweeps on Gaussian integers for the approximations and then
 certifies a posteriori: around each approximation z the disk of radius
 deg(f) * |f(z)/f'(z)| is known to contain at least one root, so once the
 boxes are pairwise disjoint each contains exactly one.  Realness is settled
@@ -422,22 +422,60 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
 
 
 def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
-    import mpmath
+    """Durand-Kerner roots at work + 20 bits, on Gaussian integers at scale 2^P
+    from (0.4 + 0.9i)^k: P = 64 + L while every nonzero |z| >= 2^-L (Cauchy),
+    then up to 2(work + 20) + L + 32.  None when 500 sweeps do not converge."""
+    from mpmath.libmp import from_man_exp
 
     from .balls import ComplexBall, RealBall
 
-    with mpmath.workprec(work + 20):
-        try:
-            approx = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(poly)], maxsteps=500, extraprec=work
-            )
-        except mpmath.mp.NoConvergence:
-            return None
-        out = []
-        for z in approx:
-            zc = mpmath.mpc(z)
-            out.append(ComplexBall(RealBall(zc.real._mpf_), RealBall(zc.imag._mpf_)))
-        return out
+    low = next(abs(c) for c in poly if c)
+    L = (low + max(abs(c) for c in poly[1:])).bit_length() - low.bit_length() + 1
+    P = 64 + L
+    start = ((0.4 + 0.9j) ** k for k in range(len(poly) - 1))
+    zs = [[(n << P) // d for n, d in (t.as_integer_ratio() for t in (z.real, z.imag))] for z in start]
+
+    def sweep() -> int:
+        """One pass z_i -= f(z_i) / prod (z_i - z_j), in place; the largest correction."""
+        worst = 0
+        cs = [c << P for c in reversed(poly[:-1])]
+        for i, (x, y) in enumerate(zs):
+            fr, fi = 1 << P, 0
+            for c in cs:
+                fr, fi = ((fr * x - fi * y) >> P) + c, (fr * y + fi * x) >> P
+            # the product is (dr + i di) 2^e, kept to P + 32 bits
+            dr, di, e = 1, 0, 0
+            for u, v in zs:
+                ur, ui = x - u, y - v
+                if ur or ui:  # skips z_i itself, and any z_j equal to it
+                    dr, di = dr * ur - di * ui, dr * ui + di * ur
+                    n = max(dr.bit_length() - P - 32, di.bit_length() - P - 32, 0)
+                    dr, di, e = dr >> n, di >> n, e + n - P
+            den = (dr * dr + di * di) << max(e, 0)
+            cr = ((fr * dr + fi * di) << max(-e, 0)) // den
+            ci = ((fi * dr - fr * di) << max(-e, 0)) // den
+            zs[i] = [x - cr, y - ci]
+            worst = max(worst, abs(cr), abs(ci))
+        return worst
+
+    budget = iter(range(500))  # sweeps until every correction is below 2^-bits
+    converge = lambda bits: any(sweep() >> max(P - bits, 0) == 0 for _ in budget)  # noqa: E731
+    if not converge(L + 40):  # 2^-40 of the smallest root
+        return None
+    final = 2 * (work + 20) + L + 32
+    while P < final:
+        shift, P = min(P, final - P), min(2 * P, final)
+        zs = [[x << shift, y << shift] for x, y in zs]
+        sweep()
+    if not converge(work + 20 + L + 16):
+        return None
+    sweep()
+    # below 2^-(work + 19) the root is zero, else its imaginary, else its real part
+    tol = 1 << (P - work - 19)
+    for i, (x, y) in enumerate(zs):
+        small = x * x + y * y < tol * tol
+        zs[i] = [0 if small or abs(x) < tol <= abs(y) else x, 0 if abs(y) < tol else y]
+    return [ComplexBall(*(RealBall(from_man_exp(v, -P, work + 20, "n")) for v in z)) for z in zs]
 
 
 def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[Tuple[Embedding, ...]]:
@@ -473,8 +511,9 @@ def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[T
     if sum(real_flags) != n_real:
         return None
     for b in boxes:
-        scale = max(1.0, abs(b.re.mid_float()), abs(b.im.mid_float()))
-        if b.re.rad_float() > scale * 2.0 ** (1 - prec):
+        # radius over 2^(1-prec) max(1, |re|, |im|), compared exactly
+        rad = libmp.mpf_shift(b.re.rad, prec - 1)
+        if all(libmp.mpf_cmp(rad, libmp.mpf_abs(v)) > 0 for v in (libmp.fone, b.re.mid, b.im.mid)):
             return None
     conj_of = [-1] * m
     for i, b in enumerate(boxes):

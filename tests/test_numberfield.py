@@ -118,6 +118,55 @@ def test_isolation_at_the_requested_precision_never_certifies():
             assert nf._try_isolate(poly, prec, 2 * prec, n_real) is not None, (poly, prec)
 
 
+def _wilkinson(n):
+    poly = [1]
+    for r in range(1, n + 1):  # times (x - r)
+        poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+    return tuple(poly)
+
+
+# a root near 10^400, two roots near 0.1, Wilkinson's, high degrees
+EXTREME = [
+    (1, -10**400, 1), (-2, 200, -5000, 0, 0, 0, 0, 0, 1), _wilkinson(10),
+    (-1,) + (0,) * 19 + (1,), (1,) + (0,) * 10 + (-1, 1), (1,) + (0,) * 28 + (-1, 1),
+]
+
+
+def _polyroots(poly, work):
+    """The roots mpmath.polyroots finds at work + 20 bits, as sorted mpf pairs."""
+    import mpmath
+
+    with mpmath.workprec(work + 20):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(poly)], maxsteps=500, extraprec=work)
+        return sorted((mpmath.mpc(z).real._mpf_, mpmath.mpc(z).imag._mpf_) for z in roots)
+
+
+@pytest.mark.parametrize("work", [128, 144, 468])
+def test_approx_roots_equal_polyroots(work):
+    # the integer iteration returns polyroots' centers bit for bit, cleanup included
+    for poly in ISOLATED + EXTREME:
+        ours = sorted((z.re.mid, z.im.mid) for z in nf._approx_roots(poly, work))
+        assert ours == _polyroots(poly, work), (poly, work)
+
+
+def test_radius_check_is_exact_past_the_double_range(monkeypatch):
+    # centers 2^-1100 off give radii near 2^-1098, which read 0.0 as doubles,
+    # as does the bound 2^-1999 promised at precision 2000
+    from mpmath.libmp import from_man_exp, mpf_add
+
+    from rankone.balls import ComplexBall, RealBall
+
+    poly = (1, 0, -10, 0, 1)
+    assert nf._try_isolate(poly, 2000, 4000, 4) is not None
+    approx = nf._approx_roots
+
+    def moved(p, work):
+        return [ComplexBall(RealBall(mpf_add(z.re.mid, from_man_exp(1, -1100))), z.im) for z in approx(p, work)]
+
+    monkeypatch.setattr(nf, "_approx_roots", moved)
+    assert nf._try_isolate(poly, 2000, 4000, 4) is None
+
+
 def test_count_real_roots_sturm():
     assert nf.count_real_roots((-2, 0, 1)) == 2
     assert nf.count_real_roots((1, 0, 1)) == 0

@@ -458,7 +458,7 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
             worst = max(worst, abs(cr), abs(ci))
         return worst
 
-    budget = iter(range(500))  # sweeps until every correction is below 2^-bits
+    budget = iter(range(500))  # sweeps in all; converge(bits) stops below 2^-bits
     converge = lambda bits: any(sweep() >> max(P - bits, 0) == 0 for _ in budget)  # noqa: E731
     if not converge(L + 40):  # 2^-40 of the smallest root
         return None

@@ -125,7 +125,7 @@ def _wilkinson(n):
     return tuple(poly)
 
 
-# a root near 10^400, two roots near 0.1, Wilkinson's, high degrees
+# a root near 10^400, two roots 5e-9 apart near 0.02, Wilkinson's, high degrees
 EXTREME = [
     (1, -10**400, 1), (-2, 200, -5000, 0, 0, 0, 0, 0, 1), _wilkinson(10),
     (-1,) + (0,) * 19 + (1,), (1,) + (0,) * 10 + (-1, 1), (1,) + (0,) * 28 + (-1, 1),

@@ -423,15 +423,15 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
 
 def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
     """Durand-Kerner roots at work + 20 bits, on Gaussian integers at scale 2^P
-    from (0.4 + 0.9i)^k: P = 64 + L while every nonzero |z| >= 2^-L (Cauchy),
-    then up to 2(work + 20) + L + 32.  None when 500 sweeps do not converge."""
+    from (0.4 + 0.9i)^k: P = work + L + 64 while every nonzero |z| >= 2^-L
+    (Cauchy), then 2(work + 20) + L + 32.  None when 500 sweeps do not converge."""
     from mpmath.libmp import from_man_exp
 
     from .balls import ComplexBall, RealBall
 
     low = next(abs(c) for c in poly if c)
     L = (low + max(abs(c) for c in poly[1:])).bit_length() - low.bit_length() + 1
-    P = 64 + L
+    P = work + L + 64
     start = ((0.4 + 0.9j) ** k for k in range(len(poly) - 1))
     zs = [[(n << P) // d for n, d in (t.as_integer_ratio() for t in (z.real, z.imag))] for z in start]
 
@@ -458,16 +458,17 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
             worst = max(worst, abs(cr), abs(ci))
         return worst
 
-    budget = iter(range(500))  # sweeps in all; converge(bits) stops below 2^-bits
-    converge = lambda bits: any(sweep() >> max(P - bits, 0) == 0 for _ in budget)  # noqa: E731
-    if not converge(L + 40):  # 2^-40 of the smallest root
-        return None
-    final = 2 * (work + 20) + L + 32
-    while P < final:
-        shift, P = min(P, final - P), min(2 * P, final)
-        zs = [[x << shift, y << shift] for x, y in zs]
-        sweep()
-    if not converge(work + 20 + L + 16):
+    # sweep to 2^-40 of the smallest root, then at the final P to work + 20 + L + 16
+    # bits; near a close pair the rounding error of f(z) over |f'(z)| can exceed
+    # 2^-(L + 40) at any fixed P, so the first P grows with work
+    final, goal = 2 * (work + 20) + L + 32, L + 40
+    for _ in range(500):
+        if sweep() >> max(P - goal, 0) == 0:
+            if P == final:
+                break
+            zs = [[x << (final - P), y << (final - P)] for x, y in zs]
+            P, goal = final, work + 20 + L + 16
+    else:
         return None
     sweep()
     # below 2^-(work + 19) the root is zero, else its imaginary, else its real part

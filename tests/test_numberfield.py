@@ -125,9 +125,11 @@ def _wilkinson(n):
     return tuple(poly)
 
 
-# a root near 10^400, two roots 5e-9 apart near 0.02, Wilkinson's, high degrees
+# a root near 10^400; the close pairs of x^n - 2(ax - 1)^2 near 1/a (n, a = 8, 50;
+# 12, 100; 8, 1000) and of x^10 (x - 1024)^2 - 2 near 1024; Wilkinson's; high degrees
 EXTREME = [
-    (1, -10**400, 1), (-2, 200, -5000, 0, 0, 0, 0, 0, 1), _wilkinson(10),
+    (1, -10**400, 1), (-2, 200, -5000, 0, 0, 0, 0, 0, 1), (-2, 400, -20000) + (0,) * 9 + (1,),
+    (-2, 4000, -2000000, 0, 0, 0, 0, 0, 1), (-2,) + (0,) * 9 + (2**20, -2048, 1), _wilkinson(10),
     (-1,) + (0,) * 19 + (1,), (1,) + (0,) * 10 + (-1, 1), (1,) + (0,) * 28 + (-1, 1),
 ]
 
@@ -143,10 +145,23 @@ def _polyroots(poly, work):
 
 @pytest.mark.parametrize("work", [128, 144, 468])
 def test_approx_roots_equal_polyroots(work):
-    # the integer iteration returns polyroots' centers bit for bit, cleanup included
+    # the integer iteration returns polyroots' centers bit for bit, cleanup
+    # included; degrees past 10 at work 128 only, where the reference is cheapest
     for poly in ISOLATED + EXTREME:
-        ours = sorted((z.re.mid, z.im.mid) for z in nf._approx_roots(poly, work))
-        assert ours == _polyroots(poly, work), (poly, work)
+        if work == 128 or len(poly) <= 11:
+            ours = sorted((z.re.mid, z.im.mid) for z in nf._approx_roots(poly, work))
+            assert ours == _polyroots(poly, work), (poly, work)
+
+
+def test_isolation_of_a_close_pair_far_from_zero():
+    # x^10 (x - 1024)^2 - 2 has two roots 2^-48.5 apart near 1024; had the first
+    # stage run at P = L + 64 at every work, the rounding of f(z) would keep its
+    # corrections near 2^(27 - P), above its goal 2^-(L + 40) = 2^(24 - P), and
+    # every rung of the ladder would end in None
+    poly = (-2,) + (0,) * 9 + (2**20, -2048, 1)
+    assert nf.is_irreducible(poly) and nf.count_real_roots(poly) == 4
+    embs = nf.isolate_roots(poly, 64)
+    assert sum(e.is_real for e in embs) == 4 and len(embs) == 12
 
 
 def test_radius_check_is_exact_past_the_double_range(monkeypatch):

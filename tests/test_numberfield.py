@@ -154,10 +154,9 @@ def test_approx_roots_equal_polyroots(work):
 
 
 def test_isolation_of_a_close_pair_far_from_zero():
-    # x^10 (x - 1024)^2 - 2 has two roots 2^-48.5 apart near 1024; had the first
-    # stage run at P = L + 64 at every work, the rounding of f(z) would keep its
-    # corrections near 2^(27 - P), above its goal 2^-(L + 40) = 2^(24 - P), and
-    # every rung of the ladder would end in None
+    # x^10 (x - 1024)^2 - 2 has two roots 2^-48.5 apart near 1024; at a first
+    # stage P = L + 64 for every work, the rounding of f(z) holds the corrections
+    # near 2^(27 - P), above the goal 2^-(L + 40) = 2^(24 - P), on every rung
     poly = (-2,) + (0,) * 9 + (2**20, -2048, 1)
     assert nf.is_irreducible(poly) and nf.count_real_roots(poly) == 4
     embs = nf.isolate_roots(poly, 64)

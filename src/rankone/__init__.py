@@ -8,7 +8,7 @@ build_portrait / directional_entropy (subdynamics).
 
 Importing the package loads none of its modules: each export is imported
 from its home module on first use (PEP 562), so exact counts never load
-mpmath or the interval arithmetic.
+mpmath's raw floats (_libmp) or the interval arithmetic.
 """
 
 import importlib

@@ -35,8 +35,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Union
 
-from mpmath import libmp
-from mpmath.libmp import (
+from . import _libmp as libmp
+from ._libmp import (
     fone,
     fzero,
     from_rational,

@@ -41,7 +41,7 @@ class NumberFieldUnitsComponent:
         # |Norm(h - 1)| counts periodic points only when Q[x]/(min_poly) is a field
         if not nf.is_irreducible(self.field.min_poly):
             raise DescriptorError(f"{path}.min_poly", "min_poly must be irreducible")
-        gens = []
+        gens, charpolys = [], []
         for i, coeffs in enumerate(generators):
             gpath = f"{path}.generators[{i}]"
             if not isinstance(coeffs, (list, tuple)):
@@ -53,10 +53,14 @@ class NumberFieldUnitsComponent:
                 raise DescriptorError(gpath, str(exc)) from None
             if all(c == 0 for c in g):
                 raise DescriptorError(gpath, "generator must be nonzero")
-            if not nf.is_unit(self.field, g):
+            charpoly = nf.unit_charpoly(self.field, g)
+            if charpoly is None:
                 raise DescriptorError(gpath, "generator is not a unit of the ring of integers")
             gens.append(g)
+            charpolys.append(charpoly)
         self.generators: Tuple[Element, ...] = tuple(gens)
+        # each generator's integer characteristic polynomial, from validation
+        self._charpolys: Tuple[List[int], ...] = tuple(charpolys)
         # (i, e) -> integer (v, den) with g_i^e = v / den, for the counts;
         # i -> g_i^-1, whose powers are the negative ones
         self._powers: Dict[Tuple[int, int], Tuple[Tuple[int, ...], int]] = {}
@@ -74,11 +78,7 @@ class NumberFieldUnitsComponent:
         Matching is certified and escalates to the hard cap of root
         isolation, so the cached characters never depend on a user cap."""
         out = []
-        for g in self.generators:
-            charpoly = nf.element_charpoly(self.field, g)
-            if any(c.denominator != 1 for c in charpoly):
-                raise ValueError("unit with non-integral characteristic polynomial")
-            int_cp = [int(c) for c in charpoly]
+        for g, int_cp in zip(self.generators, self._charpolys):
             # over a field the characteristic polynomial is p^k, p irreducible
             min_poly = nf.squarefree_part_int(int_cp)
             k, rest = divmod(len(int_cp) - 1, len(min_poly) - 1)

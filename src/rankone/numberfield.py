@@ -28,9 +28,9 @@ vectors modulo min_poly, and norm takes the determinant of integer
 columns.  A count keeps h as the pair (v, den) from start to finish, so it
 forms no Fraction at any lattice point.
 
-Only the isolation and embedding functions import balls and mpmath, at
-their entry, so element arithmetic, norms and the irreducibility test load
-neither.
+Only the isolation and embedding functions import balls and mpmath's raw
+floats (_libmp), at their entry, so element arithmetic, norms and the
+irreducibility test load neither.
 """
 
 from __future__ import annotations
@@ -348,17 +348,23 @@ def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:
     return mat_charpoly(mult_matrix(spec, x))
 
 
-def is_unit(spec: NumberFieldSpec, x: Element) -> bool:
-    """True when x is an algebraic integer of norm +-1.
+def unit_charpoly(spec: NumberFieldSpec, x: Element) -> Optional[List[int]]:
+    """x's integer characteristic polynomial when x is an algebraic integer
+    of norm +-1, else None.
 
     Decided through the characteristic polynomial of the multiplication
     matrix: integrality of the element does not require integral power-basis
     coordinates, so the test accepts any coordinate vector.
     """
     cp = element_charpoly(spec, x)
-    if any(c.denominator != 1 for c in cp):
-        return False
-    return abs(cp[0]) == 1  # constant term is the norm up to sign
+    if any(c.denominator != 1 for c in cp) or abs(cp[0]) != 1:  # constant term is the norm up to sign
+        return None
+    return [int(c) for c in cp]
+
+
+def is_unit(spec: NumberFieldSpec, x: Element) -> bool:
+    """True when x is an algebraic integer of norm +-1."""
+    return unit_charpoly(spec, x) is not None
 
 
 # --------------------------------------------------------------------------
@@ -425,8 +431,7 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
     """Durand-Kerner roots at work + 20 bits, on Gaussian integers at scale 2^P
     from (0.4 + 0.9i)^k: P = work + L + 64 while every nonzero |z| >= 2^-L
     (Cauchy), then 2(work + 20) + L + 32.  None when 500 sweeps do not converge."""
-    from mpmath.libmp import from_man_exp
-
+    from ._libmp import from_man_exp
     from .balls import ComplexBall, RealBall
 
     low = next(abs(c) for c in poly if c)
@@ -480,8 +485,7 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
 
 
 def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[Tuple[Embedding, ...]]:
-    from mpmath import libmp
-
+    from . import _libmp as libmp
     from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
 
     m = len(poly) - 1
@@ -554,7 +558,7 @@ def _fraction_sqrt_upper(x: Fraction) -> Fraction:
 
 
 def _box_sort_key(boxes: List[ComplexBall]):
-    from mpmath import libmp
+    from . import _libmp as libmp
 
     def cmp(i: int, j: int) -> int:
         a, b = boxes[i], boxes[j]

@@ -8,8 +8,9 @@ a `periodic` run never compiles it.
 
 Each subcommand loads its descriptor before it imports zeta or
 subdynamics, so a number field's arithmetic (numberfield, linalg, fppoly)
-is compiled while mpmath and the interval layers are not yet loaded, and
-its compile-time allocations do not set the process's peak memory.
+is compiled while mpmath's raw floats (_libmp) and the interval layers are
+not yet loaded, and its compile-time allocations do not set the process's
+peak memory.
 """
 
 from __future__ import annotations

@@ -35,9 +35,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_shift
-
 from . import defaults
+from ._libmp import fone, mpf_add, mpf_cmp, mpf_shift
 from .balls import DEFAULT_PRECISION, MAX_PRECISION, RealBall
 from .defaults import CONVENTIONS, INVERSE_ROOT, ROOT_LOCATION
 from .errors import UndecidedError

@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from fractions import Fraction
-from importlib import resources
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .defaults import MAX_PRECISION
@@ -291,16 +291,19 @@ def parse_descriptor(data: Union[str, bytes, dict]) -> SystemDescriptor:
     return SystemDescriptor(label, d, components)
 
 
+# the packaged example descriptors, installed as files next to this module
+_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
 def fixture_names() -> List[str]:
-    root = resources.files("rankone").joinpath("fixtures")
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(name[: -len(".json")] for name in os.listdir(_FIXTURES) if name.endswith(".json"))
 
 
 def load_fixture(name: str) -> SystemDescriptor:
     """Load one of the packaged example descriptors by name."""
-    path = resources.files("rankone").joinpath("fixtures").joinpath(f"{name}.json")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(os.path.join(_FIXTURES, f"{name}.json"), encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError:
         raise DescriptorError("", f"no packaged descriptor named {name!r}; known: {', '.join(fixture_names())}") from None
     return parse_descriptor(text)

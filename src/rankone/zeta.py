@@ -30,9 +30,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from mpmath.libmp import from_man_exp, mpf_neg, mpf_sub
-
 from . import defaults
+from ._libmp import from_man_exp, mpf_neg, mpf_sub
 from .balls import (
     DEFAULT_PRECISION,
     HARD_PRECISION,

@@ -1014,15 +1014,17 @@ def test_module_exit_code_propagates():
     assert proc.returncode == 1
 
 
-# the interval stack and the modules built on it
+# the interval stack and the modules built on it; rankone._libmp loads
+# mpmath's raw floats as the package rankone._mpmath_libmp
 INTERVAL_MODULES = (
-    "mpmath", "rankone.balls", "rankone.exactlog", "rankone.zeta", "rankone.subdynamics", "rankone.svg",
+    "mpmath", "rankone._libmp", "rankone._mpmath_libmp",
+    "rankone.balls", "rankone.exactlog", "rankone.zeta", "rankone.subdynamics", "rankone.svg",
 )
 
 
 def test_periodic_loads_no_interval_stack():
     # counts are integer work, so a periodic run on every component class
-    # imports neither mpmath nor the modules that need it
+    # imports neither mpmath's raw floats nor the modules that need them
     script = (
         "import contextlib, io, sys\n"
         "from rankone import cli\n"
@@ -1035,6 +1037,64 @@ def test_periodic_loads_no_interval_stack():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_sampling_loads_libmp_without_mpmath():
+    # zeta and portrait compute on mpmath's raw floats without importing the
+    # mpmath package, and a later import of mpmath in the same process still
+    # gets the whole package: its own libmp, its contexts, and raw floats
+    # equal to rankone's
+    script = (
+        "import contextlib, io, itertools, random, sys\n"
+        "from rankone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['zeta', 'sqrt2sqrt3', '--n', '1,2']) == 0\n"
+        "    assert cli.main(['portrait', 'dk-sextic', '--format', 'json']) == 0\n"
+        "print('mpmath' in sys.modules, 'rankone._mpmath_libmp' in sys.modules)\n"
+        "import mpmath\n"
+        "print(mpmath.libmp.BACKEND, mpmath.mpf(1) / 3)\n"
+        f"sys.path.insert(0, {str(pathlib.Path(__file__).parent)!r})\n"
+        "from test_kernel import ball_op_cases, mpf_ball_op\n"
+        "for a, b, prec in itertools.islice(ball_op_cases(random.Random(31)), 300):\n"
+        "    got = a.mul(b, prec)\n"
+        "    assert (got.mid, got.rad) == mpf_ball_op('mul', a, b, prec), (a, b, prec)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\npython 0.333333333333333\n"
+
+
+def test_periodic_without_site_loads_no_resource_readers():
+    # fixtures are read as plain files, so a periodic run without site
+    # imports neither importlib.resources nor the zipfile it brings
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = (
+        "import contextlib, io, sys\n"
+        "from rankone import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['periodic', 'times2times3', '--range=0..1,0..1']) == 0\n"
+        "print([name for name in ('importlib.resources', 'zipfile') if name in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_analyze_computes_each_characteristic_polynomial_once(monkeypatch, capsys):
+    # validation keeps each generator's characteristic polynomial for the
+    # root identities, so analyze runs charpoly once per generator
+    from rankone import numberfield
+
+    calls = []
+    charpoly = numberfield.mat_charpoly
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return charpoly(matrix)
+
+    monkeypatch.setattr(numberfield, "mat_charpoly", counted)
+    assert run(capsys, "analyze", "sqrt2sqrt3")[0] == 0
+    assert calls == [4, 4]
 
 
 # modules a CSV periodic run on each fixture must not import: a run loads

@@ -309,7 +309,8 @@ def test_is_irreducible_loads_no_interval_arithmetic():
         "import sys\n"
         "from rankone import numberfield as nf\n"
         "assert nf.is_irreducible((1, 0, -10, 0, 1))\n"
-        "print([m for m in ('mpmath', 'rankone.balls') if m in sys.modules])\n"
+        "print([m for m in ('mpmath', 'rankone._libmp', 'rankone._mpmath_libmp', 'rankone.balls')"
+        " if m in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

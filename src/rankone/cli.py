@@ -19,11 +19,12 @@ with the writers only they use: the parser records the module and name of
 each subcommand's function and main imports it, so a `periodic` run never
 compiles sampling.  Each subcommand imports the modules only it uses, so
 `periodic`, which does integer work alone, never loads mpmath's raw floats
-(_libmp) or the interval arithmetic, and `portrait` loads svg only for --format svg.  Each
-component class has its own module, which parse_descriptor imports only
-for a descriptor that names the class (system), so a `periodic` run
-compiles and loads only what its descriptor's classes need, and hashlib
-only for the descriptor_hash of JSON output.
+(_libmp) or the interval arithmetic, and `portrait` loads svg only for
+--format svg.  Each component class has its own module, which
+parse_descriptor imports only for a descriptor that names the class
+(system), so a `periodic` run compiles and loads only what its
+descriptor's classes need, and hashlib only for the descriptor_hash of
+JSON output.
 """
 
 from __future__ import annotations

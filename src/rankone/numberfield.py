@@ -11,11 +11,12 @@ Embeddings are certified boxes around the roots of f.  Root isolation runs
 Durand-Kerner sweeps on Gaussian integers for the approximations and then
 certifies a posteriori: around each approximation z the disk of radius
 deg(f) * |f(z)/f'(z)| is known to contain at least one root, so once the
-boxes are pairwise disjoint each contains exactly one.  Realness is settled
-by matching against an exact Sturm count rather than by eyeballing imaginary
-parts, and conjugate boxes are paired by certified overlap.  Everything
-re-runs at doubled precision until it resolves, so results are reproducible
-and independent of floating-point luck.
+boxes are pairwise disjoint each contains exactly one.  A box centred on
+the real axis is its own conjugate, so its one root is real; a box that
+misses the axis holds a non-real root; a box that meets it off-centre
+leaves the rung undecided.  Conjugate boxes are paired by certified
+overlap.  Everything re-runs at doubled precision until it resolves, so
+results are reproducible and independent of floating-point luck.
 
 Irreducibility over Q is decided with integers alone.  Factor degrees
 modulo a few primes usually settle it; the degrees those leave open go to a
@@ -160,30 +161,6 @@ def squarefree_part_int(f: Sequence[int]) -> IntPoly:
     if any(c.denominator != 1 for c in sf):
         raise ArithmeticError("monic squarefree part must have integer coefficients")
     return tuple(int(c) for c in sf)
-
-
-def count_real_roots(f: Sequence[int]) -> int:
-    """Number of real roots of a squarefree polynomial, by a Sturm chain."""
-    chain = [[Fraction(c) for c in f]]
-    chain.append(poly_derivative(chain[0]))
-    while poly_degree(chain[-1]) > 0:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            raise ValueError("Sturm chain requires a squarefree polynomial")
-        chain.append([-c for c in rem])
-
-    def variations(at_plus_inf: bool) -> int:
-        signs = []
-        for p in chain:
-            if not p:
-                continue
-            s = 1 if p[-1] > 0 else -1
-            if not at_plus_inf and poly_degree(p) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(at_plus_inf=False) - variations(at_plus_inf=True)
 
 
 # --------------------------------------------------------------------------
@@ -362,11 +339,6 @@ def unit_charpoly(spec: NumberFieldSpec, x: Element) -> Optional[List[int]]:
     return [int(c) for c in cp]
 
 
-def is_unit(spec: NumberFieldSpec, x: Element) -> bool:
-    """True when x is an algebraic integer of norm +-1."""
-    return unit_charpoly(spec, x) is not None
-
-
 # --------------------------------------------------------------------------
 # certified root isolation
 
@@ -399,8 +371,9 @@ def isolate_roots(poly: Sequence[int], prec: int = DEFAULT_PRECISION) -> Tuple[E
     """Certified, deterministically ordered embeddings of a squarefree polynomial.
 
     The working precision escalates internally until every box is certified
-    (pairwise disjoint, realness matching the Sturm count, conjugates paired)
-    and has radius below 2^(1-prec) relative to its magnitude.
+    (pairwise disjoint, each either centred on the real axis, so real, or
+    missing it, conjugates paired) and has radius below 2^(1-prec) relative
+    to its magnitude.
     """
     return _isolate_cached(tuple(int(c) for c in poly), int(prec))
 
@@ -415,13 +388,12 @@ def _isolate_cached(poly: IntPoly, prec: int) -> Tuple[Embedding, ...]:
         raise ValueError("root isolation expects a monic polynomial")
     if not poly_is_squarefree(poly):
         raise ValueError("root isolation expects a squarefree polynomial")
-    n_real = count_real_roots(poly)
     # at work == prec the rounding error of f(z) alone is about the 2^(1-prec)
     # radius that _try_isolate asks for, and that rung does not certify; from
     # the default precision on, the ladder starts one rung above it
     start = 2 * prec if prec >= DEFAULT_PRECISION else DEFAULT_PRECISION
     for work in balls.precisions(start, balls.HARD_PRECISION):
-        result = _try_isolate(poly, prec, work, n_real)
+        result = _try_isolate(poly, prec, work)
         if result is not None:
             return result
     raise UndecidedError(f"root isolation did not converge below {balls.HARD_PRECISION} bits")
@@ -484,7 +456,7 @@ def _approx_roots(poly: IntPoly, work: int) -> Optional[List[ComplexBall]]:
     return [ComplexBall(*(RealBall(from_man_exp(v, -P, work + 20, "n")) for v in z)) for z in zs]
 
 
-def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[Tuple[Embedding, ...]]:
+def _try_isolate(poly: IntPoly, prec: int, work: int) -> Optional[Tuple[Embedding, ...]]:
     from . import _libmp as libmp
     from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
 
@@ -510,10 +482,10 @@ def _try_isolate(poly: IntPoly, prec: int, work: int, n_real: int) -> Optional[T
         for j in range(i + 1, m):
             if not boxes[i].box_disjoint(boxes[j]):
                 return None
-    real_flags = [b.im.contains_zero() for b in boxes]
-    # each real root forces its box onto the axis, so equality of counts
-    # certifies that the axis-meeting boxes are exactly the real ones
-    if sum(real_flags) != n_real:
+    # a box centred on the axis is its own conjugate and holds one root, so
+    # that root is real; a box meeting the axis off-centre decides nothing
+    real_flags = [b.im.mid == libmp.fzero for b in boxes]
+    if any(b.im.contains_zero() and not real for b, real in zip(boxes, real_flags)):
         return None
     for b in boxes:
         # radius over 2^(1-prec) max(1, |re|, |im|), compared exactly

@@ -52,7 +52,7 @@ import functools
 import json
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .defaults import MAX_PRECISION
 from .errors import DescriptorError
@@ -154,8 +154,6 @@ class SystemDescriptor:
         self.d = d
         self.components = tuple(components)
         self._characters: Optional[Tuple[Tuple[Character, ...], Tuple[Character, ...]]] = None
-        # zeta.is_expansive_element's verdicts, keyed by (n, max_prec)
-        self._expansive: Dict[Tuple[Tuple[int, ...], int], Optional[bool]] = {}
 
     def characters(self) -> Tuple[Tuple[Character, ...], Tuple[Character, ...]]:
         """(V, W): archimedean and nonarchimedean character lists."""

@@ -49,19 +49,9 @@ from .system import SystemDescriptor
 def is_expansive_element(
     sys: SystemDescriptor, n: Sequence[int], max_prec: int = MAX_PRECISION
 ) -> Optional[bool]:
-    """True/False/None: no character log form vanishes at n / one does / open.
-
-    The verdict is kept on sys per (n, max_prec), so asking again is free.
-    """
+    """True/False/None: no character log form vanishes at n / one does / open."""
     if all(int(c) == 0 for c in n):
         raise ValueError("expansiveness of the identity element is undefined; n must be nonzero")
-    key = (tuple(n), max_prec)
-    if key not in sys._expansive:
-        sys._expansive[key] = _expansive_verdict(sys, n, max_prec)
-    return sys._expansive[key]
-
-
-def _expansive_verdict(sys: SystemDescriptor, n: Sequence[int], max_prec: int) -> Optional[bool]:
     undecided = False
     for chi in sys.all_characters():
         verdict = chi.log_linear_form(n).is_zero(max_prec)

@@ -506,6 +506,15 @@ def test_cross_atom_true_zero_stays_undecided():
     assert diff.is_zero(max_prec=256) is None
 
 
+def test_prime_only_log_is_nonzero_past_the_cap():
+    # 19 log 2 - 12 log 3 is about -0.0135, too close to 0 for a 2-bit cap,
+    # yet distinct primes have independent logs, so it is certainly nonzero
+    x = ExactLog.from_rational(Fraction(2**19, 3**12))
+    assert x.sign(max_prec=2) == "zero-undecided"
+    assert x.is_zero(max_prec=2) is False
+    assert x.sign() == "negative"
+
+
 def test_exactlog_sign_certification():
     assert ExactLog.from_rational(Fraction(3, 2)).sign() == "positive"
     assert ExactLog.from_rational(Fraction(2, 3)).sign() == "negative"

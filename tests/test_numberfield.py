@@ -59,13 +59,13 @@ def test_charpoly_of_generator_is_min_poly():
 
 def test_unit_and_integrality_tests():
     phi = nf.el_from_coeffs(GOLDEN, [0, 1])
-    assert nf.is_unit(GOLDEN, phi)
-    assert nf.is_unit(GOLDEN, nf.el_pow(GOLDEN, phi, -3))
-    assert not nf.is_unit(GOLDEN, nf.el_from_coeffs(GOLDEN, [2]))
+    assert nf.unit_charpoly(GOLDEN, phi) == [-1, -1, 1]
+    assert nf.unit_charpoly(GOLDEN, nf.el_pow(GOLDEN, phi, -3)) is not None
+    assert nf.unit_charpoly(GOLDEN, nf.el_from_coeffs(GOLDEN, [2])) is None
     # (-21 - 4 sqrt5)/19 has norm 1 but is not an algebraic integer
     not_integral = nf.el_from_coeffs(GOLDEN, [Fraction(-17, 19), Fraction(-8, 19)])
     assert abs(nf.norm(GOLDEN, not_integral)) == 1
-    assert not nf.is_unit(GOLDEN, not_integral)
+    assert nf.unit_charpoly(GOLDEN, not_integral) is None
 
 
 def test_norm_matches_product_of_embedding_magnitudes():
@@ -100,6 +100,48 @@ def test_isolate_roots_conjugate_pair():
     assert abs(ims[0] + ims[1]) < 1e-15
 
 
+def test_isolate_roots_rejects_what_it_cannot_isolate():
+    with pytest.raises(ValueError, match="constant"):
+        nf.isolate_roots((5,))
+    with pytest.raises(ValueError, match="monic"):
+        nf.isolate_roots((1, 2))
+    with pytest.raises(ValueError, match="squarefree"):
+        nf.isolate_roots((1, 2, 1))  # (x + 1)^2
+
+
+@pytest.mark.parametrize("poly, n_real", [
+    ((1, 0, 1), 0), ((-2, 0, 0, 1), 1), ((1, -3, 0, 1), 3),
+    ((-1, 0, -1, 0, 1), 2),  # the other two roots lie on the imaginary axis
+])
+def test_real_roots_are_the_boxes_centred_on_the_axis(poly, n_real):
+    from mpmath.libmp import fzero
+
+    embs = nf.isolate_roots(poly, 64)
+    assert sum(e.is_real for e in embs) == n_real
+    for e in embs:
+        assert e.is_real == (e.box.im.mid == fzero) == (e.conj_index == e.index)
+
+
+def test_a_box_meeting_the_axis_off_centre_does_not_certify(monkeypatch):
+    # a center moved 2^-(work + 10) off the axis leaves its box on the axis,
+    # where it might hold a real root or one of a conjugate pair
+    from mpmath.libmp import from_man_exp
+
+    from rankone.balls import ComplexBall, RealBall
+
+    poly = (1, 0, -10, 0, 1)
+    assert nf._try_isolate(poly, 64, 128) is not None
+    approx = nf._approx_roots
+
+    def moved(p, work):
+        zs = approx(p, work)
+        zs[0] = ComplexBall(zs[0].re, RealBall(from_man_exp(1, -(work + 10))))
+        return zs
+
+    monkeypatch.setattr(nf, "_approx_roots", moved)
+    assert nf._try_isolate(poly, 64, 128) is None
+
+
 # fixture fields, their generators' minimal polynomials, and test polynomials
 ISOLATED = [
     (1, 0, -10, 0, 1), (-1, -2, 1), (1, -4, 1),
@@ -112,10 +154,9 @@ def test_isolation_at_the_requested_precision_never_certifies():
     # so _isolate_cached starts its ladder at 2 * prec from the default
     # precision on, and results stay those of the longer ladder
     for poly in ISOLATED:
-        n_real = nf.count_real_roots(poly)
         for prec in (64, 128, 256):
-            assert nf._try_isolate(poly, prec, prec, n_real) is None, (poly, prec)
-            assert nf._try_isolate(poly, prec, 2 * prec, n_real) is not None, (poly, prec)
+            assert nf._try_isolate(poly, prec, prec) is None, (poly, prec)
+            assert nf._try_isolate(poly, prec, 2 * prec) is not None, (poly, prec)
 
 
 def _wilkinson(n):
@@ -158,7 +199,7 @@ def test_isolation_of_a_close_pair_far_from_zero():
     # stage P = L + 64 for every work, the rounding of f(z) holds the corrections
     # near 2^(27 - P), above the goal 2^-(L + 40) = 2^(24 - P), on every rung
     poly = (-2,) + (0,) * 9 + (2**20, -2048, 1)
-    assert nf.is_irreducible(poly) and nf.count_real_roots(poly) == 4
+    assert nf.is_irreducible(poly)
     embs = nf.isolate_roots(poly, 64)
     assert sum(e.is_real for e in embs) == 4 and len(embs) == 12
 
@@ -171,21 +212,14 @@ def test_radius_check_is_exact_past_the_double_range(monkeypatch):
     from rankone.balls import ComplexBall, RealBall
 
     poly = (1, 0, -10, 0, 1)
-    assert nf._try_isolate(poly, 2000, 4000, 4) is not None
+    assert nf._try_isolate(poly, 2000, 4000) is not None
     approx = nf._approx_roots
 
     def moved(p, work):
         return [ComplexBall(RealBall(mpf_add(z.re.mid, from_man_exp(1, -1100))), z.im) for z in approx(p, work)]
 
     monkeypatch.setattr(nf, "_approx_roots", moved)
-    assert nf._try_isolate(poly, 2000, 4000, 4) is None
-
-
-def test_count_real_roots_sturm():
-    assert nf.count_real_roots((-2, 0, 1)) == 2
-    assert nf.count_real_roots((1, 0, 1)) == 0
-    assert nf.count_real_roots((-2, 0, 0, 1)) == 1
-    assert nf.count_real_roots((1, 0, -10, 0, 1)) == 4
+    assert nf._try_isolate(poly, 2000, 4000) is None
 
 
 def test_factor_monic_int_splits_known_products():

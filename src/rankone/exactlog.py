@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import balls
 from .balls import (
@@ -297,11 +297,6 @@ def log_dot(n: Sequence[int], w: Sequence[ExactLog]) -> ExactLog:
     return total
 
 
-def _vector_trivially_zero(w: Sequence[ExactLog]) -> bool:
-    """Exact zero test of a whole vector; vector_is_zero is True exactly here."""
-    return all(entry.is_trivially_zero() for entry in w)
-
-
 def vector_is_zero(w: Sequence[ExactLog], max_prec: int = MAX_PRECISION) -> Optional[bool]:
     """True/False/None for a whole vector, undecided if any entry is."""
     verdicts = [entry.is_zero(max_prec) for entry in w]
@@ -312,60 +307,26 @@ def vector_is_zero(w: Sequence[ExactLog], max_prec: int = MAX_PRECISION) -> Opti
     return None
 
 
-def _coefficient_matrix(vecs: Iterable[Sequence[ExactLog]]):
-    """Rows: one per atom appearing anywhere; columns: vector coordinates."""
-    vecs = list(vecs)
-    atoms = set()
-    for w in vecs:
-        for entry in w:
-            atoms.update(("q", p) for p in entry.prime_part)
-            atoms.update(entry.root_part)
-    atoms = sorted(atoms, key=repr)
-    mats = []
-    for w in vecs:
-        rows = []
-        for atom in atoms:
-            row = []
-            for entry in w:
-                if atom[0] == "q":
-                    row.append(entry.prime_part.get(atom[1], Fraction(0)))
-                else:
-                    row.append(entry.root_part.get(atom, Fraction(0)))
-            rows.append(row)
-        mats.append(rows)
-    return atoms, mats
-
-
 def vectors_parallel(
     a: Sequence[ExactLog], b: Sequence[ExactLog], max_prec: int = MAX_PRECISION
 ) -> str:
     """'parallel' | 'not-parallel' | 'undecided' for nonzero vectors.
 
-    Rational proportionality of the atom-coefficient matrices certifies
-    parallelism exactly.  Otherwise every 2x2 minor is evaluated as an
-    interval: one minor excluding zero certifies non-parallelism, and
-    anything else stays undecided at the cap.
+    Parallelism is certified exactly when b = r a for a rational r != 0.
+    The one possible r is the ratio of b's and a's coefficients at one atom
+    of a's first nonzero entry; scaling keeps a reduced log reduced, so
+    b[j] == a[j].scale(r) compares canonical forms.  Otherwise every 2x2
+    minor is evaluated as an interval: one minor excluding zero certifies
+    non-parallelism, and anything else stays undecided at the cap.
     """
     d = len(a)
-    _, (ca, cb) = _coefficient_matrix([a, b])
-    flat_a = [x for row in ca for x in row]
-    flat_b = [x for row in cb for x in row]
-    ratio = None
-    proportional = True
-    for x, y in zip(flat_a, flat_b):
-        if x == 0 and y == 0:
-            continue
-        if x == 0 or y == 0:
-            proportional = False
-            break
-        r = y / x
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            proportional = False
-            break
-    if proportional and ratio is not None:
-        return "parallel"
+    k = next((k for k, entry in enumerate(a) if not entry.is_trivially_zero()), None)
+    if k is not None:
+        # prime atoms are ints and root atoms tuples, so one dict holds both
+        atom, coeff = next(iter({**a[k].prime_part, **a[k].root_part}.items()))
+        r = {**b[k].prime_part, **b[k].root_part}.get(atom, 0) / coeff
+        if r and all(v == u.scale(r) for u, v in zip(a, b)):
+            return "parallel"
     undecided = False
     for i in range(d):
         for j in range(i + 1, d):

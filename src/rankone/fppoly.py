@@ -18,7 +18,7 @@ elements come from a generator seeded by the input, so runs are repeatable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 from .defaults import power
 from .rationals import is_prime
@@ -204,31 +204,16 @@ class FpPoly:
             sf = sf.mul(extra)
         return sf.monic()
 
-    def factor(self) -> Dict["FpPoly", int]:
-        """Factor into monic irreducibles: {factor: multiplicity}.
-
-        The leading coefficient is dropped; callers track it separately
-        (FpRationalFunction keeps denominators monic for that reason).
+    def factor(self) -> List["FpPoly"]:
+        """The distinct monic irreducible factors, sorted by degree, then
+        coefficients.  Leading coefficient and multiplicities are dropped:
+        callers that need an order read it with fp_ord_at.
         """
         if self.is_zero():
             raise ValueError("cannot factor the zero polynomial")
-        f = self.monic()
-        result: Dict[FpPoly, int] = {}
-        if f.degree == 0:
-            return result
-        radical = f.squarefree_part()
-        for d, group in _distinct_degree(radical):
-            for irr in _equal_degree(group, d):
-                m = 0
-                rem = f
-                while True:
-                    quo, r = rem.divmod(irr)
-                    if not r.is_zero():
-                        break
-                    rem = quo
-                    m += 1
-                result[irr] = m
-        return dict(sorted(result.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
+        radical = self.squarefree_part()
+        factors = [irr for d, group in _distinct_degree(radical) for irr in _equal_degree(group, d)]
+        return sorted(factors, key=lambda irr: (irr.degree, irr.coeffs))
 
 
 def _distinct_degree(f: FpPoly) -> Iterator[Tuple[int, FpPoly]]:

@@ -59,9 +59,7 @@ class FunctionFieldComponent:
         places = set()
         for g in self.generators:
             for part in (g.num, g.den):
-                for pi in part.factor():
-                    if pi.degree >= 1:
-                        places.add(pi)
+                places.update(part.factor())
         marked = [pi for pi in places if any(fppoly.fp_ord_at(g, pi) != 0 for g in self.generators)]
         marked.sort(key=lambda pi: (pi.degree, tuple(pi.coeffs)))
         return tuple(marked)
@@ -157,10 +155,10 @@ class FunctionFieldComponent:
         # F_p^*, and scaling by p-1 yields an honest relation.  The order
         # matrix rank decides exactly; an all-zero infinity column, left out
         # of _place_orders, would not change it.
-        from .linalg import rank
+        from .linalg import full_row_rank
 
-        rows = [[Fraction(orders[i]) for _, orders in self._place_orders] for i in range(self.d)]
-        return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []
+        rows = [[orders[i] for _, orders in self._place_orders] for i in range(self.d)]
+        return (ERGODIC if full_row_rank(rows) else NON_ERGODIC), []
 
     def canonical(self, multiplicity: int) -> dict:
         return {

@@ -5,11 +5,12 @@ dense and small (dimensions bounded by the number-field degree, ten or
 so).  The determinant clears each row's denominators and then runs Bareiss's
 fraction-free elimination on Python ints, so no Fraction is formed until
 the final quotient, and none at all for a matrix of ints; it is the one
-determinant behind both number-field norms and the determinant oracle.
-Rank uses plain Gaussian elimination over Fraction.  The characteristic
-polynomial runs the Faddeev-LeVerrier recurrence on Python ints, on A
-scaled by the lcm of its denominators; it needs no pivoting at all, and so
-gives a determinant-free second route to det(I - A) = charpoly(1).
+determinant behind number-field norms, the determinant oracle and the rank
+test, which calls rows independent exactly when their Gram determinant
+det(A A^T) is nonzero.  The characteristic polynomial runs the
+Faddeev-LeVerrier recurrence on Python ints, on A scaled by the lcm of its
+denominators; it needs no pivoting at all, and so gives a determinant-free
+second route to det(I - A) = charpoly(1).
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
@@ -97,30 +98,10 @@ def det(a: Matrix):
     return value if scale is None else Fraction(value, scale)
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        for i in range(r + 1, rows):
-            if m[i][col]:
-                f = m[i][col] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def full_row_rank(rows: Matrix) -> bool:
+    """Whether the rows are linearly independent: det(A A^T) != 0, which by
+    Cauchy-Binet is the sum of the squares of A's maximal minors."""
+    return det([[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]) != 0
 
 
 def charpoly(a: Matrix) -> List[Fraction]:

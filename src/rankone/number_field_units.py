@@ -152,10 +152,11 @@ class NumberFieldUnitsComponent:
         return max(m ** 2 * coeff_bits, m * ((top - 1).bit_length() + 1))
 
     def _inverse(self, i: int) -> Element:
-        """g_i^-1, computed once and kept on the instance."""
+        """g_i^-1 from g_i's characteristic polynomial kept at validation,
+        computed once and kept on the instance."""
         inverse = self._inverses.get(i)
         if inverse is None:
-            inverse = self._inverses[i] = nf.el_inv(self.field, self.generators[i])
+            inverse = self._inverses[i] = nf.el_inv(self.field, self.generators[i], self._charpolys[i])
         return inverse
 
     def _power(self, i: int, e: int) -> Tuple[Tuple[int, ...], int]:
@@ -221,11 +222,10 @@ class NumberFieldUnitsComponent:
         # relation.  Rank defect cannot be certified by intervals, so the
         # failure mode is an honest warning.
         from .balls import precisions
-        from .exactlog import _vector_trivially_zero
 
         veclists, _ = self.characters(0, 1)
         vectors = [c.log_vector for c in veclists]
-        live = [w for w in vectors if not _vector_trivially_zero(w)]
+        live = [w for w in vectors if not all(entry.is_trivially_zero() for entry in w)]
         if len(live) < self.d:
             return ERGODICITY_UNDECIDED, [
                 "embedding log matrix has too few certifiably nonzero rows; ergodicity undecided"

@@ -25,9 +25,12 @@ divisors over Z by exact division (Zassenhaus).
 
 Element products and norms run on integers: int_coords writes an element
 as an integer vector over one denominator, mul_coords multiplies such
-vectors modulo min_poly, and norm takes the determinant of integer
-columns.  A count keeps h as the pair (v, den) from start to finish, so it
-forms no Fraction at any lattice point.
+vectors modulo min_poly, and norm takes the determinant of the
+multiplication matrix, whose denominators linalg.det clears row by row, so
+one norm serves elements and integer vectors alike.  A count keeps h as
+the pair (v, den) from start to finish, so it forms no Fraction at any
+lattice point.  An inverse is a polynomial in the element, read off its
+characteristic polynomial by Cayley-Hamilton.
 
 Only the isolation and embedding functions import balls and mpmath's raw
 floats (_libmp), at their entry, so element arithmetic, norms and the
@@ -108,38 +111,12 @@ def poly_gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> List[Fraction]:
     return a
 
 
-def _poly_sub(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * max(len(f), len(g))
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] -= c
-    return poly_trim(out)
-
-
-def poly_xgcd(f: Sequence[Fraction], g: Sequence[Fraction]):
-    """(d, s, t) with s*f + t*g = d, d the monic gcd."""
-    r0, r1 = poly_trim(list(f)), poly_trim(list(g))
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, poly_mul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
-
-
-def poly_eval_ball(f: Sequence[Fraction], z: ComplexBall, prec: int) -> ComplexBall:
+def poly_eval_ball(f: Sequence, z: ComplexBall, prec: int) -> ComplexBall:
+    """f(z) by Horner's rule, for int or Fraction coefficients f."""
     from .balls import ComplexBall, RealBall
 
     acc = ComplexBall(RealBall.zero(), RealBall.zero())
-    for c in reversed(list(f)):
+    for c in reversed(f):
         acc = acc.mul(z, prec)
         acc = ComplexBall(acc.re.add(RealBall.from_fraction(Fraction(c), prec), prec), acc.im)
     return acc
@@ -256,26 +233,35 @@ def el_mul(spec: NumberFieldSpec, x: Element, y: Element) -> Element:
     return tuple(Fraction(c, den) for c in out)
 
 
-def el_inv(spec: NumberFieldSpec, x: Element) -> Element:
+def el_inv(spec: NumberFieldSpec, x: Element, cp: Sequence) -> Element:
+    """x^-1 by Cayley-Hamilton, from cp, x's monic characteristic polynomial
+    (ascending).  cp(x) = 0 gives x (cp_1 + cp_2 x + ... + x^(m-1)) = -cp_0,
+    and cp_0 = +-Norm(x) is nonzero unless x is a zero divisor, so the
+    bracket, formed by Horner's rule over el_mul, divided by -cp_0 is x^-1.
+    """
     if not any(x):
         raise ZeroDivisionError("inverse of zero")
-    d, _, t = poly_xgcd([Fraction(c) for c in spec.min_poly], poly_trim(list(x)))
-    if poly_degree(d) != 0:
+    if cp[0] == 0:
         raise ZeroDivisionError("element is a zero divisor; min_poly is reducible along it")
-    return tuple(t) + (Fraction(0),) * (spec.degree - len(t))  # deg t < deg min_poly
+    acc = el_one(spec)
+    for c in reversed(cp[1:-1]):
+        acc = el_mul(spec, acc, x)
+        acc = (acc[0] + c,) + acc[1:]
+    return tuple(v / -cp[0] for v in acc)
 
 
 def el_pow(spec: NumberFieldSpec, x: Element, n: int) -> Element:
     if n < 0:
-        return el_pow(spec, el_inv(spec, x), -n)
+        return el_pow(spec, el_inv(spec, x, element_charpoly(spec, x)), -n)
     if n == 0:
         return el_one(spec)
     # el_mul is looked up at each product, so a rebinding of it is seen
     return power(x, n, lambda a, b: el_mul(spec, a, b))
 
 
-def _int_columns(f: IntPoly, col: List[int]) -> List[List[int]]:
-    """Column j of the matrix of y -> x*y for x with integer coordinates col.
+def _columns(f: IntPoly, col: list) -> List[list]:
+    """Column j of the matrix of y -> x*y for x with coordinates col; integer
+    coordinates give integer columns.
 
     Each column is the previous one times the defining root a: the
     coordinates shift up by one, and the top one, times
@@ -295,30 +281,24 @@ def _int_columns(f: IntPoly, col: List[int]) -> List[List[int]]:
 def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
     """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j."""
     col, den = int_coords(x)
-    cols = _int_columns(spec.min_poly, col)
+    cols = _columns(spec.min_poly, col)
     return [[Fraction(col[i], den) for col in cols] for i in range(len(cols))]
 
 
 def norm(spec: NumberFieldSpec, x: Sequence, c: int = 0):
     """Norm(x - c) for an integer c: det of the multiplication matrix of
-    x - c, taken on integer columns (the transpose, with the same
-    determinant).  Subtracting c moves only the diagonal, so x - c is never
-    formed.
+    x - c, taken on columns (the transpose, with the same determinant).
+    Subtracting c moves only the diagonal, so x - c is never formed.
 
-    x is an element, whose columns are its integer coordinates over their
-    common denominator den and whose norm is the Fraction det / den^m; or
-    an integer coordinate vector, whose norm is an int found on ints alone.
-    A count takes h = v / den as the vector v with c = den:
-    Norm(v - den) = den^m Norm(h - 1).
+    x is any coordinate vector: an element's Fractions give a Fraction, and
+    an integer vector an int found on ints alone.  A count takes h = v / den
+    as the vector v with c = den: Norm(v - den) = den^m Norm(h - 1).
     """
-    integral = all(type(v) is int for v in x)
-    col, den = (list(x), 1) if integral else int_coords(x)
-    cols = _int_columns(spec.min_poly, col)
+    cols = _columns(spec.min_poly, list(x))
     if c:
         for j, col in enumerate(cols):
-            col[j] -= c * den
-    value = mat_det(cols)
-    return value if integral else Fraction(value, den ** len(cols))
+            col[j] -= c
+    return mat_det(cols)
 
 
 def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:
@@ -461,15 +441,14 @@ def _try_isolate(poly: IntPoly, prec: int, work: int) -> Optional[Tuple[Embeddin
     from .balls import ComplexBall, RealBall, ball_to_fraction_bounds
 
     m = len(poly) - 1
-    frac = [Fraction(c) for c in poly]
-    dfrac = poly_derivative(frac)
+    dpoly = poly_derivative(poly)
     centers = _approx_roots(poly, work)
     if centers is None:
         return None
     boxes = []
     for z in centers:
-        val = poly_eval_ball(frac, z, work)
-        dval2 = poly_eval_ball(dfrac, z, work).abs2(work)
+        val = poly_eval_ball(poly, z, work)
+        dval2 = poly_eval_ball(dpoly, z, work).abs2(work)
         if dval2.contains_zero():
             return None
         ratio2 = val.abs2(work).div(dval2, work)
@@ -548,7 +527,7 @@ def embed(x: Element, e: Embedding, prec: int) -> ComplexBall:
 
     The box of e is used as given, so pass an embedding isolated at prec.
     """
-    return poly_eval_ball([Fraction(c) for c in x], e.box, prec)
+    return poly_eval_ball(x, e.box, prec)
 
 
 def match_roots(

@@ -100,14 +100,12 @@ class SIntegerComponent:
     def ergodicity(self, max_prec: int = MAX_PRECISION) -> Tuple[str, List[str]]:
         # A relation prod r_i^{k_i} = 1 forces prod |r_i|^{k_i} = 1, and
         # conversely prod |r_i|^{k_i} = 1 gives the relation with 2k.  So
-        # ergodicity is exactly full rank of the prime exponent matrix.
-        from .linalg import rank
+        # ergodicity is exactly full rank of the prime exponent matrix; with
+        # no S-primes its rows are empty, and their Gram matrix is zero.
+        from .linalg import full_row_rank
 
-        primes = self.s_primes
-        rows = [[Fraction(fac.get(p, 0)) for p in primes] for fac in self.factorizations]
-        if not primes:
-            return (NON_ERGODIC if self.generators else ERGODIC), []
-        return (ERGODIC if rank(rows) == self.d else NON_ERGODIC), []
+        rows = [[fac.get(p, 0) for p in self.s_primes] for fac in self.factorizations]
+        return (ERGODIC if full_row_rank(rows) else NON_ERGODIC), []
 
     def canonical(self, multiplicity: int) -> dict:
         return {

@@ -1,5 +1,6 @@
 """Integer kernels against the Fraction code they replaced, and ball rank soundness."""
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -137,6 +138,35 @@ def test_charpoly_matches_fraction_reference_sizes_0_to_6(monkeypatch):
     assert charpoly([]) == [1]
     big = [[Fraction(10 ** 20 + i * j, 1 + i + 2 * j) for j in range(4)] for i in range(4)]
     assert charpoly(big) == reference_charpoly(big)
+
+
+def test_full_row_rank_matches_some_nonzero_maximal_minor():
+    # rows r <= c are independent exactly when some r x r minor is nonzero;
+    # more rows than columns have no such minor and are never independent
+    rng = random.Random(20261021)
+    full = 0
+    for trial in range(600):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        if trial % 2:
+            a = [[random_rational(rng, 0.4) for _ in range(cols)] for _ in range(rows)]
+        else:
+            a = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(cols)] for _ in range(rows)]
+        shape = trial % 6
+        if rows and shape == 1:
+            a[rng.randrange(rows)] = [0] * cols
+        elif cols and shape == 3:
+            k = rng.randrange(cols)
+            for row in a:
+                row[k] = 0
+        elif rows >= 2 and shape == 5:
+            i, j = rng.sample(range(rows), 2)
+            a[j] = [2 * x for x in a[i]]
+        minors = (det([[row[k] for k in ks] for row in a]) for ks in itertools.combinations(range(cols), rows))
+        expected = any(m != 0 for m in minors)
+        assert linalg.full_row_rank(a) == expected, a
+        full += expected
+    assert 100 < full < 500  # both verdicts were really exercised
+    assert linalg.full_row_rank([]) and not linalg.full_row_rank([[]])
 
 
 FIELDS = [

@@ -545,6 +545,29 @@ def test_vectors_parallel_shared_atoms():
     assert vectors_parallel(a, c) == "not-parallel"
 
 
+def test_vectors_parallel_reads_the_ratio_off_one_atom():
+    log = ExactLog.from_rational
+    # a negative ratio, and a multi-atom entry log 6 = log 2 + log 3
+    a = (log(6), log(Fraction(1, 5)))
+    assert vectors_parallel(a, tuple(x.scale(Fraction(-3, 2)) for x in a)) == "parallel"
+    # a trivially zero first entry: the ratio comes from the second
+    a = (ExactLog.zero(), log(2))
+    assert vectors_parallel(a, (ExactLog.zero(), log(Fraction(1, 4)))) == "parallel"
+    assert vectors_parallel(a, (log(3), log(2))) == "not-parallel"
+    # entries with root atoms only: the sqrt2sqrt3 characters
+    from rankone.system import load_fixture
+
+    arch, _ = load_fixture("sqrt2sqrt3").characters()
+    a = arch[0].log_vector
+    assert not a[0].prime_part and a[0].root_part
+    assert vectors_parallel(a, tuple(x.scale(-2) for x in a)) == "parallel"
+    assert vectors_parallel(a, arch[1].log_vector) == "not-parallel"
+    # one differing entry is never parallel, in the first entry or a later one
+    assert vectors_parallel(a, (a[0].scale(2), a[1].scale(3))) == "not-parallel"
+    b = (log(2).add(log(9)), log(Fraction(1, 5)))  # log 2 + 2 log 3: ratio 1 at log 2 only
+    assert vectors_parallel((log(6), log(Fraction(1, 5))), b) == "not-parallel"
+
+
 def test_vectors_parallel_cross_atom_is_undecided():
     # (0, -log 3) and (0, log 2) are parallel as real vectors, but no shared
     # atom certificate exists; the honest answer is undecided

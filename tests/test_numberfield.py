@@ -43,8 +43,41 @@ def test_element_arithmetic_in_gaussian_field():
 
 def test_element_inverse_roundtrip():
     a = nf.el_from_coeffs(GOLDEN, [2, 5])
-    inv = nf.el_inv(GOLDEN, a)
+    inv = nf.el_inv(GOLDEN, a, nf.element_charpoly(GOLDEN, a))
     assert nf.el_mul(GOLDEN, a, inv) == nf.el_one(GOLDEN)
+
+
+def test_el_inv_by_cayley_hamilton_on_fixture_fields():
+    # the characteristic polynomial gives the inverse, whether it comes from
+    # element_charpoly or from the one each generator kept at validation
+    from rankone.system import load_fixture, parse_descriptor
+
+    golden = parse_descriptor({"d": 1, "components": [
+        {"class": "number_field_units", "min_poly": [-1, -1, 1], "generators": [["0", "1"]]}]})
+    rng = random.Random(34)
+    for sys_ in (golden, load_fixture("sqrt2sqrt3"), load_fixture("dk-sextic")):
+        comp = sys_.components[0][0]
+        spec = comp.field
+        one = nf.el_one(spec)
+        for g, cp in zip(comp.generators, comp._charpolys):
+            inverse = nf.el_inv(spec, g, cp)
+            assert nf.el_mul(spec, g, inverse) == one
+            assert nf.el_inv(spec, g, nf.element_charpoly(spec, g)) == inverse
+        for _ in range(30):
+            x = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(spec.degree))
+            if any(x):
+                assert nf.el_mul(spec, x, nf.el_inv(spec, x, nf.element_charpoly(spec, x))) == one
+
+
+def test_el_inv_rejects_zero_and_zero_divisors():
+    # in Q[a]/(a^2 - 1), a - 1 has norm 0: (a - 1)(a + 1) = 0
+    split = nf.NumberFieldSpec((-1, 0, 1))
+    x = nf.el_from_coeffs(split, [-1, 1])
+    with pytest.raises(ZeroDivisionError, match="element is a zero divisor"):
+        nf.el_inv(split, x, nf.element_charpoly(split, x))
+    zero = nf.el_from_coeffs(GOLDEN, [0])
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        nf.el_inv(GOLDEN, zero, nf.element_charpoly(GOLDEN, zero))
 
 
 def test_el_pow_negative_exponent():

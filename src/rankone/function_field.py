@@ -56,13 +56,10 @@ class FunctionFieldComponent:
 
     @functools.cached_property
     def finite_places(self) -> Tuple[FpPoly, ...]:
-        places = set()
-        for g in self.generators:
-            for part in (g.num, g.den):
-                places.update(part.factor())
-        marked = [pi for pi in places if any(fppoly.fp_ord_at(g, pi) != 0 for g in self.generators)]
-        marked.sort(key=lambda pi: (pi.degree, tuple(pi.coeffs)))
-        return tuple(marked)
+        # a generator's num and den are coprime, so it has nonzero order at
+        # every irreducible factor of either: each of them is a marked place
+        places = {pi for g in self.generators for part in (g.num, g.den) for pi in part.factor()}
+        return tuple(sorted(places, key=lambda pi: (pi.degree, pi.coeffs)))
 
     @functools.cached_property
     def infinite_place_needed(self) -> bool:

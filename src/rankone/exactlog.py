@@ -236,15 +236,11 @@ class ExactLog:
         return interval_sign(self.evaluate, max_prec=max_prec)
 
     def is_zero(self, max_prec: int = MAX_PRECISION) -> Optional[bool]:
-        """True/False when certified, None when undecided at the cap."""
-        if self.is_trivially_zero():
-            return True
-        s = interval_sign(self.evaluate, max_prec=max_prec)
-        if s in (POSITIVE, NEGATIVE):
-            return False
+        """True/False when certified, None when undecided at the cap; exact
+        for a form with no root atoms (unique factorization)."""
         if not self.root_part:
-            return False  # nonzero by independence even if the cap was hit
-        return None
+            return not self.prime_part
+        return False if interval_sign(self.evaluate, max_prec=max_prec) in (POSITIVE, NEGATIVE) else None
 
     def atoms_json(self) -> List[dict]:
         out = []

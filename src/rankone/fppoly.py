@@ -264,22 +264,14 @@ def _equal_degree(f: FpPoly, d: int) -> list:
             )
 
 
-def fp_ord_at(f, pi: FpPoly) -> int:
-    """Order of vanishing of f at the finite place pi.
+def fp_ord_at(f: FpPoly, pi: FpPoly) -> int:
+    """Order of vanishing of the polynomial f at the finite place pi.
 
     pi must be monic irreducible, as every factor FpPoly.factor returns is;
     that is not checked again here.
     """
-    if isinstance(f, FpRationalFunction):
-        if f.num.is_zero():
-            raise ValueError("ord of the zero function is undefined")
-        return _poly_ord(f.num, pi) - _poly_ord(f.den, pi)
     if f.is_zero():
         raise ValueError("ord of the zero polynomial is undefined")
-    return _poly_ord(f, pi)
-
-
-def _poly_ord(f: FpPoly, pi: FpPoly) -> int:
     n = 0
     while True:
         q, r = f.divmod(pi)

@@ -70,7 +70,9 @@ class FunctionFieldComponent:
         """(place, degree-weighted order of each generator) per marked finite
         place, then at infinity when some generator has an order there."""
         table = [
-            (pi.format(), tuple(fppoly.fp_ord_at(g, pi) * pi.degree for g in self.generators))
+            (pi.format(), tuple(
+                (fppoly.fp_ord_at(g.num, pi) - fppoly.fp_ord_at(g.den, pi)) * pi.degree
+                for g in self.generators))
             for pi in self.finite_places
         ]
         if self.infinite_place_needed:

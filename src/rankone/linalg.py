@@ -7,10 +7,8 @@ fraction-free elimination on Python ints, so no Fraction is formed until
 the final quotient, and none at all for a matrix of ints; it is the one
 determinant behind number-field norms, the determinant oracle and the rank
 test, which calls rows independent exactly when their Gram determinant
-det(A A^T) is nonzero.  The characteristic polynomial runs the
-Faddeev-LeVerrier recurrence on Python ints, on A scaled by the lcm of its
-denominators; it needs no pivoting at all, and so gives a determinant-free
-second route to det(I - A) = charpoly(1).
+det(A A^T) is nonzero, and behind the characteristic polynomials that
+numberfield interpolates from norms.
 
 All of it is exact: no interval arithmetic is used or imported here.  The
 one ball-matrix decision, the rank certificate of the embedding log matrix,
@@ -102,27 +100,3 @@ def full_row_rank(rows: Matrix) -> bool:
     """Whether the rows are linearly independent: det(A A^T) != 0, which by
     Cauchy-Binet is the sum of the squares of A's maximal minors."""
     return det([[sum(x * y for x, y in zip(r, s)) for s in rows] for r in rows]) != 0
-
-
-def charpoly(a: Matrix) -> List[Fraction]:
-    """Characteristic polynomial det(yI - A), ascending coefficients, monic.
-
-    Faddeev-LeVerrier on the integer B = sA, s the lcm of A's denominators:
-    M_0 = I, c_n = 1, and for k = 1..n
-        c_{n-k} = -tr(B M_{k-1}) / k,   M_k = B M_{k-1} + c_{n-k} I,
-    each division checked exact; A's coefficients are c_i / s^(n-i).
-    """
-    n = len(a)
-    s = math.lcm(1, *(x.denominator for row in a for x in row))
-    b = [[x.numerator * (s // x.denominator) for x in row] for row in a]
-    coeffs = [0] * n + [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in b]
-        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier step left a remainder")
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return [Fraction(c, s ** (n - i)) for i, c in enumerate(coeffs)]

@@ -87,9 +87,6 @@ class NumberFieldUnitsComponent:
                 power = nf.poly_mul(power, min_poly)
             if rest or power != int_cp:
                 raise ArithmeticError("characteristic polynomial is not a power of its squarefree part")
-            if len(min_poly) == 2:
-                out.append((min_poly, tuple(0 for _ in range(self.field.degree))))
-                continue
             indices = nf.match_roots(
                 min_poly,
                 lambda prec, g=g: [nf.embed(g, e, prec) for e in nf.isolate_roots(self.field.min_poly, prec)],

@@ -29,8 +29,9 @@ vectors modulo min_poly, and norm takes the determinant of the
 multiplication matrix, whose denominators linalg.det clears row by row, so
 one norm serves elements and integer vectors alike.  A count keeps h as
 the pair (v, den) from start to finish, so it forms no Fraction at any
-lattice point.  An inverse is a polynomial in the element, read off its
-characteristic polynomial by Cayley-Hamilton.
+lattice point.  An element's characteristic polynomial is interpolated
+from m + 1 norms, and an inverse is a polynomial in the element, read off
+that characteristic polynomial by Cayley-Hamilton.
 
 Only the isolation and embedding functions import balls and mpmath's raw
 floats (_libmp), at their entry, so element arithmetic, norms and the
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from .defaults import DEFAULT_PRECISION, power
 from .errors import UndecidedError
-from .linalg import Matrix, charpoly as mat_charpoly, det as mat_det
+from .linalg import det as mat_det
 
 if TYPE_CHECKING:
     from .balls import ComplexBall, RealBall
@@ -278,13 +279,6 @@ def _columns(f: IntPoly, col: list) -> List[list]:
     return cols
 
 
-def mult_matrix(spec: NumberFieldSpec, x: Element) -> Matrix:
-    """Matrix of y -> x*y on the power basis; column j holds the coords of x*a^j."""
-    col, den = int_coords(x)
-    cols = _columns(spec.min_poly, col)
-    return [[Fraction(col[i], den) for col in cols] for i in range(len(cols))]
-
-
 def norm(spec: NumberFieldSpec, x: Sequence, c: int = 0):
     """Norm(x - c) for an integer c: det of the multiplication matrix of
     x - c, taken on columns (the transpose, with the same determinant).
@@ -302,7 +296,17 @@ def norm(spec: NumberFieldSpec, x: Sequence, c: int = 0):
 
 
 def element_charpoly(spec: NumberFieldSpec, x: Element) -> List[Fraction]:
-    return mat_charpoly(mult_matrix(spec, x))
+    """x's characteristic polynomial det(yI - M_x), ascending and monic:
+    Newton interpolation of its values (-1)^m Norm(x - c) at c = 0..m."""
+    m = spec.degree
+    dd = [(-1) ** m * norm(spec, x, c) for c in range(m + 1)]
+    for k in range(1, m + 1):  # divided differences over the nodes 0..m
+        for i in range(m, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / k
+    out = [dd[m]]
+    for c in range(m - 1, -1, -1):  # Horner's rule: out * (y - c) + dd[c]
+        out = [dd[c] - c * out[0]] + [a - c * b for a, b in zip(out, out[1:])] + [out[-1]]
+    return out
 
 
 def unit_charpoly(spec: NumberFieldSpec, x: Element) -> Optional[List[int]]:

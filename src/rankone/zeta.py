@@ -4,12 +4,14 @@ In an expansive direction n the count sequence F_j is an exponential
 polynomial F_j = -sum_J lambda_J c_J^j whose base values c_J are read off
 the characters: a nonarchimedean growth factor g common to all branches,
 times one factor chi(-n) for every multiset subset of the archimedean
-characters.  The signs (more generally small integer coefficients, since
-numerically equal values merge) are solved from the exact F_j, the only
-convention-free anchor: the K values are distinct, so F_1..F_K fix the
-coefficients through a Vandermonde system and the later F_j check them.
-The fitted values are the inverse roots c appearing as (1 - c z)^{+-1} in
-the rational zeta function.
+characters; subsets with one value, keyed by its exponents of -1 (mod 2)
+and of each prime and by its embedded parts, are one object.  The signs
+(more generally small integer coefficients, since numerically equal
+values merge) are solved from the exact F_j, the only convention-free
+anchor: the K values are distinct, so F_1..F_K fix the coefficients
+through a Vandermonde system and the later F_j check them.  The fitted
+values are the inverse roots c appearing as (1 - c z)^{+-1} in the
+rational zeta function.
 
 The fit and its re-verification return only integers and yes/no, so their
 O(K^2) and J x K loops run on fixed-point Gaussian boxes: Python ints with
@@ -79,107 +81,120 @@ def _growth_factor(sys: SystemDescriptor, n: Sequence[int]) -> Fraction:
 
 
 def _arch_factors(sys: SystemDescriptor, n: Sequence[int]) -> List[tuple]:
-    """(exponents, exact, part, multiplicity) of chi(-n) per archimedean
-    character, in characters() order: exponents (of -1 and of each prime)
-    and the Fraction exact they fix where chi(-n) is exact, else None; part
-    (min_poly, emb_index, element) where it is embedded, else None."""
+    """(exponents, part, multiplicity) of chi(-n) per archimedean character,
+    in characters() order: exponents (of -1 and of each prime) where chi(-n)
+    is exact, else None; part (min_poly, emb_index, element) where it is
+    embedded, else None."""
     minus_n = [-int(c) for c in n]
     return [
-        (exps, None if exps is None else math.prod(
-            (Fraction(p) ** k for p, k in exps.items()), start=Fraction(1)), part, mult)
+        (exps, part, mult)
         for comp, mult in sys.components
         for exps, part in comp.arch_factors(minus_n)
     ]
 
 
-class _Branch:
-    """One multiset subset of the archimedean characters: a candidate value.
+def _exponent_steps(factors: List[tuple]) -> Tuple[List[int], List[Optional[Tuple[int, ...]]]]:
+    """The primes (and -1) the exact factors of an _arch_factors list name,
+    and per factor its exponent of each, None where it is embedded.  The
+    exact part of g prod_f f^k_f is fixed by sum_f k_f step_f, reduced
+    (_reduced), by unique factorization: no power or big integer is formed."""
+    primes = sorted({p for exps, _, _ in factors if exps is not None for p in exps})
+    return primes, [None if exps is None else tuple(exps.get(p, 0) for p in primes) for exps, _, _ in factors]
 
-    The branches of one inverse_roots call share the embedded factors' parts
+
+def _reduced(primes: List[int], exps: Sequence[int]) -> Tuple[int, ...]:
+    """Exponents over _exponent_steps' primes, that of -1 taken mod 2."""
+    return tuple(x % 2 if p == -1 else x for p, x in zip(primes, exps))
+
+
+class _Value:
+    """One distinct branch value g prod_f f^k_f: its exact part, its
+    embedded parts ((factor index, power), ...), the multiplicity summed
+    over the multiset subsets (k_f) that give it, and those subsets in
+    branch order.
+
+    The values of one inverse_roots call share the embedded factors' parts
     and one dict of their embedded powers, keyed by (factor index, power,
-    precision), and each branch keeps its own ball per precision.  So every
-    value is computed once per precision, by the same arithmetic as an
-    uncached recompute.
+    precision), and each value keeps its own ball per precision, so it is
+    computed once per precision, by the same arithmetic as an uncached
+    recompute.
     """
 
-    __slots__ = ("exact", "parts", "multiplicity", "label", "_embedded", "_balls")
+    __slots__ = ("exact", "parts", "multiplicity", "subsets", "_embedded", "_balls")
 
-    def __init__(self, exact: Fraction, parts, multiplicity: int, label, embedded: tuple):
+    def __init__(self, exact: Fraction, parts: tuple, embedded: tuple):
         self.exact = exact
-        self.parts = tuple(parts)      # ((factor index, power), ...)
-        self.multiplicity = multiplicity
-        self.label = label             # per-V-character copy counts
+        self.parts = parts
+        self.multiplicity = 0
+        self.subsets: List[Tuple[int, ...]] = []
         self._embedded = embedded      # (parts by factor index, {(index, power, prec): ComplexBall})
         self._balls: Dict[int, ComplexBall] = {}
-
-    def _factor(self, index: int, power: int, prec: int) -> ComplexBall:
-        parts, cache = self._embedded
-        value = cache.get((index, power, prec))
-        if value is None:
-            from . import numberfield as nf
-
-            min_poly, emb_index, element = parts[index]
-            emb = nf.isolate_roots(min_poly, prec)[emb_index]
-            value = cache[(index, power, prec)] = nf.embed(element, emb, prec).pow_int(power, prec)
-        return value
 
     def ball(self, prec: int) -> ComplexBall:
         out = self._balls.get(prec)
         if out is None:
             out = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
+            parts, cache = self._embedded
             for index, power in self.parts:
-                out = out.mul(self._factor(index, power, prec), prec)
+                factor = cache.get((index, power, prec))
+                if factor is None:
+                    from . import numberfield as nf
+
+                    min_poly, emb_index, element = parts[index]
+                    emb = nf.isolate_roots(min_poly, prec)[emb_index]
+                    factor = cache[(index, power, prec)] = nf.embed(element, emb, prec).pow_int(power, prec)
+                out = out.mul(factor, prec)
             self._balls[prec] = out
         return out
 
-    def label_text(self) -> str:
-        return "{" + ",".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(self.label) if k) + "}"
 
-
-def _branches(sys: SystemDescriptor, n: Sequence[int], factors: List[tuple]) -> List[_Branch]:
-    """The branches g prod f^k over the _arch_factors list of n."""
+def _values(sys: SystemDescriptor, n: Sequence[int], factors: List[tuple]) -> List[_Value]:
+    """The distinct values g prod f^k over the _arch_factors list of n, in
+    the order of their first subset.  The subsets are walked once, in
+    itertools.product order, and each adds its multiplicity
+    prod_f C(m_f, k_f) and its copy counts to the value that its reduced
+    exponents and its embedded parts key."""
     g = _growth_factor(sys, n)
-    embedded = ([part for _, _, part, _ in factors], {})
-    # per factor, C(m, k) and f^k for k = 0..m, each from the one before
-    rows = []
-    for _, f_exact, _, f_mult in factors:
-        combs, powers = [1], [1]
-        for k in range(1, f_mult + 1):
-            combs.append(combs[-1] * (f_mult - k + 1) // k)
-            if f_exact is not None:
-                powers.append(powers[-1] * f_exact)
-        rows.append((combs, powers))
-    branches = []
+    primes, steps = _exponent_steps(factors)
+    embedded = ([part for _, part, _ in factors], {})
+    # per factor, C(m, k) for k = 0..m, each from the one before
+    combs = [list(itertools.accumulate(range(1, m + 1), lambda c, k, m=m: c * (m - k + 1) // k, initial=1))
+             for _, _, m in factors]
+    zero = (0,) * len(primes)
+    values: Dict[tuple, _Value] = {}
     for counts in itertools.product(*(range(m + 1) for *_, m in factors)):
-        exact = g
+        exps = zero
         parts = []
         mult = 1
-        for index, ((_, f_exact, _, _), (combs, powers), k) in enumerate(zip(factors, rows, counts)):
-            mult *= combs[k]
-            if k == 0:
-                continue
-            if f_exact is not None:
-                exact *= powers[k]
-            else:
+        for index, (step, row, k) in enumerate(zip(steps, combs, counts)):
+            mult *= row[k]
+            if k and step is None:
                 parts.append((index, k))
-        branches.append(_Branch(exact, parts, mult, counts, embedded))
-    return branches
+            elif k:
+                exps = tuple(x + k * y for x, y in zip(exps, step))
+        key = (_reduced(primes, exps), tuple(parts))
+        value = values.get(key)
+        if value is None:
+            exact = math.prod((Fraction(p) ** e for p, e in zip(primes, key[0])), start=g)
+            value = values[key] = _Value(exact, key[1], embedded)
+        value.multiplicity += mult
+        value.subsets.append(counts)
+    return list(values.values())
 
 
 def _distinct_exact_values(factors: List[tuple]) -> Optional[int]:
     """The number of distinct branch values (so of clusters) over an
-    _arch_factors list when all are exact, else None.  g prod_f f^k_f
-    (0 <= k_f <= m_f) is fixed by its exponents of -1 (mod 2) and of each
-    prime, sums of small multiples of each factor's: no power or big
-    integer is formed."""
-    if any(exps is None for exps, _, _, _ in factors):
+    _arch_factors list when all are exact, else None: the reduced exponent
+    sums, one factor's multiples at a time."""
+    primes, steps = _exponent_steps(factors)
+    if None in steps:
         return None
-    primes = sorted({p for exps, _, _, _ in factors for p in exps})
     values = {(0,) * len(primes)}
-    for exps, _, _, mult in factors:
-        step = [exps.get(p, 0) for p in primes]
-        values = {tuple(x + k * y for x, y in zip(v, step)) for v in values for k in range(mult + 1)}
-    return len({tuple(x % 2 if p == -1 else x for p, x in zip(primes, v)) for v in values})
+    for step, (*_, mult) in zip(steps, factors):
+        values = {
+            _reduced(primes, [x + k * y for x, y in zip(v, step)]) for v in values for k in range(mult + 1)
+        }
+    return len(values)
 
 
 def _check_terms(J: int, K: int) -> None:
@@ -189,14 +204,17 @@ def _check_terms(J: int, K: int) -> None:
 
 class ZetaCandidate:
     """A cluster of numerically identical branch values, times sign: -1 once
-    the fit picks mu = -1, so exact and the ball are the members' negated."""
+    the fit picks mu = -1, so exact and the ball are the members' negated.
+    The members are _Values in the order of their first subset; the cluster
+    is exact when it is one value with no embedded part."""
 
     __slots__ = ("exact", "members", "multiplicity", "coefficient", "sign", "_balls")
 
-    def __init__(self, exact: Optional[Fraction], members: List[_Branch], sign: int = 1):
-        self.exact = exact
+    def __init__(self, members: List[_Value], sign: int = 1):
+        first = members[0]
+        self.exact = sign * first.exact if len(members) == 1 and not first.parts else None
         self.members = members
-        self.multiplicity = sum(b.multiplicity for b in members)
+        self.multiplicity = sum(v.multiplicity for v in members)
         self.coefficient: Optional[int] = None
         self.sign = sign
         self._balls: Dict[int, ComplexBall] = {}
@@ -205,18 +223,24 @@ class ZetaCandidate:
         return self.exact is not None
 
     def negated(self) -> "ZetaCandidate":
-        out = ZetaCandidate(None if self.exact is None else -self.exact, self.members, -self.sign)
+        out = ZetaCandidate(self.members, -self.sign)
         out.coefficient = self.coefficient
         return out
 
+    def _subsets(self) -> List[Tuple[Tuple[int, ...], int]]:
+        """(copy counts, member index) of every subset, in branch order."""
+        return sorted((s, i) for i, v in enumerate(self.members) for s in v.subsets)
+
     def ball(self, prec: int) -> ComplexBall:
+        """The exact value, else the hull of the members' balls taken once
+        per subset in branch order."""
         ball = self._balls.get(prec)
         if ball is None:
             if self.exact is not None:
                 ball = ComplexBall.from_fractions(self.exact, Fraction(0), prec)
             else:
-                ball = self.members[0].ball(prec)
-                for other in (b.ball(prec) for b in self.members[1:]):
+                ball, *rest = (self.members[i].ball(prec) for _, i in self._subsets())
+                for other in rest:
                     ball = ComplexBall(ball.re.hull(other.re, prec), ball.im.hull(other.im, prec))
                 if self.sign < 0:
                     ball = ball.neg()
@@ -224,7 +248,10 @@ class ZetaCandidate:
         return ball
 
     def label_text(self) -> str:
-        return "|".join(b.label_text() for b in self.members)
+        return "|".join(
+            "{" + ",".join(str(i) if k == 1 else f"{i}^{k}" for i, k in enumerate(s) if k) + "}"
+            for s, _ in self._subsets()
+        )
 
     def value_json(self, prec: int) -> dict:
         if self.exact is not None:
@@ -270,27 +297,15 @@ def _overlap_classes(balls: Sequence[ComplexBall]) -> List[List[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _cluster_branches(branches: List[_Branch], prec: int) -> Optional[List[ZetaCandidate]]:
-    """Group branches by overlapping value boxes; None means escalate.
-
-    Branches with equal exact value and equal parts are equal, so each such
-    group enters the sweep by one ball, its first member's; the members of
-    a cluster stay in branch order.
-    """
-    by_value: Dict[tuple, List[int]] = {}
-    for i, b in enumerate(branches):
-        by_value.setdefault((b.exact, b.parts), []).append(i)
-    groups = list(by_value.values())
+def _cluster_values(values: List[_Value], prec: int) -> Optional[List[ZetaCandidate]]:
+    """Group values by overlapping boxes; None means escalate, because
+    distinct exact values are distinct rationals that a finer box parts."""
     clusters = []
-    for indices in _overlap_classes([branches[g[0]].ball(prec) for g in groups]):
-        members = [branches[i] for i in sorted(i for k in indices for i in groups[k])]
-        if all(not b.parts for b in members):
-            exacts = {b.exact for b in members}
-            if len(exacts) > 1:
-                return None  # distinct rationals still entangled: sharpen
-            clusters.append(ZetaCandidate(exacts.pop(), members))
-        else:
-            clusters.append(ZetaCandidate(None, members))
+    for indices in _overlap_classes([v.ball(prec) for v in values]):
+        members = [values[i] for i in indices]
+        if len(members) > 1 and not any(v.parts for v in members):
+            return None
+        clusters.append(ZetaCandidate(members))
     return clusters
 
 
@@ -569,7 +584,7 @@ def inverse_roots(
     expansive regime rationality is not guaranteed; force=True attempts the
     fit anyway and raises an inconsistency if none exists.
 
-    Before any branch is built, the bit budget (rankone.defaults) is checked
+    Before any value is built, the bit budget (rankone.defaults) is checked
     at j_check, else MIN_J_CHECK; and when all K distinct values are exact,
     counted without building them, at the periods their fit reads, or, in an
     expansive direction, j_check is held to the K + 2 fit_exponents needs.
@@ -589,9 +604,9 @@ def inverse_roots(
         check_sequence_budget(sys, n, max(K + 2, defaults.MIN_J_CHECK))
     elif K is not None and expansive:
         _check_terms(j_check, K)
-    branches = _branches(sys, n, factors)
+    values = _values(sys, n, factors)
     for prec in precisions(precision, max_prec):
-        clusters = _cluster_branches(branches, prec)
+        clusters = _cluster_values(values, prec)
         if clusters is None:
             continue
         J = j_check if j_check is not None else max(len(clusters) + 2, defaults.MIN_J_CHECK)

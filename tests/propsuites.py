@@ -5,7 +5,9 @@ suite checks symmetry, homogeneity and divisibility of periodic counts and,
 where a second route exists, agreement with the determinant oracle.  The
 interval suite drives the ball arithmetic through random expression chains
 against an exact Fraction oracle.  The small ball and hyperplane predicates
-at the end are shared by the tests that read enclosures exactly.
+at the end are shared by the tests that read enclosures exactly, and the
+Fraction characteristic polynomial by those that need a route to it
+without a determinant.
 """
 
 import math
@@ -119,3 +121,17 @@ def on_hyperplane(h, v, prec: int = DEFAULT_PRECISION, tol: float = None) -> boo
         tol = 2.0 ** -(prec // 2)
     lo, hi = log_dot([Fraction(x) for x in v], h.normal).evaluate(prec).float_bounds()
     return not (lo > tol or hi < -tol)
+
+
+def reference_charpoly(a):
+    """det(yI - A), ascending, by Faddeev-LeVerrier over Fraction:
+    c_(n-k) = -tr(A M_(k-1)) / k; no determinant is formed."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*m)] for row in a]
+        coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
+        for i in range(n):
+            m[i][i] += coeffs[n - k]
+    return coeffs

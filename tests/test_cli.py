@@ -208,7 +208,7 @@ def test_zeta_checks_the_budget_before_the_branches(monkeypatch, tmp_path, capsy
     def refuse(*args):
         raise BranchesBuilt
 
-    monkeypatch.setattr(zeta, "_branches", refuse)
+    monkeypatch.setattr(zeta, "_values", refuse)
     path = tmp_path / "copies.json"
     for multiplicity, jmax, message in [
         (10 ** 6, [], "estimated size 3000000 bits"),
@@ -1082,17 +1082,17 @@ def test_periodic_without_site_loads_no_resource_readers():
 
 def test_analyze_computes_each_characteristic_polynomial_once(monkeypatch, capsys):
     # validation keeps each generator's characteristic polynomial for the
-    # root identities, so analyze runs charpoly once per generator
+    # root identities, so analyze runs element_charpoly once per generator
     from rankone import numberfield
 
     calls = []
-    charpoly = numberfield.mat_charpoly
+    charpoly = numberfield.element_charpoly
 
-    def counted(matrix):
-        calls.append(len(matrix))
-        return charpoly(matrix)
+    def counted(spec, x):
+        calls.append(spec.degree)
+        return charpoly(spec, x)
 
-    monkeypatch.setattr(numberfield, "mat_charpoly", counted)
+    monkeypatch.setattr(numberfield, "element_charpoly", counted)
     assert run(capsys, "analyze", "sqrt2sqrt3")[0] == 0
     assert calls == [4, 4]
 

@@ -10,8 +10,11 @@ import pytest
 from rankone import balls, linalg, numberfield as nf
 from rankone.balls import ComplexBall, RealBall, ball_to_fraction_bounds
 from rankone.errors import UndecidedError
-from rankone.linalg import charpoly, det
+from rankone.linalg import det
 from rankone.number_field_units import _ball_rank_at_least
+from rankone.periodic import _companion_multiplication_matrix
+
+from propsuites import reference_charpoly
 
 
 # --- reference implementations: Fraction Gaussian elimination and Fraction
@@ -43,19 +46,6 @@ def reference_det(a):
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return acc * sign
-
-
-def reference_charpoly(a):
-    # Faddeev-LeVerrier over Fraction: c_(n-k) = -tr(A M_(k-1)) / k
-    n = len(a)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*m)] for row in a]
-        coeffs[n - k] = -sum((m[i][i] for i in range(n)), Fraction(0)) / k
-        for i in range(n):
-            m[i][i] += coeffs[n - k]
-    return coeffs
 
 
 def reference_el_mul(spec, x, y):
@@ -125,19 +115,18 @@ def test_det_edge_cases():
     assert det(big) == reference_det(big)
 
 
-def test_charpoly_matches_fraction_reference_sizes_0_to_6(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("charpoly is the integer, determinant-free route")
-
-    monkeypatch.setattr(linalg, "det", refuse)
-    monkeypatch.setattr(linalg, "mat_mul", refuse)
+def test_element_charpoly_matches_fraction_reference_degrees_1_to_6():
+    # interpolated from m + 1 norms, against Faddeev-LeVerrier on the
+    # companion-built multiplication matrix, which forms no determinant
     rng = random.Random(20261019)
-    for trial in range(210):
-        a = random_matrix(rng, trial % 7)
-        assert charpoly(a) == reference_charpoly(a), a
-    assert charpoly([]) == [1]
-    big = [[Fraction(10 ** 20 + i * j, 1 + i + 2 * j) for j in range(4)] for i in range(4)]
-    assert charpoly(big) == reference_charpoly(big)
+    for spec in FIELDS:
+        elements = [random_element(rng, spec) for _ in range(35)]
+        elements.append((Fraction(0),) * spec.degree)
+        elements.append(tuple(Fraction(10 ** 20 + i, 1 + 2 * i) for i in range(spec.degree)))
+        for x in elements:
+            got = nf.element_charpoly(spec, x)
+            assert got == reference_charpoly(_companion_multiplication_matrix(spec.min_poly, x)), x
+            assert all(type(c) is Fraction for c in got)
 
 
 def test_full_row_rank_matches_some_nonzero_maximal_minor():
@@ -202,11 +191,12 @@ def test_norm_matches_fraction_reference():
     for spec in FIELDS:
         for _ in range(40):
             x = random_element(rng, spec)
-            assert nf.norm(spec, x) == reference_det(nf.mult_matrix(spec, x))
+            assert nf.norm(spec, x) == reference_det(_companion_multiplication_matrix(spec.min_poly, x))
 
 
 def test_norm_matches_det_of_mult_matrix_on_fixture_fields():
-    # norm takes the integer columns; det_oracle's route is det(mult_matrix)
+    # norm takes the integer columns; det_oracle's route is the det of the
+    # multiplication matrix built from the companion matrix
     from rankone.system import load_fixture
 
     rng = random.Random(12)
@@ -222,12 +212,13 @@ def test_norm_matches_det_of_mult_matrix_on_fixture_fields():
                 # Norm(x - c), with x - c formed here on Fractions
                 shifted = (x[0] - c,) + x[1:]
                 got = nf.norm(spec, x, c)
-                assert got == det(nf.mult_matrix(spec, shifted))
+                assert got == det(_companion_multiplication_matrix(spec.min_poly, shifted))
                 assert type(got) is Fraction
 
 
 def test_mult_matrix_columns_match_el_mul():
-    # column j holds x * a^j; the reference forms each column by el_mul
+    # column j of the matrix norm takes holds x * a^j; the reference forms
+    # each column by el_mul
     rng = random.Random(11)
     for spec in FIELDS:
         m = spec.degree
@@ -238,9 +229,8 @@ def test_mult_matrix_columns_match_el_mul():
             for _ in range(m):
                 columns.append(power)
                 power = nf.el_mul(spec, power, root)
-            got = nf.mult_matrix(spec, x)
-            assert got == [[columns[j][i] for j in range(m)] for i in range(m)]
-            assert all(type(c) is Fraction for row in got for c in row)
+            got = nf._columns(spec.min_poly, list(x))
+            assert got == [list(column) for column in columns]
 
 
 # --- ball rank certificate ----------------------------------------------------

@@ -28,7 +28,7 @@ from rankone.errors import (
     UnsupportedOperationError,
 )
 from rankone.balls import HARD_PRECISION, ComplexBall, RealBall, ball_to_fraction_bounds, precisions
-from rankone.zeta import _Branch, _branches, _cluster_branches, fit_exponents
+from rankone.zeta import _Value, _cluster_values, _values, fit_exponents
 
 from propsuites import contains, relative_width
 
@@ -46,12 +46,20 @@ def exact_values(zf):
 def exact_candidate(value, multiplicity=1):
     """A candidate for one exact value, built by hand for fit_exponents."""
     v = Fraction(value)
-    return ZetaCandidate(v, [_Branch(v, (), multiplicity, (), ([], {}))])
+    member = _Value(v, (), ([], {}))
+    member.multiplicity = multiplicity
+    return ZetaCandidate([member])
 
 
-def branches_of(sys_, n):
-    """The branches of direction n over its one _arch_factors list."""
-    return _branches(sys_, n, zeta._arch_factors(sys_, n))
+def values_of(sys_, n):
+    """The distinct branch values of direction n over its one _arch_factors list."""
+    return _values(sys_, n, zeta._arch_factors(sys_, n))
+
+
+def in_branch_order(candidate):
+    """The member value of each subset of a candidate, in branch order."""
+    pairs = sorted(((s, k) for k, v in enumerate(candidate.members) for s in v.subsets))
+    return [candidate.members[k] for _, k in pairs]
 
 
 # --- expansiveness -----------------------------------------------------------
@@ -300,12 +308,12 @@ def _bits(ball):
     return (ball.re.mid, ball.re.rad, ball.im.mid, ball.im.rad)
 
 
-def _uncached_branch_ball(branch, factors, prec):
-    """The branch value by the arithmetic of _Branch.ball, each embedded
-    power formed afresh from the factor its (index, power) part names."""
-    out = ComplexBall.from_fractions(branch.exact, Fraction(0), prec)
-    for index, power in branch.parts:
-        min_poly, emb_index, element = factors[index][2]
+def _uncached_value_ball(value, factors, prec):
+    """The value by the arithmetic of _Value.ball, each embedded power
+    formed afresh from the factor its (index, power) part names."""
+    out = ComplexBall.from_fractions(value.exact, Fraction(0), prec)
+    for index, power in value.parts:
+        min_poly, emb_index, element = factors[index][1]
         emb = nf.isolate_roots(min_poly, prec)[emb_index]
         out = out.mul(nf.embed(element, emb, prec).pow_int(power, prec), prec)
     return out
@@ -318,34 +326,36 @@ def _hull_of(balls, prec):
     return ball
 
 
-def _quartic_branches_and_merged_cluster():
+def _quartic_values_and_merged_cluster():
     sys_ = load_fixture("sqrt2sqrt3")
     factors = zeta._arch_factors(sys_, (1, 1))
-    branches = _branches(sys_, (1, 1), factors)
-    clusters = _cluster_branches(branches, 64)
+    values = _values(sys_, (1, 1), factors)
+    clusters = _cluster_values(values, 64)
     merged = next(c for c in clusters if len(c.members) > 1 and not c.is_exact())
-    return factors, branches, merged
+    return factors, values, merged
 
 
 def test_cached_balls_equal_uncached_recompute_per_precision():
-    factors, branches, merged = _quartic_branches_and_merged_cluster()
+    # a merged cluster's ball hulls its values' balls once per subset, in
+    # branch order, as when every subset had its own ball
+    factors, values, merged = _quartic_values_and_merged_cluster()
     for prec in (64, 128, 64):
-        for b in branches:
-            assert _bits(b.ball(prec)) == _bits(_uncached_branch_ball(b, factors, prec))
-        uncached = [_uncached_branch_ball(b, factors, prec) for b in merged.members]
+        for v in values:
+            assert _bits(v.ball(prec)) == _bits(_uncached_value_ball(v, factors, prec))
+        uncached = [_uncached_value_ball(v, factors, prec) for v in in_branch_order(merged)]
         assert _bits(merged.ball(prec)) == _bits(_hull_of(uncached, prec))
-    assert _bits(branches[-1].ball(128)) != _bits(branches[-1].ball(64))
+    assert _bits(values[-1].ball(128)) != _bits(values[-1].ball(64))
     assert _bits(merged.ball(128)) != _bits(merged.ball(64))
 
 
 def test_negated_balls_are_negations():
     # mu = -1 negates a candidate by its sign: its ball is the hull of its
     # members' negated balls, bit for bit, as when each member was negated
-    _, _, merged = _quartic_branches_and_merged_cluster()
+    _, _, merged = _quartic_values_and_merged_cluster()
     negated = merged.negated()
     assert negated.members == merged.members and negated.sign == -1
     for prec in (64, 128):
-        expected = _hull_of([b.ball(prec).neg() for b in merged.members], prec)
+        expected = _hull_of([v.ball(prec).neg() for v in in_branch_order(merged)], prec)
         assert _bits(negated.ball(prec)) == _bits(expected)
         assert _bits(negated.ball(prec)) == _bits(merged.ball(prec).neg())
 
@@ -396,11 +406,11 @@ def test_entropy_is_log_of_largest_fitted_inverse_root(name, n):
 def test_inverse_roots_separation_ladder(monkeypatch, precision, max_prec, ladder):
     seen = []
 
-    def never_separated(branches, prec):
+    def never_separated(values, prec):
         seen.append(prec)
         return None
 
-    monkeypatch.setattr(zeta, "_cluster_branches", never_separated)
+    monkeypatch.setattr(zeta, "_cluster_values", never_separated)
     with pytest.raises(UndecidedError, match="separating zeta candidate values"):
         inverse_roots(load_fixture("sqrt2sqrt3"), (2, -1), precision=precision, max_prec=max_prec)
     assert seen == ladder
@@ -415,7 +425,7 @@ def test_exact_values_are_counted_before_the_branches(monkeypatch):
     def refuse(*args):
         raise BranchesBuilt
 
-    monkeypatch.setattr(zeta, "_branches", refuse)
+    monkeypatch.setattr(zeta, "_values", refuse)
     # 10,001 distinct values: the fit reads 10,003 periods, and period 34
     # is the first over the budget at 30,000 bits each
     copies = parse_descriptor({"d": 1, "components": [
@@ -445,28 +455,31 @@ def test_distinct_exact_values_match_the_branches(components, n):
     sys_ = parse_descriptor({"d": len(n), "components": [
         {"class": kind, "multiplicity": m, "generators": gens} for kind, m, gens in components]})
     factors = zeta._arch_factors(sys_, n)
-    branches = _branches(sys_, n, factors)
+    values = _values(sys_, n, factors)
     K = zeta._distinct_exact_values(factors)
-    assert K == len({b.exact for b in branches})
-    assert K == len(_cluster_branches(branches, 64))
+    # the exponent keys part the values as their Fractions do
+    assert K == len(values) == len({v.exact for v in values})
+    assert K == len(_cluster_values(values, 64))
     for name, n, K in (("ledrappier", (1, 1), 1), ("dk-sextic", (1, 1), None)):
         assert zeta._distinct_exact_values(zeta._arch_factors(load_fixture(name), n)) == K
 
 
 def test_equal_exact_values_share_one_ball(monkeypatch):
     # three copies of x2, each of multiplicity 20: 9,261 branches take the
-    # 61 values g 2^-k = 2^(60-k), so the sweep sees one ball per value
+    # 61 values g 2^-k = 2^(60-k), one object and one ball each
     copies = parse_descriptor({"d": 1, "components": [
         {"class": "s_integer", "multiplicity": 20, "generators": ["2"]}] * 3})
-    branches = branches_of(copies, (1,))
+    values = values_of(copies, (1,))
     built = []
-    ball = _Branch.ball
-    monkeypatch.setattr(_Branch, "ball", lambda b, prec: built.append(b) or ball(b, prec))
-    clusters = _cluster_branches(branches, 64)
-    assert len(branches) == 9261 and len(built) <= 61
+    ball = _Value.ball
+    monkeypatch.setattr(_Value, "ball", lambda v, prec: built.append(v) or ball(v, prec))
+    clusters = _cluster_values(values, 64)
+    assert len(values) == 61 and len(built) == 61
     assert [c.exact for c in clusters] == [Fraction(2 ** (60 - k)) for k in range(61)]
     assert [c.multiplicity for c in clusters] == [math.comb(60, k) for k in range(61)]
-    assert [b for c in clusters for b in c.members] == sorted(branches, key=lambda b: b.exact, reverse=True)
+    # value k holds the subsets with k copies in all, in branch order
+    subsets = list(itertools.product(range(21), repeat=3))
+    assert [s for c in clusters for v in c.members for s in v.subsets] == sorted(subsets, key=sum)
 
 
 # --- clustering by a sweep over the real parts ---------------------------------
@@ -492,8 +505,9 @@ def all_pairs_classes(balls):
 
 
 def test_branch_multiplicities_are_binomials(monkeypatch):
-    # C(m, k) and f^k come from rows built term by term, never math.comb:
-    # each branch still carries prod C(m_i, k_i) and g * prod f_i^k_i
+    # C(m, k) come from rows built term by term, never math.comb: each value
+    # carries the sum of prod C(m_i, k_i) over its subsets, and g * prod
+    # f_i^k_i of each of them
     s_integer = parse_descriptor({"d": 1, "components": [
         {"class": "s_integer", "multiplicity": 40, "generators": ["2/3"]}]})
     doubled = parse_descriptor({"d": 2, "components": [
@@ -502,15 +516,24 @@ def test_branch_multiplicities_are_binomials(monkeypatch):
     for sys_, n in ((s_integer, (1,)), (s_integer, (-2,)), (doubled, (1, -1)), (load_fixture("times2times3"), (1, 2))):
         g = zeta._growth_factor(sys_, n)
         factors = zeta._arch_factors(sys_, n)
-        expected = [
-            (math.prod(math.comb(m, k) for (_, _, _, m), k in zip(factors, label)),
-             g * math.prod(f ** k for (_, f, _, _), k in zip(factors, label) if f is not None))
-            for label in itertools.product(*(range(m + 1) for _, _, _, m in factors))
-        ]
+        exact = [None if exps is None else math.prod(Fraction(p) ** k for p, k in exps.items())
+                 for exps, _, _ in factors]
+        labels = list(itertools.product(*(range(m + 1) for _, _, m in factors)))
+        expected = {
+            label: (math.prod(math.comb(m, k) for (_, _, m), k in zip(factors, label)),
+                    g * math.prod(f ** k for f, k in zip(exact, label) if f is not None),
+                    tuple((i, k) for i, (f, k) in enumerate(zip(exact, label)) if f is None and k))
+            for label in labels
+        }
         with monkeypatch.context() as patch:
             patch.setattr(math, "comb", None)
-            branches = _branches(sys_, n, factors)
-        assert [(b.multiplicity, b.exact) for b in branches] == expected, n
+            values = _values(sys_, n, factors)
+        assert sorted(s for v in values for s in v.subsets) == labels, n
+        assert [v.subsets[0] for v in values] == sorted(v.subsets[0] for v in values), n
+        for v in values:
+            assert v.subsets == sorted(v.subsets), n
+            assert v.multiplicity == sum(expected[s][0] for s in v.subsets), n
+            assert {expected[s][1:] for s in v.subsets} == {(v.exact, v.parts)}, n
 
 
 def test_sweep_classes_equal_all_pairs_classes(monkeypatch):
@@ -551,10 +574,10 @@ def test_sweep_classes_equal_all_pairs_classes(monkeypatch):
 
 def test_sextic_clusters_are_unchanged_by_the_sweep():
     sextic = load_fixture("dk-sextic")
-    branches = branches_of(sextic, (1, 1))
-    balls = [b.ball(64) for b in branches]
+    values = values_of(sextic, (1, 1))
+    balls = [v.ball(64) for v in values]
     assert zeta._overlap_classes(balls) == all_pairs_classes(balls)
-    assert len(_cluster_branches(branches, 64)) == 27
+    assert len(_cluster_values(values, 64)) == 27
 
 
 # --- the integer solve against the ComplexBall residue solve --------------------

@@ -346,6 +346,18 @@ def test_cached_balls_equal_uncached_recompute_per_precision():
         assert _bits(merged.ball(prec)) == _bits(_hull_of(uncached, prec))
     assert _bits(values[-1].ball(128)) != _bits(values[-1].ball(64))
     assert _bits(merged.ball(128)) != _bits(merged.ball(64))
+    # two copies of x2 beside the golden unit: the values with embedded parts
+    # and one copy of 2 each come from two subsets, so are hulled twice
+    mixed = parse_descriptor({"d": 1, "components": [
+        {"class": "s_integer", "generators": ["2"]}, {"class": "s_integer", "generators": ["2"]},
+        {"class": "number_field_units", "min_poly": [-1, -1, 1], "generators": [["0", "1"]]}]})
+    factors = zeta._arch_factors(mixed, (1,))
+    repeated = [c for c in _cluster_values(_values(mixed, (1,), factors), 64)
+                if not c.is_exact() and len(in_branch_order(c)) > len(c.members)]
+    assert [c.label_text() for c in repeated] == ["{1,3}|{0,3}", "{1,2}|{0,2}", "{1,2,3}|{0,2,3}"]
+    for c in repeated:
+        uncached = [_uncached_value_ball(v, factors, 64) for v in in_branch_order(c)]
+        assert _bits(c.ball(64)) == _bits(_hull_of(uncached, 64))
 
 
 def test_negated_balls_are_negations():
